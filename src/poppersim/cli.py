@@ -12,6 +12,7 @@ resolution error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -21,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from . import experiments as ex
+from . import gaussian_core as gc
 from . import grid_oracle as go
 from . import spin_model as sm
 from .errors import ConfigError, DomainError, ResolutionError
-from .gaussian_core import PhysParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,9 +86,6 @@ def _report_dict(report: ex.WidthReport) -> dict:
         doc["virtual_distance_mm"] = report.virtual_distance_mm
     if report.coincidence_weight is not None:
         doc["coincidence_weight"] = report.coincidence_weight
-    if report.fitted is not None:
-        doc["fitted"] = {"a2_mm2": report.fitted.a2, "s_mm": report.fitted.s,
-                         "branch_info": dict(report.fitted.branch_info)}
     return doc
 
 
@@ -138,11 +136,8 @@ def _load_scenario(path: str, grid_n: int | None) -> ex.Scenario:
     scenario = ex.Scenario.from_dict(doc)
     if grid_n is not None:
         base = scenario.oracle or ex.default_grid(scenario)
-        grid = go.GridSpec(n=grid_n, extent=base.extent)
-        scenario = ex.Scenario(name=scenario.name, params=scenario.params,
-                               a=scenario.a, omega=scenario.omega,
-                               slit=scenario.slit, lens=scenario.lens,
-                               L1=scenario.L1, L2=scenario.L2, oracle=grid)
+        scenario = dataclasses.replace(
+            scenario, oracle=go.GridSpec(n=grid_n, extent=base.extent))
     return scenario
 
 
@@ -242,7 +237,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    params = PhysParams(wavelength_mm=args.lambda_nm * 1e-6)
+    params = gc.PhysParams(wavelength_mm=args.lambda_nm * 1e-6)
     fit = ex.fit_sigma_from_width(args.fwhm, args.epsilon, args.L2, params)
     doc = _document(
         {"fwhm_observed_mm": args.fwhm, "epsilon_mm": args.epsilon,
@@ -302,7 +297,6 @@ def cmd_oracle_check(args) -> int:
     drift = abs(evolved.norm() - norm0)
     cond = go.condition(evolved, go.Aperture(kind="gaussian", epsilon=eps))
     w_cond = go.widths(cond)
-    from . import gaussian_core as gc
     gamma = gc.condition_on_gaussian_slit(
         gc.make_epr_state(scenario.a, scenario.omega),
         gc.SlitSpec(kind="gaussian", epsilon=eps),
@@ -334,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", help="write the JSON report here "
                         "instead of stdout")
-    common.add_argument("--seedless", action="store_true",
-                        help="reserved; all computations are already deterministic")
 
     grid_opts = argparse.ArgumentParser(add_help=False)
     grid_opts.add_argument("--oracle", action="store_true",

@@ -29,6 +29,32 @@ from .gaussian_core import (
 from .grid_oracle import Aperture, GridSpec
 
 
+def _block(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _number(block: dict, key: str, where: str = "",
+            default: float | None = None) -> float:
+    """The field ``key`` of a scenario block as a finite float; a field with
+    no ``default`` is required."""
+    if key not in block:
+        if default is not None:
+            return default
+        raise ConfigError(f"scenario is missing required field '{where}{key}'")
+    value = block[key]
+    try:
+        # JSON numbers decode to exactly int or float; bool is neither here
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(
+            f"scenario field {where}{key} must be a finite number, got {value!r:.40}")
+    return number
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One coincidence-counting layout, loadable from JSON."""
@@ -56,40 +82,45 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
-        try:
-            params = PhysParams(wavelength_mm=float(doc["lambda_nm"]) * 1e-6)
-            if "a_mm" in doc:
-                a = float(doc["a_mm"])
-            elif "a2_mm2" in doc:
-                a = math.sqrt(float(doc["a2_mm2"]))
-            else:
-                raise KeyError("a_mm or a2_mm2")
-            omega = float(doc["omega_mm"])
-            L1 = float(doc["L1_mm"])
-            L2 = float(doc["L2_mm"])
-        except KeyError as exc:
-            raise ConfigError(f"scenario is missing required field {exc}") from None
+        doc = _block(doc, "scenario")
+        params = PhysParams(wavelength_mm=_number(doc, "lambda_nm") * 1e-6)
+        if "a_mm" in doc:
+            a = _number(doc, "a_mm")
+        elif "a2_mm2" in doc:
+            a = math.sqrt(_number(doc, "a2_mm2"))
+        else:
+            raise ConfigError("scenario is missing required field 'a_mm or a2_mm2'")
+        omega = _number(doc, "omega_mm")
+        L1 = _number(doc, "L1_mm")
+        L2 = _number(doc, "L2_mm")
         slit = None
         if "slit" in doc:
-            s = doc["slit"]
+            s = _block(doc["slit"], "slit")
             kind = s.get("kind", "gaussian")
             if kind == "gaussian":
-                slit = SlitSpec(kind="gaussian", epsilon=float(s["width_mm"]))
-            else:
+                slit = SlitSpec(kind="gaussian", epsilon=_number(s, "width_mm", "slit."))
+            elif kind == "rectangular":
                 slit = SlitSpec(
                     kind="rectangular",
-                    full_width=float(s["width_mm"]),
+                    full_width=_number(s, "width_mm", "slit."),
                     convention=s.get("convention", "half-width"),
-                    reference_fwhm_mm=float(s.get("reference_fwhm_mm", 0.0)),
-                    reference_L_mm=float(s.get("reference_L_mm", 0.0)),
+                    reference_fwhm_mm=_number(s, "reference_fwhm_mm", "slit.", 0.0),
+                    reference_L_mm=_number(s, "reference_L_mm", "slit.", 0.0),
                 )
+            else:
+                raise ConfigError(f"unknown slit kind {kind!r}")
         lens = None
         if "lens" in doc:
-            lens = LensConfig(f=float(doc["lens"]["f_mm"]), b1=float(doc["lens"]["b1_mm"]))
+            block = _block(doc["lens"], "lens")
+            lens = LensConfig(f=_number(block, "f_mm", "lens."),
+                              b1=_number(block, "b1_mm", "lens."))
         oracle = None
         if "oracle" in doc:
-            oracle = GridSpec(n=int(doc["oracle"]["n"]),
-                              extent=float(doc["oracle"]["extent_mm"]))
+            block = _block(doc["oracle"], "oracle")
+            n = _number(block, "n", "oracle.")
+            if not n.is_integer():
+                raise ConfigError(f"scenario field oracle.n must be an integer, got {n}")
+            oracle = GridSpec(n=int(n), extent=_number(block, "extent_mm", "oracle."))
         return cls(name=str(doc.get("name", "scenario")), params=params, a=a,
                    omega=omega, slit=slit, lens=lens, L1=L1, L2=L2, oracle=oracle)
 
@@ -127,7 +158,6 @@ class WidthReport:
     ghost_image_width_mm: Measured | None = None
     virtual_distance_mm: float | None = None
     coincidence_weight: float | None = None
-    fitted: "FitResult | None" = None
 
 
 @dataclass
@@ -155,9 +185,9 @@ def default_grid(scenario: Scenario, n: int = 2048) -> GridSpec:
            gc.beam_width(state, PropagationLeg(total), scenario.params) / 2.0]
     if scenario.slit is not None:
         eps = scenario.slit.gaussian_epsilon(scenario.params)
-        s2 = eps * eps + scenario.a ** 2
-        lam_d = scenario.params.rescaled_wavelength_mm * scenario.effective_distance
-        rms.append(math.sqrt(s2 + lam_d * lam_d / s2) / 2.0)
+        rms.append(gc.far_field_width(eps * eps + scenario.a ** 2,
+                                      scenario.effective_distance,
+                                      scenario.params) / 2.0)
     extent = max(8.0 * max(rms), go.required_extent(scenario.a, scenario.omega))
     return GridSpec(n=n, extent=extent)
 
@@ -166,23 +196,25 @@ def _grid(scenario: Scenario) -> GridSpec:
     return scenario.oracle if scenario.oracle is not None else default_grid(scenario)
 
 
-def _oracle_conditional_fwhm(scenario: Scenario, eps: float,
-                             L1: float, L2: float, grid: GridSpec):
-    """(fwhm, weight) of the coincidence pattern by full grid simulation."""
-    state = go.build_grid_state(scenario.a, scenario.omega, grid)
-    if L1 > 0:
-        state = go.evolve_spectral(state, L1, L1, scenario.params)
+def _slit_plane_state(scenario: Scenario) -> go.GridState:
+    """The source state flown over L1 to the slit plane, built once per
+    scenario; every aperture and the beam marginal read it."""
+    state = go.build_grid_state(scenario.a, scenario.omega, _grid(scenario))
+    return go.evolve_spectral(state, scenario.L1, scenario.L1, scenario.params)
+
+
+def _coincidence(state: go.GridState, eps: float, L2: float, params: PhysParams):
+    """(conditional amplitude, detector-plane widths) behind a Gaussian slit
+    of width ``eps`` on particle 1, with particle 2 flown a further L2."""
     cond = go.condition(state, Aperture(kind="gaussian", epsilon=eps))
-    amp = go.propagate_amplitude(cond.amplitude, cond.dy, L2, scenario.params)
-    w = go.intensity_widths(cond.y, np.abs(amp) ** 2, cond.dy)
-    return w, cond.weight
+    amp = go.propagate_amplitude(cond.amplitude, cond.dy, L2, params)
+    return cond, go.intensity_widths(cond.y, np.abs(amp) ** 2, cond.dy)
 
 
-def _oracle_beam_fwhm(scenario: Scenario, L_total: float, grid: GridSpec) -> float:
-    state = go.build_grid_state(scenario.a, scenario.omega, grid)
-    if L_total > 0:
-        state = go.evolve_spectral(state, 0.0, L_total, scenario.params)
-    w = go.intensity_widths(state.y, go.marginal_intensity(state, 2), state.dy)
+def _beam_fwhm(state: go.GridState, L2: float, params: PhysParams) -> float:
+    """All-counts FWHM of particle 2 flown a further L2 from ``state``."""
+    beam = go.evolve_spectral(state, 0.0, L2, params)
+    w = go.intensity_widths(beam.y, go.marginal_intensity(beam, 2), beam.dy)
     return FWHM_FACTOR * w.gaussian_equiv_W
 
 
@@ -227,13 +259,9 @@ def run_kim_shih(scenario: Scenario, use_oracle: bool = False) -> WidthReport:
         ghost_image_width_mm=Measured(analytic=gc.intensity_width(image)),
     )
     if use_oracle:
-        grid = _grid(scenario)
-        src = go.build_grid_state(scenario.a, scenario.omega, grid)
-        cond = go.condition(src, Aperture(kind="gaussian", epsilon=eps))
-        w_img = go.widths(cond)
-        report.ghost_image_width_mm.oracle = w_img.gaussian_equiv_W
-        amp = go.propagate_amplitude(cond.amplitude, cond.dy, scenario.L2, params)
-        w_det = go.intensity_widths(cond.y, np.abs(amp) ** 2, cond.dy)
+        src = go.build_grid_state(scenario.a, scenario.omega, _grid(scenario))
+        cond, w_det = _coincidence(src, eps, scenario.L2, params)
+        report.ghost_image_width_mm.oracle = go.widths(cond).gaussian_equiv_W
         report.coincidence_fwhm_mm.oracle = w_det.fwhm
         report.coincidence_weight = cond.weight
         # real slit: plain single-particle diffraction on the same grid
@@ -241,7 +269,7 @@ def run_kim_shih(scenario: Scenario, use_oracle: bool = False) -> WidthReport:
         amp_r = go.propagate_amplitude(phi, src.dy, scenario.L2, params)
         report.real_slit_fwhm_mm.oracle = go.intensity_widths(
             src.y, np.abs(amp_r) ** 2, src.dy).fwhm
-        report.beam_fwhm_mm.oracle = _oracle_beam_fwhm(scenario, total, grid)
+        report.beam_fwhm_mm.oracle = _beam_fwhm(src, total, params)
     return report
 
 
@@ -276,12 +304,11 @@ def run_popper_freespace(scenario: Scenario, use_oracle: bool = False) -> WidthR
         virtual_distance_mm=gamma_det.gamma.imag / params.rescaled_wavelength_mm,
     )
     if use_oracle:
-        grid = _grid(scenario)
-        w, weight = _oracle_conditional_fwhm(scenario, eps, scenario.L1,
-                                             scenario.L2, grid)
+        state = _slit_plane_state(scenario)
+        cond, w = _coincidence(state, eps, scenario.L2, params)
         report.coincidence_fwhm_mm.oracle = w.fwhm
-        report.coincidence_weight = weight
-        report.beam_fwhm_mm.oracle = _oracle_beam_fwhm(scenario, total, grid)
+        report.coincidence_weight = cond.weight
+        report.beam_fwhm_mm.oracle = _beam_fwhm(state, scenario.L2, params)
     return report
 
 
@@ -290,26 +317,35 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
     """Coincidence pattern width against slit width, half-width convention.
 
     Analytic widths use the wide-source closed form over the effective
-    distance 2*L1 + L2; the oracle arm re-runs the full grid pipeline per
-    point with the scenario's finite omega.  Failures on individual points
-    are isolated into the point's ``error`` field.
+    distance 2*L1 + L2; the oracle arm conditions one shared slit-plane
+    state, with the scenario's finite omega, on each slit width.  Oracle
+    failures are isolated into the points' ``error`` fields: a failure of
+    the shared state lands in every point.
     """
     if scenario.slit is not None and scenario.slit.kind == "rectangular" \
             and scenario.slit.convention != "half-width":
         raise ConfigError("sweep is defined for the half-width slit convention")
-    lam_d = scenario.params.rescaled_wavelength_mm * scenario.effective_distance
-    points: list[SweepPoint] = []
-    for w_full in sorted(slit_full_widths):
-        if w_full <= 0:
+    widths = sorted(slit_full_widths)
+    for w_full in widths:
+        if not w_full > 0:
             raise DomainError(f"slit width must be positive, got {w_full}")
+    state = shared_error = None
+    if use_oracle:
+        try:
+            state = _slit_plane_state(scenario)
+        except (DomainError, ResolutionError) as exc:
+            shared_error = str(exc)
+    points: list[SweepPoint] = []
+    for w_full in widths:
         eps = w_full / 2.0
-        s2 = eps * eps + scenario.a ** 2
-        fwhm_an = gc.fwhm_from_width(math.sqrt(s2 + lam_d * lam_d / s2))
-        point = SweepPoint(slit_full_width_mm=w_full, fwhm_analytic_mm=fwhm_an)
-        if use_oracle:
+        fwhm_an = gc.fwhm_from_width(gc.far_field_width(
+            eps * eps + scenario.a ** 2, scenario.effective_distance,
+            scenario.params))
+        point = SweepPoint(slit_full_width_mm=w_full, fwhm_analytic_mm=fwhm_an,
+                           error=shared_error)
+        if state is not None:
             try:
-                w, _ = _oracle_conditional_fwhm(scenario, eps, scenario.L1,
-                                                scenario.L2, _grid(scenario))
+                _, w = _coincidence(state, eps, scenario.L2, scenario.params)
                 point.fwhm_oracle_mm = w.fwhm
             except (DomainError, ResolutionError) as exc:
                 point.error = str(exc)
@@ -330,26 +366,16 @@ def fit_sigma_from_width(fwhm_observed: float, epsilon: float, L2: float,
         raise DomainError("observed FWHM must be positive")
     if epsilon < 0 or L2 < 0:
         raise DomainError("epsilon and L2 must be >= 0")
-    W2 = (fwhm_observed / FWHM_FACTOR) ** 2
-    lam_l = params.rescaled_wavelength_mm * L2
-    disc = W2 * W2 - 4.0 * lam_l * lam_l
-    if disc < 0:
-        raise DomainError(
-            f"unreachable width: FWHM {fwhm_observed} mm is below the "
-            f"diffraction minimum for L2 = {L2} mm"
-        )
-    root = math.sqrt(disc)
-    s_near = math.sqrt((W2 - root) / 2.0)
-    s_far = math.sqrt((W2 + root) / 2.0)
-    a2 = s_near ** 2 - epsilon ** 2
+    roots = gc.far_field_inverse(fwhm_observed / FWHM_FACTOR, L2, params)
+    a2 = roots.near ** 2 - epsilon ** 2
     if a2 < 0:
         raise DomainError(
             f"slit wider than observed localization: epsilon = {epsilon} mm "
-            f"exceeds fitted s = {s_near:.6g} mm"
+            f"exceeds fitted s = {roots.near:.6g} mm"
         )
-    return FitResult(a2=a2, s=s_near, branch_info={
-        "s_near_mm": s_near,
-        "s_far_mm": s_far,
-        "root_product_mm2": lam_l,
-        "discriminant_mm4": disc,
+    return FitResult(a2=a2, s=roots.near, branch_info={
+        "s_near_mm": roots.near,
+        "s_far_mm": roots.far,
+        "root_product_mm2": params.rescaled_wavelength_mm * L2,
+        "discriminant_mm4": roots.discriminant,
     })

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,15 +142,9 @@ class SlitSpec:
             )
         if params is None:
             raise ConfigError("diffraction-matched slit mapping needs PhysParams")
-        lam_d = params.rescaled_wavelength_mm * self.reference_L_mm
-        w2 = (self.reference_fwhm_mm / FWHM_FACTOR) ** 2
-        disc = w2 * w2 - 4.0 * lam_d * lam_d
-        if disc < 0:
-            raise DomainError(
-                "reference width is below the diffraction minimum for this distance"
-            )
         # near-field root: the physical slit is narrower than sqrt(Lambda*L)
-        return math.sqrt((w2 - math.sqrt(disc)) / 2.0)
+        return far_field_inverse(self.reference_fwhm_mm / FWHM_FACTOR,
+                                 self.reference_L_mm, params).near
 
 
 @dataclass(frozen=True)
@@ -299,6 +294,37 @@ def intensity_width(gamma: GaussianParam) -> float:
     """
     g = gamma.gamma
     return abs(g) / math.sqrt(g.real)
+
+
+def far_field_width(s2: float, distance: float, params: PhysParams) -> float:
+    """Intensity width W of a focused Gaussian of squared width s^2 after
+    flying ``distance``: W^2 = s^2 + (Lambda*D)^2 / s^2."""
+    lam_d = params.rescaled_wavelength_mm * distance
+    return math.sqrt(s2 + lam_d * lam_d / s2)
+
+
+class FarFieldRoots(NamedTuple):
+    """Both focused widths s that :func:`far_field_width` maps to one W."""
+
+    near: float          # s < sqrt(Lambda*D)
+    far: float           # s > sqrt(Lambda*D); near * far = Lambda*D
+    discriminant: float  # W^4 - 4 (Lambda*D)^2, mm^4
+
+
+def far_field_inverse(W: float, distance: float, params: PhysParams) -> FarFieldRoots:
+    """Invert the far-field law: solve s^4 - W^2 s^2 + (Lambda*D)^2 = 0 for s."""
+    lam_d = params.rescaled_wavelength_mm * distance
+    w2 = W ** 2
+    disc = w2 * w2 - 4.0 * lam_d * lam_d
+    if disc < 0:
+        raise DomainError(
+            f"unreachable width: W = {W:.6g} mm (FWHM {FWHM_FACTOR * W:.6g} mm) "
+            f"is below the diffraction minimum W = {math.sqrt(2.0 * lam_d):.6g} mm "
+            f"for distance {distance} mm"
+        )
+    root = math.sqrt(disc)
+    return FarFieldRoots(near=math.sqrt((w2 - root) / 2.0),
+                         far=math.sqrt((w2 + root) / 2.0), discriminant=disc)
 
 
 def fwhm_from_width(W: float) -> float:

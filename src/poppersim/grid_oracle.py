@@ -166,38 +166,49 @@ def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
     return GridState(psi=psi, y=y, dy=grid.dy)
 
 
-def _check_tails(prob: np.ndarray, dy: float, extent_axis: np.ndarray):
-    n = extent_axis.size
-    band = max(1, int(round(TAIL_BAND_FRACTION * n)))
-    outer = np.zeros(n, dtype=bool)
-    outer[:band] = True
-    outer[-band:] = True
-    tail = float(np.sum(prob[outer]))
-    if tail > TAIL_PROB_LIMIT:
+def _check_tails(prob: np.ndarray):
+    """Refuse a 1-D probability profile whose outer bands hold more than
+    TAIL_PROB_LIMIT of its total: spectral flight has wrapped it around."""
+    band = max(1, int(round(TAIL_BAND_FRACTION * prob.size)))
+    tail = float(np.sum(prob[:band]) + np.sum(prob[-band:]))
+    total = float(np.sum(prob))
+    if tail > TAIL_PROB_LIMIT * total:
         raise ResolutionError(
-            f"propagated state reaches the domain boundary "
-            f"(tail probability {tail:.3g} > {TAIL_PROB_LIMIT}); enlarge the extent"
+            f"propagated state reaches the domain boundary (tail probability "
+            f"{tail / total:.3g} > {TAIL_PROB_LIMIT}); enlarge the extent"
         )
+
+
+def _flight_phase(n: int, dy: float, L: float, params: PhysParams) -> np.ndarray:
+    """Spectral free-flight factor exp(-i k^2 Lambda L / 4) on the FFT axis."""
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dy)
+    return np.exp(-0.25j * params.rescaled_wavelength_mm * L * k ** 2)
 
 
 def evolve_spectral(state: GridState, L_particle1: float, L_particle2: float,
                     params: PhysParams) -> GridState:
-    """Free flight of the two particles over independent distances."""
+    """Free flight of the two particles over independent distances.
+
+    Only the axes with a nonzero leg are transformed, in one output buffer;
+    ``state`` is left unchanged.
+    """
     if L_particle1 < 0 or L_particle2 < 0:
         raise DomainError("propagation distances must be >= 0")
-    lam = params.rescaled_wavelength_mm
-    k = 2.0 * np.pi * np.fft.fftfreq(state.n, d=state.dy)
-    phase1 = np.exp(-0.25j * lam * L_particle1 * k ** 2)
-    phase2 = np.exp(-0.25j * lam * L_particle2 * k ** 2)
-    psi_k = np.fft.fft2(state.psi)
-    psi_k *= phase1[:, None]
-    psi_k *= phase2[None, :]
-    psi = np.fft.ifft2(psi_k)
-    out = GridState(psi=psi, y=state.y, dy=state.dy)
-    prob = np.abs(psi) ** 2 * state.dy ** 2
-    _check_tails(prob.sum(axis=1), state.dy, state.y)
-    _check_tails(prob.sum(axis=0), state.dy, state.y)
-    return out
+    legs = [(axis, L) for axis, L in ((0, L_particle1), (1, L_particle2)) if L > 0]
+    if legs:
+        axes = [axis for axis, _ in legs]
+        psi = np.fft.fftn(state.psi, axes=axes, out=np.empty_like(state.psi))
+        for axis, L in legs:
+            phase = _flight_phase(state.n, state.dy, L, params)
+            psi *= phase[:, None] if axis == 0 else phase
+        np.fft.ifftn(psi, axes=axes, out=psi)
+    else:
+        psi = state.psi.copy()
+    prob = np.abs(psi)
+    prob **= 2
+    _check_tails(prob.sum(axis=1))
+    _check_tails(prob.sum(axis=0))
+    return GridState(psi=psi, y=state.y, dy=state.dy)
 
 
 def propagate_amplitude(amp: np.ndarray, dy: float, L: float,
@@ -207,9 +218,9 @@ def propagate_amplitude(amp: np.ndarray, dy: float, L: float,
         raise DomainError("propagation distance must be >= 0")
     if L == 0:
         return amp.copy()
-    k = 2.0 * np.pi * np.fft.fftfreq(amp.size, d=dy)
-    lam = params.rescaled_wavelength_mm
-    return np.fft.ifft(np.fft.fft(amp) * np.exp(-0.25j * lam * L * k ** 2))
+    out = np.fft.ifft(np.fft.fft(amp) * _flight_phase(amp.size, dy, L, params))
+    _check_tails(np.abs(out) ** 2)
+    return out
 
 
 def condition(state: GridState, aperture: Aperture) -> ConditionalAmplitude:
@@ -340,12 +351,9 @@ def ghost_double_slit(state: GridState, slit: Aperture, d1: float, L2: float,
     """
     # aperture scale drops out after the renormalized conditioning
     mask = slit.sample(state.y, state.dy)
-    psi = state.psi * mask[:, None]
+    masked = GridState(psi=state.psi * mask[:, None], y=state.y, dy=state.dy)
     if d1 > 0:
-        k = 2.0 * np.pi * np.fft.fftfreq(state.n, d=state.dy)
-        phase = np.exp(-0.25j * params.rescaled_wavelength_mm * d1 * k ** 2)
-        psi = np.fft.ifft(np.fft.fft(psi, axis=0) * phase[:, None], axis=0)
-    masked = GridState(psi=psi, y=state.y, dy=state.dy)
+        masked = evolve_spectral(masked, d1, 0.0, params)
     detector = Aperture(kind="point", center=0.0)
     cond = condition(masked, detector)
     amp = propagate_amplitude(cond.amplitude, cond.dy, L2, params)

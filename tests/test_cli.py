@@ -17,6 +17,10 @@ def fixture_path(name):
     return str(files("poppersim.scenarios").joinpath(name))
 
 
+def fixture_doc(name):
+    return json.loads(files("poppersim.scenarios").joinpath(name).read_text())
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -129,6 +133,63 @@ class TestSweep:
         for line in lines[1:]:
             analytic, oracle = map(float, line.split(",")[1:])
             assert oracle == pytest.approx(analytic, rel=0.05)
+
+    def test_wrapped_point_flagged(self, tmp_path, capsys):
+        # over L2 = 12 m the 0.05 mm point's pattern (analytic FWHM 68 mm)
+        # wraps around the +-40 mm grid; it must be flagged, not reported
+        doc = fixture_doc("strekalov.json")
+        doc.update(L1_mm=100.0, L2_mm=12000.0)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(
+            ["sweep", str(path), "--from", "0.05", "--to", "1.0",
+             "--steps", "3", "--oracle", "--out", str(report)], capsys)
+        assert code == cli.EXIT_OK
+        assert "1 sweep point(s) flagged" in err
+        narrow, *rest = json.loads(report.read_text())["results"]["points"]
+        assert narrow["slit_full_width_mm"] == pytest.approx(0.05)
+        assert "boundary" in narrow["error"]
+        assert "fwhm_oracle_mm" not in narrow
+        assert out.splitlines()[1].endswith(",")
+        for point in rest:
+            assert "error" not in point
+            assert point["fwhm_oracle_mm"] == pytest.approx(
+                point["fwhm_analytic_mm"], rel=0.01)
+
+
+class TestScenarioValidation:
+    @pytest.mark.parametrize("edit", [
+        {"L2_mm": "500"},
+        {"L2_mm": None},
+        {"L2_mm": True},
+        {"L2_mm": math.nan},
+        {"L2_mm": math.inf},
+        {"L2_mm": 10 ** 400},
+        {"omega_mm": -math.inf},
+        {"slit": "narrow"},
+        {"slit": {"kind": "rectangular", "convention": "half-width"}},
+        {"slit": {"kind": "rectangular", "width_mm": math.nan}},
+        {"slit": {"kind": "rect", "width_mm": 0.2}},
+        {"lens": [500.0, 500.0]},
+        {"oracle": {"n": 2048.5, "extent_mm": 40.0}},
+    ], ids=lambda edit: repr(edit)[:60])
+    def test_bad_field_exits_2_with_one_line(self, tmp_path, capsys, edit):
+        doc = fixture_doc("kim_shih.json")
+        doc.update(edit)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+        code, out, err = run_cli(["run", str(path)], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_object_document(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, _, err = run_cli(["run", str(path)], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert "JSON object" in err
 
 
 class TestFit:

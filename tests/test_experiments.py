@@ -205,6 +205,27 @@ class TestStrekalovSweep:
             assert p.fwhm_analytic_mm > 0
 
 
+    def test_slit_plane_state_built_once(self, monkeypatch):
+        # every point of an oracle sweep conditions one shared state
+        calls = {"build_grid_state": 0, "evolve_spectral": 0}
+        for name in calls:
+            original = getattr(go, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(go, name, spy)
+        scenario = ex.Scenario.from_dict(scenario_doc(
+            L1_mm=300.0, L2_mm=300.0, oracle={"n": 512, "extent_mm": 16.0}))
+        points = ex.run_strekalov_sweep(scenario, [0.2, 0.4, 0.6, 0.8, 1.0],
+                                        use_oracle=True)
+        assert calls == {"build_grid_state": 1, "evolve_spectral": 1}
+        for p in points:
+            assert p.error is None
+            assert p.fwhm_oracle_mm == pytest.approx(p.fwhm_analytic_mm, rel=0.05)
+
+
 class TestFitSigmaFromWidth:
     def test_kim_shih_inversion(self, params702):
         fit = ex.fit_sigma_from_width(0.657, 0.065, 500.0, params702)

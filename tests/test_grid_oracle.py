@@ -112,6 +112,36 @@ class TestEvolveSpectral:
         with pytest.raises(DomainError):
             go.evolve_spectral(state, -1.0, 0.0, params702)
 
+    @pytest.mark.parametrize("L1, L2", [(0.0, 250.0), (250.0, 0.0)])
+    def test_one_leg_matches_two_axis_route(self, params702, L1, L2):
+        # skipping the axis whose leg is 0 must agree with the full
+        # fft2 -> phases -> ifft2 evolution
+        state = go.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=12.0))
+        k = 2.0 * np.pi * np.fft.fftfreq(state.n, d=state.dy)
+        lam = params702.rescaled_wavelength_mm
+        psi_k = np.fft.fft2(state.psi)
+        psi_k *= np.exp(-0.25j * lam * L1 * k ** 2)[:, None]
+        psi_k *= np.exp(-0.25j * lam * L2 * k ** 2)[None, :]
+        expected = np.fft.ifft2(psi_k)
+        out = go.evolve_spectral(state, L1, L2, params702)
+        np.testing.assert_allclose(out.psi, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("L1, L2", [(0.0, 0.0), (0.0, 250.0), (400.0, 250.0)])
+    def test_input_state_unchanged(self, params702, L1, L2):
+        state = go.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=12.0))
+        before = state.psi.copy()
+        out = go.evolve_spectral(state, L1, L2, params702)
+        assert np.array_equal(state.psi, before)
+        assert not np.shares_memory(out.psi, state.psi)
+
+    def test_propagate_amplitude_aliasing_guard(self, params702):
+        # a 0.1 mm Gaussian spreads to W ~ 11 mm over 5 m: it wraps around
+        # a +-4 mm domain and must be refused
+        grid = go.GridSpec(n=512, extent=4.0)
+        phi = go.Aperture(kind="gaussian", epsilon=0.1).sample(grid.y, grid.dy)
+        with pytest.raises(ResolutionError, match="boundary"):
+            go.propagate_amplitude(phi, grid.dy, 5000.0, params702)
+
 
 class TestCondition:
     def test_gaussian_aperture_matches_closed_form(self, params702):
@@ -257,6 +287,15 @@ class TestGhostDoubleSlit:
         lam_d = params702.rescaled_wavelength_mm * 600.0
         expected = gc.fwhm_from_width(math.sqrt(s2 + lam_d ** 2 / s2))
         assert pattern.envelope_fwhm == pytest.approx(expected, rel=0.10)
+
+
+    def test_d1_leg_aliasing_guard(self, params702):
+        # behind a 0.05 mm slit particle 1 spreads to W ~ 22 mm over
+        # d1 = 5 m, far beyond the +-4 mm domain
+        state = go.build_grid_state(0.3, 0.5, go.GridSpec(n=512, extent=4.0))
+        slit = go.Aperture(kind="gaussian", epsilon=0.05)
+        with pytest.raises(ResolutionError, match="boundary"):
+            go.ghost_double_slit(state, slit, d1=5000.0, L2=0.0, params=params702)
 
 
 class TestDeterminism:
