@@ -87,7 +87,10 @@ class Scenario:
         if "a_mm" in doc:
             a = _number(doc, "a_mm")
         elif "a2_mm2" in doc:
-            a = math.sqrt(_number(doc, "a2_mm2"))
+            a2 = _number(doc, "a2_mm2")
+            if a2 <= 0:
+                raise ConfigError(f"scenario field a2_mm2 must be positive, got {a2}")
+            a = math.sqrt(a2)
         else:
             raise ConfigError("scenario is missing required field 'a_mm or a2_mm2'")
         omega = _number(doc, "omega_mm")
@@ -97,9 +100,7 @@ class Scenario:
         if "slit" in doc:
             s = _block(doc["slit"], "slit")
             kind = s.get("kind", "gaussian")
-            if kind == "gaussian":
-                slit = SlitSpec(kind="gaussian", epsilon=_number(s, "width_mm", "slit."))
-            elif kind == "rectangular":
+            if kind == "rectangular":
                 slit = SlitSpec(
                     kind="rectangular",
                     full_width=_number(s, "width_mm", "slit."),
@@ -107,8 +108,8 @@ class Scenario:
                     reference_fwhm_mm=_number(s, "reference_fwhm_mm", "slit.", 0.0),
                     reference_L_mm=_number(s, "reference_L_mm", "slit.", 0.0),
                 )
-            else:
-                raise ConfigError(f"unknown slit kind {kind!r}")
+            else:  # SlitSpec rejects an unknown kind
+                slit = SlitSpec(kind=kind, epsilon=_number(s, "width_mm", "slit."))
         lens = None
         if "lens" in doc:
             block = _block(doc["lens"], "lens")
@@ -200,6 +201,8 @@ def _slit_plane_state(scenario: Scenario) -> go.GridState:
     """The source state flown over L1 to the slit plane, built once per
     scenario; every aperture and the beam marginal read it."""
     state = go.build_grid_state(scenario.a, scenario.omega, _grid(scenario))
+    if scenario.L1 == 0:
+        return state
     return go.evolve_spectral(state, scenario.L1, scenario.L1, scenario.params)
 
 

@@ -167,6 +167,7 @@ class TestScenarioValidation:
         {"L2_mm": math.inf},
         {"L2_mm": 10 ** 400},
         {"omega_mm": -math.inf},
+        {"a2_mm2": -0.04},
         {"slit": "narrow"},
         {"slit": {"kind": "rectangular", "convention": "half-width"}},
         {"slit": {"kind": "rectangular", "width_mm": math.nan}},

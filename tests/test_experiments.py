@@ -204,9 +204,10 @@ class TestStrekalovSweep:
             assert p.fwhm_oracle_mm is None
             assert p.fwhm_analytic_mm > 0
 
-
-    def test_slit_plane_state_built_once(self, monkeypatch):
-        # every point of an oracle sweep conditions one shared state
+    @pytest.mark.parametrize("L1, evolutions", [(300.0, 1), (0.0, 0)])
+    def test_slit_plane_state_built_once(self, monkeypatch, L1, evolutions):
+        # every point of an oracle sweep conditions one shared state, which
+        # is flown to the slit plane only when there is a leg to fly
         calls = {"build_grid_state": 0, "evolve_spectral": 0}
         for name in calls:
             original = getattr(go, name)
@@ -217,10 +218,10 @@ class TestStrekalovSweep:
 
             monkeypatch.setattr(go, name, spy)
         scenario = ex.Scenario.from_dict(scenario_doc(
-            L1_mm=300.0, L2_mm=300.0, oracle={"n": 512, "extent_mm": 16.0}))
+            L1_mm=L1, L2_mm=300.0, oracle={"n": 512, "extent_mm": 16.0}))
         points = ex.run_strekalov_sweep(scenario, [0.2, 0.4, 0.6, 0.8, 1.0],
                                         use_oracle=True)
-        assert calls == {"build_grid_state": 1, "evolve_spectral": 1}
+        assert calls == {"build_grid_state": 1, "evolve_spectral": evolutions}
         for p in points:
             assert p.error is None
             assert p.fwhm_oracle_mm == pytest.approx(p.fwhm_analytic_mm, rel=0.05)
