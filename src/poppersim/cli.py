@@ -42,6 +42,10 @@ CONVENTION_BLOCK = {
                  "(coefficient validated against the grid oracle)",
 }
 
+# the width fields of a report, in output order
+WIDTH_FIELDS = ("beam_fwhm_mm", "coincidence_fwhm_mm", "real_slit_fwhm_mm",
+                "ghost_image_width_mm")
+
 SPIN_PRESETS = {
     # alpha, beta with 2 alpha^2 + beta^2 = 1
     "popper": (math.sqrt(0.05), math.sqrt(0.9)),
@@ -73,15 +77,11 @@ def _measured_dict(m: ex.Measured) -> dict:
 
 
 def _report_dict(report: ex.WidthReport) -> dict:
-    doc = {
-        "provenance": report.provenance,
-        "beam_fwhm_mm": _measured_dict(report.beam_fwhm_mm),
-        "coincidence_fwhm_mm": _measured_dict(report.coincidence_fwhm_mm),
-    }
-    if report.real_slit_fwhm_mm is not None:
-        doc["real_slit_fwhm_mm"] = _measured_dict(report.real_slit_fwhm_mm)
-    if report.ghost_image_width_mm is not None:
-        doc["ghost_image_width_mm"] = _measured_dict(report.ghost_image_width_mm)
+    doc = {"provenance": report.provenance}
+    for key in WIDTH_FIELDS:
+        measured = getattr(report, key)
+        if measured is not None:
+            doc[key] = _measured_dict(measured)
     if report.virtual_distance_mm is not None:
         doc["virtual_distance_mm"] = report.virtual_distance_mm
     if report.coincidence_weight is not None:
@@ -98,13 +98,20 @@ def _document(scenario_echo, results) -> dict:
     }
 
 
-def _emit(doc: dict, out_path: str | None):
-    text = json.dumps(_round_sig(doc), indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+def _write(path: str | None, text: str):
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}")
+
+
+def _emit(doc: dict, out_path: str | None):
+    _write(out_path, json.dumps(_round_sig(doc), indent=2) + "\n")
 
 
 def _check_grid_cap(grid: go.GridSpec):
@@ -123,21 +130,15 @@ def _check_grid_cap(grid: go.GridSpec):
         )
 
 
-def _load_scenario(path: str, grid_n: int | None) -> ex.Scenario:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"scenario file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        )
-    scenario = ex.Scenario.from_dict(doc)
-    if grid_n is not None:
-        base = scenario.oracle or ex.default_grid(scenario)
-        scenario = dataclasses.replace(
-            scenario, oracle=go.GridSpec(n=grid_n, extent=base.extent))
+def _load_scenario(args) -> ex.Scenario:
+    """The command's scenario file with ``--grid-n`` applied; when the
+    command runs the oracle, its grid is checked against the memory cap."""
+    scenario = ex.Scenario.from_json(args.scenario)
+    if args.grid_n is not None:
+        scenario = dataclasses.replace(scenario, oracle=go.GridSpec(
+            n=args.grid_n, extent=ex.oracle_grid(scenario).extent))
+    if args.oracle:
+        _check_grid_cap(ex.oracle_grid(scenario))
     return scenario
 
 
@@ -168,40 +169,30 @@ def _scenario_echo(scenario: ex.Scenario) -> dict:
 
 
 def cmd_run(args) -> int:
-    scenario = _load_scenario(args.scenario, args.grid_n)
-    if args.oracle:
-        _check_grid_cap(scenario.oracle or ex.default_grid(scenario))
+    scenario = _load_scenario(args)
     runner = ex.run_kim_shih if scenario.lens is not None else ex.run_popper_freespace
     report = runner(scenario, use_oracle=args.oracle)
     doc = _document(_scenario_echo(scenario), _report_dict(report))
     _emit(doc, args.out)
     if args.csv:
         rows = ["metric,analytic,oracle,delta_rel"]
-        for key, measured in (("beam_fwhm_mm", report.beam_fwhm_mm),
-                              ("coincidence_fwhm_mm", report.coincidence_fwhm_mm),
-                              ("real_slit_fwhm_mm", report.real_slit_fwhm_mm),
-                              ("ghost_image_width_mm", report.ghost_image_width_mm)):
-            if measured is None:
-                continue
-            fmt = lambda v: "" if v is None else f"{v:.9g}"
-            rows.append(f"{key},{fmt(measured.analytic)},{fmt(measured.oracle)},"
-                        f"{fmt(measured.delta_rel)}")
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        fmt = lambda v: "" if v is None else f"{v:.9g}"
+        for key in WIDTH_FIELDS:
+            measured = getattr(report, key)
+            if measured is not None:
+                rows.append(f"{key},{fmt(measured.analytic)},{fmt(measured.oracle)},"
+                            f"{fmt(measured.delta_rel)}")
+        _write(args.csv, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    scenario = _load_scenario(args.scenario, args.grid_n)
-    if args.param != "slit_full_width":
-        raise ConfigError(f"unsupported sweep parameter {args.param!r}")
+    scenario = _load_scenario(args)
     if not args.start < args.stop:
         raise ConfigError(f"sweep bounds must satisfy from < to, "
                           f"got {args.start} >= {args.stop}")
     if args.steps < 2:
         raise ConfigError(f"sweep needs at least 2 steps, got {args.steps}")
-    if args.oracle:
-        _check_grid_cap(scenario.oracle or ex.default_grid(scenario))
     widths = np.linspace(args.start, args.stop, args.steps)
     points = ex.run_strekalov_sweep(scenario, widths, use_oracle=args.oracle)
     rows = []
@@ -214,12 +205,7 @@ def cmd_sweep(args) -> int:
         if args.oracle:
             row += f",{'' if p.fwhm_oracle_mm is None else format(p.fwhm_oracle_mm, '.9g')}"
         rows.append(row)
-    csv_text = "\n".join(rows) + "\n"
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(args.csv, "\n".join(rows) + "\n")
     flagged = [p for p in points if p.error]
     results = {
         "points": [{
@@ -284,11 +270,10 @@ def cmd_spin(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    scenario = _load_scenario(args.scenario, args.grid_n)
+    scenario = _load_scenario(args)
     if scenario.slit is None:
         raise ConfigError("oracle-check needs a scenario with a slit")
-    grid = scenario.oracle or ex.default_grid(scenario)
-    _check_grid_cap(grid)
+    grid = ex.oracle_grid(scenario)
     params = scenario.params
     eps = scenario.slit.gaussian_epsilon(params)
     state = go.build_grid_state(scenario.a, scenario.omega, grid)
@@ -329,23 +314,23 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="write the JSON report here "
                         "instead of stdout")
 
+    oracle_opt = argparse.ArgumentParser(add_help=False)
+    oracle_opt.add_argument("--oracle", action="store_true",
+                            help="also run the brute-force grid oracle")
+
     grid_opts = argparse.ArgumentParser(add_help=False)
-    grid_opts.add_argument("--oracle", action="store_true",
-                           help="also run the brute-force grid oracle")
     grid_opts.add_argument("--grid-n", type=int, default=None, metavar="N",
                            help="override the oracle grid size (power of two)")
 
-    p_run = sub.add_parser("run", parents=[common, grid_opts],
+    p_run = sub.add_parser("run", parents=[common, oracle_opt, grid_opts],
                            help="run one scenario and report widths")
     p_run.add_argument("scenario", help="scenario JSON file")
     p_run.add_argument("--csv", metavar="PATH", help="also write metrics as CSV")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", parents=[common, grid_opts],
+    p_sweep = sub.add_parser("sweep", parents=[common, oracle_opt, grid_opts],
                              help="sweep the slit width and tabulate pattern widths")
     p_sweep.add_argument("scenario", help="scenario JSON file")
-    p_sweep.add_argument("--param", default="slit_full_width",
-                         help="swept parameter (slit_full_width)")
     p_sweep.add_argument("--from", dest="start", type=float, required=True,
                          metavar="MM", help="first slit full width (mm)")
     p_sweep.add_argument("--to", dest="stop", type=float, required=True,
@@ -377,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("oracle-check", parents=[common, grid_opts],
                              help="grid-oracle self-check against closed forms")
     p_check.add_argument("scenario", help="scenario JSON file")
-    p_check.set_defaults(func=cmd_oracle_check)
+    p_check.set_defaults(func=cmd_oracle_check, oracle=True)
 
     return parser
 

@@ -127,8 +127,23 @@ class Scenario:
 
     @classmethod
     def from_json(cls, path) -> "Scenario":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """The scenario in the JSON file ``path``; an unreadable file or
+        malformed JSON raises :class:`ConfigError` with a one-line message."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"scenario file not found: {path}")
+        except OSError as exc:
+            raise ConfigError(f"cannot read scenario file {path}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"scenario file {path} is not UTF-8 text: "
+                              f"{exc.reason} at byte {exc.start}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            )
+        return cls.from_dict(doc)
 
 
 @dataclass
@@ -144,14 +159,9 @@ class Measured:
             return None
         return self.oracle / self.analytic - 1.0
 
-    @property
-    def value(self) -> float:
-        return self.analytic if self.analytic is not None else self.oracle
-
 
 @dataclass
 class WidthReport:
-    scenario_name: str
     provenance: str  # 'analytic', 'oracle', or 'both'
     beam_fwhm_mm: Measured
     coincidence_fwhm_mm: Measured
@@ -193,14 +203,16 @@ def default_grid(scenario: Scenario, n: int = 2048) -> GridSpec:
     return GridSpec(n=n, extent=extent)
 
 
-def _grid(scenario: Scenario) -> GridSpec:
+def oracle_grid(scenario: Scenario) -> GridSpec:
+    """The grid the oracle runs ``scenario`` on: its ``oracle`` block, else
+    :func:`default_grid`."""
     return scenario.oracle if scenario.oracle is not None else default_grid(scenario)
 
 
 def _slit_plane_state(scenario: Scenario) -> go.GridState:
     """The source state flown over L1 to the slit plane, built once per
     scenario; every aperture and the beam marginal read it."""
-    state = go.build_grid_state(scenario.a, scenario.omega, _grid(scenario))
+    state = go.build_grid_state(scenario.a, scenario.omega, oracle_grid(scenario))
     if scenario.L1 == 0:
         return state
     return go.evolve_spectral(state, scenario.L1, scenario.L1, scenario.params)
@@ -251,7 +263,6 @@ def run_kim_shih(scenario: Scenario, use_oracle: bool = False) -> WidthReport:
                                          PropagationLeg(scenario.L2), params)
     total = scenario.L1 + scenario.L2
     report = WidthReport(
-        scenario_name=scenario.name,
         provenance="both" if use_oracle else "analytic",
         beam_fwhm_mm=Measured(analytic=gc.fwhm_from_width(
             gc.beam_width(state, PropagationLeg(total), params))),
@@ -262,7 +273,7 @@ def run_kim_shih(scenario: Scenario, use_oracle: bool = False) -> WidthReport:
         ghost_image_width_mm=Measured(analytic=gc.intensity_width(image)),
     )
     if use_oracle:
-        src = go.build_grid_state(scenario.a, scenario.omega, _grid(scenario))
+        src = go.build_grid_state(scenario.a, scenario.omega, oracle_grid(scenario))
         cond, w_det = _coincidence(src, eps, scenario.L2, params)
         report.ghost_image_width_mm.oracle = go.widths(cond).gaussian_equiv_W
         report.coincidence_fwhm_mm.oracle = w_det.fwhm
@@ -298,7 +309,6 @@ def run_popper_freespace(scenario: Scenario, use_oracle: bool = False) -> WidthR
     gamma_det = gc.propagate_conditional(gamma, PropagationLeg(scenario.L2), params)
     total = scenario.L1 + scenario.L2
     report = WidthReport(
-        scenario_name=scenario.name,
         provenance="both" if use_oracle else "analytic",
         beam_fwhm_mm=Measured(analytic=gc.fwhm_from_width(
             gc.beam_width(state, PropagationLeg(total), params))),

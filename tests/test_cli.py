@@ -7,10 +7,12 @@ import shutil
 import subprocess
 import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
 from poppersim import cli
+from poppersim import experiments as ex
 
 
 def fixture_path(name):
@@ -63,10 +65,16 @@ class TestRun:
         assert "oracle_mm" in block and "delta_rel" in block
         assert abs(block["delta_rel"]) < 0.01
 
-    def test_missing_scenario(self, capsys):
-        code, _, err = run_cli(["run", "missing.json"], capsys)
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_missing_scenario(self, tmp_path, capsys, kind):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+        path, message = {"missing": ("missing.json", "not found"),
+                         "directory": (str(tmp_path), "cannot read"),
+                         "not-utf8": (str(latin1), "not UTF-8")}[kind]
+        code, _, err = run_cli(["run", path], capsys)
         assert code == cli.EXIT_CONFIG
-        assert "not found" in err
+        assert message in err and err.count("\n") == 1
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -88,6 +96,34 @@ class TestRun:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "metric,analytic,oracle,delta_rel"
         assert any(line.startswith("coincidence_fwhm_mm,") for line in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", fixture_path("kim_shih.json"), "--out", "{dir}/report.json"],
+        ["run", fixture_path("kim_shih.json"), "--csv", "{dir}/metrics.csv"],
+        ["sweep", fixture_path("strekalov.json"), "--from", "0.2", "--to", "1.0",
+         "--steps", "2", "--csv", "{dir}/sweep.csv"],
+    ], ids=["run-out", "run-csv", "sweep-csv"])
+    def test_unwritable_output(self, tmp_path, capsys, argv):
+        missing_dir = str(tmp_path / "no" / "such" / "dir")
+        code, _, err = run_cli([a.format(dir=missing_dir) for a in argv], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    def test_grid_n_override(self, tmp_path, capsys, small_scenario):
+        code, out, _ = run_cli(["run", small_scenario, "--oracle", "--grid-n", "512"],
+                               capsys)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["scenario"]["oracle"] == {"n": 512, "extent_mm": 16.0}
+        # without an oracle block the extent comes from the auto-sized grid
+        doc = json.loads(Path(small_scenario).read_text())
+        del doc["oracle"]
+        path = tmp_path / "no_block.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["run", str(path), "--grid-n", "512"], capsys)
+        assert code == cli.EXIT_OK
+        default = ex.default_grid(ex.Scenario.from_dict(doc))
+        assert json.loads(out)["scenario"]["oracle"] == pytest.approx(
+            {"n": 512, "extent_mm": default.extent}, rel=1e-8)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(["run", fixture_path("kim_shih.json")], capsys)
@@ -254,11 +290,22 @@ class TestOracleCheck:
 
 
 class TestGridCap:
-    def test_cap_refuses_large_grid(self, capsys, monkeypatch, small_scenario):
+    @pytest.mark.parametrize("command", [
+        ["run", "--oracle"],
+        ["sweep", "--from", "0.4", "--to", "0.8", "--steps", "2", "--oracle"],
+        ["oracle-check"],
+    ], ids=["run", "sweep", "oracle-check"])
+    def test_cap_refuses_large_grid(self, capsys, monkeypatch, small_scenario,
+                                    command):
         monkeypatch.setenv(cli.MAX_GRID_ENV, str(512 * 512 * 16))
-        code, _, err = run_cli(["run", small_scenario, "--oracle"], capsys)
+        code, _, err = run_cli([command[0], small_scenario, *command[1:]], capsys)
         assert code == cli.EXIT_CONFIG
         assert "cap" in err
+
+    def test_cap_ignored_without_oracle(self, capsys, monkeypatch, small_scenario):
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(512 * 512 * 16))
+        code, _, _ = run_cli(["run", small_scenario], capsys)
+        assert code == cli.EXIT_OK
 
     def test_cap_allows_small_grid(self, capsys, monkeypatch, small_scenario):
         monkeypatch.setenv(cli.MAX_GRID_ENV, str(1024 * 1024 * 16))
