@@ -122,10 +122,9 @@ def _check_grid_cap(grid: go.GridSpec):
         cap_bytes = int(cap)
     except ValueError:
         raise ConfigError(f"{MAX_GRID_ENV} must be an integer byte count, got {cap!r}")
-    need = grid.n * grid.n * 16  # complex128 joint amplitude
-    if need > cap_bytes:
+    if grid.peak_bytes > cap_bytes:
         raise ConfigError(
-            f"oracle grid {grid.n}x{grid.n} needs {need} bytes, over the "
+            f"oracle grid {grid.n}x{grid.n} needs {grid.peak_bytes} bytes, over the "
             f"{MAX_GRID_ENV} cap of {cap_bytes}"
         )
 
@@ -173,7 +172,6 @@ def cmd_run(args) -> int:
     runner = ex.run_kim_shih if scenario.lens is not None else ex.run_popper_freespace
     report = runner(scenario, use_oracle=args.oracle)
     doc = _document(_scenario_echo(scenario), _report_dict(report))
-    _emit(doc, args.out)
     if args.csv:
         rows = ["metric,analytic,oracle,delta_rel"]
         fmt = lambda v: "" if v is None else f"{v:.9g}"
@@ -183,6 +181,7 @@ def cmd_run(args) -> int:
                 rows.append(f"{key},{fmt(measured.analytic)},{fmt(measured.oracle)},"
                             f"{fmt(measured.delta_rel)}")
         _write(args.csv, "\n".join(rows) + "\n")
+    _emit(doc, args.out)
     return EXIT_OK
 
 
@@ -205,8 +204,6 @@ def cmd_sweep(args) -> int:
         if args.oracle:
             row += f",{'' if p.fwhm_oracle_mm is None else format(p.fwhm_oracle_mm, '.9g')}"
         rows.append(row)
-    _write(args.csv, "\n".join(rows) + "\n")
-    flagged = [p for p in points if p.error]
     results = {
         "points": [{
             "slit_full_width_mm": p.slit_full_width_mm,
@@ -217,6 +214,8 @@ def cmd_sweep(args) -> int:
     }
     if args.out:
         _emit(_document(_scenario_echo(scenario), results), args.out)
+    _write(args.csv, "\n".join(rows) + "\n")
+    flagged = [p for p in points if p.error]
     if flagged:
         sys.stderr.write(f"{len(flagged)} sweep point(s) flagged; see report\n")
     return EXIT_OK
@@ -241,10 +240,7 @@ def cmd_spin(args) -> int:
         if args.alpha is None or args.beta is None:
             raise ConfigError("spin needs --alpha and --beta, or --preset")
         alpha, beta = args.alpha, args.beta
-    try:
-        state = sm.make_popper_spin_state(alpha, beta)
-    except DomainError as exc:
-        raise ConfigError(str(exc))
+    state = sm.make_popper_spin_state(alpha, beta)
     conditionals = {}
     for value in sm.EIGENVALUES:
         label = f"{value:+d}" if value else "0"
@@ -372,10 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except ResolutionError as exc:

@@ -188,8 +188,9 @@ class SweepPoint:
     error: str | None = None
 
 
-def default_grid(scenario: Scenario, n: int = 2048) -> GridSpec:
-    """Auto-sized grid: extent 8x the largest rms width in the scenario."""
+def default_grid(scenario: Scenario, n: int | None = None) -> GridSpec:
+    """Auto-sized grid: extent 8x the largest rms width in the scenario; unless
+    given, n doubles from 2048 up to 8192 until the step meets go.max_step."""
     state = gc.make_epr_state(scenario.a, scenario.omega)
     total = scenario.L1 + scenario.L2
     rms = [gc.position_uncertainty(state),
@@ -200,6 +201,10 @@ def default_grid(scenario: Scenario, n: int = 2048) -> GridSpec:
                                       scenario.effective_distance,
                                       scenario.params) / 2.0)
     extent = max(8.0 * max(rms), go.required_extent(scenario.a, scenario.omega))
+    if n is None:
+        n = 2048
+        while n < 8192 and 2.0 * extent / n > go.max_step(scenario.a, scenario.omega):
+            n *= 2
     return GridSpec(n=n, extent=extent)
 
 

@@ -48,6 +48,12 @@ class GridSpec:
     def y(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.dy
 
+    @property
+    def peak_bytes(self) -> int:
+        """Peak memory of an oracle run on this grid: two complex128 n x n
+        amplitudes (state and evolved state) and one float64 |psi|^2 buffer."""
+        return 40 * self.n * self.n
+
 
 @dataclass
 class GridState:
@@ -140,6 +146,12 @@ def required_extent(a: float, omega: float) -> float:
     return 6.0 * 0.5 * math.sqrt(omega ** 2 + a ** 2 / 4.0)
 
 
+def max_step(a: float, omega: float) -> float:
+    """Coarsest grid step whose Nyquist wavenumber pi/dy spans 4 standard
+    deviations of the source's per-axis momentum spectrum."""
+    return math.pi / (4.0 * math.sqrt(2.0 / a ** 2 + 0.5 / omega ** 2))
+
+
 def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
     """Sample and normalize the correlated source amplitude."""
     if a <= 0 or omega <= 0:
@@ -150,13 +162,11 @@ def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
             f"extent {grid.extent} mm too small: need >= {need:.3g} mm "
             f"for a={a}, omega={omega}"
         )
-    # momentum support: amplitude spectrum std per particle axis
-    k_std = math.sqrt(2.0 / a ** 2 + 0.5 / omega ** 2)
-    k_nyq = math.pi / grid.dy
-    if k_nyq < 4.0 * k_std:
+    step = max_step(a, omega)
+    if grid.dy > step:
         raise ResolutionError(
             f"step {grid.dy:.3g} mm too coarse: need dy <= "
-            f"{math.pi / (4.0 * k_std):.3g} mm to hold the momentum spectrum"
+            f"{step:.3g} mm to hold the momentum spectrum"
         )
     y = grid.y
     u = y[:, None] - y[None, :]

@@ -89,20 +89,19 @@ def _measurement_vectors(axis: str) -> np.ndarray:
     raise DomainError(f"axis must be 'x' or 'z', got {axis!r}")
 
 
+def _partner(state: SpinState, particle: str, row: np.ndarray) -> np.ndarray:
+    """Unnormalized partner amplitudes after projecting ``particle`` onto ``row``."""
+    if particle == "A":
+        return np.conj(row) @ state.amplitudes
+    if particle == "B":
+        return state.amplitudes @ np.conj(row)
+    raise DomainError(f"particle must be 'A' or 'B', got {particle!r}")
+
+
 def marginal_probabilities(state: SpinState, particle: str, axis: str):
     """Born-rule marginal (p_plus, p_zero, p_minus) for one particle."""
-    vectors = _measurement_vectors(axis)
-    amps = state.amplitudes
-    probs = []
-    for row in vectors:
-        if particle == "A":
-            proj = np.conj(row) @ amps
-        elif particle == "B":
-            proj = amps @ np.conj(row)
-        else:
-            raise DomainError(f"particle must be 'A' or 'B', got {particle!r}")
-        probs.append(float(np.sum(np.abs(proj) ** 2)))
-    return tuple(probs)
+    return tuple(float(np.sum(np.abs(_partner(state, particle, row)) ** 2))
+                 for row in _measurement_vectors(axis))
 
 
 def condition_on(state: SpinState, particle: str, axis: str, value: int) -> MeasurementOutcome:
@@ -110,15 +109,8 @@ def condition_on(state: SpinState, particle: str, axis: str, value: int) -> Meas
     if value not in _INDEX:
         raise DomainError(f"value must be one of {EIGENVALUES}, got {value}")
     row = _measurement_vectors(axis)[_INDEX[value]]
-    amps = state.amplitudes
-    if particle == "A":
-        partner = np.conj(row) @ amps
-        post = np.outer(row, partner)
-    elif particle == "B":
-        partner = amps @ np.conj(row)
-        post = np.outer(partner, row)
-    else:
-        raise DomainError(f"particle must be 'A' or 'B', got {particle!r}")
+    partner = _partner(state, particle, row)
+    post = np.outer(row, partner) if particle == "A" else np.outer(partner, row)
     prob = float(np.sum(np.abs(partner) ** 2))
     if prob <= 1e-15:
         raise DomainError(

@@ -23,6 +23,16 @@ def fixture_doc(name):
     return json.loads(files("poppersim.scenarios").joinpath(name).read_text())
 
 
+def blockless_fixture(tmp_path, name, **edit):
+    """Path to a copy of a bundled fixture without its ``oracle`` block."""
+    doc = fixture_doc(name)
+    del doc["oracle"]
+    doc.update(edit)
+    path = tmp_path / f"blockless_{name}"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -102,11 +112,14 @@ class TestRun:
         ["run", fixture_path("kim_shih.json"), "--csv", "{dir}/metrics.csv"],
         ["sweep", fixture_path("strekalov.json"), "--from", "0.2", "--to", "1.0",
          "--steps", "2", "--csv", "{dir}/sweep.csv"],
-    ], ids=["run-out", "run-csv", "sweep-csv"])
+        ["sweep", fixture_path("strekalov.json"), "--from", "0.2", "--to", "1.0",
+         "--steps", "2", "--out", "{dir}/sweep.json"],
+    ], ids=["run-out", "run-csv", "sweep-csv", "sweep-out"])
     def test_unwritable_output(self, tmp_path, capsys, argv):
         missing_dir = str(tmp_path / "no" / "such" / "dir")
-        code, _, err = run_cli([a.format(dir=missing_dir) for a in argv], capsys)
+        code, out, err = run_cli([a.format(dir=missing_dir) for a in argv], capsys)
         assert code == cli.EXIT_CONFIG
+        assert out == ""
         assert err.startswith("error: cannot write") and err.count("\n") == 1
 
     def test_grid_n_override(self, tmp_path, capsys, small_scenario):
@@ -124,6 +137,13 @@ class TestRun:
         default = ex.default_grid(ex.Scenario.from_dict(doc))
         assert json.loads(out)["scenario"]["oracle"] == pytest.approx(
             {"n": 512, "extent_mm": default.extent}, rel=1e-8)
+
+    def test_step_beyond_largest_grid(self, tmp_path, capsys):
+        # a = 0.01 mm needs dy <= 0.0056 mm; the 8192-point auto grid gives 0.028 mm
+        path = blockless_fixture(tmp_path, "popper_freespace.json", a_mm=0.01)
+        code, _, err = run_cli(["run", path, "--oracle"], capsys)
+        assert code == cli.EXIT_RESOLUTION
+        assert "too coarse" in err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(["run", fixture_path("kim_shih.json")], capsys)
@@ -290,14 +310,17 @@ class TestOracleCheck:
 
 
 class TestGridCap:
-    @pytest.mark.parametrize("command", [
-        ["run", "--oracle"],
-        ["sweep", "--from", "0.4", "--to", "0.8", "--steps", "2", "--oracle"],
-        ["oracle-check"],
-    ], ids=["run", "sweep", "oracle-check"])
+    @pytest.mark.parametrize("command, cap", [
+        pytest.param(["run", "--oracle"], 512 * 512 * 16, id="run"),
+        pytest.param(["sweep", "--from", "0.4", "--to", "0.8", "--steps", "2",
+                      "--oracle"], 512 * 512 * 16, id="sweep"),
+        pytest.param(["oracle-check"], 512 * 512 * 16, id="oracle-check"),
+        # two amplitudes fit, the intensity buffer beside them does not
+        pytest.param(["run", "--oracle"], 1024 * 1024 * 32, id="run-below-peak"),
+    ])
     def test_cap_refuses_large_grid(self, capsys, monkeypatch, small_scenario,
-                                    command):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(512 * 512 * 16))
+                                    command, cap):
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(cap))
         code, _, err = run_cli([command[0], small_scenario, *command[1:]], capsys)
         assert code == cli.EXIT_CONFIG
         assert "cap" in err
@@ -308,9 +331,16 @@ class TestGridCap:
         assert code == cli.EXIT_OK
 
     def test_cap_allows_small_grid(self, capsys, monkeypatch, small_scenario):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(1024 * 1024 * 16))
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(1024 * 1024 * 40))
         code, _, _ = run_cli(["run", small_scenario, "--oracle"], capsys)
         assert code == cli.EXIT_OK
+
+    def test_cap_counts_auto_sized_grid(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(40 * 8192 * 8192 - 1))
+        path = blockless_fixture(tmp_path, "popper_freespace.json")
+        code, _, err = run_cli(["run", path, "--oracle"], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert "8192x8192" in err and "2684354560" in err
 
     def test_bad_cap_value(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.MAX_GRID_ENV, "lots")

@@ -284,3 +284,17 @@ class TestDefaultGrid:
         assert grid.extent >= go.required_extent(scenario.a, scenario.omega)
         # must be usable immediately
         go.build_grid_state(scenario.a, scenario.omega, grid)
+
+    @pytest.mark.parametrize("name, n", [
+        ("kim_shih.json", 2048),
+        ("popper_freespace.json", 8192),
+        ("strekalov.json", 8192),
+    ])
+    def test_n_meets_step_rule(self, name, n):
+        doc = json.loads(importlib.resources.files("poppersim.scenarios")
+                         .joinpath(name).read_text())
+        del doc["oracle"]
+        scenario = ex.Scenario.from_dict(doc)
+        grid = ex.default_grid(scenario)
+        assert grid.n == n
+        assert grid.dy <= go.max_step(scenario.a, scenario.omega)
