@@ -272,12 +272,11 @@ def cmd_oracle_check(args) -> int:
     grid = ex.oracle_grid(scenario)
     params = scenario.params
     eps = scenario.slit.gaussian_epsilon(params)
-    state = go.build_grid_state(scenario.a, scenario.omega, grid)
-    norm0 = state.norm()
-    evolved = go.evolve_spectral(state, scenario.L1, scenario.L1, params)
-    drift = abs(evolved.norm() - norm0)
-    cond = go.condition(evolved, go.Aperture(kind="gaussian", epsilon=eps))
-    w_cond = go.widths(cond)
+    source = ex.oracle_pass(scenario, scenario.L1,
+                            [go.Aperture(kind="gaussian", epsilon=eps)])
+    # the source norm against its norm flown over L1, both from the one pass
+    drift = abs(float(np.sum(source.slit_plane)) * source.dy / source.norm - 1.0)
+    w_cond = go.widths(source.conditional(0))
     gamma = gc.condition_on_gaussian_slit(
         gc.make_epr_state(scenario.a, scenario.omega),
         gc.SlitSpec(kind="gaussian", epsilon=eps),

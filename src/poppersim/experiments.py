@@ -214,27 +214,24 @@ def oracle_grid(scenario: Scenario) -> GridSpec:
     return scenario.oracle if scenario.oracle is not None else default_grid(scenario)
 
 
-def _slit_plane_state(scenario: Scenario) -> go.GridState:
-    """The source state flown over L1 to the slit plane, built once per
-    scenario; every aperture and the beam marginal read it."""
-    state = go.build_grid_state(scenario.a, scenario.omega, oracle_grid(scenario))
-    if scenario.L1 == 0:
-        return state
-    return go.evolve_spectral(state, scenario.L1, scenario.L1, scenario.params)
+def oracle_pass(scenario: Scenario, L1: float, apertures=(),
+                beam_L: float | None = None) -> go.SourcePass:
+    """One :func:`grid_oracle.source_pass` over ``scenario``'s source on its
+    oracle grid."""
+    return go.source_pass(scenario.a, scenario.omega, oracle_grid(scenario),
+                          scenario.params, L1, apertures, beam_L)
 
 
-def _coincidence(state: go.GridState, eps: float, L2: float, params: PhysParams):
-    """(conditional amplitude, detector-plane widths) behind a Gaussian slit
-    of width ``eps`` on particle 1, with particle 2 flown a further L2."""
-    cond = go.condition(state, Aperture(kind="gaussian", epsilon=eps))
+def _detector_widths(cond: go.ConditionalAmplitude, L2: float,
+                     params: PhysParams) -> go.WidthResult:
+    """Widths of the conditional amplitude flown a further L2 to the detector."""
     amp = go.propagate_amplitude(cond.amplitude, cond.dy, L2, params)
-    return cond, go.intensity_widths(cond.y, np.abs(amp) ** 2, cond.dy)
+    return go.intensity_widths(cond.y, np.abs(amp) ** 2, cond.dy)
 
 
-def _beam_fwhm(state: go.GridState, L2: float, params: PhysParams) -> float:
-    """All-counts FWHM of particle 2 flown a further L2 from ``state``."""
-    beam = go.evolve_spectral(state, 0.0, L2, params)
-    w = go.intensity_widths(beam.y, go.marginal_intensity(beam, 2), beam.dy)
+def _beam_fwhm(source: go.SourcePass) -> float:
+    """All-counts FWHM of particle 2 from a pass's beam intensity."""
+    w = go.intensity_widths(source.y, source.beam, source.dy)
     return FWHM_FACTOR * w.gaussian_equiv_W
 
 
@@ -244,8 +241,8 @@ def run_kim_shih(scenario: Scenario, use_oracle: bool = False) -> WidthReport:
 
     The oracle arm exploits the imaging equivalence: focusing the
     conditional amplitude back to a real Gaussian at the image plane is the
-    same as conditioning the unpropagated source state, so it conditions at
-    L1 = 0 and propagates L2, all by grid quadrature.
+    same as conditioning the unpropagated source state, so its pass
+    conditions at L1 = 0 and propagates L2, all by grid quadrature.
     """
     if scenario.lens is None:
         raise ConfigError("Kim-Shih layout requires a lens")
@@ -278,17 +275,19 @@ def run_kim_shih(scenario: Scenario, use_oracle: bool = False) -> WidthReport:
         ghost_image_width_mm=Measured(analytic=gc.intensity_width(image)),
     )
     if use_oracle:
-        src = go.build_grid_state(scenario.a, scenario.omega, oracle_grid(scenario))
-        cond, w_det = _coincidence(src, eps, scenario.L2, params)
+        slit = Aperture(kind="gaussian", epsilon=eps)
+        source = oracle_pass(scenario, 0.0, [slit], beam_L=total)
+        cond = source.conditional(0)
         report.ghost_image_width_mm.oracle = go.widths(cond).gaussian_equiv_W
-        report.coincidence_fwhm_mm.oracle = w_det.fwhm
+        report.coincidence_fwhm_mm.oracle = _detector_widths(cond, scenario.L2,
+                                                             params).fwhm
         report.coincidence_weight = cond.weight
         # real slit: plain single-particle diffraction on the same grid
-        phi = Aperture(kind="gaussian", epsilon=eps).sample(src.y, src.dy)
-        amp_r = go.propagate_amplitude(phi, src.dy, scenario.L2, params)
+        phi = slit.sample(source.y, source.dy)
+        amp_r = go.propagate_amplitude(phi, source.dy, scenario.L2, params)
         report.real_slit_fwhm_mm.oracle = go.intensity_widths(
-            src.y, np.abs(amp_r) ** 2, src.dy).fwhm
-        report.beam_fwhm_mm.oracle = _beam_fwhm(src, total, params)
+            source.y, np.abs(amp_r) ** 2, source.dy).fwhm
+        report.beam_fwhm_mm.oracle = _beam_fwhm(source)
     return report
 
 
@@ -322,12 +321,28 @@ def run_popper_freespace(scenario: Scenario, use_oracle: bool = False) -> WidthR
         virtual_distance_mm=gamma_det.gamma.imag / params.rescaled_wavelength_mm,
     )
     if use_oracle:
-        state = _slit_plane_state(scenario)
-        cond, w = _coincidence(state, eps, scenario.L2, params)
-        report.coincidence_fwhm_mm.oracle = w.fwhm
+        source = oracle_pass(scenario, scenario.L1,
+                              [Aperture(kind="gaussian", epsilon=eps)], beam_L=total)
+        cond = source.conditional(0)
+        report.coincidence_fwhm_mm.oracle = _detector_widths(cond, scenario.L2,
+                                                             params).fwhm
         report.coincidence_weight = cond.weight
-        report.beam_fwhm_mm.oracle = _beam_fwhm(state, scenario.L2, params)
+        report.beam_fwhm_mm.oracle = _beam_fwhm(source)
     return report
+
+
+def _sweep_chunk(scenario: Scenario, chunk: list[SweepPoint]):
+    """Oracle widths of up to go.APERTURE_CHUNK sweep points from one pass;
+    a failure after the pass lands in its own point."""
+    slits = [Aperture(kind="gaussian", epsilon=p.slit_full_width_mm / 2.0)
+             for p in chunk]
+    source = oracle_pass(scenario, scenario.L1, slits)
+    for k, point in enumerate(chunk):
+        try:
+            point.fwhm_oracle_mm = _detector_widths(
+                source.conditional(k), scenario.L2, scenario.params).fwhm
+        except (DomainError, ResolutionError) as exc:
+            point.error = str(exc)
 
 
 def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
@@ -335,10 +350,11 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
     """Coincidence pattern width against slit width, half-width convention.
 
     Analytic widths use the wide-source closed form over the effective
-    distance 2*L1 + L2; the oracle arm conditions one shared slit-plane
-    state, with the scenario's finite omega, on each slit width.  Oracle
-    failures are isolated into the points' ``error`` fields: a failure of
-    the shared state lands in every point.
+    distance 2*L1 + L2; the oracle arm conditions the source, with the
+    scenario's finite omega, on every slit width of a chunk of
+    go.APERTURE_CHUNK in one pass.  Oracle failures are isolated into the
+    points' ``error`` fields: a failure of a pass lands in every point it
+    and the later chunks hold.
     """
     if scenario.slit is not None and scenario.slit.kind == "rectangular" \
             and scenario.slit.convention != "half-width":
@@ -347,27 +363,22 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
     for w_full in widths:
         if not w_full > 0:
             raise DomainError(f"slit width must be positive, got {w_full}")
-    state = shared_error = None
-    if use_oracle:
-        try:
-            state = _slit_plane_state(scenario)
-        except (DomainError, ResolutionError) as exc:
-            shared_error = str(exc)
     points: list[SweepPoint] = []
     for w_full in widths:
         eps = w_full / 2.0
         fwhm_an = gc.fwhm_from_width(gc.far_field_width(
             eps * eps + scenario.a ** 2, scenario.effective_distance,
             scenario.params))
-        point = SweepPoint(slit_full_width_mm=w_full, fwhm_analytic_mm=fwhm_an,
-                           error=shared_error)
-        if state is not None:
-            try:
-                _, w = _coincidence(state, eps, scenario.L2, scenario.params)
-                point.fwhm_oracle_mm = w.fwhm
-            except (DomainError, ResolutionError) as exc:
+        points.append(SweepPoint(slit_full_width_mm=w_full, fwhm_analytic_mm=fwhm_an))
+    if not use_oracle:
+        return points
+    for start in range(0, len(points), go.APERTURE_CHUNK):
+        try:
+            _sweep_chunk(scenario, points[start:start + go.APERTURE_CHUNK])
+        except (DomainError, ResolutionError) as exc:
+            for point in points[start:]:
                 point.error = str(exc)
-        points.append(point)
+            break
     return points
 
 

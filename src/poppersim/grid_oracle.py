@@ -6,6 +6,17 @@ quadrature, and extracts widths from sampled intensities.  Everything here
 is deliberately independent of the closed forms in ``gaussian_core`` so the
 two can be checked against each other.
 
+Two routes share the sampled source.  The reference route holds psi as an
+n x n array (``build_grid_state``, ``evolve_spectral``, ``condition``).  The
+runners take the matrix-free route, ``source_pass``: free flight is the
+separable unitary U1 x U2 and each factor is symmetric on the periodic
+grid, so conditioning the flown state on an aperture phi equals
+conditioning the source on phi flown back, then flying the 1-D result
+forward:  condition(evolve(psi, L1, L1), phi) = fly(fly(conj(phi), L1) @ psi, L1).
+The source is real and closed-form per sample, so one pass over row blocks
+of it gives every conditional amplitude and particle 2's marginals without
+an n x n buffer.
+
 Grid convention: y = (arange(n) - n/2) * dy with dy = 2 * extent / n, and
 wavenumbers k = 2*pi*fftfreq(n, dy).  A plane-wave component exp(i k y)
 acquires the phase exp(-i k^2 * Lambda * L / 4) over an axial distance L,
@@ -25,6 +36,9 @@ from .gaussian_core import FWHM_FACTOR, PhysParams
 
 TAIL_BAND_FRACTION = 0.05
 TAIL_PROB_LIMIT = 1e-6
+# rows of the source generated at a time, and apertures stacked in one pass
+SOURCE_BLOCK_ROWS = 64
+APERTURE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -50,9 +64,13 @@ class GridSpec:
 
     @property
     def peak_bytes(self) -> int:
-        """Peak memory of an oracle run on this grid: two complex128 n x n
-        amplitudes (state and evolved state) and one float64 |psi|^2 buffer."""
-        return 40 * self.n * self.n
+        """Peak memory of a source pass on this grid, 8 bytes a value: seven
+        real arrays of one block of source rows (the block, two arrays of the
+        next block's generation, squares, flown rows and two half spectra),
+        three real stacks of a full aperture chunk (back-flown modes, running
+        products and one block's product, each with real and imaginary rows)
+        and 64 one-axis arrays."""
+        return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64)
 
 
 @dataclass
@@ -152,8 +170,8 @@ def max_step(a: float, omega: float) -> float:
     return math.pi / (4.0 * math.sqrt(2.0 / a ** 2 + 0.5 / omega ** 2))
 
 
-def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
-    """Sample and normalize the correlated source amplitude."""
+def _check_source(a: float, omega: float, grid: GridSpec):
+    """Refuse a grid whose extent or step cannot hold the source."""
     if a <= 0 or omega <= 0:
         raise DomainError("a and omega must be positive")
     need = required_extent(a, omega)
@@ -168,12 +186,54 @@ def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
             f"step {grid.dy:.3g} mm too coarse: need dy <= "
             f"{step:.3g} mm to hold the momentum spectrum"
         )
+
+
+def source_rows(a: float, omega: float, y: np.ndarray, start: int,
+                stop: int) -> np.ndarray:
+    """Rows start:stop of the unnormalized source exp(-u^2/a^2 - v^2/(4 omega^2))
+    with u = y1 - y2, v = y1 + y2, as a real array.
+
+    Both terms are exact under y1 <-> y2, so the sampled source is
+    exchange-symmetric bit for bit.
+    """
+    u = y[start:stop, None] - y[None, :]
+    v = y[start:stop, None] + y[None, :]
+    u **= 2
+    np.negative(u, out=u)
+    u /= a ** 2
+    v **= 2
+    v /= 4.0 * omega ** 2
+    u -= v
+    return np.exp(u, out=u)
+
+
+def _source_blocks(a: float, omega: float, grid: GridSpec):
+    """(row slice, real rows) of the unnormalized source, SOURCE_BLOCK_ROWS
+    rows at a time; the block size divides every grid's n, a power of two."""
     y = grid.y
-    u = y[:, None] - y[None, :]
-    v = y[:, None] + y[None, :]
-    psi = np.exp(-(u ** 2) / a ** 2 - (v ** 2) / (4.0 * omega ** 2)).astype(complex)
-    psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dy ** 2)
-    return GridState(psi=psi, y=y, dy=grid.dy)
+    for start in range(0, grid.n, SOURCE_BLOCK_ROWS):
+        rows = slice(start, start + SOURCE_BLOCK_ROWS)
+        yield rows, source_rows(a, omega, y, start, rows.stop)
+
+
+def _pairwise_total(parts: list[float]) -> float:
+    """Add partial sums in pairs, as np.sum combines the halves of a contiguous
+    array: over power-of-two blocks the total is np.sum's to the bit."""
+    while len(parts) > 1:
+        parts = [sum(parts[i:i + 2]) for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
+    """Sample and normalize the correlated source amplitude."""
+    _check_source(a, omega, grid)
+    psi = np.empty((grid.n, grid.n), dtype=complex)
+    sums = []
+    for rows, block in _source_blocks(a, omega, grid):
+        sums.append(float(np.sum(block * block)))
+        psi[rows] = block
+    psi /= math.sqrt(_pairwise_total(sums) * grid.dy ** 2)
+    return GridState(psi=psi, y=grid.y, dy=grid.dy)
 
 
 def _check_tails(prob: np.ndarray):
@@ -221,16 +281,32 @@ def evolve_spectral(state: GridState, L_particle1: float, L_particle2: float,
     return GridState(psi=psi, y=state.y, dy=state.dy)
 
 
+def _fly(amp: np.ndarray, dy: float, L: float, params: PhysParams) -> np.ndarray:
+    """Spectral free flight over L along the last axis, with no tail guard."""
+    if L == 0:
+        return amp.copy()
+    return np.fft.ifft(np.fft.fft(amp) * _flight_phase(amp.shape[-1], dy, L, params))
+
+
 def propagate_amplitude(amp: np.ndarray, dy: float, L: float,
                         params: PhysParams) -> np.ndarray:
     """Single-particle spectral free flight of a sampled 1-D amplitude."""
     if L < 0:
         raise DomainError("propagation distance must be >= 0")
-    if L == 0:
-        return amp.copy()
-    out = np.fft.ifft(np.fft.fft(amp) * _flight_phase(amp.size, dy, L, params))
-    _check_tails(np.abs(out) ** 2)
+    out = _fly(amp, dy, L, params)
+    if L > 0:
+        _check_tails(np.abs(out) ** 2)
     return out
+
+
+def _conditional(y: np.ndarray, phi2: np.ndarray, dy: float) -> ConditionalAmplitude:
+    """Renormalize a conditioned particle-2 amplitude; its squared norm is the
+    coincidence weight."""
+    weight = float(np.sum(np.abs(phi2) ** 2) * dy)
+    if weight < 1e-12:
+        raise DomainError(f"degenerate conditioning: coincidence weight {weight:.3g}")
+    return ConditionalAmplitude(y=y, amplitude=phi2 / math.sqrt(weight), dy=dy,
+                                weight=weight)
 
 
 def condition(state: GridState, aperture: Aperture) -> ConditionalAmplitude:
@@ -241,12 +317,101 @@ def condition(state: GridState, aperture: Aperture) -> ConditionalAmplitude:
     fraction (the squared norm before renormalization).
     """
     phi1 = aperture.sample(state.y, state.dy)
-    phi2 = (np.conj(phi1) @ state.psi) * state.dy
-    weight = float(np.sum(np.abs(phi2) ** 2) * state.dy)
-    if weight < 1e-12:
-        raise DomainError(f"degenerate conditioning: coincidence weight {weight:.3g}")
-    return ConditionalAmplitude(y=state.y, amplitude=phi2 / math.sqrt(weight),
-                                dy=state.dy, weight=weight)
+    return _conditional(state.y, (np.conj(phi1) @ state.psi) * state.dy, state.dy)
+
+
+@dataclass
+class SourcePass:
+    """What one :func:`source_pass` over the source yields.
+
+    ``norm`` is the squared norm of the source as sampled.  ``slit_plane`` and
+    ``beam`` are particle 2's intensity of that source flown over L1 and over
+    the beam distance (``beam`` is None without one); each integrates to its
+    flown norm.  ``projections[k]`` is particle 2's amplitude at the source
+    plane, conditioned on aperture k flown back over L1, for the normalized
+    source.
+    """
+
+    y: np.ndarray
+    dy: float
+    L1: float
+    params: PhysParams
+    norm: float
+    projections: np.ndarray
+    slit_plane: np.ndarray
+    beam: np.ndarray | None
+
+    def conditional(self, k: int) -> ConditionalAmplitude:
+        """Aperture k's conditional amplitude of particle 2 at the slit plane:
+        its projection flown forward over L1, tail-checked, then weighed."""
+        phi2 = propagate_amplitude(self.projections[k], self.dy, self.L1,
+                                   self.params)
+        return _conditional(self.y, phi2, self.dy)
+
+
+def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
+                L1: float, apertures=(), beam_L: float | None = None) -> SourcePass:
+    """Condition the source on ``apertures`` at the slit plane L1 in one pass
+    over row blocks of the source, with no n x n array.
+
+    Each block of SOURCE_BLOCK_ROWS rows is generated, added to the source
+    norm, and multiplied into the stacked back-flown apertures
+    fly(conj(phi), L1).  One real transform of the block along particle 2's
+    axis then gives particle 2's intensity flown over L1 and, when given, over
+    ``beam_L``.  Both are tail-checked.
+    """
+    _check_source(a, omega, grid)
+    if len(apertures) > APERTURE_CHUNK:
+        raise DomainError(f"one pass takes at most {APERTURE_CHUNK} apertures, "
+                          f"got {len(apertures)}")
+    n, dy, y = grid.n, grid.dy, grid.y
+    count = len(apertures)
+    back = np.empty((count, n), dtype=complex)
+    for k, aperture in enumerate(apertures):
+        back[k] = np.conj(aperture.sample(y, dy))
+    back = _fly(back, dy, L1, params)
+    # real and imaginary parts stacked: one real product per block
+    back = np.concatenate([back.real, back.imag])
+    products = np.zeros((2 * count, n))
+    flights = [L1] if beam_L is None else [L1, beam_L]
+    phases = [_flight_phase(n, dy, L, params)[:n // 2 + 1] for L in flights]
+    intensities = [np.zeros(n) for _ in flights]
+    transform = any(L > 0 for L in flights)
+    sums = []
+    # work buffers for one block, reused block after block
+    square = np.empty((SOURCE_BLOCK_ROWS, n))
+    flown = np.empty_like(square)
+    half = np.empty((SOURCE_BLOCK_ROWS, n // 2 + 1), dtype=complex)
+    product = np.empty_like(half)
+    for rows, block in _source_blocks(a, omega, grid):
+        np.square(block, out=square)
+        sums.append(float(np.sum(square)))
+        products += back[:, rows] @ block
+        if transform:
+            np.fft.rfft(block, out=half)
+        for total, L, phase in zip(intensities, flights, phases):
+            if L == 0:
+                total += square.sum(axis=0)
+                continue
+            # the flight kernel is even, so real rows fly as two real
+            # convolutions: irfft(half * Re phase) + i irfft(half * Im phase)
+            for part in (phase.real, phase.imag):
+                np.multiply(half, part, out=product)
+                np.fft.irfft(product, n, out=flown)
+                total += np.einsum("ij,ij->j", flown, flown)
+    # Particle 1's slit-plane intensity equals particle 2's: the sampled
+    # source is exchange-symmetric bit for bit (see source_rows) and both
+    # particles fly L1, so the one check below guards both axes.
+    for total in intensities:
+        total *= dy
+        _check_tails(total)
+    norm = _pairwise_total(sums) * dy * dy
+    products *= dy / math.sqrt(norm)
+    projections = products[:count] + 1j * products[count:]
+    return SourcePass(y=y, dy=dy, L1=L1, params=params, norm=norm,
+                      projections=projections,
+                      slit_plane=intensities[0],
+                      beam=None if beam_L is None else intensities[1])
 
 
 def marginal_intensity(state: GridState, particle: int = 2) -> np.ndarray:

@@ -308,15 +308,44 @@ class TestOracleCheck:
         assert doc["results"]["norm_drift"] < 1e-8
         assert abs(doc["results"]["conditional_width_mm"]["delta_rel"]) < 1e-3
 
+    @pytest.mark.parametrize("name", ["kim_shih.json", "popper_freespace.json",
+                                      "strekalov.json"])
+    def test_passes_on_bundled_fixtures(self, capsys, name):
+        code, out, _ = run_cli(["oracle-check", fixture_path(name)], capsys)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["results"]["norm_drift"] < 1e-12
+
+
+class TestWrappedSlitPlane:
+    """Over L1 = 20 m the source wraps around the +-16 mm grid before the slit."""
+
+    @pytest.mark.parametrize("argv", [["run", "--oracle"], ["oracle-check"]],
+                             ids=["run", "oracle-check"])
+    def test_exits_3(self, tmp_path, capsys, small_scenario, argv):
+        doc = json.loads(Path(small_scenario).read_text())
+        doc.update(L1_mm=20000.0, L2_mm=100.0)
+        path = tmp_path / "wrap.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+        assert code == cli.EXIT_RESOLUTION
+        assert out == "" and "boundary" in err
+
+
+# the block model GridSpec.peak_bytes: 8 * n * (7 * 64 + 3 * 2 * 64 + 64)
+# bytes, 7168 bytes per grid point of one axis
+PEAK_BYTES_PER_N = 7168
+
 
 class TestGridCap:
     @pytest.mark.parametrize("command, cap", [
-        pytest.param(["run", "--oracle"], 512 * 512 * 16, id="run"),
+        # the budget of a 512-point grid refuses the 1024-point one
+        pytest.param(["run", "--oracle"], 512 * PEAK_BYTES_PER_N, id="run"),
         pytest.param(["sweep", "--from", "0.4", "--to", "0.8", "--steps", "2",
-                      "--oracle"], 512 * 512 * 16, id="sweep"),
-        pytest.param(["oracle-check"], 512 * 512 * 16, id="oracle-check"),
-        # two amplitudes fit, the intensity buffer beside them does not
-        pytest.param(["run", "--oracle"], 1024 * 1024 * 32, id="run-below-peak"),
+                      "--oracle"], 512 * PEAK_BYTES_PER_N, id="sweep"),
+        pytest.param(["oracle-check"], 512 * PEAK_BYTES_PER_N, id="oracle-check"),
+        # one byte short of the model
+        pytest.param(["run", "--oracle"], 1024 * PEAK_BYTES_PER_N - 1,
+                     id="run-below-peak"),
     ])
     def test_cap_refuses_large_grid(self, capsys, monkeypatch, small_scenario,
                                     command, cap):
@@ -331,16 +360,16 @@ class TestGridCap:
         assert code == cli.EXIT_OK
 
     def test_cap_allows_small_grid(self, capsys, monkeypatch, small_scenario):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(1024 * 1024 * 40))
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(1024 * PEAK_BYTES_PER_N))
         code, _, _ = run_cli(["run", small_scenario, "--oracle"], capsys)
         assert code == cli.EXIT_OK
 
     def test_cap_counts_auto_sized_grid(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(40 * 8192 * 8192 - 1))
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(8192 * PEAK_BYTES_PER_N - 1))
         path = blockless_fixture(tmp_path, "popper_freespace.json")
         code, _, err = run_cli(["run", path, "--oracle"], capsys)
         assert code == cli.EXIT_CONFIG
-        assert "8192x8192" in err and "2684354560" in err
+        assert "8192x8192" in err and "58720256" in err
 
     def test_bad_cap_value(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.MAX_GRID_ENV, "lots")

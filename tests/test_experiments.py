@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,24 @@ def kim_shih_scenario():
         json.loads(root.joinpath("kim_shih.json").read_text()))
 
 
+NO_REFERENCE_CALLS = {"build_grid_state": 0, "evolve_spectral": 0, "condition": 0}
+
+
+@pytest.fixture()
+def oracle_spies(monkeypatch):
+    """Call counts of the reference route's stages and of the source pass."""
+    calls = {**NO_REFERENCE_CALLS, "source_pass": 0, "source_rows": 0}
+    for name in calls:
+        original = getattr(go, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(go, name, spy)
+    return calls
+
+
 class TestKimShih:
     def test_analytic_reference_numbers(self, kim_shih_scenario):
         report = ex.run_kim_shih(kim_shih_scenario)
@@ -88,6 +107,12 @@ class TestKimShih:
                          report.ghost_image_width_mm):
             assert abs(measured.delta_rel) < 0.02
         assert 0.0 < report.coincidence_weight < 1.0
+
+    def test_oracle_makes_one_pass(self, kim_shih_scenario, oracle_spies):
+        ex.run_kim_shih(kim_shih_scenario, use_oracle=True)
+        assert oracle_spies == {
+            **NO_REFERENCE_CALLS, "source_pass": 1,
+            "source_rows": kim_shih_scenario.oracle.n // go.SOURCE_BLOCK_ROWS}
 
     def test_perfect_correlation_limit(self, kim_shih_scenario):
         base = kim_shih_scenario
@@ -204,27 +229,56 @@ class TestStrekalovSweep:
             assert p.fwhm_oracle_mm is None
             assert p.fwhm_analytic_mm > 0
 
-    @pytest.mark.parametrize("L1, evolutions", [(300.0, 1), (0.0, 0)])
-    def test_slit_plane_state_built_once(self, monkeypatch, L1, evolutions):
-        # every point of an oracle sweep conditions one shared state, which
-        # is flown to the slit plane only when there is a leg to fly
-        calls = {"build_grid_state": 0, "evolve_spectral": 0}
-        for name in calls:
-            original = getattr(go, name)
-
-            def spy(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(go, name, spy)
+    @pytest.mark.parametrize("L1", [300.0, 0.0])
+    def test_runners_make_one_pass(self, oracle_spies, L1):
+        # no runner touches the n x n reference route; a 5-point sweep and a
+        # free-space run each generate the source once, block by block
         scenario = ex.Scenario.from_dict(scenario_doc(
             L1_mm=L1, L2_mm=300.0, oracle={"n": 512, "extent_mm": 16.0}))
         points = ex.run_strekalov_sweep(scenario, [0.2, 0.4, 0.6, 0.8, 1.0],
                                         use_oracle=True)
-        assert calls == {"build_grid_state": 1, "evolve_spectral": evolutions}
+        blocks = -(-512 // go.SOURCE_BLOCK_ROWS)
+        assert oracle_spies == {**NO_REFERENCE_CALLS, "source_pass": 1,
+                                "source_rows": blocks}
         for p in points:
             assert p.error is None
             assert p.fwhm_oracle_mm == pytest.approx(p.fwhm_analytic_mm, rel=0.05)
+        ex.run_popper_freespace(scenario, use_oracle=True)
+        assert oracle_spies == {**NO_REFERENCE_CALLS, "source_pass": 2,
+                                "source_rows": 2 * blocks}
+
+    def test_sweep_chunks_apertures(self, monkeypatch, oracle_spies):
+        # a sweep stacks at most APERTURE_CHUNK slits per pass; the chunked
+        # widths are the one-pass widths
+        scenario = ex.Scenario.from_dict(scenario_doc(
+            L1_mm=300.0, L2_mm=300.0, oracle={"n": 512, "extent_mm": 16.0}))
+        widths = [0.2, 0.4, 0.6, 0.8, 1.0]
+        whole = ex.run_strekalov_sweep(scenario, widths, use_oracle=True)
+        monkeypatch.setattr(go, "APERTURE_CHUNK", 2)
+        chunked = ex.run_strekalov_sweep(scenario, widths, use_oracle=True)
+        assert oracle_spies["source_pass"] == 1 + 3
+        for one, many in zip(whole, chunked):
+            assert many.error is None
+            assert many.fwhm_oracle_mm == pytest.approx(one.fwhm_oracle_mm,
+                                                        rel=1e-12)
+
+    @pytest.mark.parametrize("steps", [5, 65])
+    def test_sweep_peak_memory_within_model(self, steps):
+        # one pass holds no n x n array; a sweep of more than one aperture
+        # chunk (64) stays within the same block model
+        grid = go.GridSpec(n=1024, extent=16.0)
+        scenario = ex.Scenario.from_dict(scenario_doc(
+            L1_mm=300.0, L2_mm=300.0, oracle={"n": grid.n, "extent_mm": grid.extent}))
+        tracemalloc.start()
+        try:
+            points = ex.run_strekalov_sweep(scenario, np.linspace(0.2, 1.0, steps),
+                                            use_oracle=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(p.error is None for p in points)
+        assert peak < grid.n * grid.n * 16
+        assert peak <= grid.peak_bytes
 
 
 class TestFitSigmaFromWidth:

@@ -196,6 +196,100 @@ class TestCondition:
             go.condition(state, aperture)
 
 
+def full_grid_source(a, omega, grid):
+    """The source as one n x n evaluation of the formula, normalized."""
+    y = grid.y
+    u = y[:, None] - y[None, :]
+    v = y[:, None] + y[None, :]
+    psi = np.exp(-(u ** 2) / a ** 2 - (v ** 2) / (4.0 * omega ** 2)).astype(complex)
+    psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dy ** 2)
+    return psi
+
+
+def max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+# a small resolved layout: dy = 0.0625 mm against max_step 0.111 mm
+PARITY_GRID = go.GridSpec(n=512, extent=16.0)
+PARITY_A, PARITY_OMEGA = 0.2, 2.0
+
+
+class TestSourcePass:
+    """The matrix-free pass against the n x n reference route."""
+
+    @pytest.mark.parametrize("a, omega, n, extent", [
+        (0.3, 1.0, 256, 8.0), (PARITY_A, PARITY_OMEGA, 512, 16.0),
+        (0.3, 1.0, 1024, 12.0)])
+    def test_blocked_build_matches_full_grid_formula(self, a, omega, n, extent):
+        # built block by block, the state is the one-array evaluation to the bit
+        grid = go.GridSpec(n=n, extent=extent)
+        state = go.build_grid_state(a, omega, grid)
+        assert np.array_equal(state.psi, full_grid_source(a, omega, grid))
+
+    def test_source_exchange_symmetric(self):
+        y = go.GridSpec(n=1024, extent=40.0).y
+        block = go.source_rows(0.04, 10.0, y, 0, y.size)
+        assert np.array_equal(block, block.T)
+
+    @pytest.mark.parametrize("L1, L2", [(300.0, 300.0), (0.0, 500.0)])
+    def test_conditional_matches_reference(self, params702, L1, L2):
+        state = go.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID)
+        at_slit = go.evolve_spectral(state, L1, L1, params702) if L1 else state
+        slit = go.Aperture(kind="gaussian", epsilon=0.1)
+        want = go.condition(at_slit, slit)
+        source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
+                                L1, [slit])
+        got = source.conditional(0)
+        assert max_rel(got.amplitude, want.amplitude) <= 1e-12
+        assert got.weight == pytest.approx(want.weight, rel=1e-12, abs=0)
+
+        def fwhm(cond):
+            amp = go.propagate_amplitude(cond.amplitude, cond.dy, L2, params702)
+            return go.intensity_widths(cond.y, np.abs(amp) ** 2, cond.dy).fwhm
+
+        assert fwhm(got) == pytest.approx(fwhm(want), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("L1", [300.0, 0.0])
+    def test_marginals_match_reference(self, params702, L1):
+        L2 = 300.0
+        state = go.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID)
+        source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
+                                L1, beam_L=L1 + L2)
+        dy = PARITY_GRID.dy
+        beam = go.marginal_intensity(
+            go.evolve_spectral(state, 0.0, L1 + L2, params702), 2)
+        assert max_rel(source.beam / (np.sum(source.beam) * dy), beam) <= 1e-12
+        # one pass holds both particles' slit-plane marginals
+        at_slit = go.evolve_spectral(state, L1, L1, params702)
+        slit_plane = source.slit_plane / (np.sum(source.slit_plane) * dy)
+        for particle in (1, 2):
+            assert max_rel(slit_plane, go.marginal_intensity(at_slit, particle)) \
+                <= 1e-12
+        # flight is unitary: the flown norm is the source norm
+        assert float(np.sum(source.slit_plane)) * dy == pytest.approx(
+            source.norm, rel=1e-12)
+
+    def test_wrapped_slit_plane_refused_on_both_routes(self, params702):
+        # over 20 m the source spreads far beyond +-16 mm and wraps around
+        state = go.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID)
+        with pytest.raises(ResolutionError, match="boundary"):
+            go.evolve_spectral(state, 20000.0, 20000.0, params702)
+        with pytest.raises(ResolutionError, match="boundary"):
+            go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702, 20000.0,
+                           [go.Aperture(kind="gaussian", epsilon=0.1)])
+
+    def test_refuses_more_than_one_chunk(self, params702):
+        slits = [go.Aperture(kind="gaussian", epsilon=0.1)] * (go.APERTURE_CHUNK + 1)
+        with pytest.raises(DomainError, match="at most"):
+            go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702, 300.0,
+                           slits)
+
+    def test_build_guards_apply(self, params702):
+        with pytest.raises(ResolutionError, match="step"):
+            go.source_pass(0.01, 1.0, go.GridSpec(n=256, extent=8.0), params702, 0.0)
+
+
 # frozen from the first run of test_rect_aperture_regression (n=2048,
 # extent=12, a^2=0.043, omega=2, hard slit 0.16 mm)
 REGRESSION_RECT_W = 0.21630349979112098
