@@ -39,6 +39,10 @@ TAIL_PROB_LIMIT = 1e-6
 # rows of the source generated at a time, and apertures stacked in one pass
 SOURCE_BLOCK_ROWS = 64
 APERTURE_CHUNK = 64
+# np.exp returns exactly 0.0 in float64 below about -745.13, so a source
+# sample with u^2/a^2 above this is 0.0 whatever v is; the margin over 745.13
+# absorbs the rounding of u and of the band's edges
+UNDERFLOW_EXPONENT = 750.0
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n < 256 or self.n & (self.n - 1) != 0:
-            raise DomainError(f"n must be a power of two >= 256, got {self.n}")
+            raise DomainError(f"n must be a power of two >= 256, got {self.n!r:.40}")
         if self.extent <= 0:
             raise DomainError(f"extent must be positive, got {self.extent}")
 
@@ -69,7 +73,9 @@ class GridSpec:
         next block's generation, squares, flown rows and two half spectra),
         three real stacks of a full aperture chunk (back-flown modes, running
         products and one block's product, each with real and imaginary rows)
-        and 64 one-axis arrays."""
+        and 64 one-axis arrays.  The second generation array and the block's
+        product span only the source's diagonal band, no wider than a row, so
+        the model stays an upper bound."""
         return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64)
 
 
@@ -188,32 +194,48 @@ def _check_source(a: float, omega: float, grid: GridSpec):
         )
 
 
+def _band(a: float, y: np.ndarray, start: int, stop: int) -> slice:
+    """Columns of source rows start:stop (``y`` ascending) that can be nonzero:
+    those within a * sqrt(UNDERFLOW_EXPONENT) of some row's y."""
+    reach = a * math.sqrt(UNDERFLOW_EXPONENT)
+    return slice(int(np.searchsorted(y, y[start] - reach, side="left")),
+                 int(np.searchsorted(y, y[stop - 1] + reach, side="right")))
+
+
 def source_rows(a: float, omega: float, y: np.ndarray, start: int,
                 stop: int) -> np.ndarray:
     """Rows start:stop of the unnormalized source exp(-u^2/a^2 - v^2/(4 omega^2))
     with u = y1 - y2, v = y1 + y2, as a real array.
 
-    Both terms are exact under y1 <-> y2, so the sampled source is
-    exchange-symmetric bit for bit.
+    Only the diagonal band of columns that ``_band`` gives is evaluated; every
+    sample outside it underflows to 0.0.  Both terms are exact under
+    y1 <-> y2, so the sampled source is exchange-symmetric bit for bit.
     """
-    u = y[start:stop, None] - y[None, :]
-    v = y[start:stop, None] + y[None, :]
+    cols = _band(a, y, start, stop)
+    block = np.zeros((stop - start, y.size))
+    # build the exponent in the block's band itself: one band-wide temporary
+    u = block[:, cols]
+    np.subtract(y[start:stop, None], y[None, cols], out=u)
+    v = y[start:stop, None] + y[None, cols]
     u **= 2
     np.negative(u, out=u)
     u /= a ** 2
     v **= 2
     v /= 4.0 * omega ** 2
     u -= v
-    return np.exp(u, out=u)
+    np.exp(u, out=u)
+    return block
 
 
 def _source_blocks(a: float, omega: float, grid: GridSpec):
-    """(row slice, real rows) of the unnormalized source, SOURCE_BLOCK_ROWS
-    rows at a time; the block size divides every grid's n, a power of two."""
+    """(row slice, column band, real rows) of the unnormalized source,
+    SOURCE_BLOCK_ROWS rows at a time; the block size divides every grid's n,
+    a power of two.  The rows are zero outside the band."""
     y = grid.y
     for start in range(0, grid.n, SOURCE_BLOCK_ROWS):
         rows = slice(start, start + SOURCE_BLOCK_ROWS)
-        yield rows, source_rows(a, omega, y, start, rows.stop)
+        yield (rows, _band(a, y, start, rows.stop),
+               source_rows(a, omega, y, start, rows.stop))
 
 
 def _pairwise_total(parts: list[float]) -> float:
@@ -229,7 +251,7 @@ def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
     _check_source(a, omega, grid)
     psi = np.empty((grid.n, grid.n), dtype=complex)
     sums = []
-    for rows, block in _source_blocks(a, omega, grid):
+    for rows, _, block in _source_blocks(a, omega, grid):
         sums.append(float(np.sum(block * block)))
         psi[rows] = block
     psi /= math.sqrt(_pairwise_total(sums) * grid.dy ** 2)
@@ -383,10 +405,10 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     flown = np.empty_like(square)
     half = np.empty((SOURCE_BLOCK_ROWS, n // 2 + 1), dtype=complex)
     product = np.empty_like(half)
-    for rows, block in _source_blocks(a, omega, grid):
+    for rows, cols, block in _source_blocks(a, omega, grid):
         np.square(block, out=square)
         sums.append(float(np.sum(square)))
-        products += back[:, rows] @ block
+        products[:, cols] += back[:, rows] @ block[:, cols]
         if transform:
             np.fft.rfft(block, out=half)
         for total, L, phase in zip(intensities, flights, phases):

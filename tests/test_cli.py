@@ -230,6 +230,7 @@ class TestScenarioValidation:
         {"slit": {"kind": "rect", "width_mm": 0.2}},
         {"lens": [500.0, 500.0]},
         {"oracle": {"n": 2048.5, "extent_mm": 40.0}},
+        {"oracle": {"n": 1e300, "extent_mm": 40.0}},
     ], ids=lambda edit: repr(edit)[:60])
     def test_bad_field_exits_2_with_one_line(self, tmp_path, capsys, edit):
         doc = fixture_doc("kim_shih.json")
@@ -240,6 +241,7 @@ class TestScenarioValidation:
         assert code == cli.EXIT_CONFIG
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 160  # an echoed value is cut short
 
     def test_non_object_document(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -3,6 +3,7 @@ conditioning quadrature, and width extraction, cross-checked against the
 closed forms where they exist."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,12 +197,16 @@ class TestCondition:
             go.condition(state, aperture)
 
 
+def formula_rows(a, omega, y, start, stop):
+    """Rows start:stop of the unnormalized source, every column evaluated."""
+    u = y[start:stop, None] - y[None, :]
+    v = y[start:stop, None] + y[None, :]
+    return np.exp(-(u ** 2) / a ** 2 - (v ** 2) / (4.0 * omega ** 2))
+
+
 def full_grid_source(a, omega, grid):
     """The source as one n x n evaluation of the formula, normalized."""
-    y = grid.y
-    u = y[:, None] - y[None, :]
-    v = y[:, None] + y[None, :]
-    psi = np.exp(-(u ** 2) / a ** 2 - (v ** 2) / (4.0 * omega ** 2)).astype(complex)
+    psi = formula_rows(a, omega, grid.y, 0, grid.n).astype(complex)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dy ** 2)
     return psi
 
@@ -220,12 +225,45 @@ class TestSourcePass:
 
     @pytest.mark.parametrize("a, omega, n, extent", [
         (0.3, 1.0, 256, 8.0), (PARITY_A, PARITY_OMEGA, 512, 16.0),
-        (0.3, 1.0, 1024, 12.0)])
+        (0.3, 1.0, 1024, 12.0), (0.04, 1.0, 1024, 8.0)])
     def test_blocked_build_matches_full_grid_formula(self, a, omega, n, extent):
         # built block by block, the state is the one-array evaluation to the bit
         grid = go.GridSpec(n=n, extent=extent)
         state = go.build_grid_state(a, omega, grid)
         assert np.array_equal(state.psi, full_grid_source(a, omega, grid))
+
+    def test_narrow_band_input_is_narrow(self):
+        # the last build input above evaluates under a quarter of each row
+        y = go.GridSpec(n=1024, extent=8.0).y
+        for start in range(0, y.size, go.SOURCE_BLOCK_ROWS):
+            band = go._band(0.04, y, start, start + go.SOURCE_BLOCK_ROWS)
+            assert band.stop - band.start < y.size // 4
+
+    @pytest.mark.parametrize("a, omega, grid", [
+        (0.04, 10.0, go.GridSpec(n=4096, extent=40.0)),  # strekalov.json
+        (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0))],  # kim_shih.json
+        ids=["strekalov", "kim_shih"])
+    def test_fixture_blocks_match_formula(self, a, omega, grid):
+        # the band leaves out only samples the formula underflows to 0.0
+        y = grid.y
+        for start in range(0, grid.n, go.SOURCE_BLOCK_ROWS):
+            stop = start + go.SOURCE_BLOCK_ROWS
+            assert np.array_equal(go.source_rows(a, omega, y, start, stop),
+                                  formula_rows(a, omega, y, start, stop))
+
+    def test_block_allocates_about_its_own_size(self):
+        # on the strekalov grid the band is 176 of 4096 columns, so the
+        # generation temporaries add little to the returned block
+        y = go.GridSpec(n=4096, extent=40.0).y
+        start = y.size // 2
+        tracemalloc.start()
+        try:
+            block = go.source_rows(0.04, 10.0, y, start,
+                                   start + go.SOURCE_BLOCK_ROWS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block.nbytes
 
     def test_source_exchange_symmetric(self):
         y = go.GridSpec(n=1024, extent=40.0).y
