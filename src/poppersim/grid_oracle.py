@@ -17,6 +17,19 @@ The source is real and closed-form per sample, so one pass over row blocks
 of it gives every conditional amplitude and particle 2's marginals without
 an n x n buffer.
 
+Particle 2's flown marginal diag(U rho U^H) needs only its reduced density
+matrix rho = psi^T psi.  A source sample more than R rows off the diagonal
+underflows to 0.0, so rho(j, l) = 0 for |j - l| > D = 2R and rho is known by
+its diagonals r_d(j) = rho(j, j+d), d = 0..D.  With the flight kernel
+K = ifft(flight phase) and G_d(x) = K(x) conj K(x - d), indices mod n,
+
+    I = Re ifft(sum_d w_d fft(G_d) fft(r_d)),   w_0 = 1, w_d = 2 (d > 0),
+
+exactly on the periodic grid, because rho is real and symmetric.  r_d is
+real, so the real part passes inside: I = sum_d w_d Re(G_d) (*) r_d, a sum of
+real circular convolutions.  When D + 1 <= n / DENSITY_RATIO (16) the pass
+takes this route; wider bands fly every row block of the source instead.
+
 Grid convention: y = (arange(n) - n/2) * dy with dy = 2 * extent / n, and
 wavenumbers k = 2*pi*fftfreq(n, dy).  A plane-wave component exp(i k y)
 acquires the phase exp(-i k^2 * Lambda * L / 4) over an axial distance L,
@@ -39,6 +52,22 @@ TAIL_PROB_LIMIT = 1e-6
 # rows of the source generated at a time, and apertures stacked in one pass
 SOURCE_BLOCK_ROWS = 64
 APERTURE_CHUNK = 64
+# particle 2's flown marginals come from the D + 1 diagonals of its reduced
+# density matrix when D + 1 <= n / DENSITY_RATIO, else from flown source rows.
+# One pass with one flight, 2 vCPU, OpenBLAS on one thread: at (D + 1) / n
+# = 1/16 the diagonals win by 3.0x (n = 2048), 3.3x (4096) and 4.8x (8192);
+# they break even near 0.3 n, 0.2 n and 0.15 n.  The diagonals take
+# (D + 1) * n values, n^2 / 2 bytes at 1/16, so the route stops well short.
+DENSITY_RATIO = 16
+# diagonals flown at a time on that route
+DIAGONAL_CHUNK = 16
+# source samples below this are left out of rho's Gram: a product of two
+# samples at or above it is a normal float (>= 2**-1022), while subnormal
+# products run several times slower through BLAS (50 -> 8 ms a pass on the
+# strekalov grid).  A left-out sample's products are under 2**-511 times
+# their partner; the flown marginals of the strekalov grids and of n = 2048
+# over +-20 mm come out bit-identical either way.
+GRAM_FLOOR = 2.0 ** -511
 # np.exp returns exactly 0.0 in float64 below about -745.13, so a source
 # sample with u^2/a^2 above this is 0.0 whatever v is; the margin over 745.13
 # absorbs the rounding of u and of the band's edges
@@ -72,11 +101,15 @@ class GridSpec:
         real arrays of one block of source rows (the block, two arrays of the
         next block's generation, squares, flown rows and two half spectra),
         three real stacks of a full aperture chunk (back-flown modes, running
-        products and one block's product, each with real and imaginary rows)
-        and 64 one-axis arrays.  The second generation array and the block's
-        product span only the source's diagonal band, no wider than a row, so
-        the model stays an upper bound."""
-        return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64)
+        products and one block's product, each with real and imaginary rows),
+        64 one-axis arrays and n / DENSITY_RATIO diagonals of particle 2's
+        reduced density matrix, the most the density route keeps.  The second
+        generation array and the block's product span only the source's
+        diagonal band, no wider than a row; the density route holds no flown
+        rows or half spectra, and its Gram pieces and flight buffers take less
+        than those.  So the model stays an upper bound on both routes."""
+        return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64
+                             + self.n // DENSITY_RATIO)
 
 
 @dataclass
@@ -371,6 +404,85 @@ class SourcePass:
         return _conditional(self.y, phi2, self.dy)
 
 
+def _diagonal_count(a: float, dy: float) -> int:
+    """D + 1, the number of diagonals d = 0..D of rho = psi^T psi that can be
+    nonzero.  A source sample more than R = floor(a * sqrt(UNDERFLOW_EXPONENT)
+    / dy) + 1 rows off the diagonal is 0.0, so rho(j, l) is 0.0 for
+    |j - l| > D = 2R."""
+    return 2 * (int(a * math.sqrt(UNDERFLOW_EXPONENT) / dy) + 1) + 1
+
+
+def _density_route(a: float, grid: GridSpec) -> bool:
+    """Whether particle 2's flown marginals come from rho's diagonals: when
+    there are at most n / DENSITY_RATIO of them."""
+    return DENSITY_RATIO * _diagonal_count(a, grid.dy) <= grid.n
+
+
+def _add_band_gram(diagonals: np.ndarray, band: np.ndarray, start: int):
+    """Add the Gram band^T band of one block's band of columns, the first of
+    them column ``start``, to rho's diagonals: diagonals[d, j] = rho(j, j+d).
+
+    The Gram goes h = SOURCE_BLOCK_ROWS of its rows at a time (fewer at the
+    band's end), each with the D columns right of its diagonal, into an
+    h x (h + D) buffer of zeros; strides (1, h + D + 1) then walk its
+    diagonals.  Past the band's last column they read the zeros, so
+    rho(j, j+d) stays 0.0 where j + d runs off the grid.
+    """
+    count = diagonals.shape[0]
+    width = band.shape[1]
+    kept = np.where(band >= GRAM_FLOOR, band, 0.0)
+    for first in range(0, width, SOURCE_BLOCK_ROWS):
+        h = min(SOURCE_BLOCK_ROWS, width - first)
+        last = min(width, first + h + count - 1)
+        padded = np.zeros((h, h + count - 1))
+        np.matmul(kept[:, first:first + h].T, kept[:, first:last],
+                  out=padded[:, :last - first])
+        item = padded.itemsize
+        walk = np.lib.stride_tricks.as_strided(
+            padded, shape=(count, h), strides=(item, (h + count) * item),
+            writeable=False)
+        diagonals[:, start + first:start + first + h] += walk
+
+
+def _density_flights(diagonals: np.ndarray, dy: float, flights,
+                     params: PhysParams) -> list[np.ndarray]:
+    """Particle 2's intensity diag(U rho U^H) flown over each L in
+    ``flights``, from rho's diagonals r_d(j) = rho(j, j+d) with the
+    off-diagonal ones (d > 0) already doubled.
+
+    With K = ifft(flight phase), the flight kernel, rho real and symmetric:
+    I = sum_d Re(G_d) (*) r_d, a circular convolution with
+    G_d(x) = K(x) conj K(x - d).  Diagonals go DIAGONAL_CHUNK at a time
+    through real transforms; each chunk's spectrum serves every flight.
+    """
+    count, n = diagonals.shape
+    chunk = min(DIAGONAL_CHUNK, count)
+    kernels = []
+    for L in flights:
+        kernel = np.fft.ifft(_flight_phase(n, dy, L, params))
+        # K(x - d) for x = 0..n-1 is window n - d of K repeated twice
+        kernels.append([(part, np.lib.stride_tricks.sliding_window_view(
+            np.tile(part, 2), n)) for part in (kernel.real, kernel.imag)])
+    spectra = [np.zeros(n // 2 + 1, dtype=complex) for _ in flights]
+    rho_hat = np.empty((chunk, n // 2 + 1), dtype=complex)
+    kernel_hat = np.empty_like(rho_hat)
+    re_g = np.empty((chunk, n))
+    term = np.empty_like(re_g)
+    for d0 in range(0, count, chunk):
+        d1 = min(d0 + chunk, count)
+        m = d1 - d0
+        np.fft.rfft(diagonals[d0:d1], out=rho_hat[:m])
+        for parts, spectrum in zip(kernels, spectra):
+            # Re G_d = Re K * Re K(. - d) + Im K * Im K(. - d)
+            for out, (part, windows) in zip((re_g, term), parts):
+                np.multiply(windows[n - d1 + 1:n - d0 + 1][::-1], part,
+                            out=out[:m])
+            re_g[:m] += term[:m]
+            np.fft.rfft(re_g[:m], out=kernel_hat[:m])
+            spectrum += np.einsum("ij,ij->j", rho_hat[:m], kernel_hat[:m])
+    return [np.fft.irfft(spectrum, n) for spectrum in spectra]
+
+
 def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                 L1: float, apertures=(), beam_L: float | None = None) -> SourcePass:
     """Condition the source on ``apertures`` at the slit plane L1 in one pass
@@ -378,9 +490,17 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
 
     Each block of SOURCE_BLOCK_ROWS rows is generated, added to the source
     norm, and multiplied into the stacked back-flown apertures
-    fly(conj(phi), L1).  One real transform of the block along particle 2's
-    axis then gives particle 2's intensity flown over L1 and, when given, over
-    ``beam_L``.  Both are tail-checked.
+    fly(conj(phi), L1).  Particle 2's intensity flown over L1 and, when given,
+    over ``beam_L`` takes one of two routes, chosen by ``_density_route``:
+
+    - density, when rho = psi^T psi has D + 1 <= n / DENSITY_RATIO nonzero
+      diagonals: each block adds its band's Gram to them, and after the last
+      block ``_density_flights`` flies them, with no transform per block;
+    - rows, otherwise: one real transform of each block along particle 2's
+      axis and two inverse ones per nonzero flight.
+
+    An intensity over L = 0 is the sum of the squared rows on either route.
+    Every intensity is tail-checked.
     """
     _check_source(a, omega, grid)
     if len(apertures) > APERTURE_CHUNK:
@@ -396,31 +516,44 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     back = np.concatenate([back.real, back.imag])
     products = np.zeros((2 * count, n))
     flights = [L1] if beam_L is None else [L1, beam_L]
-    phases = [_flight_phase(n, dy, L, params)[:n // 2 + 1] for L in flights]
     intensities = [np.zeros(n) for _ in flights]
-    transform = any(L > 0 for L in flights)
+    flown = [(total, L) for total, L in zip(intensities, flights) if L > 0]
+    density = bool(flown) and _density_route(a, grid)
     sums = []
     # work buffers for one block, reused block after block
     square = np.empty((SOURCE_BLOCK_ROWS, n))
-    flown = np.empty_like(square)
-    half = np.empty((SOURCE_BLOCK_ROWS, n // 2 + 1), dtype=complex)
-    product = np.empty_like(half)
+    if density:
+        diagonals = np.zeros((_diagonal_count(a, dy), n))
+    elif flown:
+        phases = [_flight_phase(n, dy, L, params)[:n // 2 + 1] for _, L in flown]
+        rows_flown = np.empty_like(square)
+        half = np.empty((SOURCE_BLOCK_ROWS, n // 2 + 1), dtype=complex)
+        product = np.empty_like(half)
     for rows, cols, block in _source_blocks(a, omega, grid):
         np.square(block, out=square)
         sums.append(float(np.sum(square)))
         products[:, cols] += back[:, rows] @ block[:, cols]
-        if transform:
-            np.fft.rfft(block, out=half)
-        for total, L, phase in zip(intensities, flights, phases):
+        for total, L in zip(intensities, flights):
             if L == 0:
                 total += square.sum(axis=0)
-                continue
-            # the flight kernel is even, so real rows fly as two real
-            # convolutions: irfft(half * Re phase) + i irfft(half * Im phase)
-            for part in (phase.real, phase.imag):
-                np.multiply(half, part, out=product)
-                np.fft.irfft(product, n, out=flown)
-                total += np.einsum("ij,ij->j", flown, flown)
+        if density:
+            _add_band_gram(diagonals, block[:, cols], cols.start)
+        elif flown:
+            np.fft.rfft(block, out=half)
+            for (total, _), phase in zip(flown, phases):
+                # the flight kernel is even, so real rows fly as two real
+                # convolutions: irfft(half * Re phase) + i irfft(half * Im phase)
+                for part in (phase.real, phase.imag):
+                    np.multiply(half, part, out=product)
+                    np.fft.irfft(product, n, out=rows_flown)
+                    total += np.einsum("ij,ij->j", rows_flown, rows_flown)
+    if density:
+        # rho is symmetric: diagonal d > 0 also stands for diagonal -d
+        diagonals[1:] *= 2.0
+        marginals = _density_flights(diagonals, dy, [L for _, L in flown], params)
+        del diagonals
+        for (total, _), marginal in zip(flown, marginals):
+            total += marginal
     # Particle 1's slit-plane intensity equals particle 2's: the sampled
     # source is exchange-symmetric bit for bit (see source_rows) and both
     # particles fly L1, so the one check below guards both axes.

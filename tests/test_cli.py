@@ -333,20 +333,21 @@ class TestWrappedSlitPlane:
         assert out == "" and "boundary" in err
 
 
-# the block model GridSpec.peak_bytes: 8 * n * (7 * 64 + 3 * 2 * 64 + 64)
-# bytes, 7168 bytes per grid point of one axis
-PEAK_BYTES_PER_N = 7168
+def peak_bytes(n):
+    """The model GridSpec.peak_bytes, 8 * n * (7 * 64 + 3 * 2 * 64 + 64 + n / 16)
+    bytes: 7168 bytes per grid point of one axis and n / 2 more."""
+    return n * (7168 + n // 2)
 
 
 class TestGridCap:
     @pytest.mark.parametrize("command, cap", [
         # the budget of a 512-point grid refuses the 1024-point one
-        pytest.param(["run", "--oracle"], 512 * PEAK_BYTES_PER_N, id="run"),
+        pytest.param(["run", "--oracle"], peak_bytes(512), id="run"),
         pytest.param(["sweep", "--from", "0.4", "--to", "0.8", "--steps", "2",
-                      "--oracle"], 512 * PEAK_BYTES_PER_N, id="sweep"),
-        pytest.param(["oracle-check"], 512 * PEAK_BYTES_PER_N, id="oracle-check"),
+                      "--oracle"], peak_bytes(512), id="sweep"),
+        pytest.param(["oracle-check"], peak_bytes(512), id="oracle-check"),
         # one byte short of the model
-        pytest.param(["run", "--oracle"], 1024 * PEAK_BYTES_PER_N - 1,
+        pytest.param(["run", "--oracle"], peak_bytes(1024) - 1,
                      id="run-below-peak"),
     ])
     def test_cap_refuses_large_grid(self, capsys, monkeypatch, small_scenario,
@@ -362,16 +363,16 @@ class TestGridCap:
         assert code == cli.EXIT_OK
 
     def test_cap_allows_small_grid(self, capsys, monkeypatch, small_scenario):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(1024 * PEAK_BYTES_PER_N))
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(peak_bytes(1024)))
         code, _, _ = run_cli(["run", small_scenario, "--oracle"], capsys)
         assert code == cli.EXIT_OK
 
     def test_cap_counts_auto_sized_grid(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(8192 * PEAK_BYTES_PER_N - 1))
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(peak_bytes(8192) - 1))
         path = blockless_fixture(tmp_path, "popper_freespace.json")
         code, _, err = run_cli(["run", path, "--oracle"], capsys)
         assert code == cli.EXIT_CONFIG
-        assert "8192x8192" in err and "58720256" in err
+        assert "8192x8192" in err and "92274688" in err
 
     def test_bad_cap_value(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.MAX_GRID_ENV, "lots")

@@ -262,13 +262,19 @@ class TestStrekalovSweep:
             assert many.fwhm_oracle_mm == pytest.approx(one.fwhm_oracle_mm,
                                                         rel=1e-12)
 
-    @pytest.mark.parametrize("steps", [5, 65])
-    def test_sweep_peak_memory_within_model(self, steps):
+    @pytest.mark.parametrize("steps, a, grid", [
+        pytest.param(5, 0.2, go.GridSpec(n=1024, extent=16.0), id="5"),
+        pytest.param(65, 0.2, go.GridSpec(n=1024, extent=16.0), id="65"),
+        # the density route's widest band, D + 1 = 511 of n / 16 = 512
+        pytest.param(65, 0.2, go.GridSpec(n=8192, extent=88.0),
+                     id="65-density-8192")])
+    def test_sweep_peak_memory_within_model(self, steps, a, grid):
         # one pass holds no n x n array; a sweep of more than one aperture
-        # chunk (64) stays within the same block model
-        grid = go.GridSpec(n=1024, extent=16.0)
+        # chunk (64) stays within the same model on either route
         scenario = ex.Scenario.from_dict(scenario_doc(
-            L1_mm=300.0, L2_mm=300.0, oracle={"n": grid.n, "extent_mm": grid.extent}))
+            a_mm=a, L1_mm=300.0, L2_mm=300.0,
+            oracle={"n": grid.n, "extent_mm": grid.extent}))
+        assert go._density_route(a, grid) is (grid.n == 8192)
         tracemalloc.start()
         try:
             points = ex.run_strekalov_sweep(scenario, np.linspace(0.2, 1.0, steps),
@@ -279,6 +285,44 @@ class TestStrekalovSweep:
         assert all(p.error is None for p in points)
         assert peak < grid.n * grid.n * 16
         assert peak <= grid.peak_bytes
+
+
+def fixture_scenario(name, oracle_block=True):
+    doc = json.loads(importlib.resources.files("poppersim.scenarios")
+                     .joinpath(name).read_text())
+    if not oracle_block:
+        del doc["oracle"]
+    return ex.Scenario.from_dict(doc)
+
+
+class TestMarginalRoute:
+    """Which route particle 2's flown marginals take on each fixture's grid:
+    rho's D + 1 diagonals when D + 1 <= n / 16, else flown rows."""
+
+    @pytest.mark.parametrize("name, oracle_block, n, count, density", [
+        ("strekalov.json", True, 4096, 115, True),
+        ("popper_freespace.json", True, 4096, 115, True),
+        ("kim_shih.json", True, 2048, 293, False),
+        ("strekalov.json", False, 8192, 189, True),
+        ("kim_shih.json", False, 2048, 291, False),
+    ], ids=["strekalov", "popper_freespace", "kim_shih", "strekalov-auto",
+            "kim_shih-auto"])
+    def test_fixture_routes(self, name, oracle_block, n, count, density):
+        scenario = fixture_scenario(name, oracle_block)
+        grid = ex.oracle_grid(scenario)
+        assert grid.n == n
+        assert go._diagonal_count(scenario.a, grid.dy) == count
+        assert go._density_route(scenario.a, grid) is density
+
+    @pytest.mark.parametrize("a", [0.01, 0.04, math.sqrt(0.043), 1.0, 50.0])
+    @pytest.mark.parametrize("omega", [0.1, 1.0, 10.0, 1e6])
+    def test_step_rule_keeps_n1024_on_rows(self, a, omega):
+        # the coarsest step max_step allows still leaves D + 1 >= 101 > 1024/16
+        step = go.max_step(a, omega)
+        grid = go.GridSpec(n=1024, extent=512 * step)
+        assert grid.dy == pytest.approx(step, rel=1e-15)
+        assert go._diagonal_count(a, grid.dy) >= 101
+        assert not go._density_route(a, grid)
 
 
 class TestFitSigmaFromWidth:

@@ -290,23 +290,62 @@ class TestSourcePass:
 
     @pytest.mark.parametrize("L1", [300.0, 0.0])
     def test_marginals_match_reference(self, params702, L1):
+        # both routes of particle 2's flown marginals: flown rows on the
+        # parity grid, rho's diagonals on the narrow band (D + 1 = 115 of
+        # 2048, at most n / 16 = 128)
         L2 = 300.0
-        state = go.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID)
-        source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
-                                L1, beam_L=L1 + L2)
-        dy = PARITY_GRID.dy
-        beam = go.marginal_intensity(
-            go.evolve_spectral(state, 0.0, L1 + L2, params702), 2)
-        assert max_rel(source.beam / (np.sum(source.beam) * dy), beam) <= 1e-12
-        # one pass holds both particles' slit-plane marginals
-        at_slit = go.evolve_spectral(state, L1, L1, params702)
-        slit_plane = source.slit_plane / (np.sum(source.slit_plane) * dy)
-        for particle in (1, 2):
-            assert max_rel(slit_plane, go.marginal_intensity(at_slit, particle)) \
+        for a, omega, grid, density in [
+                (PARITY_A, PARITY_OMEGA, PARITY_GRID, False),
+                (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), True)]:
+            assert go._density_route(a, grid) is density
+            state = go.build_grid_state(a, omega, grid)
+            source = go.source_pass(a, omega, grid, params702, L1,
+                                    beam_L=L1 + L2)
+            dy = grid.dy
+            beam = go.marginal_intensity(
+                go.evolve_spectral(state, 0.0, L1 + L2, params702), 2)
+            assert max_rel(source.beam / (np.sum(source.beam) * dy), beam) \
                 <= 1e-12
-        # flight is unitary: the flown norm is the source norm
-        assert float(np.sum(source.slit_plane)) * dy == pytest.approx(
-            source.norm, rel=1e-12)
+            # one pass holds both particles' slit-plane marginals
+            at_slit = go.evolve_spectral(state, L1, L1, params702)
+            del state
+            slit_plane = source.slit_plane / (np.sum(source.slit_plane) * dy)
+            for particle in (1, 2):
+                assert max_rel(slit_plane,
+                               go.marginal_intensity(at_slit, particle)) <= 1e-12
+            # flight is unitary: the flown norm is the source norm
+            assert float(np.sum(source.slit_plane)) * dy == pytest.approx(
+                source.norm, rel=1e-12)
+
+    @pytest.mark.parametrize("a, omega, grid", [
+        (0.04, 10.0, go.GridSpec(n=4096, extent=40.0)),  # strekalov.json
+        (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0))],  # kim_shih.json
+        ids=["strekalov", "kim_shih"])
+    def test_band_gram_zero_beyond_diagonal_count(self, a, omega, grid):
+        # rho = psi^T psi needs only its diagonals d = 0..D: every block's
+        # band Gram is exactly 0.0 further off the diagonal
+        D = go._diagonal_count(a, grid.dy) - 1
+        beyond = 0
+        for _, cols, block in go._source_blocks(a, omega, grid):
+            band = block[:, cols]
+            gram = band.T @ band
+            index = np.arange(gram.shape[0])
+            far = np.abs(np.subtract.outer(index, index)) > D
+            beyond += np.count_nonzero(far)
+            assert np.all(gram[far] == 0.0)
+        assert beyond > 0
+
+    def test_pass_without_flight_allocates_no_flight_buffers(self, params702):
+        # with every flight 0 the pass holds the block, the next one being
+        # generated and the squares, not the flown rows or half spectra
+        block_bytes = go.SOURCE_BLOCK_ROWS * PARITY_GRID.n * 8
+        tracemalloc.start()
+        try:
+            go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * block_bytes
 
     def test_wrapped_slit_plane_refused_on_both_routes(self, params702):
         # over 20 m the source spreads far beyond +-16 mm and wraps around
