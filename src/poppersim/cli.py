@@ -46,6 +46,11 @@ CONVENTION_BLOCK = {
 WIDTH_FIELDS = ("beam_fwhm_mm", "coincidence_fwhm_mm", "real_slit_fwhm_mm",
                 "ghost_image_width_mm")
 
+# float options by argparse destination, under the name given on the command line
+FLOAT_OPTIONS = {"start": "--from", "stop": "--to", "fwhm": "--fwhm",
+                 "epsilon": "--epsilon", "L2": "--L2", "lambda_nm": "--lambda-nm",
+                 "alpha": "--alpha", "beta": "--beta"}
+
 SPIN_PRESETS = {
     # alpha, beta with 2 alpha^2 + beta^2 = 1
     "popper": (math.sqrt(0.05), math.sqrt(0.9)),
@@ -129,6 +134,14 @@ def _check_grid_cap(grid: go.GridSpec):
         )
 
 
+def _check_finite_options(args):
+    """Refuse a NaN or infinite float option, as a scenario field is refused."""
+    for dest, option in FLOAT_OPTIONS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"option {option} must be a finite number, got {value}")
+
+
 def _load_scenario(args) -> ex.Scenario:
     """The command's scenario file with ``--grid-n`` applied; when the
     command runs the oracle, its grid is checked against the memory cap."""
@@ -192,7 +205,10 @@ def cmd_sweep(args) -> int:
                           f"got {args.start} >= {args.stop}")
     if args.steps < 2:
         raise ConfigError(f"sweep needs at least 2 steps, got {args.steps}")
-    widths = np.linspace(args.start, args.stop, args.steps)
+    try:
+        widths = np.linspace(args.start, args.stop, args.steps)
+    except MemoryError:
+        raise ConfigError(f"sweep of {args.steps} steps does not fit in memory")
     points = ex.run_strekalov_sweep(scenario, widths, use_oracle=args.oracle)
     rows = []
     header = "slit_full_width_mm,fwhm_analytic_mm"
@@ -366,6 +382,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite_options(args)
         return args.func(args)
     except (ConfigError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")

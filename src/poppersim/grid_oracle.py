@@ -55,8 +55,8 @@ APERTURE_CHUNK = 64
 # particle 2's flown marginals come from the D + 1 diagonals of its reduced
 # density matrix when D + 1 <= n / DENSITY_RATIO, else from flown source rows.
 # One pass with one flight, 2 vCPU, OpenBLAS on one thread: at (D + 1) / n
-# = 1/16 the diagonals win by 3.0x (n = 2048), 3.3x (4096) and 4.8x (8192);
-# they break even near 0.3 n, 0.2 n and 0.15 n.  The diagonals take
+# = 1/16 the diagonals win by 4.9x (n = 2048), 4.5x (4096) and 4.3x (8192);
+# they break even near 0.3 n, 0.2 n and 0.14 n.  The diagonals take
 # (D + 1) * n values, n^2 / 2 bytes at 1/16, so the route stops well short.
 DENSITY_RATIO = 16
 # diagonals flown at a time on that route
@@ -98,16 +98,21 @@ class GridSpec:
     @property
     def peak_bytes(self) -> int:
         """Peak memory of a source pass on this grid, 8 bytes a value: seven
-        real arrays of one block of source rows (the block, two arrays of the
-        next block's generation, squares, flown rows and two half spectra),
-        three real stacks of a full aperture chunk (back-flown modes, running
-        products and one block's product, each with real and imaginary rows),
-        64 one-axis arrays and n / DENSITY_RATIO diagonals of particle 2's
-        reduced density matrix, the most the density route keeps.  The second
-        generation array and the block's product span only the source's
-        diagonal band, no wider than a row; the density route holds no flown
-        rows or half spectra, and its Gram pieces and flight buffers take less
-        than those.  So the model stays an upper bound on both routes."""
+        real arrays of one block of source rows at full width, three real
+        stacks of a full aperture chunk (back-flown modes, running products
+        and one block's product, each with real and imaginary rows), 64
+        one-axis arrays and n / DENSITY_RATIO diagonals of particle 2's
+        reduced density matrix, the most the density route keeps.
+
+        The model over-counts.  Every per-block array spans only the block's
+        diagonal band: the band, its generation temporary, its squares and
+        the block's product.  Only the row route holds full-width block
+        arrays, four of them: the zeroed block its bands are written into,
+        the flown rows and two half spectra.  The density route holds none;
+        its Gram buffer, (SOURCE_BLOCK_ROWS + D) x (SOURCE_BLOCK_ROWS + 2 D)
+        values, fits in the seven block arrays and the band-wide product's
+        stack for every n <= 65536, since D + 1 <= n / DENSITY_RATIO.  So
+        the model stays an upper bound on both routes."""
         return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64
                              + self.n // DENSITY_RATIO)
 
@@ -235,19 +240,22 @@ def _band(a: float, y: np.ndarray, start: int, stop: int) -> slice:
                  int(np.searchsorted(y, y[stop - 1] + reach, side="right")))
 
 
-def source_rows(a: float, omega: float, y: np.ndarray, start: int,
-                stop: int) -> np.ndarray:
+def source_rows(a: float, omega: float, y: np.ndarray, start: int, stop: int,
+                out: np.ndarray | None = None) -> tuple[slice, np.ndarray]:
     """Rows start:stop of the unnormalized source exp(-u^2/a^2 - v^2/(4 omega^2))
-    with u = y1 - y2, v = y1 + y2, as a real array.
-
-    Only the diagonal band of columns that ``_band`` gives is evaluated; every
-    sample outside it underflows to 0.0.  Both terms are exact under
-    y1 <-> y2, so the sampled source is exchange-symmetric bit for bit.
+    with u = y1 - y2, v = y1 + y2, as (cols, band): ``cols`` is the diagonal
+    band of columns that ``_band`` gives and band[:, j] is column
+    cols.start + j.  Every sample outside the band underflows to 0.0 and is
+    not evaluated.  With ``out``, real rows start:stop of the full width, the
+    band is written into out[:, cols] and returned as that view.  Both terms
+    are exact under y1 <-> y2, so the sampled source is exchange-symmetric
+    bit for bit.
     """
     cols = _band(a, y, start, stop)
-    block = np.zeros((stop - start, y.size))
-    # build the exponent in the block's band itself: one band-wide temporary
-    u = block[:, cols]
+    if out is None:
+        u = np.empty((stop - start, cols.stop - cols.start))
+    else:
+        u = out[:, cols]
     np.subtract(y[start:stop, None], y[None, cols], out=u)
     v = y[start:stop, None] + y[None, cols]
     u **= 2
@@ -257,18 +265,23 @@ def source_rows(a: float, omega: float, y: np.ndarray, start: int,
     v /= 4.0 * omega ** 2
     u -= v
     np.exp(u, out=u)
-    return block
+    return cols, u
 
 
-def _source_blocks(a: float, omega: float, grid: GridSpec):
-    """(row slice, column band, real rows) of the unnormalized source,
-    SOURCE_BLOCK_ROWS rows at a time; the block size divides every grid's n,
-    a power of two.  The rows are zero outside the band."""
+def _source_blocks(a: float, omega: float, grid: GridSpec,
+                   out: np.ndarray | None = None):
+    """(row slice, column band, band) of the unnormalized source,
+    SOURCE_BLOCK_ROWS rows at a time (see ``source_rows``); the block size
+    divides every grid's n, a power of two.  With ``out``, a zeroed array of
+    one block's rows at full width, each band is written into it and its
+    columns are zeroed again once the consumer asks for the next block."""
     y = grid.y
     for start in range(0, grid.n, SOURCE_BLOCK_ROWS):
         rows = slice(start, start + SOURCE_BLOCK_ROWS)
-        yield (rows, _band(a, y, start, rows.stop),
-               source_rows(a, omega, y, start, rows.stop))
+        cols, band = source_rows(a, omega, y, start, rows.stop, out)
+        yield rows, cols, band
+        if out is not None:
+            out[:, cols] = 0.0
 
 
 def _pairwise_total(parts: list[float]) -> float:
@@ -283,8 +296,10 @@ def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
     """Sample and normalize the correlated source amplitude."""
     _check_source(a, omega, grid)
     psi = np.empty((grid.n, grid.n), dtype=complex)
+    # full-width rows keep the norm np.sum's over the whole array to the bit
+    block = np.zeros((SOURCE_BLOCK_ROWS, grid.n))
     sums = []
-    for rows, _, block in _source_blocks(a, omega, grid):
+    for rows, _, _ in _source_blocks(a, omega, grid, block):
         sums.append(float(np.sum(block * block)))
         psi[rows] = block
     psi /= math.sqrt(_pairwise_total(sums) * grid.dy ** 2)
@@ -418,30 +433,28 @@ def _density_route(a: float, grid: GridSpec) -> bool:
     return DENSITY_RATIO * _diagonal_count(a, grid.dy) <= grid.n
 
 
-def _add_band_gram(diagonals: np.ndarray, band: np.ndarray, start: int):
+def _add_band_gram(diagonals: np.ndarray, band: np.ndarray, start: int,
+                   buffer: np.ndarray):
     """Add the Gram band^T band of one block's band of columns, the first of
     them column ``start``, to rho's diagonals: diagonals[d, j] = rho(j, j+d).
 
-    The Gram goes h = SOURCE_BLOCK_ROWS of its rows at a time (fewer at the
-    band's end), each with the D columns right of its diagonal, into an
-    h x (h + D) buffer of zeros; strides (1, h + D + 1) then walk its
-    diagonals.  Past the band's last column they read the zeros, so
+    Samples of ``band`` below GRAM_FLOOR are set to 0.0 in place.  The Gram
+    of a band w columns wide goes into the first w x (w + D) values of
+    ``buffer``, its last D columns zeros; strides (1, w + D + 1) then walk
+    its diagonals.  Past the band's last column they read the zeros, so
     rho(j, j+d) stays 0.0 where j + d runs off the grid.
     """
     count = diagonals.shape[0]
     width = band.shape[1]
-    kept = np.where(band >= GRAM_FLOOR, band, 0.0)
-    for first in range(0, width, SOURCE_BLOCK_ROWS):
-        h = min(SOURCE_BLOCK_ROWS, width - first)
-        last = min(width, first + h + count - 1)
-        padded = np.zeros((h, h + count - 1))
-        np.matmul(kept[:, first:first + h].T, kept[:, first:last],
-                  out=padded[:, :last - first])
-        item = padded.itemsize
-        walk = np.lib.stride_tricks.as_strided(
-            padded, shape=(count, h), strides=(item, (h + count) * item),
-            writeable=False)
-        diagonals[:, start + first:start + first + h] += walk
+    band[band < GRAM_FLOOR] = 0.0
+    gram = buffer[:width * (width + count - 1)].reshape(width, width + count - 1)
+    gram[:, width:] = 0.0
+    np.matmul(band.T, band, out=gram[:, :width])
+    item = gram.itemsize
+    walk = np.lib.stride_tricks.as_strided(
+        gram, shape=(count, width), strides=(item, (width + count) * item),
+        writeable=False)
+    diagonals[:, start:start + width] += walk
 
 
 def _density_flights(diagonals: np.ndarray, dy: float, flights,
@@ -488,16 +501,18 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     """Condition the source on ``apertures`` at the slit plane L1 in one pass
     over row blocks of the source, with no n x n array.
 
-    Each block of SOURCE_BLOCK_ROWS rows is generated, added to the source
-    norm, and multiplied into the stacked back-flown apertures
-    fly(conj(phi), L1).  Particle 2's intensity flown over L1 and, when given,
-    over ``beam_L`` takes one of two routes, chosen by ``_density_route``:
+    Each block of SOURCE_BLOCK_ROWS rows is generated on its diagonal band
+    only, added to the source norm, and multiplied into the stacked
+    back-flown apertures fly(conj(phi), L1).  Particle 2's intensity flown
+    over L1 and, when given, over ``beam_L`` takes one of two routes, chosen
+    by ``_density_route``:
 
     - density, when rho = psi^T psi has D + 1 <= n / DENSITY_RATIO nonzero
       diagonals: each block adds its band's Gram to them, and after the last
       block ``_density_flights`` flies them, with no transform per block;
-    - rows, otherwise: one real transform of each block along particle 2's
-      axis and two inverse ones per nonzero flight.
+    - rows, otherwise: each band is written into one zeroed full-width block,
+      which takes one real transform along particle 2's axis and two inverse
+      ones per nonzero flight.
 
     An intensity over L = 0 is the sum of the squared rows on either route.
     Every intensity is tail-checked.
@@ -520,26 +535,33 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     flown = [(total, L) for total, L in zip(intensities, flights) if L > 0]
     density = bool(flown) and _density_route(a, grid)
     sums = []
-    # work buffers for one block, reused block after block
-    square = np.empty((SOURCE_BLOCK_ROWS, n))
+    rows_out = None
     if density:
         diagonals = np.zeros((_diagonal_count(a, dy), n))
+        # one Gram buffer for the pass: a band spans 63 dy + 2 a sqrt(750),
+        # which holds fewer than SOURCE_BLOCK_ROWS + D grid columns; the
+        # rounding of its edges may add one
+        widest = SOURCE_BLOCK_ROWS + diagonals.shape[0] - 1
+        gram = np.empty(widest * (widest + diagonals.shape[0] - 1))
     elif flown:
         phases = [_flight_phase(n, dy, L, params)[:n // 2 + 1] for _, L in flown]
-        rows_flown = np.empty_like(square)
+        # each band is written into this one zeroed full-width block, which
+        # its transform along particle 2's axis needs
+        rows_out = np.zeros((SOURCE_BLOCK_ROWS, n))
+        rows_flown = np.empty_like(rows_out)
         half = np.empty((SOURCE_BLOCK_ROWS, n // 2 + 1), dtype=complex)
         product = np.empty_like(half)
-    for rows, cols, block in _source_blocks(a, omega, grid):
-        np.square(block, out=square)
+    for rows, cols, band in _source_blocks(a, omega, grid, rows_out):
+        square = np.square(band)
         sums.append(float(np.sum(square)))
-        products[:, cols] += back[:, rows] @ block[:, cols]
+        products[:, cols] += back[:, rows] @ band
         for total, L in zip(intensities, flights):
             if L == 0:
-                total += square.sum(axis=0)
+                total[cols] += square.sum(axis=0)
         if density:
-            _add_band_gram(diagonals, block[:, cols], cols.start)
+            _add_band_gram(diagonals, band, cols.start, gram)
         elif flown:
-            np.fft.rfft(block, out=half)
+            np.fft.rfft(rows_out, out=half)
             for (total, _), phase in zip(flown, phases):
                 # the flight kernel is even, so real rows fly as two real
                 # convolutions: irfft(half * Re phase) + i irfft(half * Im phase)
@@ -548,6 +570,7 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                     np.fft.irfft(product, n, out=rows_flown)
                     total += np.einsum("ij,ij->j", rows_flown, rows_flown)
     if density:
+        del gram
         # rho is symmetric: diagonal d > 0 also stands for diagonal -d
         diagonals[1:] *= 2.0
         marginals = _density_flights(diagonals, dy, [L for _, L in flown], params)

@@ -179,6 +179,34 @@ class TestSweep:
         assert code == cli.EXIT_CONFIG
         assert "bounds" in err
 
+    @pytest.mark.parametrize("bounds, option", [
+        (["--from", "nan", "--to", "1.0"], "--from"),
+        (["--from", "0.2", "--to", "inf"], "--to"),
+        (["--from=-inf", "--to", "1.0"], "--from")])
+    def test_non_finite_bound(self, capsys, bounds, option):
+        code, out, err = run_cli(
+            ["sweep", fixture_path("strekalov.json"), *bounds, "--steps", "5"],
+            capsys)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"error: option {option} must be a finite number")
+        assert err.count("\n") == 1
+
+    def test_steps_beyond_memory(self, capsys, monkeypatch):
+        # the width list of 10^12 steps would need 8 TB; linspace's refusal
+        # is stood in for, so nothing that size is ever allocated
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        code, out, err = run_cli(
+            ["sweep", fixture_path("strekalov.json"), "--from", "0.2",
+             "--to", "1.0", "--steps", "1000000000000"], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err == ("error: sweep of 1000000000000 steps does not fit "
+                       "in memory\n")
+
     def test_oracle_column(self, capsys, small_scenario):
         code, out, _ = run_cli(
             ["sweep", small_scenario, "--from", "0.4", "--to", "0.8",
@@ -262,6 +290,19 @@ class TestFit:
         assert doc["results"]["branch_info"]["s_far_mm"] > \
             doc["results"]["s_mm"]
 
+    @pytest.mark.parametrize("option, value", [
+        ("--fwhm", "nan"), ("--fwhm", "inf"), ("--epsilon", "nan"),
+        ("--L2", "inf"), ("--lambda-nm", "nan")])
+    def test_non_finite_option(self, capsys, option, value):
+        argv = {"--fwhm": "0.657", "--epsilon": "0.065", "--L2": "500"}
+        argv[option] = value
+        code, out, err = run_cli(
+            ["fit", *[word for pair in argv.items() for word in pair]], capsys)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err == (f"error: option {option} must be a finite number, "
+                       f"got {float(value)}\n")
+
     def test_unreachable_width(self, capsys):
         code, _, err = run_cli(
             ["fit", "--fwhm", "0.0001", "--L2", "500"], capsys)
@@ -294,6 +335,16 @@ class TestSpin:
         doc = json.loads(out)
         assert doc["results"]["marginal_B_z"] == pytest.approx([0.5, 0.0, 0.5],
                                                                abs=1e-9)
+
+    @pytest.mark.parametrize("alpha, beta, option", [
+        ("nan", "1", "--alpha"), ("0", "inf", "--beta")])
+    def test_non_finite_option(self, capsys, alpha, beta, option):
+        code, out, err = run_cli(["spin", "--alpha", alpha, "--beta", beta],
+                                 capsys)
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"error: option {option} must be a finite number")
+        assert err.count("\n") == 1
 
     def test_bad_normalization(self, capsys):
         code, _, err = run_cli(["spin", "--alpha", "0.9", "--beta", "0.9"],

@@ -244,30 +244,40 @@ class TestSourcePass:
         (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0))],  # kim_shih.json
         ids=["strekalov", "kim_shih"])
     def test_fixture_blocks_match_formula(self, a, omega, grid):
-        # the band leaves out only samples the formula underflows to 0.0
+        # the band leaves out only samples the formula underflows to 0.0;
+        # written into a zeroed full-width block it is the formula's block
         y = grid.y
+        out = np.zeros((go.SOURCE_BLOCK_ROWS, grid.n))
         for start in range(0, grid.n, go.SOURCE_BLOCK_ROWS):
             stop = start + go.SOURCE_BLOCK_ROWS
-            assert np.array_equal(go.source_rows(a, omega, y, start, stop),
-                                  formula_rows(a, omega, y, start, stop))
+            want = formula_rows(a, omega, y, start, stop)
+            cols, band = go.source_rows(a, omega, y, start, stop)
+            assert np.array_equal(band, want[:, cols])
+            assert np.count_nonzero(want) == np.count_nonzero(want[:, cols])
+            go.source_rows(a, omega, y, start, stop, out)
+            assert np.array_equal(out, want)
+            out[:, cols] = 0.0
 
     def test_block_allocates_about_its_own_size(self):
-        # on the strekalov grid the band is 176 of 4096 columns, so the
-        # generation temporaries add little to the returned block
+        # on the strekalov grid the band is 176 of 4096 columns; generating
+        # it takes the band, one band-wide temporary and numpy's buffers for
+        # two broadcast operands, nothing row-wide
         y = go.GridSpec(n=4096, extent=40.0).y
         start = y.size // 2
         tracemalloc.start()
         try:
-            block = go.source_rows(0.04, 10.0, y, start,
-                                   start + go.SOURCE_BLOCK_ROWS)
+            cols, band = go.source_rows(0.04, 10.0, y, start,
+                                        start + go.SOURCE_BLOCK_ROWS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * block.nbytes
+        assert cols.stop - cols.start == 176
+        assert peak < 2.5 * band.nbytes + 2 * 8 * np.getbufsize()
 
     def test_source_exchange_symmetric(self):
         y = go.GridSpec(n=1024, extent=40.0).y
-        block = go.source_rows(0.04, 10.0, y, 0, y.size)
+        cols, block = go.source_rows(0.04, 10.0, y, 0, y.size)
+        assert cols == slice(0, y.size)
         assert np.array_equal(block, block.T)
 
     @pytest.mark.parametrize("L1, L2", [(300.0, 300.0), (0.0, 500.0)])
@@ -323,17 +333,39 @@ class TestSourcePass:
         ids=["strekalov", "kim_shih"])
     def test_band_gram_zero_beyond_diagonal_count(self, a, omega, grid):
         # rho = psi^T psi needs only its diagonals d = 0..D: every block's
-        # band Gram is exactly 0.0 further off the diagonal
+        # band Gram is exactly 0.0 further off the diagonal.  Every band is
+        # at most SOURCE_BLOCK_ROWS + D wide, the pass's Gram buffer.
         D = go._diagonal_count(a, grid.dy) - 1
         beyond = 0
-        for _, cols, block in go._source_blocks(a, omega, grid):
-            band = block[:, cols]
+        for _, _, band in go._source_blocks(a, omega, grid):
+            width = band.shape[1]
+            assert width <= go.SOURCE_BLOCK_ROWS + D
             gram = band.T @ band
-            index = np.arange(gram.shape[0])
+            index = np.arange(width)
             far = np.abs(np.subtract.outer(index, index)) > D
             beyond += np.count_nonzero(far)
             assert np.all(gram[far] == 0.0)
-        assert beyond > 0
+            assert np.count_nonzero(gram) > 0
+        # a quarter of the Gram entries lie beyond D on the strekalov grid
+        assert beyond > grid.n // go.SOURCE_BLOCK_ROWS * D
+
+    def test_strekalov_sweep_pass_holds_no_row_wide_block(self, params702):
+        # the 5-slit pass of the strekalov sweep holds rho's D + 1 diagonals
+        # (115 of 4096) and band-wide block arrays: its peak stays under the
+        # diagonals plus three blocks of 64 full-width rows
+        a, omega, grid = 0.04, 10.0, go.GridSpec(n=4096, extent=40.0)
+        slits = [go.Aperture(kind="gaussian", epsilon=w / 2.0)
+                 for w in np.linspace(0.2, 1.0, 5)]
+        limit = (go._diagonal_count(a, grid.dy)
+                 + 3 * go.SOURCE_BLOCK_ROWS) * grid.n * 8
+        tracemalloc.start()
+        try:
+            go.source_pass(a, omega, grid, params702, 600.0, slits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert limit == 10_059_776
+        assert peak < limit
 
     def test_pass_without_flight_allocates_no_flight_buffers(self, params702):
         # with every flight 0 the pass holds the block, the next one being
