@@ -5,7 +5,8 @@ All reports are JSON with a convention block and unit-suffixed field names;
 sweeps can additionally be written as CSV.  Numeric output is fixed to nine
 significant digits so identical inputs give byte-identical reports.
 
-Exit codes: 0 success, 2 configuration / input error, 3 numerical
+Exit codes: 0 success, 2 configuration / input error (including an input so
+large that a computation overflows or a result is not finite), 3 numerical
 resolution error.
 """
 
@@ -60,8 +61,6 @@ SPIN_PRESETS = {
 def _round_sig(value, digits=9):
     """Recursively fix floats to `digits` significant digits for stable output."""
     if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            return None
         return float(f"{value:.{digits}g}")
     if isinstance(value, dict):
         return {k: _round_sig(v, digits) for k, v in value.items()}
@@ -94,7 +93,24 @@ def _report_dict(report: ex.WidthReport) -> dict:
     return doc
 
 
+def _refuse_non_finite(value, path: str):
+    """Refuse a report holding a NaN or infinite number: an input so large
+    that the result overflowed."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} is {value}: an input is out of range")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _refuse_non_finite(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _refuse_non_finite(item, f"{path}[{i}]")
+
+
 def _document(scenario_echo, results) -> dict:
+    """The report of a command; every output is written from it or from the
+    numbers it holds, so a non-finite number is refused before any write."""
+    _refuse_non_finite(scenario_echo, "scenario")
+    _refuse_non_finite(results, "results")
     return {
         "tool": {"name": "poppersim", "version": __version__},
         "convention": CONVENTION_BLOCK,
@@ -228,8 +244,9 @@ def cmd_sweep(args) -> int:
             **({"error": p.error} if p.error else {}),
         } for p in points],
     }
+    doc = _document(_scenario_echo(scenario), results)
     if args.out:
-        _emit(_document(_scenario_echo(scenario), results), args.out)
+        _emit(doc, args.out)
     _write(args.csv, "\n".join(rows) + "\n")
     flagged = [p for p in points if p.error]
     if flagged:
@@ -383,9 +400,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_finite_options(args)
-        return args.func(args)
+        # a numpy overflow raises too, instead of warning and going on with inf
+        with np.errstate(over="raise"):
+            return args.func(args)
     except (ConfigError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CONFIG
+    except (OverflowError, FloatingPointError) as exc:
+        sys.stderr.write(f"error: an input is out of range: {exc}\n")
         return EXIT_CONFIG
     except ResolutionError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -18,17 +18,31 @@ of it gives every conditional amplitude and particle 2's marginals without
 an n x n buffer.
 
 Particle 2's flown marginal diag(U rho U^H) needs only its reduced density
-matrix rho = psi^T psi.  A source sample more than R rows off the diagonal
-underflows to 0.0, so rho(j, l) = 0 for |j - l| > D = 2R and rho is known by
-its diagonals r_d(j) = rho(j, j+d), d = 0..D.  With the flight kernel
+matrix rho = psi^T psi.  Samples below GRAM_FLOOR are left out of it, and a
+source sample more than R rows off the diagonal lies below the floor, so
+rho(j, l) = 0 for |j - l| > D = 2R and rho is known by its diagonals
+r_d(j) = rho(j, j+d), d = 0..D.  With the flight kernel
 K = ifft(flight phase) and G_d(x) = K(x) conj K(x - d), indices mod n,
 
     I = Re ifft(sum_d w_d fft(G_d) fft(r_d)),   w_0 = 1, w_d = 2 (d > 0),
 
 exactly on the periodic grid, because rho is real and symmetric.  r_d is
 real, so the real part passes inside: I = sum_d w_d Re(G_d) (*) r_d, a sum of
-real circular convolutions.  When D + 1 <= n / DENSITY_RATIO (16) the pass
+real circular convolutions.  When D + 1 <= n / DENSITY_RATIO (10) the pass
 takes this route; wider bands fly every row block of the source instead.
+
+Rows/density time of one pass, each route forced, by (D + 1) / n, with one
+flight / two flights (+-40 mm, omega = 10 mm, one slit, L1 = 600 mm, beam
+1800 mm; 2 vCPU, OpenBLAS on one thread, best of 3 or 5):
+
+    (D + 1) / n   1/16      1/10      1/8            0.15       0.20
+    n = 2048      3.9/6.4   -         2.6/4.4        1.5/3.0    1.4/2.1
+    n = 4096      4.3/6.4   -         2.0/3.1        1.5/2.2    0.89/1.6
+    n = 8192      3.5/5.6   1.7/2.6   0.96-1.15/1.7  0.75/1.1   -
+
+One flight breaks even near 0.25 n, 0.19 n and 0.13 n, two flights beyond
+0.3 n, near 0.23 n and 0.16 n: the density route's Gram grows as D^2 per
+block while the row flights do not grow with D.
 
 Grid convention: y = (arange(n) - n/2) * dy with dy = 2 * extent / n, and
 wavenumbers k = 2*pi*fftfreq(n, dy).  A plane-wave component exp(i k y)
@@ -54,11 +68,11 @@ SOURCE_BLOCK_ROWS = 64
 APERTURE_CHUNK = 64
 # particle 2's flown marginals come from the D + 1 diagonals of its reduced
 # density matrix when D + 1 <= n / DENSITY_RATIO, else from flown source rows.
-# One pass with one flight, 2 vCPU, OpenBLAS on one thread: at (D + 1) / n
-# = 1/16 the diagonals win by 4.9x (n = 2048), 4.5x (4096) and 4.3x (8192);
-# they break even near 0.3 n, 0.2 n and 0.14 n.  The diagonals take
-# (D + 1) * n values, n^2 / 2 bytes at 1/16, so the route stops well short.
-DENSITY_RATIO = 16
+# One pass with one flight breaks even near 0.25 n (n = 2048), 0.19 n (4096)
+# and 0.13 n (8192), two flights later (table in the module docstring).  At
+# (D + 1) / n = 1/8 and n = 8192 one flight measured 0.96x-1.15x, so the
+# route stops at 1/10, where the diagonals win by 1.7x (8192) or more.
+DENSITY_RATIO = 10
 # diagonals flown at a time on that route
 DIAGONAL_CHUNK = 16
 # source samples below this are left out of rho's Gram: a product of two
@@ -68,10 +82,15 @@ DIAGONAL_CHUNK = 16
 # their partner; the flown marginals of the strekalov grids and of n = 2048
 # over +-20 mm come out bit-identical either way.
 GRAM_FLOOR = 2.0 ** -511
-# np.exp returns exactly 0.0 in float64 below about -745.13, so a source
-# sample with u^2/a^2 above this is 0.0 whatever v is; the margin over 745.13
-# absorbs the rounding of u and of the band's edges
+# np.exp returns exactly 0.0 in float64 below about -745.1332, so source_rows
+# evaluates it only at or above this and writes 0.0 everywhere else
+EXP_UNDERFLOW = -745.14
+# a source sample with u^2/a^2 above UNDERFLOW_EXPONENT underflows to 0.0
+# whatever v is, and one with u^2/a^2 above GRAM_EXPONENT lies below
+# GRAM_FLOOR; each carries a margin over -EXP_UNDERFLOW and -ln GRAM_FLOOR
+# (354.2) that absorbs the rounding of u and of the band's edges
 UNDERFLOW_EXPONENT = 750.0
+GRAM_EXPONENT = -math.log(GRAM_FLOOR) + 5.0
 
 
 @dataclass(frozen=True)
@@ -110,9 +129,11 @@ class GridSpec:
         arrays, four of them: the zeroed block its bands are written into,
         the flown rows and two half spectra.  The density route holds none;
         its Gram buffer, (SOURCE_BLOCK_ROWS + D) x (SOURCE_BLOCK_ROWS + 2 D)
-        values, fits in the seven block arrays and the band-wide product's
-        stack for every n <= 65536, since D + 1 <= n / DENSITY_RATIO.  So
-        the model stays an upper bound on both routes."""
+        values, and its band-wide block arrays fit in the seven block arrays
+        and the band-wide product's stack for every n <= 16384, since
+        D + 1 <= n / DENSITY_RATIO (computed, not run, at n = 16384; at
+        32768 the widest band's Gram buffer alone would not fit).  So the
+        model stays an upper bound on both routes up to n = 16384."""
         return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64
                              + self.n // DENSITY_RATIO)
 
@@ -232,10 +253,12 @@ def _check_source(a: float, omega: float, grid: GridSpec):
         )
 
 
-def _band(a: float, y: np.ndarray, start: int, stop: int) -> slice:
-    """Columns of source rows start:stop (``y`` ascending) that can be nonzero:
-    those within a * sqrt(UNDERFLOW_EXPONENT) of some row's y."""
-    reach = a * math.sqrt(UNDERFLOW_EXPONENT)
+def _band(a: float, y: np.ndarray, start: int, stop: int,
+          exponent: float = UNDERFLOW_EXPONENT) -> slice:
+    """Columns of source rows start:stop (``y`` ascending) within
+    a * sqrt(exponent) of some row's y: by default those that can be nonzero,
+    with GRAM_EXPONENT those that can reach GRAM_FLOOR."""
+    reach = a * math.sqrt(exponent)
     return slice(int(np.searchsorted(y, y[start] - reach, side="left")),
                  int(np.searchsorted(y, y[stop - 1] + reach, side="right")))
 
@@ -264,8 +287,19 @@ def source_rows(a: float, omega: float, y: np.ndarray, start: int, stop: int,
     v **= 2
     v /= 4.0 * omega ** 2
     u -= v
-    np.exp(u, out=u)
+    del v
+    _exp_in_place(u)
     return cols, u
+
+
+def _exp_in_place(u: np.ndarray):
+    """u = np.exp(u) bit for bit, evaluated only at or above EXP_UNDERFLOW.
+    Below it np.exp gives 0.0, and a SIMD vector with any such lane takes
+    numpy's slow path (119 -> 60 us on a 64 x 176 strekalov band)."""
+    keep = u >= EXP_UNDERFLOW
+    np.exp(u, out=u, where=keep)
+    np.logical_not(keep, out=keep)
+    np.copyto(u, 0.0, where=keep)
 
 
 def _source_blocks(a: float, omega: float, grid: GridSpec,
@@ -421,10 +455,10 @@ class SourcePass:
 
 def _diagonal_count(a: float, dy: float) -> int:
     """D + 1, the number of diagonals d = 0..D of rho = psi^T psi that can be
-    nonzero.  A source sample more than R = floor(a * sqrt(UNDERFLOW_EXPONENT)
-    / dy) + 1 rows off the diagonal is 0.0, so rho(j, l) is 0.0 for
-    |j - l| > D = 2R."""
-    return 2 * (int(a * math.sqrt(UNDERFLOW_EXPONENT) / dy) + 1) + 1
+    nonzero once samples below GRAM_FLOOR are left out.  A source sample more
+    than R = floor(a * sqrt(GRAM_EXPONENT) / dy) + 1 rows off the diagonal is
+    below the floor, so rho(j, l) is 0.0 for |j - l| > D = 2R."""
+    return 2 * (int(a * math.sqrt(GRAM_EXPONENT) / dy) + 1) + 1
 
 
 def _density_route(a: float, grid: GridSpec) -> bool:
@@ -438,11 +472,13 @@ def _add_band_gram(diagonals: np.ndarray, band: np.ndarray, start: int,
     """Add the Gram band^T band of one block's band of columns, the first of
     them column ``start``, to rho's diagonals: diagonals[d, j] = rho(j, j+d).
 
-    Samples of ``band`` below GRAM_FLOOR are set to 0.0 in place.  The Gram
-    of a band w columns wide goes into the first w x (w + D) values of
-    ``buffer``, its last D columns zeros; strides (1, w + D + 1) then walk
-    its diagonals.  Past the band's last column they read the zeros, so
-    rho(j, j+d) stays 0.0 where j + d runs off the grid.
+    ``band`` holds every sample of the block's rows at or above GRAM_FLOOR
+    (``_band`` with GRAM_EXPONENT); samples below the floor are set to 0.0
+    in place.  The Gram of a band w columns wide goes into the first
+    w x (w + D) values of ``buffer``, its last D columns zeros; strides
+    (1, w + D + 1) then walk its diagonals.  Past the band's last column
+    they read the zeros, so rho(j, j+d) stays 0.0 where j + d runs off the
+    grid.
     """
     count = diagonals.shape[0]
     width = band.shape[1]
@@ -538,9 +574,10 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     rows_out = None
     if density:
         diagonals = np.zeros((_diagonal_count(a, dy), n))
-        # one Gram buffer for the pass: a band spans 63 dy + 2 a sqrt(750),
-        # which holds fewer than SOURCE_BLOCK_ROWS + D grid columns; the
-        # rounding of its edges may add one
+        # one Gram buffer for the pass: the columns a block's samples at or
+        # above GRAM_FLOOR reach span 63 dy + 2 a sqrt(GRAM_EXPONENT), fewer
+        # than SOURCE_BLOCK_ROWS + D grid columns; the rounding of their
+        # edges may add one
         widest = SOURCE_BLOCK_ROWS + diagonals.shape[0] - 1
         gram = np.empty(widest * (widest + diagonals.shape[0] - 1))
     elif flown:
@@ -559,7 +596,10 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
             if L == 0:
                 total[cols] += square.sum(axis=0)
         if density:
-            _add_band_gram(diagonals, band, cols.start, gram)
+            reach = _band(a, y, rows.start, rows.stop, GRAM_EXPONENT)
+            _add_band_gram(diagonals, band[:, reach.start - cols.start:
+                                           reach.stop - cols.start],
+                           reach.start, gram)
         elif flown:
             np.fft.rfft(rows_out, out=half)
             for (total, _), phase in zip(flown, phases):

@@ -39,6 +39,14 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def assert_refused_in_one_line(code, out, err):
+    """Exit 2, nothing on stdout, and one short line on stderr."""
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 160  # an echoed value is cut short
+
+
 @pytest.fixture()
 def small_scenario(tmp_path):
     """Coarse-correlation layout that resolves on a fast 1024^2 grid."""
@@ -192,6 +200,17 @@ class TestSweep:
         assert err.startswith(f"error: option {option} must be a finite number")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]],
+                             ids=["analytic", "oracle"])
+    def test_huge_bound_exits_2_with_one_line(self, tmp_path, capsys, oracle):
+        # a 1e200 mm slit's analytic width overflows to inf
+        out_path, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        assert_refused_in_one_line(*run_cli(
+            ["sweep", fixture_path("strekalov.json"), "--from", "1",
+             "--to", "1e200", "--steps", "2", *oracle, "--out", str(out_path),
+             "--csv", str(csv_path)], capsys))
+        assert not out_path.exists() and not csv_path.exists()
+
     def test_steps_beyond_memory(self, capsys, monkeypatch):
         # the width list of 10^12 steps would need 8 TB; linspace's refusal
         # is stood in for, so nothing that size is ever allocated
@@ -259,17 +278,37 @@ class TestScenarioValidation:
         {"lens": [500.0, 500.0]},
         {"oracle": {"n": 2048.5, "extent_mm": 40.0}},
         {"oracle": {"n": 1e300, "extent_mm": 40.0}},
+        # finite, but large enough that the widths overflow
+        {"omega_mm": 1e300},
+        {"a_mm": 1e300},
+        {"L2_mm": 1e300},
     ], ids=lambda edit: repr(edit)[:60])
     def test_bad_field_exits_2_with_one_line(self, tmp_path, capsys, edit):
         doc = fixture_doc("kim_shih.json")
         doc.update(edit)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
-        code, out, err = run_cli(["run", str(path)], capsys)
-        assert code == cli.EXIT_CONFIG
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert len(err) < 160  # an echoed value is cut short
+        assert_refused_in_one_line(*run_cli(["run", str(path)], capsys))
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]],
+                             ids=["analytic", "oracle"])
+    @pytest.mark.parametrize("edit", [
+        {"L1_mm": 1e300},
+        {"lambda_nm": 1e300},
+        {"slit": {"kind": "gaussian", "width_mm": 1e200}},
+    ], ids=repr)
+    def test_huge_free_space_field_exits_2_with_one_line(
+            self, tmp_path, capsys, edit, oracle):
+        # the free-space runner overflows, or reports null widths, on these
+        doc = fixture_doc("popper_freespace.json")
+        doc.update(edit)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
+        assert_refused_in_one_line(*run_cli(
+            ["run", str(path), *oracle, "--out", str(out_path),
+             "--csv", str(csv_path)], capsys))
+        assert not out_path.exists() and not csv_path.exists()
 
     def test_non_object_document(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -302,6 +341,11 @@ class TestFit:
         assert out == ""
         assert err == (f"error: option {option} must be a finite number, "
                        f"got {float(value)}\n")
+
+    def test_huge_width_exits_2_with_one_line(self, capsys):
+        # the square of a 1e200 mm width overflows
+        assert_refused_in_one_line(*run_cli(
+            ["fit", "--fwhm", "1e200", "--L2", "500"], capsys))
 
     def test_unreachable_width(self, capsys):
         code, _, err = run_cli(
@@ -385,9 +429,9 @@ class TestWrappedSlitPlane:
 
 
 def peak_bytes(n):
-    """The model GridSpec.peak_bytes, 8 * n * (7 * 64 + 3 * 2 * 64 + 64 + n / 16)
-    bytes: 7168 bytes per grid point of one axis and n / 2 more."""
-    return n * (7168 + n // 2)
+    """The model GridSpec.peak_bytes, 8 * n * (7 * 64 + 3 * 2 * 64 + 64 + n // 10)
+    bytes: 7168 bytes per grid point of one axis and 8 * (n // 10) more."""
+    return n * (7168 + 8 * (n // 10))
 
 
 class TestGridCap:
@@ -423,7 +467,7 @@ class TestGridCap:
         path = blockless_fixture(tmp_path, "popper_freespace.json")
         code, _, err = run_cli(["run", path, "--oracle"], capsys)
         assert code == cli.EXIT_CONFIG
-        assert "8192x8192" in err and "92274688" in err
+        assert "8192x8192" in err and "112394240" in err
 
     def test_bad_cap_value(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.MAX_GRID_ENV, "lots")

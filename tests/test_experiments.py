@@ -265,8 +265,8 @@ class TestStrekalovSweep:
     @pytest.mark.parametrize("steps, a, grid", [
         pytest.param(5, 0.2, go.GridSpec(n=1024, extent=16.0), id="5"),
         pytest.param(65, 0.2, go.GridSpec(n=1024, extent=16.0), id="65"),
-        # the density route's widest band, D + 1 = 511 of n / 16 = 512
-        pytest.param(65, 0.2, go.GridSpec(n=8192, extent=88.0),
+        # the density route's widest band, D + 1 = 819 of n / 10 = 819.2
+        pytest.param(65, 0.463, go.GridSpec(n=8192, extent=88.0),
                      id="65-density-8192")])
     def test_sweep_peak_memory_within_model(self, steps, a, grid):
         # one pass holds no n x n array; a sweep of more than one aperture
@@ -297,14 +297,14 @@ def fixture_scenario(name, oracle_block=True):
 
 class TestMarginalRoute:
     """Which route particle 2's flown marginals take on each fixture's grid:
-    rho's D + 1 diagonals when D + 1 <= n / 16, else flown rows."""
+    rho's D + 1 diagonals when D + 1 <= n / 10, else flown rows."""
 
     @pytest.mark.parametrize("name, oracle_block, n, count, density", [
-        ("strekalov.json", True, 4096, 115, True),
-        ("popper_freespace.json", True, 4096, 115, True),
-        ("kim_shih.json", True, 2048, 293, False),
-        ("strekalov.json", False, 8192, 189, True),
-        ("kim_shih.json", False, 2048, 291, False),
+        ("strekalov.json", True, 4096, 79, True),
+        ("popper_freespace.json", True, 4096, 79, True),
+        ("kim_shih.json", True, 2048, 203, True),
+        ("strekalov.json", False, 8192, 131, True),
+        ("kim_shih.json", False, 2048, 203, True),
     ], ids=["strekalov", "popper_freespace", "kim_shih", "strekalov-auto",
             "kim_shih-auto"])
     def test_fixture_routes(self, name, oracle_block, n, count, density):
@@ -317,12 +317,20 @@ class TestMarginalRoute:
     @pytest.mark.parametrize("a", [0.01, 0.04, math.sqrt(0.043), 1.0, 50.0])
     @pytest.mark.parametrize("omega", [0.1, 1.0, 10.0, 1e6])
     def test_step_rule_keeps_n1024_on_rows(self, a, omega):
-        # the coarsest step max_step allows still leaves D + 1 >= 101 > 1024/16
+        # The step rule bounds the band from below: at the coarsest step
+        # max_step allows, a / dy >= 4 sqrt(2) / pi, so D + 1 >= 71 whatever
+        # (a, omega).  That keeps n = 512 on rows (71 > 512 / 10) and n = 1024
+        # on rows at half that step or finer (D + 1 >= 139 > 1024 / 10); at
+        # the coarsest step itself n = 1024 takes the density route when its
+        # band fits.
         step = go.max_step(a, omega)
-        grid = go.GridSpec(n=1024, extent=512 * step)
-        assert grid.dy == pytest.approx(step, rel=1e-15)
-        assert go._diagonal_count(a, grid.dy) >= 101
-        assert not go._density_route(a, grid)
+        coarsest = go.GridSpec(n=1024, extent=512 * step)
+        assert coarsest.dy == pytest.approx(step, rel=1e-15)
+        count = go._diagonal_count(a, coarsest.dy)
+        assert count >= 71
+        assert not go._density_route(a, go.GridSpec(n=512, extent=256 * step))
+        assert not go._density_route(a, go.GridSpec(n=1024, extent=256 * step))
+        assert go._density_route(a, coarsest) is (10 * count <= 1024)
 
 
 class TestFitSigmaFromWidth:

@@ -274,6 +274,25 @@ class TestSourcePass:
         assert cols.stop - cols.start == 176
         assert peak < 2.5 * band.nbytes + 2 * 8 * np.getbufsize()
 
+    def test_masked_exp_matches_np_exp(self):
+        # np.exp underflows to 0.0 near -745.133 and gives subnormals just
+        # above: on arguments spanning the edge, mixed with ordinary ones,
+        # the masked exp returns np.exp's bits, also on a strided view
+        rng = np.random.default_rng(11)
+        x = np.concatenate([np.linspace(-746.0, -744.0, 20_000),
+                            rng.uniform(-700.0, 0.0, 20_000)])
+        rng.shuffle(x)
+        want = np.exp(x)
+        assert np.count_nonzero(want[x < -745.0]) > 0
+        got = x.copy()
+        go._exp_in_place(got)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        block = x.reshape(200, 200).copy()
+        go._exp_in_place(block[:, 7:-5])
+        assert np.array_equal(block[:, 7:-5].view(np.int64),
+                              want.reshape(200, 200)[:, 7:-5].view(np.int64))
+        assert np.array_equal(block[:, :7], x.reshape(200, 200)[:, :7])
+
     def test_source_exchange_symmetric(self):
         y = go.GridSpec(n=1024, extent=40.0).y
         cols, block = go.source_rows(0.04, 10.0, y, 0, y.size)
@@ -301,13 +320,17 @@ class TestSourcePass:
     @pytest.mark.parametrize("L1", [300.0, 0.0])
     def test_marginals_match_reference(self, params702, L1):
         # both routes of particle 2's flown marginals: flown rows on the
-        # parity grid, rho's diagonals on the narrow band (D + 1 = 115 of
-        # 2048, at most n / 16 = 128)
+        # parity grid, rho's diagonals on a narrow band (D + 1 = 79 of 2048)
+        # and on about the widest band the route takes (203, just under
+        # n / DENSITY_RATIO = 204.8)
         L2 = 300.0
-        for a, omega, grid, density in [
-                (PARITY_A, PARITY_OMEGA, PARITY_GRID, False),
-                (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), True)]:
-            assert go._density_route(a, grid) is density
+        for a, omega, grid, count in [
+                (PARITY_A, PARITY_OMEGA, PARITY_GRID, None),
+                (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 79),
+                (0.104, 1.0, go.GridSpec(n=2048, extent=20.0), 203)]:
+            assert go._density_route(a, grid) is (count is not None)
+            if count is not None:
+                assert go._diagonal_count(a, grid.dy) == count
             state = go.build_grid_state(a, omega, grid)
             source = go.source_pass(a, omega, grid, params702, L1,
                                     beam_L=L1 + L2)
@@ -332,16 +355,22 @@ class TestSourcePass:
         (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0))],  # kim_shih.json
         ids=["strekalov", "kim_shih"])
     def test_band_gram_zero_beyond_diagonal_count(self, a, omega, grid):
+        # with samples below GRAM_FLOOR left out, as the pass leaves them out,
         # rho = psi^T psi needs only its diagonals d = 0..D: every block's
-        # band Gram is exactly 0.0 further off the diagonal.  Every band is
-        # at most SOURCE_BLOCK_ROWS + D wide, the pass's Gram buffer.
+        # band Gram is exactly 0.0 further off the diagonal.  The samples at
+        # or above the floor lie in the columns the pass takes, at most
+        # SOURCE_BLOCK_ROWS + D of them, the width of its Gram buffer.
         D = go._diagonal_count(a, grid.dy) - 1
         beyond = 0
-        for _, _, band in go._source_blocks(a, omega, grid):
-            width = band.shape[1]
-            assert width <= go.SOURCE_BLOCK_ROWS + D
+        for rows, cols, band in go._source_blocks(a, omega, grid):
+            reach = go._band(a, grid.y, rows.start, rows.stop, go.GRAM_EXPONENT)
+            assert reach.stop - reach.start <= go.SOURCE_BLOCK_ROWS + D
+            band = np.where(band < go.GRAM_FLOOR, 0.0, band)
+            outside = band.copy()
+            outside[:, reach.start - cols.start:reach.stop - cols.start] = 0.0
+            assert not np.any(outside)
             gram = band.T @ band
-            index = np.arange(width)
+            index = np.arange(band.shape[1])
             far = np.abs(np.subtract.outer(index, index)) > D
             beyond += np.count_nonzero(far)
             assert np.all(gram[far] == 0.0)
@@ -351,7 +380,7 @@ class TestSourcePass:
 
     def test_strekalov_sweep_pass_holds_no_row_wide_block(self, params702):
         # the 5-slit pass of the strekalov sweep holds rho's D + 1 diagonals
-        # (115 of 4096) and band-wide block arrays: its peak stays under the
+        # (79 of 4096) and band-wide block arrays: its peak stays under the
         # diagonals plus three blocks of 64 full-width rows
         a, omega, grid = 0.04, 10.0, go.GridSpec(n=4096, extent=40.0)
         slits = [go.Aperture(kind="gaussian", epsilon=w / 2.0)
@@ -364,7 +393,7 @@ class TestSourcePass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert limit == 10_059_776
+        assert limit == 8_880_128
         assert peak < limit
 
     def test_pass_without_flight_allocates_no_flight_buffers(self, params702):
