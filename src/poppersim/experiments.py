@@ -332,12 +332,24 @@ def run_popper_freespace(scenario: Scenario, use_oracle: bool = False) -> WidthR
 
 
 def _sweep_chunk(scenario: Scenario, chunk: list[SweepPoint]):
-    """Oracle widths of up to go.APERTURE_CHUNK sweep points from one pass;
-    a failure after the pass lands in its own point."""
-    slits = [Aperture(kind="gaussian", epsilon=p.slit_full_width_mm / 2.0)
-             for p in chunk]
+    """Oracle widths of up to go.APERTURE_CHUNK sweep points from one pass
+    over the points whose slit the grid resolves; an unresolved slit, or a
+    failure after the pass, lands in its own point."""
+    grid = oracle_grid(scenario)
+    resolved, slits = [], []
+    for point in chunk:
+        slit = Aperture(kind="gaussian", epsilon=point.slit_full_width_mm / 2.0)
+        try:
+            slit.check_resolved(grid.n, grid.dy)
+        except ResolutionError as exc:
+            point.error = str(exc)
+            continue
+        resolved.append(point)
+        slits.append(slit)
+    if not resolved:
+        return
     source = oracle_pass(scenario, scenario.L1, slits)
-    for k, point in enumerate(chunk):
+    for k, point in enumerate(resolved):
         try:
             point.fwhm_oracle_mm = _detector_widths(
                 source.conditional(k), scenario.L2, scenario.params).fwhm
@@ -353,8 +365,10 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
     distance 2*L1 + L2; the oracle arm conditions the source, with the
     scenario's finite omega, on every slit width of a chunk of
     go.APERTURE_CHUNK in one pass.  Oracle failures are isolated into the
-    points' ``error`` fields: a failure of a pass lands in every point it
-    and the later chunks hold.
+    points' ``error`` fields: a slit the grid does not resolve
+    (``Aperture.check_resolved``) is flagged and left out of the pass, and a
+    failure of a pass lands in every other point it and the later chunks
+    hold.
     """
     if scenario.slit is not None and scenario.slit.kind == "rectangular" \
             and scenario.slit.convention != "half-width":
@@ -377,7 +391,8 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
             _sweep_chunk(scenario, points[start:start + go.APERTURE_CHUNK])
         except (DomainError, ResolutionError) as exc:
             for point in points[start:]:
-                point.error = str(exc)
+                if point.error is None:
+                    point.error = str(exc)
             break
     return points
 

@@ -82,13 +82,11 @@ DIAGONAL_CHUNK = 16
 # their partner; the flown marginals of the strekalov grids and of n = 2048
 # over +-20 mm come out bit-identical either way.
 GRAM_FLOOR = 2.0 ** -511
-# np.exp returns exactly 0.0 in float64 below about -745.1332, so source_rows
-# evaluates it only at or above this and writes 0.0 everywhere else
-EXP_UNDERFLOW = -745.14
 # a source sample with u^2/a^2 above UNDERFLOW_EXPONENT underflows to 0.0
-# whatever v is, and one with u^2/a^2 above GRAM_EXPONENT lies below
-# GRAM_FLOOR; each carries a margin over -EXP_UNDERFLOW and -ln GRAM_FLOOR
-# (354.2) that absorbs the rounding of u and of the band's edges
+# whatever v is, since its v factor is at most 1, and one with u^2/a^2 above
+# GRAM_EXPONENT lies below GRAM_FLOOR; each carries a margin over the float64
+# exp underflow (745.13) and -ln GRAM_FLOOR (354.2) that absorbs the
+# rounding of u and of the band's edges
 UNDERFLOW_EXPONENT = 750.0
 GRAM_EXPONENT = -math.log(GRAM_FLOOR) + 5.0
 
@@ -123,11 +121,13 @@ class GridSpec:
         one-axis arrays and n / DENSITY_RATIO diagonals of particle 2's
         reduced density matrix, the most the density route keeps.
 
-        The model over-counts.  Every per-block array spans only the block's
-        diagonal band: the band, its generation temporary, its squares and
-        the block's product.  Only the row route holds full-width block
-        arrays, four of them: the zeroed block its bands are written into,
-        the flown rows and two half spectra.  The density route holds none;
+        The model over-counts.  The one-axis arrays include the source's two
+        factor tables (``source_tables``, 4 n - 2 values), which every block
+        reads and none copies.  Every per-block array spans only the block's
+        diagonal band: the band, its squares and the block's product.  Only
+        the row route holds full-width block arrays, four of them: the
+        zeroed block its bands are written into, the flown rows and two half
+        spectra.  The density route holds none;
         its Gram buffer, (SOURCE_BLOCK_ROWS + D) x (SOURCE_BLOCK_ROWS + 2 D)
         values, and its band-wide block arrays fit in the seven block arrays
         and the band-wide product's stack for every n <= 16384, since
@@ -188,8 +188,26 @@ class Aperture:
         else:
             raise DomainError(f"unknown aperture kind {self.kind!r}")
 
+    def check_resolved(self, n: int, dy: float):
+        """Refuse a Gaussian aperture that an n-point grid of step dy cannot
+        resolve.  Its amplitude exp(-y^2/epsilon^2) has momentum spectrum
+        |phi(k)|^2 ~ exp(-k^2 epsilon^2 / 2), of standard deviation
+        1/epsilon, so ``max_step``'s rule, a Nyquist wavenumber pi/dy
+        spanning 4 of them, needs dy <= pi epsilon / 4.  The one-step
+        'point' sampler is narrower than that on purpose and is exempt."""
+        if self.kind != "gaussian":
+            return
+        step = math.pi * self.epsilon / 4.0
+        if dy > step:
+            need = 1 << math.ceil(math.log2(n * dy / step))
+            raise ResolutionError(
+                f"gaussian aperture epsilon {self.epsilon:.3g} mm unresolved: "
+                f"step {dy:.3g} mm, need dy <= {step:.3g} mm (n >= {need} on "
+                f"this extent)")
+
     def sample(self, y: np.ndarray, dy: float) -> np.ndarray:
         """Normalized amplitude profile on the grid (sum |phi|^2 dy = 1)."""
+        self.check_resolved(y.size, dy)
         if self.kind == "gaussian":
             phi = np.exp(-(y ** 2) / self.epsilon ** 2)
         elif self.kind == "rect":
@@ -263,56 +281,87 @@ def _band(a: float, y: np.ndarray, start: int, stop: int,
                  int(np.searchsorted(y, y[stop - 1] + reach, side="right")))
 
 
-def source_rows(a: float, omega: float, y: np.ndarray, start: int, stop: int,
-                out: np.ndarray | None = None) -> tuple[slice, np.ndarray]:
-    """Rows start:stop of the unnormalized source exp(-u^2/a^2 - v^2/(4 omega^2))
-    with u = y1 - y2, v = y1 + y2, as (cols, band): ``cols`` is the diagonal
-    band of columns that ``_band`` gives and band[:, j] is column
-    cols.start + j.  Every sample outside the band underflows to 0.0 and is
-    not evaluated.  With ``out``, real rows start:stop of the full width, the
-    band is written into out[:, cols] and returned as that view.  Both terms
-    are exact under y1 <-> y2, so the sampled source is exchange-symmetric
-    bit for bit.
+@dataclass(frozen=True)
+class SourceTables:
+    """The source's two Gaussian factors on a grid of n points, one 1-D table
+    each.  Sample (i, j) has u = (i - j) dy and v = (i + j - n) dy, so it is
+    u_factor[n - 1 + j - i] * v_factor[i + j] with
+
+        u_factor[n - 1 + d] = exp(-(d dy)^2 / a^2),          d = 1 - n .. n - 1,
+        v_factor[n + s] = exp(-(s dy)^2 / (4 omega^2)),      s = -n .. n - 2.
+
+    ``u_factor`` is even in d bit for bit, since (-d) dy = -(d dy) exactly.
+    Both tables are read-only.
     """
-    cols = _band(a, y, start, stop)
-    if out is None:
-        u = np.empty((stop - start, cols.stop - cols.start))
-    else:
-        u = out[:, cols]
-    np.subtract(y[start:stop, None], y[None, cols], out=u)
-    v = y[start:stop, None] + y[None, cols]
-    u **= 2
-    np.negative(u, out=u)
-    u /= a ** 2
-    v **= 2
-    v /= 4.0 * omega ** 2
-    u -= v
-    del v
-    _exp_in_place(u)
-    return cols, u
+
+    a: float
+    y: np.ndarray
+    u_factor: np.ndarray
+    v_factor: np.ndarray
 
 
-def _exp_in_place(u: np.ndarray):
-    """u = np.exp(u) bit for bit, evaluated only at or above EXP_UNDERFLOW.
-    Below it np.exp gives 0.0, and a SIMD vector with any such lane takes
-    numpy's slow path (119 -> 60 us on a 64 x 176 strekalov band)."""
-    keep = u >= EXP_UNDERFLOW
-    np.exp(u, out=u, where=keep)
-    np.logical_not(keep, out=keep)
-    np.copyto(u, 0.0, where=keep)
+def source_tables(a: float, omega: float, grid: GridSpec) -> SourceTables:
+    """The two factor tables of the source on ``grid``, 4 n - 2 values,
+    each computed in place."""
+    n, dy = grid.n, grid.dy
+    tables = []
+    for first, scale in ((1 - n, a ** 2), (-n, 4.0 * omega ** 2)):
+        table = np.arange(first, first + 2 * n - 1, dtype=float)
+        table *= dy
+        np.square(table, out=table)
+        table /= -scale
+        np.exp(table, out=table)
+        table.flags.writeable = False
+        tables.append(table)
+    return SourceTables(a, grid.y, *tables)
+
+
+def source_rows(tables: SourceTables, start: int, stop: int,
+                out: np.ndarray | None = None) -> tuple[slice, np.ndarray]:
+    """Rows start:stop of the unnormalized source
+    exp(-u^2/a^2) exp(-v^2/(4 omega^2)) with u = y1 - y2, v = y1 + y2, as
+    (cols, band): ``cols`` is the diagonal band of columns that ``_band``
+    gives and band[:, j] is column cols.start + j.  Every sample outside the
+    band underflows to 0.0 and is not evaluated.  With ``out``, real rows
+    start:stop of the full width, the band is written into out[:, cols] and
+    returned as that view.
+
+    The band is one product of two read-only views of ``tables``: a Toeplitz
+    view of the u factor and a Hankel view of the v factor, so a block takes
+    one multiply a sample and no temporary.  Both factors are exact under
+    i <-> j, so the sampled source is exchange-symmetric bit for bit.
+    """
+    cols = _band(tables.a, tables.y, start, stop)
+    shape = (stop - start, cols.stop - cols.start)
+    item = tables.u_factor.itemsize
+    # views on the tables' buffers, which the constructor bounds-checks:
+    # sample (start + r, cols.start + c) is u_factor[k - r + c] with
+    # k = n - 1 + cols.start - start, times v_factor[start + cols.start + r + c]
+    toeplitz = np.ndarray(shape, float, tables.u_factor,
+                          (tables.y.size - 1 + cols.start - start) * item,
+                          (-item, item))
+    hankel = np.ndarray(shape, float, tables.v_factor,
+                        (start + cols.start) * item, (item, item))
+    # np.multiply would stage these overlapping views through two iterator
+    # buffers of np.getbufsize() values; einsum reads them directly, and its
+    # one-term products are np.multiply's bits
+    band = np.einsum("ij,ij->ij", toeplitz, hankel,
+                     out=None if out is None else out[:, cols])
+    return cols, band
 
 
 def _source_blocks(a: float, omega: float, grid: GridSpec,
                    out: np.ndarray | None = None):
     """(row slice, column band, band) of the unnormalized source,
-    SOURCE_BLOCK_ROWS rows at a time (see ``source_rows``); the block size
-    divides every grid's n, a power of two.  With ``out``, a zeroed array of
-    one block's rows at full width, each band is written into it and its
-    columns are zeroed again once the consumer asks for the next block."""
-    y = grid.y
+    SOURCE_BLOCK_ROWS rows at a time from one :func:`source_tables` (see
+    ``source_rows``); the block size divides every grid's n, a power of two.
+    With ``out``, a zeroed array of one block's rows at full width, each band
+    is written into it and its columns are zeroed again once the consumer
+    asks for the next block."""
+    tables = source_tables(a, omega, grid)
     for start in range(0, grid.n, SOURCE_BLOCK_ROWS):
         rows = slice(start, start + SOURCE_BLOCK_ROWS)
-        cols, band = source_rows(a, omega, y, start, rows.stop, out)
+        cols, band = source_rows(tables, start, rows.stop, out)
         yield rows, cols, band
         if out is not None:
             out[:, cols] = 0.0

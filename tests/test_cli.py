@@ -413,6 +413,42 @@ class TestOracleCheck:
         assert json.loads(out)["results"]["norm_drift"] < 1e-12
 
 
+class TestUnresolvedAperture:
+    """popper_freespace's grid (dy = 0.0195 mm) resolves a Gaussian slit only
+    down to epsilon = 4 dy / pi = 0.0249 mm; below it the coincidence width
+    was off by up to 1.9e-2 with exit 0."""
+
+    @pytest.mark.parametrize("argv", [["run", "--oracle"], ["oracle-check"]],
+                             ids=["run", "oracle-check"])
+    @pytest.mark.parametrize("epsilon, need", [(0.02, 8192), (0.015, 8192),
+                                               (0.01, 16384)])
+    def test_exits_3_naming_n(self, tmp_path, capsys, argv, epsilon, need):
+        doc = fixture_doc("popper_freespace.json")
+        doc["slit"]["width_mm"] = epsilon
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+        assert code == cli.EXIT_RESOLUTION
+        assert out == "" and "unresolved" in err and f"n >= {need} " in err
+
+    def test_sweep_flags_only_unresolved_points(self, tmp_path, capsys,
+                                                small_scenario):
+        # dy = 0.03125 mm resolves epsilon >= 0.0398 mm: the 0.05 mm point
+        # (epsilon 0.025 mm) is flagged and the 0.6 mm point still runs
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(
+            ["sweep", small_scenario, "--from", "0.05", "--to", "0.6",
+             "--steps", "2", "--oracle", "--out", str(report)], capsys)
+        assert code == cli.EXIT_OK
+        assert "1 sweep point(s) flagged" in err
+        narrow, wide = json.loads(report.read_text())["results"]["points"]
+        assert "unresolved" in narrow["error"] and "fwhm_oracle_mm" not in narrow
+        assert "error" not in wide
+        assert wide["fwhm_oracle_mm"] == pytest.approx(wide["fwhm_analytic_mm"],
+                                                       rel=0.05)
+        assert out.splitlines()[1].endswith(",")
+
+
 class TestWrappedSlitPlane:
     """Over L1 = 20 m the source wraps around the +-16 mm grid before the slit."""
 

@@ -198,15 +198,50 @@ class TestCondition:
 
 
 def formula_rows(a, omega, y, start, stop):
-    """Rows start:stop of the unnormalized source, every column evaluated."""
+    """Rows start:stop of the unnormalized source as one exp per sample,
+    every column evaluated."""
     u = y[start:stop, None] - y[None, :]
     v = y[start:stop, None] + y[None, :]
     return np.exp(-(u ** 2) / a ** 2 - (v ** 2) / (4.0 * omega ** 2))
 
 
+def product_rows(a, omega, grid, start, stop):
+    """Rows start:stop of the source as the product of its two factors, each
+    evaluated on the integer offsets i - j and i + j - n of every sample."""
+    i = np.arange(start, stop)[:, None]
+    j = np.arange(grid.n)[None, :]
+    u = (i - j) * grid.dy
+    v = (i + j - grid.n) * grid.dy
+    return np.exp(-(u ** 2) / a ** 2) * np.exp(-(v ** 2) / (4.0 * omega ** 2))
+
+
+def assert_near_formula(got, want, a, omega, y, start, stop):
+    """``got`` is within the rounding of two evaluations of each sample of
+    ``want`` = formula_rows.  On a grid whose y are exact, u and v are exact
+    in both, and with eps = 2**-53 and e = u^2/a^2 + v^2/(4 omega^2):
+    the one-exp argument carries <= 4 e eps of rounding (two squares, a^2,
+    omega^2, two divisions and the sum), the two factors' arguments <= 3 e
+    eps between them, and an exp turns an argument error into the same
+    relative error.  Three exps of at most 4 ulp (8 eps) each and the product's
+    rounding add 25 eps.  So |got - want| <= (8 e + 32) eps max(got, want),
+    plus 2**-1074 for each of three results rounded to a subnormal."""
+    u = y[start:stop, None] - y[None, :]
+    v = y[start:stop, None] + y[None, :]
+    exponent = u ** 2 / a ** 2 + v ** 2 / (4.0 * omega ** 2)
+    bound = ((8.0 * exponent + 32.0) * 2.0 ** -53 * np.maximum(got, want)
+             + 2.0 * 2.0 ** -1074)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def assert_exact_steps(grid):
+    """y = k dy with dy a multiple of 2**-10 below 2**10: every y, y1 - y2
+    and y1 + y2 on the grid is exact."""
+    assert (grid.dy * 1024).is_integer() and grid.dy < 1024
+
+
 def full_grid_source(a, omega, grid):
-    """The source as one n x n evaluation of the formula, normalized."""
-    psi = formula_rows(a, omega, grid.y, 0, grid.n).astype(complex)
+    """The source as one n x n product of its factors, normalized."""
+    psi = product_rows(a, omega, grid, 0, grid.n).astype(complex)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dy ** 2)
     return psi
 
@@ -227,10 +262,16 @@ class TestSourcePass:
         (0.3, 1.0, 256, 8.0), (PARITY_A, PARITY_OMEGA, 512, 16.0),
         (0.3, 1.0, 1024, 12.0), (0.04, 1.0, 1024, 8.0)])
     def test_blocked_build_matches_full_grid_formula(self, a, omega, n, extent):
-        # built block by block, the state is the one-array evaluation to the bit
+        # built block by block, the state is the one-array product of the
+        # factors to the bit, and that product is the one-exp formula to
+        # within the rounding of each
         grid = go.GridSpec(n=n, extent=extent)
+        assert_exact_steps(grid)
         state = go.build_grid_state(a, omega, grid)
         assert np.array_equal(state.psi, full_grid_source(a, omega, grid))
+        assert_near_formula(product_rows(a, omega, grid, 0, n),
+                            formula_rows(a, omega, grid.y, 0, n),
+                            a, omega, grid.y, 0, n)
 
     def test_narrow_band_input_is_narrow(self):
         # the last build input above evaluates under a quarter of each row
@@ -244,59 +285,54 @@ class TestSourcePass:
         (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0))],  # kim_shih.json
         ids=["strekalov", "kim_shih"])
     def test_fixture_blocks_match_formula(self, a, omega, grid):
-        # the band leaves out only samples the formula underflows to 0.0;
-        # written into a zeroed full-width block it is the formula's block
+        # each band is the factors' product on its columns to the bit, and
+        # the product is 0.0 outside them; the one-exp formula is nonzero
+        # only inside them and within rounding of the product everywhere.
+        # Written into a zeroed full-width block the band is the product's
+        # block.
+        assert_exact_steps(grid)
         y = grid.y
+        tables = go.source_tables(a, omega, grid)
         out = np.zeros((go.SOURCE_BLOCK_ROWS, grid.n))
         for start in range(0, grid.n, go.SOURCE_BLOCK_ROWS):
             stop = start + go.SOURCE_BLOCK_ROWS
-            want = formula_rows(a, omega, y, start, stop)
-            cols, band = go.source_rows(a, omega, y, start, stop)
+            want = product_rows(a, omega, grid, start, stop)
+            formula = formula_rows(a, omega, y, start, stop)
+            cols, band = go.source_rows(tables, start, stop)
             assert np.array_equal(band, want[:, cols])
             assert np.count_nonzero(want) == np.count_nonzero(want[:, cols])
-            go.source_rows(a, omega, y, start, stop, out)
+            assert np.count_nonzero(formula) == \
+                np.count_nonzero(formula[:, cols])
+            assert_near_formula(want, formula, a, omega, y, start, stop)
+            go.source_rows(tables, start, stop, out)
             assert np.array_equal(out, want)
             out[:, cols] = 0.0
 
     def test_block_allocates_about_its_own_size(self):
-        # on the strekalov grid the band is 176 of 4096 columns; generating
-        # it takes the band, one band-wide temporary and numpy's buffers for
-        # two broadcast operands, nothing row-wide
-        y = go.GridSpec(n=4096, extent=40.0).y
-        start = y.size // 2
+        # on the strekalov grid the band is 176 of 4096 columns; the factor
+        # tables are built in place and the band is one product of two views
+        # of them: nothing but the band, the tables and the grid's y, which
+        # they keep for the band's edges
+        grid = go.GridSpec(n=4096, extent=40.0)
+        start = grid.n // 2
         tracemalloc.start()
         try:
-            cols, band = go.source_rows(0.04, 10.0, y, start,
+            tables = go.source_tables(0.04, 10.0, grid)
+            cols, band = go.source_rows(tables, start,
                                         start + go.SOURCE_BLOCK_ROWS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert cols.stop - cols.start == 176
-        assert peak < 2.5 * band.nbytes + 2 * 8 * np.getbufsize()
-
-    def test_masked_exp_matches_np_exp(self):
-        # np.exp underflows to 0.0 near -745.133 and gives subnormals just
-        # above: on arguments spanning the edge, mixed with ordinary ones,
-        # the masked exp returns np.exp's bits, also on a strided view
-        rng = np.random.default_rng(11)
-        x = np.concatenate([np.linspace(-746.0, -744.0, 20_000),
-                            rng.uniform(-700.0, 0.0, 20_000)])
-        rng.shuffle(x)
-        want = np.exp(x)
-        assert np.count_nonzero(want[x < -745.0]) > 0
-        got = x.copy()
-        go._exp_in_place(got)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        block = x.reshape(200, 200).copy()
-        go._exp_in_place(block[:, 7:-5])
-        assert np.array_equal(block[:, 7:-5].view(np.int64),
-                              want.reshape(200, 200)[:, 7:-5].view(np.int64))
-        assert np.array_equal(block[:, :7], x.reshape(200, 200)[:, :7])
+        table_bytes = tables.u_factor.nbytes + tables.v_factor.nbytes
+        assert table_bytes == 8 * (4 * grid.n - 2)
+        assert peak < band.nbytes + table_bytes + tables.y.nbytes + 4096
 
     def test_source_exchange_symmetric(self):
-        y = go.GridSpec(n=1024, extent=40.0).y
-        cols, block = go.source_rows(0.04, 10.0, y, 0, y.size)
-        assert cols == slice(0, y.size)
+        grid = go.GridSpec(n=1024, extent=40.0)
+        tables = go.source_tables(0.04, 10.0, grid)
+        cols, block = go.source_rows(tables, 0, grid.n)
+        assert cols == slice(0, grid.n)
         assert np.array_equal(block, block.T)
 
     @pytest.mark.parametrize("L1, L2", [(300.0, 300.0), (0.0, 500.0)])
@@ -475,6 +511,33 @@ class TestApertureValidation:
             phi = ap.sample(grid.y, grid.dy)
             assert float(np.sum(np.abs(phi) ** 2) * grid.dy) == \
                 pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("epsilon, need", [(0.02, 8192), (0.015, 8192),
+                                               (0.01, 16384)])
+    def test_unresolved_gaussian_refused(self, params702, epsilon, need):
+        # popper_freespace's grid, dy = 0.0195 mm, resolves epsilon >= 4 dy / pi
+        # = 0.0249 mm; a narrower slit is refused with the n it needs, by the
+        # pass as by the aperture itself
+        grid = go.GridSpec(n=4096, extent=40.0)
+        slit = go.Aperture(kind="gaussian", epsilon=epsilon)
+        with pytest.raises(ResolutionError, match=f"n >= {need} "):
+            slit.sample(grid.y, grid.dy)
+        with pytest.raises(ResolutionError, match="unresolved"):
+            go.source_pass(0.04, 10.0, grid, params702, 600.0, [slit])
+
+    def test_resolution_rule_edge(self):
+        grid = go.GridSpec(n=4096, extent=40.0)
+        edge = 4.0 * grid.dy / math.pi
+        go.Aperture(kind="gaussian", epsilon=edge * (1 + 1e-12)).sample(
+            grid.y, grid.dy)
+        with pytest.raises(ResolutionError):
+            go.Aperture(kind="gaussian", epsilon=edge * (1 - 1e-12)).sample(
+                grid.y, grid.dy)
+        # the one-step point sampler and hard slits are not held to the rule
+        for aperture in (go.Aperture(kind="point"),
+                         go.Aperture(kind="point", tolerance=grid.dy / 2.0),
+                         go.Aperture(kind="rect", full_width=2.0 * grid.dy)):
+            aperture.sample(grid.y, grid.dy)
 
 
 @pytest.fixture(scope="module")
