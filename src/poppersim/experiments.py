@@ -190,20 +190,23 @@ class SweepPoint:
 
 def default_grid(scenario: Scenario, n: int | None = None) -> GridSpec:
     """Auto-sized grid: extent 8x the largest rms width in the scenario; unless
-    given, n doubles from 2048 up to 8192 until the step meets go.max_step."""
+    given, n doubles from 2048 up to 8192 until the step meets go.max_step
+    and the slit's go.gaussian_max_step."""
     state = gc.make_epr_state(scenario.a, scenario.omega)
     total = scenario.L1 + scenario.L2
     rms = [gc.position_uncertainty(state),
            gc.beam_width(state, PropagationLeg(total), scenario.params) / 2.0]
+    step = go.max_step(scenario.a, scenario.omega)
     if scenario.slit is not None:
         eps = scenario.slit.gaussian_epsilon(scenario.params)
         rms.append(gc.far_field_width(eps * eps + scenario.a ** 2,
                                       scenario.effective_distance,
                                       scenario.params) / 2.0)
+        step = min(step, go.gaussian_max_step(eps))
     extent = max(8.0 * max(rms), go.required_extent(scenario.a, scenario.omega))
     if n is None:
         n = 2048
-        while n < 8192 and 2.0 * extent / n > go.max_step(scenario.a, scenario.omega):
+        while n < 8192 and 2.0 * extent / n > step:
             n *= 2
     return GridSpec(n=n, extent=extent)
 
@@ -217,9 +220,15 @@ def oracle_grid(scenario: Scenario) -> GridSpec:
 def oracle_pass(scenario: Scenario, L1: float, apertures=(),
                 beam_L: float | None = None) -> go.SourcePass:
     """One :func:`grid_oracle.source_pass` over ``scenario``'s source on its
-    oracle grid."""
-    return go.source_pass(scenario.a, scenario.omega, oracle_grid(scenario),
-                          scenario.params, L1, apertures, beam_L)
+    oracle grid, conditioned on ``apertures`` at the slit plane L1: on their
+    source-plane modes fly(conj(phi), L1), one row each."""
+    grid = oracle_grid(scenario)
+    modes = np.empty((len(apertures), grid.n), dtype=complex)
+    for k, aperture in enumerate(apertures):
+        modes[k] = np.conj(aperture.sample(grid.y, grid.dy))
+    modes = go.fly(modes, grid.dy, L1, scenario.params)
+    return go.source_pass(scenario.a, scenario.omega, grid, scenario.params,
+                          L1, modes, beam_L)
 
 
 def _detector_widths(cond: go.ConditionalAmplitude, L2: float,
@@ -368,8 +377,11 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
     points' ``error`` fields: a slit the grid does not resolve
     (``Aperture.check_resolved``) is flagged and left out of the pass, and a
     failure of a pass lands in every other point it and the later chunks
-    hold.
+    hold.  Both arms are free-space widths, so a lens layout is refused.
     """
+    if scenario.lens is not None:
+        raise ConfigError("sweep is defined for the free-space layout; "
+                          "this scenario has a lens")
     if scenario.slit is not None and scenario.slit.kind == "rectangular" \
             and scenario.slit.convention != "half-width":
         raise ConfigError("sweep is defined for the half-width slit convention")

@@ -1,21 +1,28 @@
 """Brute-force two-particle grid simulator.
 
-Discretizes the joint amplitude psi(y1, y2) on an n x n grid, propagates it
+Samples the joint amplitude psi(y1, y2) on n points per axis, propagates it
 spectrally (exactly unitary), applies arbitrary apertures by direct
 quadrature, and extracts widths from sampled intensities.  Everything here
 is deliberately independent of the closed forms in ``gaussian_core`` so the
 two can be checked against each other.
 
-Two routes share the sampled source.  The reference route holds psi as an
-n x n array (``build_grid_state``, ``evolve_spectral``, ``condition``).  The
-runners take the matrix-free route, ``source_pass``: free flight is the
-separable unitary U1 x U2 and each factor is symmetric on the periodic
-grid, so conditioning the flown state on an aperture phi equals
-conditioning the source on phi flown back, then flying the 1-D result
-forward:  condition(evolve(psi, L1, L1), phi) = fly(fly(conj(phi), L1) @ psi, L1).
-The source is real and closed-form per sample, so one pass over row blocks
-of it gives every conditional amplitude and particle 2's marginals without
-an n x n buffer.
+Every oracle layout takes one route, ``source_pass``, which never holds psi
+as an n x n array.  Free flight is the separable unitary U1 x U2, and free
+flight and an aperture mask are each their own transpose on the periodic
+grid.  So conditioning particle 1, after a chain of them, on a detector mode
+phi equals conditioning the source on the chain applied to conj(phi) in
+reverse order, then flying the 1-D result over particle 2's own legs.  The
+caller builds that source-plane mode.  For a slit at the plane L1 it is
+
+    condition(evolve(psi, L1, L1), phi) = fly(fly(conj(phi), L1) @ psi, L1),
+
+and for the ghost double slit, a point detector d1 behind a mask at L1, the
+mode is fly(mask * fly(conj(point), d1), L1).  The source is real and
+closed-form per sample, so one pass over row blocks of it gives every
+conditional amplitude and particle 2's marginals without an n x n buffer.
+The n x n route the pass replaced is kept only as the tests' reference
+(``tests/nxn_reference.py``), which every parity test compares the pass
+against.
 
 Particle 2's flown marginal diag(U rho U^H) needs only its reduced density
 matrix rho = psi^T psi.  Samples below GRAM_FLOOR are left out of it, and a
@@ -138,22 +145,6 @@ class GridSpec:
                              + self.n // DENSITY_RATIO)
 
 
-@dataclass
-class GridState:
-    """Sampled two-particle amplitude psi[i1, i2] = psi(y[i1], y[i2])."""
-
-    psi: np.ndarray
-    y: np.ndarray
-    dy: float
-
-    @property
-    def n(self) -> int:
-        return self.y.size
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2) * self.dy * self.dy)
-
-
 @dataclass(frozen=True)
 class Aperture:
     """Transmission profile for particle 1.
@@ -192,12 +183,12 @@ class Aperture:
         """Refuse a Gaussian aperture that an n-point grid of step dy cannot
         resolve.  Its amplitude exp(-y^2/epsilon^2) has momentum spectrum
         |phi(k)|^2 ~ exp(-k^2 epsilon^2 / 2), of standard deviation
-        1/epsilon, so ``max_step``'s rule, a Nyquist wavenumber pi/dy
-        spanning 4 of them, needs dy <= pi epsilon / 4.  The one-step
-        'point' sampler is narrower than that on purpose and is exempt."""
+        1/epsilon, so ``max_step``'s rule needs dy <= pi epsilon / 4
+        (``gaussian_max_step``).  The one-step 'point' sampler is narrower
+        than that on purpose and is exempt."""
         if self.kind != "gaussian":
             return
-        step = math.pi * self.epsilon / 4.0
+        step = gaussian_max_step(self.epsilon)
         if dy > step:
             need = 1 << math.ceil(math.log2(n * dy / step))
             raise ResolutionError(
@@ -251,6 +242,12 @@ def max_step(a: float, omega: float) -> float:
     """Coarsest grid step whose Nyquist wavenumber pi/dy spans 4 standard
     deviations of the source's per-axis momentum spectrum."""
     return math.pi / (4.0 * math.sqrt(2.0 / a ** 2 + 0.5 / omega ** 2))
+
+
+def gaussian_max_step(epsilon: float) -> float:
+    """Coarsest grid step whose Nyquist wavenumber pi/dy spans 4 standard
+    deviations, 1/epsilon each, of a Gaussian aperture's momentum spectrum."""
+    return math.pi * epsilon / 4.0
 
 
 def _check_source(a: float, omega: float, grid: GridSpec):
@@ -375,20 +372,6 @@ def _pairwise_total(parts: list[float]) -> float:
     return parts[0]
 
 
-def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
-    """Sample and normalize the correlated source amplitude."""
-    _check_source(a, omega, grid)
-    psi = np.empty((grid.n, grid.n), dtype=complex)
-    # full-width rows keep the norm np.sum's over the whole array to the bit
-    block = np.zeros((SOURCE_BLOCK_ROWS, grid.n))
-    sums = []
-    for rows, _, _ in _source_blocks(a, omega, grid, block):
-        sums.append(float(np.sum(block * block)))
-        psi[rows] = block
-    psi /= math.sqrt(_pairwise_total(sums) * grid.dy ** 2)
-    return GridState(psi=psi, y=grid.y, dy=grid.dy)
-
-
 def _check_tails(prob: np.ndarray):
     """Refuse a 1-D probability profile whose outer bands hold more than
     TAIL_PROB_LIMIT of its total: spectral flight has wrapped it around."""
@@ -408,34 +391,9 @@ def _flight_phase(n: int, dy: float, L: float, params: PhysParams) -> np.ndarray
     return np.exp(-0.25j * params.rescaled_wavelength_mm * L * k ** 2)
 
 
-def evolve_spectral(state: GridState, L_particle1: float, L_particle2: float,
-                    params: PhysParams) -> GridState:
-    """Free flight of the two particles over independent distances.
-
-    Only the axes with a nonzero leg are transformed, in one output buffer;
-    ``state`` is left unchanged.
-    """
-    if L_particle1 < 0 or L_particle2 < 0:
-        raise DomainError("propagation distances must be >= 0")
-    legs = [(axis, L) for axis, L in ((0, L_particle1), (1, L_particle2)) if L > 0]
-    if legs:
-        axes = [axis for axis, _ in legs]
-        psi = np.fft.fftn(state.psi, axes=axes, out=np.empty_like(state.psi))
-        for axis, L in legs:
-            phase = _flight_phase(state.n, state.dy, L, params)
-            psi *= phase[:, None] if axis == 0 else phase
-        np.fft.ifftn(psi, axes=axes, out=psi)
-    else:
-        psi = state.psi.copy()
-    prob = np.abs(psi)
-    prob **= 2
-    _check_tails(prob.sum(axis=1))
-    _check_tails(prob.sum(axis=0))
-    return GridState(psi=psi, y=state.y, dy=state.dy)
-
-
-def _fly(amp: np.ndarray, dy: float, L: float, params: PhysParams) -> np.ndarray:
-    """Spectral free flight over L along the last axis, with no tail guard."""
+def fly(amp: np.ndarray, dy: float, L: float, params: PhysParams) -> np.ndarray:
+    """Spectral free flight over L along the last axis, with no tail guard:
+    for source-plane modes, whose tails say nothing about a wrapped state."""
     if L == 0:
         return amp.copy()
     return np.fft.ifft(np.fft.fft(amp) * _flight_phase(amp.shape[-1], dy, L, params))
@@ -446,7 +404,7 @@ def propagate_amplitude(amp: np.ndarray, dy: float, L: float,
     """Single-particle spectral free flight of a sampled 1-D amplitude."""
     if L < 0:
         raise DomainError("propagation distance must be >= 0")
-    out = _fly(amp, dy, L, params)
+    out = fly(amp, dy, L, params)
     if L > 0:
         _check_tails(np.abs(out) ** 2)
     return out
@@ -462,17 +420,6 @@ def _conditional(y: np.ndarray, phi2: np.ndarray, dy: float) -> ConditionalAmpli
                                 weight=weight)
 
 
-def condition(state: GridState, aperture: Aperture) -> ConditionalAmplitude:
-    """Project particle 1 onto the aperture mode.
-
-    phi2(y2) = integral phi1*(y1) psi(y1, y2) dy1, by direct quadrature.
-    The returned amplitude is renormalized; ``weight`` is the coincidence
-    fraction (the squared norm before renormalization).
-    """
-    phi1 = aperture.sample(state.y, state.dy)
-    return _conditional(state.y, (np.conj(phi1) @ state.psi) * state.dy, state.dy)
-
-
 @dataclass
 class SourcePass:
     """What one :func:`source_pass` over the source yields.
@@ -481,8 +428,7 @@ class SourcePass:
     ``beam`` are particle 2's intensity of that source flown over L1 and over
     the beam distance (``beam`` is None without one); each integrates to its
     flown norm.  ``projections[k]`` is particle 2's amplitude at the source
-    plane, conditioned on aperture k flown back over L1, for the normalized
-    source.
+    plane, conditioned on source-plane mode k, for the normalized source.
     """
 
     y: np.ndarray
@@ -495,7 +441,7 @@ class SourcePass:
     beam: np.ndarray | None
 
     def conditional(self, k: int) -> ConditionalAmplitude:
-        """Aperture k's conditional amplitude of particle 2 at the slit plane:
+        """Mode k's conditional amplitude of particle 2 at the slit plane:
         its projection flown forward over L1, tail-checked, then weighed."""
         phi2 = propagate_amplitude(self.projections[k], self.dy, self.L1,
                                    self.params)
@@ -582,13 +528,16 @@ def _density_flights(diagonals: np.ndarray, dy: float, flights,
 
 
 def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
-                L1: float, apertures=(), beam_L: float | None = None) -> SourcePass:
-    """Condition the source on ``apertures`` at the slit plane L1 in one pass
-    over row blocks of the source, with no n x n array.
+                L1: float, modes=(), beam_L: float | None = None) -> SourcePass:
+    """Condition the source on particle 1's source-plane ``modes``, 1-D
+    arrays of n values, in one pass over row blocks of the source, with no
+    n x n array.  For an aperture phi at the slit plane L1 the mode is
+    fly(conj(phi), L1); a chain of flights and masks gives its own (module
+    docstring).  The modes are not tail-checked.
 
     Each block of SOURCE_BLOCK_ROWS rows is generated on its diagonal band
-    only, added to the source norm, and multiplied into the stacked
-    back-flown apertures fly(conj(phi), L1).  Particle 2's intensity flown
+    only, added to the source norm, and multiplied into the stacked modes.
+    Particle 2's intensity flown
     over L1 and, when given, over ``beam_L`` takes one of two routes, chosen
     by ``_density_route``:
 
@@ -603,15 +552,12 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     Every intensity is tail-checked.
     """
     _check_source(a, omega, grid)
-    if len(apertures) > APERTURE_CHUNK:
-        raise DomainError(f"one pass takes at most {APERTURE_CHUNK} apertures, "
-                          f"got {len(apertures)}")
+    if len(modes) > APERTURE_CHUNK:
+        raise DomainError(f"one pass takes at most {APERTURE_CHUNK} modes, "
+                          f"got {len(modes)}")
     n, dy, y = grid.n, grid.dy, grid.y
-    count = len(apertures)
-    back = np.empty((count, n), dtype=complex)
-    for k, aperture in enumerate(apertures):
-        back[k] = np.conj(aperture.sample(y, dy))
-    back = _fly(back, dy, L1, params)
+    count = len(modes)
+    back = np.reshape(np.asarray(modes, dtype=complex), (count, n))
     # real and imaginary parts stacked: one real product per block
     back = np.concatenate([back.real, back.imag])
     products = np.zeros((2 * count, n))
@@ -679,15 +625,6 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                       projections=projections,
                       slit_plane=intensities[0],
                       beam=None if beam_L is None else intensities[1])
-
-
-def marginal_intensity(state: GridState, particle: int = 2) -> np.ndarray:
-    """All-counts intensity of one particle (normalized to unit sum * dy)."""
-    if particle not in (1, 2):
-        raise DomainError("particle must be 1 or 2")
-    axis = 1 if particle == 1 else 0
-    intensity = np.sum(np.abs(state.psi) ** 2, axis=axis) * state.dy
-    return intensity / (float(np.sum(intensity)) * state.dy)
 
 
 def _local_maxima(intensity: np.ndarray, floor: float) -> np.ndarray:
@@ -783,26 +720,55 @@ def fringe_metrics(y: np.ndarray, intensity: np.ndarray):
     return spacing, (i_max - i_min) / (i_max + i_min)
 
 
-def ghost_double_slit(state: GridState, slit: Aperture, d1: float, L2: float,
+def _masked_intensity(a: float, omega: float, grid: GridSpec, mask: np.ndarray,
+                      L1: float, d1: float, params: PhysParams) -> np.ndarray:
+    """Particle 1's intensity behind ``mask`` at the plane L1, flown a
+    further d1, unnormalized.  The sampled source is exchange-symmetric bit
+    for bit, so row i of a source block is particle 1's amplitude for
+    particle 2 at y[i]; each full-width block flies L1, takes the mask and
+    flies d1 along its rows, and its squared moduli add up over the rows.
+    Particle 2's own flight is unitary and leaves that sum unchanged."""
+    block = np.zeros((SOURCE_BLOCK_ROWS, grid.n))
+    intensity = np.zeros(grid.n)
+    for _ in _source_blocks(a, omega, grid, block):
+        amp = fly(mask * fly(block, grid.dy, L1, params), grid.dy, d1, params)
+        intensity += np.sum(np.abs(amp) ** 2, axis=0)
+    return intensity
+
+
+def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
+                      L1: float, d1: float, L2: float,
                       params: PhysParams) -> GhostPattern:
     """Coincidence pattern of particle 2 behind an aperture on particle 1.
 
-    ``state`` must already sit at the aperture plane.  Particle 1 passes the
-    aperture, flies a further d1, and is point-detected on axis; particle 2
-    then flies L2 to its detector.
+    Both particles fly L1 from the source.  Particle 1 passes ``slit``,
+    flies a further d1, and is point-detected on axis; particle 2 then flies
+    L2 to its detector.  One :func:`source_pass` conditions the source on
+    the chain's source-plane mode fly(mask * fly(conj(point), d1), L1).
+
+    The d1 leg's guard is particle 1's real intensity behind the mask,
+    flown d1 (``_masked_intensity``), not the back-flown modes: the point
+    mode flown back d1 spreads over the whole grid by design (3.6e-2 of it
+    in the outer bands for a 0.1 mm slit with d1 = 400 mm, n = 2048 over
+    +-10 mm), and criterion 9's mode after L1 holds 5.4e-5 there, while
+    both states stay well inside the grid.
     """
+    if L1 < 0 or d1 < 0:
+        raise DomainError("propagation distances must be >= 0")
+    y, dy = grid.y, grid.dy
     # aperture scale drops out after the renormalized conditioning
-    mask = slit.sample(state.y, state.dy)
-    masked = GridState(psi=state.psi * mask[:, None], y=state.y, dy=state.dy)
+    mask = slit.sample(y, dy)
+    point = Aperture(kind="point", center=0.0).sample(y, dy)
+    mode = fly(mask * fly(np.conj(point), dy, d1, params), dy, L1, params)
+    source = source_pass(a, omega, grid, params, L1, [mode])
     if d1 > 0:
-        masked = evolve_spectral(masked, d1, 0.0, params)
-    detector = Aperture(kind="point", center=0.0)
-    cond = condition(masked, detector)
+        _check_tails(_masked_intensity(a, omega, grid, mask, L1, d1, params))
+    cond = source.conditional(0)
     amp = propagate_amplitude(cond.amplitude, cond.dy, L2, params)
     intensity = np.abs(amp) ** 2
-    spacing, visibility = fringe_metrics(state.y, intensity)
-    env = intensity_widths(state.y, intensity, state.dy)
-    return GhostPattern(y=state.y, intensity=intensity, dy=state.dy,
+    spacing, visibility = fringe_metrics(y, intensity)
+    env = intensity_widths(y, intensity, dy)
+    return GhostPattern(y=y, intensity=intensity, dy=dy,
                         weight=cond.weight, fringe_spacing=spacing,
                         visibility=visibility,
                         envelope_fwhm=2.0 * env.rms * FWHM_FACTOR)

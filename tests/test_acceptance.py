@@ -34,6 +34,17 @@ def load_scenario(name):
     return ex.Scenario.from_dict(json.loads(root.joinpath(name).read_text()))
 
 
+def conditional_on_pass(a, omega, grid, L1, epsilon, beam_L=None):
+    """One oracle pass over a free-space layout on ``grid``, conditioned on
+    a Gaussian slit of ``epsilon`` at L1: (the pass, the conditional)."""
+    scenario = ex.Scenario(name="layout", params=PARAMS, a=a, omega=omega,
+                           slit=None, lens=None, L1=L1, L2=0.0, oracle=grid)
+    source = ex.oracle_pass(scenario, L1,
+                            [go.Aperture(kind="gaussian", epsilon=epsilon)],
+                            beam_L)
+    return source, source.conditional(0)
+
+
 @pytest.fixture(scope="module")
 def kim_shih_report():
     return ex.run_kim_shih(load_scenario("kim_shih.json"), use_oracle=True)
@@ -122,9 +133,7 @@ def test_criterion_6_split_invariance(capsys):
 
     def oracle_fwhm(L1, L2):
         grid = go.GridSpec(n=2048, extent=48.0)
-        state = go.build_grid_state(0.1, 15.0, grid)
-        state = go.evolve_spectral(state, L1, L1, PARAMS)
-        cond = go.condition(state, go.Aperture(kind="gaussian", epsilon=0.1))
+        _, cond = conditional_on_pass(0.1, 15.0, grid, L1, 0.1)
         amp = go.propagate_amplitude(cond.amplitude, cond.dy, L2, PARAMS)
         return go.intensity_widths(cond.y, np.abs(amp) ** 2, cond.dy).fwhm
 
@@ -150,16 +159,12 @@ def test_criterion_7_no_extra_spread(capsys):
                   gc.beam_width(source, PropagationLeg(L1 + L2), PARAMS) / 2.0)
         grid = go.GridSpec(n=1024,
                            extent=max(8.0 * rms, go.required_extent(a, omega)))
-        state = go.build_grid_state(a, omega, grid)
-        at_slit = go.evolve_spectral(state, L1, L1, PARAMS)
-        cond = go.condition(at_slit, go.Aperture(kind="gaussian", epsilon=eps))
+        source, cond = conditional_on_pass(a, omega, grid, L1, eps,
+                                           beam_L=L1 + L2)
         amp = go.propagate_amplitude(cond.amplitude, cond.dy, L2, PARAMS)
         coincidence = go.intensity_widths(cond.y, np.abs(amp) ** 2,
                                           cond.dy).fwhm
-        at_detector = go.evolve_spectral(at_slit, 0.0, L2, PARAMS)
-        beam = go.intensity_widths(at_detector.y,
-                                   go.marginal_intensity(at_detector, 2),
-                                   at_detector.dy).fwhm
+        beam = go.intensity_widths(source.y, source.beam, source.dy).fwhm
         if coincidence > beam:
             violations += 1
     ok = violations == 0
@@ -191,10 +196,8 @@ def test_criterion_9_ghost_fringes(capsys):
     slit = go.Aperture(kind="double_slit", slit_width=0.1, separation=0.4)
 
     def pattern(a, omega):
-        state = go.build_grid_state(a, omega, grid)
-        state = go.evolve_spectral(state, 200.0, 200.0, PARAMS)
-        return go.ghost_double_slit(state, slit, d1=50.0, L2=200.0,
-                                    params=PARAMS)
+        return go.ghost_double_slit(a, omega, grid, slit, 200.0, 50.0, 200.0,
+                                    PARAMS)
 
     entangled = pattern(0.04, 2.0)
     separable = pattern(2.0, 1.0)
@@ -211,9 +214,7 @@ def test_criterion_10_oracle_fidelity(capsys):
     # (a) Gaussian conditional width vs closed form, finite omega + flight
     def conditional_width(n):
         grid = go.GridSpec(n=n, extent=12.0)
-        state = go.build_grid_state(math.sqrt(0.043), 2.0, grid)
-        state = go.evolve_spectral(state, 500.0, 500.0, PARAMS)
-        cond = go.condition(state, go.Aperture(kind="gaussian", epsilon=0.065))
+        _, cond = conditional_on_pass(math.sqrt(0.043), 2.0, grid, 500.0, 0.065)
         return go.widths(cond).gaussian_equiv_W
 
     gamma = gc.condition_on_gaussian_slit(
@@ -223,11 +224,11 @@ def test_criterion_10_oracle_fidelity(capsys):
     w_2048 = conditional_width(2048)
     width_err = abs(w_2048 / closed - 1.0)
 
-    # (b) norm drift through the longest bundled flight
+    # (b) norm drift through the longest bundled flight: the source norm
+    # against its norm flown over L1, both from one pass
     scenario = load_scenario("popper_freespace.json")
-    state = go.build_grid_state(scenario.a, scenario.omega, scenario.oracle)
-    drift = abs(go.evolve_spectral(state, scenario.L1, scenario.L1,
-                                   PARAMS).norm() - state.norm())
+    source = ex.oracle_pass(scenario, scenario.L1)
+    drift = abs(float(np.sum(source.slit_plane)) * source.dy / source.norm - 1.0)
 
     # (c) grid doubling stability
     doubling = abs(conditional_width(1024) / w_2048 - 1.0)

@@ -211,6 +211,22 @@ class TestSweep:
              "--csv", str(csv_path)], capsys))
         assert not out_path.exists() and not csv_path.exists()
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]],
+                             ids=["analytic", "oracle"])
+    def test_lens_scenario_refused(self, tmp_path, capsys, oracle):
+        # both arms of a sweep are free-space widths over 2 L1 + L2; on the
+        # lens layout they read 1.867 mm at a 0.1 mm slit, where the lens
+        # layout's own closed form gives 0.666 mm
+        doc = fixture_doc("kim_shih.json")
+        doc["slit"] = {"kind": "gaussian", "width_mm": 0.0658}
+        path = tmp_path / "lens.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["sweep", str(path), "--from", "0.1", "--to", "0.3", "--steps", "3",
+             *oracle], capsys)
+        assert_refused_in_one_line(code, out, err)
+        assert "lens" in err
+
     def test_steps_beyond_memory(self, capsys, monkeypatch):
         # the width list of 10^12 steps would need 8 TB; linspace's refusal
         # is stood in for, so nothing that size is ever allocated

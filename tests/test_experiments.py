@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nxn_reference as ref
+import poppersim.cli as cli
 import poppersim.experiments as ex
 import poppersim.gaussian_core as gc
 import poppersim.grid_oracle as go
@@ -76,21 +78,28 @@ def kim_shih_scenario():
         json.loads(root.joinpath("kim_shih.json").read_text()))
 
 
-NO_REFERENCE_CALLS = {"build_grid_state": 0, "evolve_spectral": 0, "condition": 0}
+NO_REFERENCE_CALLS = {"build_grid_state": 0, "evolve_spectral": 0, "condition": 0,
+                      "marginal_intensity": 0}
 
 
 @pytest.fixture()
 def oracle_spies(monkeypatch):
-    """Call counts of the reference route's stages and of the source pass."""
+    """Call counts of the n x n reference's stages and of the source pass.
+    The package defines none of the reference's names, so a runner could
+    reach the reference only through its test module, spied on here."""
+    for module in (go, ex, cli):
+        for name in (*NO_REFERENCE_CALLS, "GridState"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
     calls = {**NO_REFERENCE_CALLS, "source_pass": 0, "source_rows": 0}
     for name in calls:
-        original = getattr(go, name)
+        module = ref if name in NO_REFERENCE_CALLS else go
+        original = getattr(module, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(go, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -128,10 +137,9 @@ class TestKimShih:
         # the beam; the oracle states this directly
         s = kim_shih_scenario
         grid = go.GridSpec(n=1024, extent=s.oracle.extent)
-        state = go.build_grid_state(s.a, s.omega, grid)
         total = s.L1 + s.L2
-        state = go.evolve_spectral(state, 0.0, total, s.params)
-        w = go.intensity_widths(state.y, go.marginal_intensity(state, 2), state.dy)
+        source = go.source_pass(s.a, s.omega, grid, s.params, 0.0, beam_L=total)
+        w = go.intensity_widths(source.y, source.beam, source.dy)
         beam = gc.beam_width(gc.make_epr_state(s.a, s.omega),
                              gc.PropagationLeg(total), s.params)
         assert w.gaussian_equiv_W == pytest.approx(beam, rel=0.05)
@@ -389,7 +397,19 @@ class TestDefaultGrid:
         grid = ex.default_grid(scenario, n=512)
         assert grid.extent >= go.required_extent(scenario.a, scenario.omega)
         # must be usable immediately
-        go.build_grid_state(scenario.a, scenario.omega, grid)
+        go.source_pass(scenario.a, scenario.omega, grid, scenario.params, 0.0)
+
+    def test_n_resolves_narrow_gaussian_slit(self):
+        # a 0.01 mm Gaussian slit needs dy <= pi * 0.01 / 4 = 0.00785 mm, which
+        # the source alone (n = 2048, dy 0.0162 mm) does not ask for
+        scenario = ex.Scenario.from_dict(scenario_doc(
+            omega_mm=4.0, slit={"kind": "gaussian", "width_mm": 0.01},
+            L1_mm=500.0, L2_mm=500.0))
+        grid = ex.default_grid(scenario)
+        assert grid.n == 8192
+        assert go.max_step(scenario.a, scenario.omega) > 2.0 * grid.extent / 2048
+        assert grid.dy <= go.gaussian_max_step(0.01)
+        go.Aperture(kind="gaussian", epsilon=0.01).check_resolved(grid.n, grid.dy)
 
     @pytest.mark.parametrize("name, n", [
         ("kim_shih.json", 2048),

@@ -1,6 +1,7 @@
 """Brute-force grid simulator: construction guards, unitary propagation,
 conditioning quadrature, and width extraction, cross-checked against the
-closed forms where they exist."""
+closed forms where they exist, and the source pass against the n x n
+reference route (``nxn_reference``)."""
 
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nxn_reference as ref
 import poppersim.gaussian_core as gc
 import poppersim.grid_oracle as go
 from poppersim.errors import DomainError, ResolutionError
@@ -48,12 +50,12 @@ class TestGridSpec:
 
 class TestBuildGridState:
     def test_separable_state_uncorrelated(self):
-        state = go.build_grid_state(1.0, 0.5, go.GridSpec(n=512, extent=4.0))
+        state = ref.build_grid_state(1.0, 0.5, go.GridSpec(n=512, extent=4.0))
         assert abs(correlation_coefficient(state)) < 1e-6
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_position_spread_matches_closed_form(self):
-        state = go.build_grid_state(SQRT_A2, 2.0, go.GridSpec(n=1024, extent=12.0))
+        state = ref.build_grid_state(SQRT_A2, 2.0, go.GridSpec(n=1024, extent=12.0))
         prob = np.abs(state.psi) ** 2 * state.dy ** 2
         p2 = prob.sum(axis=0)
         rms = math.sqrt(float(state.y ** 2 @ p2))
@@ -66,29 +68,29 @@ class TestBuildGridState:
         # builds positive position correlation monotonically
         grid = go.GridSpec(n=512, extent=4.0)
         rs = [abs(correlation_coefficient(
-            go.build_grid_state(1.0 * (1.0 - d), 0.5, grid)))
+            ref.build_grid_state(1.0 * (1.0 - d), 0.5, grid)))
             for d in (0.01, 0.02, 0.04, 0.08)]
         assert all(r1 > r0 for r0, r1 in zip(rs, rs[1:]))
 
     def test_rejects_small_extent(self):
         with pytest.raises(ResolutionError, match="extent"):
-            go.build_grid_state(0.5, 5.0, go.GridSpec(n=512, extent=4.0))
+            ref.build_grid_state(0.5, 5.0, go.GridSpec(n=512, extent=4.0))
 
     def test_rejects_coarse_step(self):
         # a = 0.01 needs a momentum band far beyond this grid's Nyquist
         with pytest.raises(ResolutionError, match="step"):
-            go.build_grid_state(0.01, 1.0, go.GridSpec(n=256, extent=8.0))
+            ref.build_grid_state(0.01, 1.0, go.GridSpec(n=256, extent=8.0))
 
 
 class TestEvolveSpectral:
     def test_identity_at_zero(self, params702):
-        state = go.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=8.0))
-        out = go.evolve_spectral(state, 0.0, 0.0, params702)
+        state = ref.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=8.0))
+        out = ref.evolve_spectral(state, 0.0, 0.0, params702)
         np.testing.assert_allclose(out.psi, state.psi, atol=1e-14)
 
     def test_norm_preserved(self, params702):
-        state = go.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=12.0))
-        out = go.evolve_spectral(state, 400.0, 250.0, params702)
+        state = ref.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=12.0))
+        out = ref.evolve_spectral(state, 400.0, 250.0, params702)
         assert abs(out.norm() - state.norm()) < 1e-10
 
     def test_single_particle_factor(self, params702, lam702):
@@ -104,34 +106,34 @@ class TestEvolveSpectral:
 
     def test_aliasing_guard(self, params702):
         # long flight on a tight domain must be refused, not silently wrapped
-        state = go.build_grid_state(0.3, 0.5, go.GridSpec(n=256, extent=4.0))
+        state = ref.build_grid_state(0.3, 0.5, go.GridSpec(n=256, extent=4.0))
         with pytest.raises(ResolutionError, match="boundary"):
-            go.evolve_spectral(state, 5000.0, 5000.0, params702)
+            ref.evolve_spectral(state, 5000.0, 5000.0, params702)
 
     def test_rejects_negative_distance(self, params702):
-        state = go.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=8.0))
+        state = ref.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=8.0))
         with pytest.raises(DomainError):
-            go.evolve_spectral(state, -1.0, 0.0, params702)
+            ref.evolve_spectral(state, -1.0, 0.0, params702)
 
     @pytest.mark.parametrize("L1, L2", [(0.0, 250.0), (250.0, 0.0)])
     def test_one_leg_matches_two_axis_route(self, params702, L1, L2):
         # skipping the axis whose leg is 0 must agree with the full
         # fft2 -> phases -> ifft2 evolution
-        state = go.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=12.0))
+        state = ref.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=12.0))
         k = 2.0 * np.pi * np.fft.fftfreq(state.n, d=state.dy)
         lam = params702.rescaled_wavelength_mm
         psi_k = np.fft.fft2(state.psi)
         psi_k *= np.exp(-0.25j * lam * L1 * k ** 2)[:, None]
         psi_k *= np.exp(-0.25j * lam * L2 * k ** 2)[None, :]
         expected = np.fft.ifft2(psi_k)
-        out = go.evolve_spectral(state, L1, L2, params702)
+        out = ref.evolve_spectral(state, L1, L2, params702)
         np.testing.assert_allclose(out.psi, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("L1, L2", [(0.0, 0.0), (0.0, 250.0), (400.0, 250.0)])
     def test_input_state_unchanged(self, params702, L1, L2):
-        state = go.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=12.0))
+        state = ref.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=12.0))
         before = state.psi.copy()
-        out = go.evolve_spectral(state, L1, L2, params702)
+        out = ref.evolve_spectral(state, L1, L2, params702)
         assert np.array_equal(state.psi, before)
         assert not np.shares_memory(out.psi, state.psi)
 
@@ -149,9 +151,9 @@ class TestCondition:
         # finite omega, finite flight: the strongest cross-check of the
         # conditioning formula (0.1% width agreement demanded, ~1e-6 seen)
         grid = go.GridSpec(n=2048, extent=12.0)
-        state = go.build_grid_state(SQRT_A2, 2.0, grid)
-        state = go.evolve_spectral(state, 500.0, 500.0, params702)
-        cond = go.condition(state, go.Aperture(kind="gaussian", epsilon=0.065))
+        state = ref.build_grid_state(SQRT_A2, 2.0, grid)
+        state = ref.evolve_spectral(state, 500.0, 500.0, params702)
+        cond = ref.condition(state, go.Aperture(kind="gaussian", epsilon=0.065))
         gamma = gc.condition_on_gaussian_slit(
             gc.make_epr_state(SQRT_A2, 2.0),
             gc.SlitSpec(kind="gaussian", epsilon=0.065),
@@ -161,10 +163,10 @@ class TestCondition:
 
     def test_separable_state_conditional_is_marginal(self, params702):
         grid = go.GridSpec(n=512, extent=4.0)
-        state = go.build_grid_state(1.0, 0.5, grid)
-        cond = go.condition(state, go.Aperture(kind="rect", full_width=0.3))
+        state = ref.build_grid_state(1.0, 0.5, grid)
+        cond = ref.condition(state, go.Aperture(kind="rect", full_width=0.3))
         w_cond = go.widths(cond).gaussian_equiv_W
-        w_marg = go.intensity_widths(state.y, go.marginal_intensity(state, 2),
+        w_marg = go.intensity_widths(state.y, ref.marginal_intensity(state, 2),
                                      state.dy).gaussian_equiv_W
         assert w_cond == pytest.approx(w_marg, rel=1e-3)
 
@@ -172,29 +174,29 @@ class TestCondition:
         # 0.16 mm hard slit on the unpropagated correlated source: between
         # the rect half-width and the beam, value frozen as a fixture
         grid = go.GridSpec(n=2048, extent=12.0)
-        state = go.build_grid_state(SQRT_A2, 2.0, grid)
-        cond = go.condition(state, go.Aperture(kind="rect", full_width=0.16))
+        state = ref.build_grid_state(SQRT_A2, 2.0, grid)
+        cond = ref.condition(state, go.Aperture(kind="rect", full_width=0.16))
         w = go.widths(cond).gaussian_equiv_W
-        beam = go.intensity_widths(state.y, go.marginal_intensity(state, 2),
+        beam = go.intensity_widths(state.y, ref.marginal_intensity(state, 2),
                                    state.dy).gaussian_equiv_W
         assert 0.08 < w < beam
         assert w == pytest.approx(REGRESSION_RECT_W, rel=1e-6)
 
     def test_weight_is_coincidence_fraction(self):
         grid = go.GridSpec(n=512, extent=4.0)
-        state = go.build_grid_state(1.0, 0.5, grid)
-        cond = go.condition(state, go.Aperture(kind="gaussian", epsilon=0.2))
+        state = ref.build_grid_state(1.0, 0.5, grid)
+        cond = ref.condition(state, go.Aperture(kind="gaussian", epsilon=0.2))
         assert 0.0 < cond.weight < 1.0
         norm = float(np.sum(np.abs(cond.amplitude) ** 2) * cond.dy)
         assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_conditioning(self):
         grid = go.GridSpec(n=512, extent=4.0)
-        state = go.build_grid_state(0.2, 0.3, grid)
+        state = ref.build_grid_state(0.2, 0.3, grid)
         # point sampler far outside the state's support
         aperture = go.Aperture(kind="point", center=3.9, tolerance=0.01)
         with pytest.raises(DomainError, match="degenerate"):
-            go.condition(state, aperture)
+            ref.condition(state, aperture)
 
 
 def formula_rows(a, omega, y, start, stop):
@@ -250,6 +252,12 @@ def max_rel(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+def slit_modes(apertures, grid, L1, params):
+    """Source-plane modes fly(conj(phi), L1) of ``apertures``, one row each."""
+    back = np.array([np.conj(ap.sample(grid.y, grid.dy)) for ap in apertures])
+    return go.fly(back, grid.dy, L1, params)
+
+
 # a small resolved layout: dy = 0.0625 mm against max_step 0.111 mm
 PARITY_GRID = go.GridSpec(n=512, extent=16.0)
 PARITY_A, PARITY_OMEGA = 0.2, 2.0
@@ -267,7 +275,7 @@ class TestSourcePass:
         # within the rounding of each
         grid = go.GridSpec(n=n, extent=extent)
         assert_exact_steps(grid)
-        state = go.build_grid_state(a, omega, grid)
+        state = ref.build_grid_state(a, omega, grid)
         assert np.array_equal(state.psi, full_grid_source(a, omega, grid))
         assert_near_formula(product_rows(a, omega, grid, 0, n),
                             formula_rows(a, omega, grid.y, 0, n),
@@ -337,12 +345,12 @@ class TestSourcePass:
 
     @pytest.mark.parametrize("L1, L2", [(300.0, 300.0), (0.0, 500.0)])
     def test_conditional_matches_reference(self, params702, L1, L2):
-        state = go.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID)
-        at_slit = go.evolve_spectral(state, L1, L1, params702) if L1 else state
+        state = ref.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID)
+        at_slit = ref.evolve_spectral(state, L1, L1, params702) if L1 else state
         slit = go.Aperture(kind="gaussian", epsilon=0.1)
-        want = go.condition(at_slit, slit)
+        want = ref.condition(at_slit, slit)
         source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
-                                L1, [slit])
+                                L1, slit_modes([slit], PARITY_GRID, L1, params702))
         got = source.conditional(0)
         assert max_rel(got.amplitude, want.amplitude) <= 1e-12
         assert got.weight == pytest.approx(want.weight, rel=1e-12, abs=0)
@@ -367,21 +375,21 @@ class TestSourcePass:
             assert go._density_route(a, grid) is (count is not None)
             if count is not None:
                 assert go._diagonal_count(a, grid.dy) == count
-            state = go.build_grid_state(a, omega, grid)
+            state = ref.build_grid_state(a, omega, grid)
             source = go.source_pass(a, omega, grid, params702, L1,
                                     beam_L=L1 + L2)
             dy = grid.dy
-            beam = go.marginal_intensity(
-                go.evolve_spectral(state, 0.0, L1 + L2, params702), 2)
+            beam = ref.marginal_intensity(
+                ref.evolve_spectral(state, 0.0, L1 + L2, params702), 2)
             assert max_rel(source.beam / (np.sum(source.beam) * dy), beam) \
                 <= 1e-12
             # one pass holds both particles' slit-plane marginals
-            at_slit = go.evolve_spectral(state, L1, L1, params702)
+            at_slit = ref.evolve_spectral(state, L1, L1, params702)
             del state
             slit_plane = source.slit_plane / (np.sum(source.slit_plane) * dy)
             for particle in (1, 2):
                 assert max_rel(slit_plane,
-                               go.marginal_intensity(at_slit, particle)) <= 1e-12
+                               ref.marginal_intensity(at_slit, particle)) <= 1e-12
             # flight is unitary: the flown norm is the source norm
             assert float(np.sum(source.slit_plane)) * dy == pytest.approx(
                 source.norm, rel=1e-12)
@@ -425,7 +433,8 @@ class TestSourcePass:
                  + 3 * go.SOURCE_BLOCK_ROWS) * grid.n * 8
         tracemalloc.start()
         try:
-            go.source_pass(a, omega, grid, params702, 600.0, slits)
+            go.source_pass(a, omega, grid, params702, 600.0,
+                           slit_modes(slits, grid, 600.0, params702))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -446,18 +455,19 @@ class TestSourcePass:
 
     def test_wrapped_slit_plane_refused_on_both_routes(self, params702):
         # over 20 m the source spreads far beyond +-16 mm and wraps around
-        state = go.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID)
+        state = ref.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID)
         with pytest.raises(ResolutionError, match="boundary"):
-            go.evolve_spectral(state, 20000.0, 20000.0, params702)
+            ref.evolve_spectral(state, 20000.0, 20000.0, params702)
+        slit = go.Aperture(kind="gaussian", epsilon=0.1)
         with pytest.raises(ResolutionError, match="boundary"):
             go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702, 20000.0,
-                           [go.Aperture(kind="gaussian", epsilon=0.1)])
+                           slit_modes([slit], PARITY_GRID, 20000.0, params702))
 
     def test_refuses_more_than_one_chunk(self, params702):
         slits = [go.Aperture(kind="gaussian", epsilon=0.1)] * (go.APERTURE_CHUNK + 1)
         with pytest.raises(DomainError, match="at most"):
             go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702, 300.0,
-                           slits)
+                           slit_modes(slits, PARITY_GRID, 300.0, params702))
 
     def test_build_guards_apply(self, params702):
         with pytest.raises(ResolutionError, match="step"):
@@ -517,13 +527,14 @@ class TestApertureValidation:
     def test_unresolved_gaussian_refused(self, params702, epsilon, need):
         # popper_freespace's grid, dy = 0.0195 mm, resolves epsilon >= 4 dy / pi
         # = 0.0249 mm; a narrower slit is refused with the n it needs, by the
-        # pass as by the aperture itself
+        # ghost pattern's mask as by the aperture itself
         grid = go.GridSpec(n=4096, extent=40.0)
         slit = go.Aperture(kind="gaussian", epsilon=epsilon)
         with pytest.raises(ResolutionError, match=f"n >= {need} "):
             slit.sample(grid.y, grid.dy)
         with pytest.raises(ResolutionError, match="unresolved"):
-            go.source_pass(0.04, 10.0, grid, params702, 600.0, [slit])
+            go.ghost_double_slit(0.04, 10.0, grid, slit, 600.0, 50.0, 0.0,
+                                 params702)
 
     def test_resolution_rule_edge(self):
         grid = go.GridSpec(n=4096, extent=40.0)
@@ -540,68 +551,111 @@ class TestApertureValidation:
             aperture.sample(grid.y, grid.dy)
 
 
+GHOST_GRID = go.GridSpec(n=2048, extent=10.0)
+DOUBLE_SLIT = go.Aperture(kind="double_slit", slit_width=0.1, separation=0.4)
+# (a, omega, slit, d1) with L1 = L2 = 200 mm: criterion 9's entangled and
+# separable layouts, and a single Gaussian slit whose point detector sits far
+# enough behind it to sample its whole transmitted mode
+GHOST_LAYOUTS = {
+    "entangled": (0.04, 2.0, DOUBLE_SLIT, 50.0),
+    "separable": (2.0, 1.0, DOUBLE_SLIT, 50.0),
+    "envelope": (0.04, 2.0, go.Aperture(kind="gaussian", epsilon=0.1), 400.0),
+}
+
+
 @pytest.fixture(scope="module")
-def entangled_pattern(params702):
-    grid = go.GridSpec(n=2048, extent=10.0)
-    state = go.build_grid_state(0.04, 2.0, grid)
-    state = go.evolve_spectral(state, 200.0, 200.0, params702)
-    slit = go.Aperture(kind="double_slit", slit_width=0.1, separation=0.4)
-    return go.ghost_double_slit(state, slit, d1=50.0, L2=200.0, params=params702)
+def ghost_patterns(params702):
+    """Each layout's ghost pattern, on the pass."""
+    return {name: go.ghost_double_slit(a, omega, GHOST_GRID, slit, 200.0, d1,
+                                       200.0, params702)
+            for name, (a, omega, slit, d1) in GHOST_LAYOUTS.items()}
 
 
 class TestGhostDoubleSlit:
-    def test_fringe_spacing(self, entangled_pattern, params702):
+    @pytest.mark.parametrize("name", list(GHOST_LAYOUTS))
+    def test_matches_reference(self, ghost_patterns, params702, name):
+        a, omega, slit, d1 = GHOST_LAYOUTS[name]
+        state = ref.evolve_spectral(ref.build_grid_state(a, omega, GHOST_GRID),
+                                    200.0, 200.0, params702)
+        want = ref.ghost_double_slit(state, slit, d1=d1, L2=200.0,
+                                     params=params702)
+        got = ghost_patterns[name]
+        assert max_rel(got.intensity, want.intensity) <= 1e-12
+        assert got.weight == pytest.approx(want.weight, rel=1e-12, abs=0)
+        assert got.envelope_fwhm == pytest.approx(want.envelope_fwhm, rel=1e-12,
+                                                  abs=0)
+        assert got.visibility == pytest.approx(want.visibility, rel=1e-12,
+                                               abs=1e-15)
+        np.testing.assert_equal(got.fringe_spacing, want.fringe_spacing)
+
+    def test_fringe_spacing(self, ghost_patterns, params702):
         # Young's formula over the through-source distance 2*L1 + L2
         expected = params702.wavelength_mm * 600.0 / 0.4
-        assert entangled_pattern.fringe_spacing == pytest.approx(expected, rel=0.05)
+        assert ghost_patterns["entangled"].fringe_spacing == pytest.approx(
+            expected, rel=0.05)
 
-    def test_visibility_high_when_entangled(self, entangled_pattern):
-        assert entangled_pattern.visibility > 0.5
+    def test_visibility_high_when_entangled(self, ghost_patterns):
+        assert ghost_patterns["entangled"].visibility > 0.5
 
-    def test_no_fringes_for_separable_state(self, params702):
-        grid = go.GridSpec(n=2048, extent=10.0)
-        state = go.build_grid_state(2.0, 1.0, grid)
-        state = go.evolve_spectral(state, 200.0, 200.0, params702)
-        slit = go.Aperture(kind="double_slit", slit_width=0.1, separation=0.4)
-        pattern = go.ghost_double_slit(state, slit, d1=50.0, L2=200.0,
-                                       params=params702)
-        assert pattern.visibility < 0.05
+    def test_no_fringes_for_separable_state(self, ghost_patterns):
+        assert ghost_patterns["separable"].visibility < 0.05
 
-    def test_single_slit_envelope(self, params702):
+    def test_single_slit_envelope(self, ghost_patterns, params702):
         # ghost single slit: envelope within 10% of the closed-form width
-        # for the same eps, a over 2*L1 + L2; the point detector has to sit
-        # far enough behind the slit to sample its whole transmitted mode
-        grid = go.GridSpec(n=2048, extent=10.0)
-        state = go.build_grid_state(0.04, 2.0, grid)
-        state = go.evolve_spectral(state, 200.0, 200.0, params702)
-        slit = go.Aperture(kind="gaussian", epsilon=0.1)
-        pattern = go.ghost_double_slit(state, slit, d1=400.0, L2=200.0,
-                                       params=params702)
+        # for the same eps, a over 2*L1 + L2
         eps = 0.1
         s2 = eps * eps + 0.04 ** 2
         lam_d = params702.rescaled_wavelength_mm * 600.0
         expected = gc.fwhm_from_width(math.sqrt(s2 + lam_d ** 2 / s2))
-        assert pattern.envelope_fwhm == pytest.approx(expected, rel=0.10)
+        assert ghost_patterns["envelope"].envelope_fwhm == pytest.approx(
+            expected, rel=0.10)
 
+    def test_envelope_layout_not_refused(self, ghost_patterns, params702):
+        # the point mode flown back d1 = 400 mm spreads over the whole grid,
+        # far past the tail limit, while the state it conditions stays inside:
+        # a guard on back-flown modes would refuse this valid layout
+        point = go.Aperture(kind="point").sample(GHOST_GRID.y, GHOST_GRID.dy)
+        back = np.abs(go.fly(point, GHOST_GRID.dy, 400.0, params702)) ** 2
+        band = int(round(go.TAIL_BAND_FRACTION * GHOST_GRID.n))
+        tail = (np.sum(back[:band]) + np.sum(back[-band:])) / np.sum(back)
+        assert tail > 1e4 * go.TAIL_PROB_LIMIT
+        assert ghost_patterns["envelope"].weight > 0.0
+
+    def test_d1_guard_profile_matches_reference(self, params702):
+        # the guard's profile is particle 1's intensity behind the mask,
+        # flown d1: the n x n state's particle-1 marginal
+        slit = go.Aperture(kind="gaussian", epsilon=0.5)
+        L1, d1 = 300.0, 100.0
+        mask = slit.sample(PARITY_GRID.y, PARITY_GRID.dy)
+        got = go._masked_intensity(PARITY_A, PARITY_OMEGA, PARITY_GRID, mask,
+                                   L1, d1, params702)
+        state = ref.evolve_spectral(
+            ref.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID), L1, L1,
+            params702)
+        masked = ref.GridState(psi=state.psi * mask[:, None], y=state.y,
+                               dy=state.dy)
+        want = ref.marginal_intensity(
+            ref.evolve_spectral(masked, d1, 0.0, params702), 1)
+        assert max_rel(got / (np.sum(got) * PARITY_GRID.dy), want) <= 1e-12
 
     def test_d1_leg_aliasing_guard(self, params702):
         # behind a 0.05 mm slit particle 1 spreads to W ~ 22 mm over
         # d1 = 5 m, far beyond the +-4 mm domain
-        state = go.build_grid_state(0.3, 0.5, go.GridSpec(n=512, extent=4.0))
         slit = go.Aperture(kind="gaussian", epsilon=0.05)
         with pytest.raises(ResolutionError, match="boundary"):
-            go.ghost_double_slit(state, slit, d1=5000.0, L2=0.0, params=params702)
+            go.ghost_double_slit(0.3, 0.5, go.GridSpec(n=512, extent=4.0), slit,
+                                 0.0, 5000.0, 0.0, params702)
 
 
 class TestDeterminism:
     def test_identical_runs_identical_bits(self, params702):
         grid = go.GridSpec(n=512, extent=8.0)
+        slit = go.Aperture(kind="gaussian", epsilon=0.2)
 
         def run():
-            state = go.build_grid_state(0.3, 1.0, grid)
-            state = go.evolve_spectral(state, 300.0, 150.0, params702)
-            cond = go.condition(state, go.Aperture(kind="gaussian", epsilon=0.2))
-            return cond.amplitude
+            source = go.source_pass(0.3, 1.0, grid, params702, 300.0,
+                                    slit_modes([slit], grid, 300.0, params702))
+            return source.conditional(0).amplitude
 
         a, b = run(), run()
         assert np.array_equal(a, b)
