@@ -158,15 +158,17 @@ def _check_finite_options(args):
             raise ConfigError(f"option {option} must be a finite number, got {value}")
 
 
-def _load_scenario(args) -> ex.Scenario:
+def _load_scenario(args, slit_full_widths=None) -> ex.Scenario:
     """The command's scenario file with ``--grid-n`` applied; when the
-    command runs the oracle, its grid is checked against the memory cap."""
+    command runs the oracle, its grid is checked against the memory cap.
+    A sweep passes its slits, which size a grid the file does not give."""
     scenario = ex.Scenario.from_json(args.scenario)
     if args.grid_n is not None:
         scenario = dataclasses.replace(scenario, oracle=go.GridSpec(
-            n=args.grid_n, extent=ex.oracle_grid(scenario).extent))
+            n=args.grid_n,
+            extent=ex.oracle_grid(scenario, slit_full_widths).extent))
     if args.oracle:
-        _check_grid_cap(ex.oracle_grid(scenario))
+        _check_grid_cap(ex.oracle_grid(scenario, slit_full_widths))
     return scenario
 
 
@@ -215,7 +217,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _load_scenario(args)
     if not args.start < args.stop:
         raise ConfigError(f"sweep bounds must satisfy from < to, "
                           f"got {args.start} >= {args.stop}")
@@ -225,6 +226,7 @@ def cmd_sweep(args) -> int:
         widths = np.linspace(args.start, args.stop, args.steps)
     except MemoryError:
         raise ConfigError(f"sweep of {args.steps} steps does not fit in memory")
+    scenario = _load_scenario(args, widths)
     points = ex.run_strekalov_sweep(scenario, widths, use_oracle=args.oracle)
     rows = []
     header = "slit_full_width_mm,fwhm_analytic_mm"

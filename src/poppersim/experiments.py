@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -188,33 +188,40 @@ class SweepPoint:
     error: str | None = None
 
 
-def default_grid(scenario: Scenario, n: int | None = None) -> GridSpec:
-    """Auto-sized grid: extent 8x the largest rms width in the scenario; unless
-    given, n doubles from 2048 up to 8192 until the step meets go.max_step
-    and the slit's go.gaussian_max_step."""
+def default_grid(scenario: Scenario, n: int | None = None,
+                 epsilons=None) -> GridSpec:
+    """Auto-sized grid: extent 8x the largest rms width in the scenario,
+    with the Gaussian slits of ``epsilons`` (by default the scenario's own
+    slit); unless given, n doubles from 2048 up to 8192 until the step meets
+    go.max_step and each slit's go.gaussian_max_step."""
     state = gc.make_epr_state(scenario.a, scenario.omega)
     total = scenario.L1 + scenario.L2
     rms = [gc.position_uncertainty(state),
            gc.beam_width(state, PropagationLeg(total), scenario.params) / 2.0]
     step = go.max_step(scenario.a, scenario.omega)
-    if scenario.slit is not None:
-        eps = scenario.slit.gaussian_epsilon(scenario.params)
+    if epsilons is None:
+        epsilons = [] if scenario.slit is None else [
+            scenario.slit.gaussian_epsilon(scenario.params)]
+    for eps in epsilons:
         rms.append(gc.far_field_width(eps * eps + scenario.a ** 2,
                                       scenario.effective_distance,
                                       scenario.params) / 2.0)
         step = min(step, go.gaussian_max_step(eps))
     extent = max(8.0 * max(rms), go.required_extent(scenario.a, scenario.omega))
     if n is None:
-        n = 2048
-        while n < 8192 and 2.0 * extent / n > step:
-            n *= 2
+        n = go.points_for_step(extent, step, 2048, 8192)
     return GridSpec(n=n, extent=extent)
 
 
-def oracle_grid(scenario: Scenario) -> GridSpec:
+def oracle_grid(scenario: Scenario, slit_full_widths=None) -> GridSpec:
     """The grid the oracle runs ``scenario`` on: its ``oracle`` block, else
-    :func:`default_grid`."""
-    return scenario.oracle if scenario.oracle is not None else default_grid(scenario)
+    :func:`default_grid`, sized for the scenario's slit or, for a sweep, for
+    the sweep's slits of ``slit_full_widths`` (half-width convention)."""
+    if scenario.oracle is not None:
+        return scenario.oracle
+    epsilons = None if slit_full_widths is None else [
+        w / 2.0 for w in slit_full_widths]
+    return default_grid(scenario, epsilons=epsilons)
 
 
 def oracle_pass(scenario: Scenario, L1: float, apertures=(),
@@ -398,6 +405,9 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
         points.append(SweepPoint(slit_full_width_mm=w_full, fwhm_analytic_mm=fwhm_an))
     if not use_oracle:
         return points
+    # the oracle conditions on the sweep's slits, never on the scenario's
+    # own: one grid sized for them serves every chunk
+    scenario = replace(scenario, oracle=oracle_grid(scenario, widths))
     for start in range(0, len(points), go.APERTURE_CHUNK):
         try:
             _sweep_chunk(scenario, points[start:start + go.APERTURE_CHUNK])

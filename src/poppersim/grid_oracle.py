@@ -131,10 +131,10 @@ class GridSpec:
         The model over-counts.  The one-axis arrays include the source's two
         factor tables (``source_tables``, 4 n - 2 values), which every block
         reads and none copies.  Every per-block array spans only the block's
-        diagonal band: the band, its squares and the block's product.  Only
-        the row route holds full-width block arrays, four of them: the
-        zeroed block its bands are written into, the flown rows and two half
-        spectra.  The density route holds none;
+        diagonal band: the band, its column sums of squares (one row) and
+        the block's product.  Only the row route holds full-width block
+        arrays, four of them: the zeroed block its bands are written into,
+        the flown rows and two half spectra.  The density route holds none;
         its Gram buffer, (SOURCE_BLOCK_ROWS + D) x (SOURCE_BLOCK_ROWS + 2 D)
         values, and its band-wide block arrays fit in the seven block arrays
         and the band-wide product's stack for every n <= 16384, since
@@ -190,7 +190,8 @@ class Aperture:
             return
         step = gaussian_max_step(self.epsilon)
         if dy > step:
-            need = 1 << math.ceil(math.log2(n * dy / step))
+            # n is a power of two, so n dy / 2 is the grid's extent exactly
+            need = points_for_step(n * dy / 2.0, step, n)
             raise ResolutionError(
                 f"gaussian aperture epsilon {self.epsilon:.3g} mm unresolved: "
                 f"step {dy:.3g} mm, need dy <= {step:.3g} mm (n >= {need} on "
@@ -250,6 +251,16 @@ def gaussian_max_step(epsilon: float) -> float:
     return math.pi * epsilon / 4.0
 
 
+def points_for_step(extent: float, step: float, n: int = 256,
+                    most: float = math.inf) -> int:
+    """The first of n, 2 n, 4 n, ... whose grid over [-extent, extent) has
+    a step 2 extent / N of at most ``step``, as ``GridSpec.dy`` computes it,
+    or ``most`` if that comes first."""
+    while n < most and 2.0 * extent / n > step:
+        n *= 2
+    return n
+
+
 def _check_source(a: float, omega: float, grid: GridSpec):
     """Refuse a grid whose extent or step cannot hold the source."""
     if a <= 0 or omega <= 0:
@@ -262,9 +273,11 @@ def _check_source(a: float, omega: float, grid: GridSpec):
         )
     step = max_step(a, omega)
     if grid.dy > step:
+        need = points_for_step(grid.extent, step, grid.n)
         raise ResolutionError(
             f"step {grid.dy:.3g} mm too coarse: need dy <= "
-            f"{step:.3g} mm to hold the momentum spectrum"
+            f"{step:.3g} mm to hold the momentum spectrum (n >= {need} on "
+            f"this extent)"
         )
 
 
@@ -364,14 +377,6 @@ def _source_blocks(a: float, omega: float, grid: GridSpec,
             out[:, cols] = 0.0
 
 
-def _pairwise_total(parts: list[float]) -> float:
-    """Add partial sums in pairs, as np.sum combines the halves of a contiguous
-    array: over power-of-two blocks the total is np.sum's to the bit."""
-    while len(parts) > 1:
-        parts = [sum(parts[i:i + 2]) for i in range(0, len(parts), 2)]
-    return parts[0]
-
-
 def _check_tails(prob: np.ndarray):
     """Refuse a 1-D probability profile whose outer bands hold more than
     TAIL_PROB_LIMIT of its total: spectral flight has wrapped it around."""
@@ -426,9 +431,10 @@ class SourcePass:
 
     ``norm`` is the squared norm of the source as sampled.  ``slit_plane`` and
     ``beam`` are particle 2's intensity of that source flown over L1 and over
-    the beam distance (``beam`` is None without one); each integrates to its
-    flown norm.  ``projections[k]`` is particle 2's amplitude at the source
-    plane, conditioned on source-plane mode k, for the normalized source.
+    the beam distance (``beam`` is None without one, and ``slit_plane``
+    itself when the beam lies at L1); each integrates to its flown norm.
+    ``projections[k]`` is particle 2's amplitude at the source plane,
+    conditioned on source-plane mode k, for the normalized source.
     """
 
     y: np.ndarray
@@ -536,10 +542,12 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     docstring).  The modes are not tail-checked.
 
     Each block of SOURCE_BLOCK_ROWS rows is generated on its diagonal band
-    only, added to the source norm, and multiplied into the stacked modes.
-    Particle 2's intensity flown
-    over L1 and, when given, over ``beam_L`` takes one of two routes, chosen
-    by ``_density_route``:
+    only, multiplied into the stacked modes, and its band's column sums of
+    squares are added to particle 2's source-plane intensity, whose total is
+    the source norm.  Particle 2's intensity flown over L1 and, when given,
+    over ``beam_L`` is flown once per distinct nonzero distance, so with
+    ``beam_L == L1`` the two are one array.  It takes one of two routes,
+    chosen by ``_density_route``:
 
     - density, when rho = psi^T psi has D + 1 <= n / DENSITY_RATIO nonzero
       diagonals: each block adds its band's Gram to them, and after the last
@@ -548,7 +556,7 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
       which takes one real transform along particle 2's axis and two inverse
       ones per nonzero flight.
 
-    An intensity over L = 0 is the sum of the squared rows on either route.
+    An intensity over L = 0 is the source-plane intensity on either route.
     Every intensity is tail-checked.
     """
     _check_source(a, omega, grid)
@@ -561,11 +569,14 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     # real and imaginary parts stacked: one real product per block
     back = np.concatenate([back.real, back.imag])
     products = np.zeros((2 * count, n))
+    # particle 2's intensity at the source plane, unscaled: each block adds
+    # its band's column sums of squares.  Its total is the source norm, and
+    # a flight over L = 0 reads it.  Every other distance is flown once.
+    source_plane = np.zeros(n)
     flights = [L1] if beam_L is None else [L1, beam_L]
-    intensities = [np.zeros(n) for _ in flights]
-    flown = [(total, L) for total, L in zip(intensities, flights) if L > 0]
+    intensities = {L: source_plane if L == 0 else np.zeros(n) for L in flights}
+    flown = [(total, L) for L, total in intensities.items() if L > 0]
     density = bool(flown) and _density_route(a, grid)
-    sums = []
     rows_out = None
     if density:
         diagonals = np.zeros((_diagonal_count(a, dy), n))
@@ -584,12 +595,8 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         half = np.empty((SOURCE_BLOCK_ROWS, n // 2 + 1), dtype=complex)
         product = np.empty_like(half)
     for rows, cols, band in _source_blocks(a, omega, grid, rows_out):
-        square = np.square(band)
-        sums.append(float(np.sum(square)))
+        source_plane[cols] += np.einsum("ij,ij->j", band, band)
         products[:, cols] += back[:, rows] @ band
-        for total, L in zip(intensities, flights):
-            if L == 0:
-                total[cols] += square.sum(axis=0)
         if density:
             reach = _band(a, y, rows.start, rows.stop, GRAM_EXPONENT)
             _add_band_gram(diagonals, band[:, reach.start - cols.start:
@@ -612,19 +619,20 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         del diagonals
         for (total, _), marginal in zip(flown, marginals):
             total += marginal
+    # the norm before the source-plane intensity is scaled in place below
+    norm = float(np.sum(source_plane)) * dy * dy
     # Particle 1's slit-plane intensity equals particle 2's: the sampled
     # source is exchange-symmetric bit for bit (see source_rows) and both
     # particles fly L1, so the one check below guards both axes.
-    for total in intensities:
+    for total in intensities.values():
         total *= dy
         _check_tails(total)
-    norm = _pairwise_total(sums) * dy * dy
     products *= dy / math.sqrt(norm)
     projections = products[:count] + 1j * products[count:]
     return SourcePass(y=y, dy=dy, L1=L1, params=params, norm=norm,
                       projections=projections,
-                      slit_plane=intensities[0],
-                      beam=None if beam_L is None else intensities[1])
+                      slit_plane=intensities[L1],
+                      beam=None if beam_L is None else intensities[beam_L])
 
 
 def _local_maxima(intensity: np.ndarray, floor: float) -> np.ndarray:

@@ -27,7 +27,6 @@ from poppersim.grid_oracle import (
     _check_tails,
     _conditional,
     _flight_phase,
-    _pairwise_total,
     _source_blocks,
     fringe_metrics,
     intensity_widths,
@@ -55,13 +54,12 @@ def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
     """Sample and normalize the correlated source amplitude."""
     _check_source(a, omega, grid)
     psi = np.empty((grid.n, grid.n), dtype=complex)
-    # full-width rows keep the norm np.sum's over the whole array to the bit
     block = np.zeros((SOURCE_BLOCK_ROWS, grid.n))
-    sums = []
     for rows, _, _ in _source_blocks(a, omega, grid, block):
-        sums.append(float(np.sum(block * block)))
         psi[rows] = block
-    psi /= math.sqrt(_pairwise_total(sums) * grid.dy ** 2)
+    prob = np.abs(psi)
+    prob **= 2
+    psi /= math.sqrt(float(np.sum(prob)) * grid.dy ** 2)
     return GridState(psi=psi, y=grid.y, dy=grid.dy)
 
 

@@ -153,6 +153,18 @@ class TestRun:
         assert code == cli.EXIT_RESOLUTION
         assert "too coarse" in err
 
+    def test_coarse_step_names_n(self, tmp_path, capsys):
+        # a = 0.01 mm needs dy <= 0.00555 mm; the block's 2048 points over
+        # +-40 mm give 0.0391 mm
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps({
+            "a_mm": 0.01, "omega_mm": 4, "L1_mm": 500, "L2_mm": 500,
+            "slit": {"kind": "gaussian", "width_mm": 0.25}, "lambda_nm": 702,
+            "oracle": {"n": 2048, "extent_mm": 40}}))
+        code, out, err = run_cli(["run", str(path), "--oracle"], capsys)
+        assert code == cli.EXIT_RESOLUTION and out == ""
+        assert "too coarse" in err and "(n >= 16384 on this extent)" in err
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(["run", fixture_path("kim_shih.json")], capsys)
         _, second, _ = run_cli(["run", fixture_path("kim_shih.json")], capsys)
@@ -275,6 +287,63 @@ class TestSweep:
             assert "error" not in point
             assert point["fwhm_oracle_mm"] == pytest.approx(
                 point["fwhm_analytic_mm"], rel=0.01)
+
+
+def sweep_scenario(tmp_path, **edit):
+    """A block-less layout whose 0.25 mm Gaussian slit alone asks for n = 2048
+    (dy 0.0162 mm)."""
+    doc = {"a_mm": 0.2, "omega_mm": 4, "L1_mm": 500, "L2_mm": 500,
+           "slit": {"kind": "gaussian", "width_mm": 0.25}, "lambda_nm": 702}
+    doc.update(edit)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestBlocklessSweep:
+    """Without an oracle block a sweep's grid is sized for the sweep's slits,
+    the only slits its oracle conditions on, not for the scenario's own."""
+
+    def test_narrow_point_runs(self, tmp_path, capsys):
+        # the 0.02 mm point (epsilon 0.01 mm) needs dy <= 0.00785 mm, n = 8192
+        code, out, err = run_cli(
+            ["sweep", sweep_scenario(tmp_path), "--from", "0.02", "--to", "0.5",
+             "--steps", "2", "--oracle"], capsys)
+        assert code == cli.EXIT_OK and err == ""
+        narrow, wide = [line.split(",") for line in out.splitlines()[1:]]
+        assert float(narrow[2]) == pytest.approx(1.96532499, rel=1e-8)
+        assert float(wide[2]) == pytest.approx(float(wide[1]), rel=0.01)
+
+    def test_cap_counts_sweep_grid(self, tmp_path, capsys, monkeypatch):
+        path = sweep_scenario(tmp_path)
+        argv = ["sweep", path, "--from", "0.02", "--to", "0.5", "--steps", "2",
+                "--oracle"]
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(peak_bytes(8192) - 1))
+        code, _, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_CONFIG and "8192x8192" in err
+        # a wide sweep of a narrow-slit scenario needs only n = 2048
+        path = sweep_scenario(tmp_path, slit={"kind": "gaussian", "width_mm": 0.01})
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(peak_bytes(2048)))
+        code, _, err = run_cli(
+            ["sweep", path, "--from", "0.6", "--to", "1.0", "--steps", "2",
+             "--oracle"], capsys)
+        assert code == cli.EXIT_OK and err == ""
+
+    def test_grid_n_keeps_sweep_extent(self, tmp_path, capsys):
+        # the 0.02 mm slit's far field sets this sweep's extent: 32.5 mm,
+        # where the scenario's 0.5 mm slit gives 22.7 mm
+        path = sweep_scenario(tmp_path, a_mm=0.04, omega_mm=1,
+                              slit={"kind": "gaussian", "width_mm": 0.5})
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            ["sweep", path, "--from", "0.02", "--to", "1.0", "--steps", "2",
+             "--grid-n", "4096", "--out", str(report)], capsys)
+        assert code == cli.EXIT_OK
+        scenario = ex.Scenario.from_json(path)
+        extent = ex.oracle_grid(scenario, [0.02, 1.0]).extent
+        assert extent > 1.4 * ex.oracle_grid(scenario).extent
+        assert json.loads(report.read_text())["scenario"]["oracle"] == \
+            pytest.approx({"n": 4096, "extent_mm": extent}, rel=1e-8)
 
 
 class TestScenarioValidation:

@@ -1,5 +1,6 @@
 """Scenario parsing, reference layout runs, sweeps, and the width inversion."""
 
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -182,6 +183,23 @@ class TestPopperFreespace:
         report = ex.run_popper_freespace(scenario, use_oracle=True)
         assert abs(report.coincidence_fwhm_mm.delta_rel) < 0.01
         assert report.coincidence_fwhm_mm.analytic < report.beam_fwhm_mm.analytic
+
+    def test_beam_at_slit_plane_flown_once(self, monkeypatch):
+        # with L2 = 0 the beam lies at the slit plane: rho's diagonals fly
+        # 600 mm once, and the beam FWHM is the one two flights gave
+        flights = []
+        density_flights = go._density_flights
+
+        def spy(diagonals, dy, distances, params):
+            flights.append(list(distances))
+            return density_flights(diagonals, dy, distances, params)
+
+        monkeypatch.setattr(go, "_density_flights", spy)
+        scenario = dataclasses.replace(
+            fixture_scenario("popper_freespace.json"), L2=0.0)
+        report = ex.run_popper_freespace(scenario, use_oracle=True)
+        assert flights == [[600.0]]
+        assert report.beam_fwhm_mm.oracle == 12.417910227100545
 
     def test_rejects_lens(self):
         scenario = ex.Scenario.from_dict(scenario_doc(
@@ -410,6 +428,28 @@ class TestDefaultGrid:
         assert go.max_step(scenario.a, scenario.omega) > 2.0 * grid.extent / 2048
         assert grid.dy <= go.gaussian_max_step(0.01)
         go.Aperture(kind="gaussian", epsilon=0.01).check_resolved(grid.n, grid.dy)
+
+    def test_sweep_grid_sized_for_sweep_slits(self):
+        # a sweep conditions only on its own slits: a 0.02 mm one (epsilon
+        # 0.01 mm) asks for n = 8192 and a wider far field, and a sweep of
+        # wide slits on a narrow-slit scenario needs only the source's n
+        doc = scenario_doc(a_mm=0.04, omega_mm=1.0, L1_mm=500.0, L2_mm=500.0,
+                           slit={"kind": "gaussian", "width_mm": 0.5})
+        scenario = ex.Scenario.from_dict(doc)
+        own = ex.oracle_grid(scenario)
+        assert own == ex.oracle_grid(scenario, [0.2, 1.0])
+        assert own.n == 2048
+        narrow = ex.oracle_grid(scenario, [0.02, 1.0])
+        assert narrow == ex.default_grid(scenario, epsilons=[0.01, 0.5])
+        assert narrow.n == 8192 and narrow.extent > 1.4 * own.extent
+        doc["slit"]["width_mm"] = 0.01
+        scenario = ex.Scenario.from_dict(doc)
+        assert ex.oracle_grid(scenario).n == 8192
+        assert ex.oracle_grid(scenario, [0.6, 1.0]).n == 2048
+        # an oracle block is the grid whatever the slits
+        block = go.GridSpec(n=1024, extent=16.0)
+        assert ex.oracle_grid(dataclasses.replace(scenario, oracle=block),
+                              [0.02, 1.0]) is block
 
     @pytest.mark.parametrize("name, n", [
         ("kim_shih.json", 2048),

@@ -395,6 +395,43 @@ class TestSourcePass:
                 source.norm, rel=1e-12)
 
     @pytest.mark.parametrize("a, omega, grid", [
+        (PARITY_A, PARITY_OMEGA, PARITY_GRID),
+        (0.04, 1.0, go.GridSpec(n=2048, extent=20.0))], ids=["rows", "density"])
+    def test_beam_at_slit_plane_flown_once(self, params702, monkeypatch,
+                                           a, omega, grid):
+        # a beam at the slit-plane distance (L2 = 0) is the slit-plane
+        # intensity: one flight phase for the one distance, on either route
+        L1 = 300.0
+        assert go._density_route(a, grid) is (grid is not PARITY_GRID)
+        alone = go.source_pass(a, omega, grid, params702, L1)
+        phases = []
+        flight_phase = go._flight_phase
+
+        def spy(n, dy, L, params):
+            phases.append(L)
+            return flight_phase(n, dy, L, params)
+
+        monkeypatch.setattr(go, "_flight_phase", spy)
+        source = go.source_pass(a, omega, grid, params702, L1, beam_L=L1)
+        assert phases == [L1]
+        assert np.array_equal(source.beam, source.slit_plane)
+        assert np.array_equal(source.slit_plane, alone.slit_plane)
+        assert source.norm == alone.norm
+
+    def test_source_plane_intensity_without_flight(self, params702):
+        # L1 = 0 and beam_L = 0 read the source-plane column sums, whose
+        # total is the norm
+        dy = PARITY_GRID.dy
+        source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
+                                0.0, beam_L=0.0)
+        want = ref.marginal_intensity(
+            ref.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID), 2)
+        assert max_rel(source.slit_plane / source.norm, want) <= 1e-12
+        assert np.array_equal(source.beam, source.slit_plane)
+        assert source.norm == pytest.approx(
+            float(np.sum(source.slit_plane)) * dy, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("a, omega, grid", [
         (0.04, 10.0, go.GridSpec(n=4096, extent=40.0)),  # strekalov.json
         (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0))],  # kim_shih.json
         ids=["strekalov", "kim_shih"])
@@ -473,6 +510,15 @@ class TestSourcePass:
         with pytest.raises(ResolutionError, match="step"):
             go.source_pass(0.01, 1.0, go.GridSpec(n=256, extent=8.0), params702, 0.0)
 
+    def test_coarse_step_refusal_names_n(self):
+        # a = 0.01 mm needs dy <= 0.00555 mm: over +-40 mm that is n = 16384
+        # (dy 0.00488 mm), where 8192 gives 0.00977 mm
+        for n in (2048, 8192):
+            with pytest.raises(ResolutionError,
+                               match=r"too coarse.*\(n >= 16384 on this extent\)"):
+                go._check_source(0.01, 4.0, go.GridSpec(n=n, extent=40.0))
+        go._check_source(0.01, 4.0, go.GridSpec(n=16384, extent=40.0))
+
 
 # frozen from the first run of test_rect_aperture_regression (n=2048,
 # extent=12, a^2=0.043, omega=2, hard slit 0.16 mm)
@@ -535,6 +581,16 @@ class TestApertureValidation:
         with pytest.raises(ResolutionError, match="unresolved"):
             go.ghost_double_slit(0.04, 10.0, grid, slit, 600.0, 50.0, 0.0,
                                  params702)
+
+    def test_points_for_step_compares_steps_exactly(self):
+        # n doubles until GridSpec's own step meets the limit: a limit equal
+        # to that step is met, one a hair below it is not
+        grid = go.GridSpec(n=4096, extent=40.0)
+        assert go.points_for_step(grid.extent, grid.dy) == 4096
+        assert go.points_for_step(grid.extent,
+                                  math.nextafter(grid.dy, 0.0)) == 8192
+        assert go.points_for_step(grid.extent, grid.dy / 3.0, 2048) == 16384
+        assert go.points_for_step(grid.extent, grid.dy / 3.0, 2048, 8192) == 8192
 
     def test_resolution_rule_edge(self):
         grid = go.GridSpec(n=4096, extent=40.0)
