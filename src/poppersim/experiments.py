@@ -430,8 +430,11 @@ def fit_sigma_from_width(fwhm_observed: float, epsilon: float, L2: float,
     """
     if fwhm_observed <= 0:
         raise DomainError("observed FWHM must be positive")
-    if epsilon < 0 or L2 < 0:
-        raise DomainError("epsilon and L2 must be >= 0")
+    if epsilon < 0:
+        raise DomainError("epsilon must be >= 0")
+    if L2 <= 0:
+        raise DomainError(f"L2 must be > 0, got {L2}: at L2 = 0 the width "
+                          f"is s itself and there is no near-field branch")
     roots = gc.far_field_inverse(fwhm_observed / FWHM_FACTOR, L2, params)
     a2 = roots.near ** 2 - epsilon ** 2
     if a2 < 0:

@@ -322,9 +322,10 @@ def far_field_inverse(W: float, distance: float, params: PhysParams) -> FarField
             f"is below the diffraction minimum W = {math.sqrt(2.0 * lam_d):.6g} mm "
             f"for distance {distance} mm"
         )
-    root = math.sqrt(disc)
-    return FarFieldRoots(near=math.sqrt((w2 - root) / 2.0),
-                         far=math.sqrt((w2 + root) / 2.0), discriminant=disc)
+    far = math.sqrt((w2 + math.sqrt(disc)) / 2.0)
+    # the roots' product is Lambda*D; sqrt((W^2 - sqrt(disc)) / 2) would
+    # cancel when Lambda*D << W^2 (to 0.0 at FWHM 1 mm, D = 1e-6 mm)
+    return FarFieldRoots(near=lam_d / far, far=far, discriminant=disc)
 
 
 def fwhm_from_width(W: float) -> float:

@@ -36,20 +36,35 @@ K = ifft(flight phase) and G_d(x) = K(x) conj K(x - d), indices mod n,
 exactly on the periodic grid, because rho is real and symmetric.  r_d is
 real, so the real part passes inside: I = sum_d w_d Re(G_d) (*) r_d, a sum of
 real circular convolutions.  When D + 1 <= n / DENSITY_RATIO (10) the pass
-takes this route; wider bands fly every row block of the source instead.
+takes this route.
+
+Wider bands fly source rows instead, half of them.  Both factor tables are
+even bit for bit, so the sampled source is mirror-symmetric,
+psi(n - i, n - j) = psi(i, j) for i, j >= 1, and K is even on the periodic
+grid.  With F_i the flown row i and R the reflection m -> (n - m) mod n,
+flown row n - i is then R F_i + Delta_i K, where
+Delta_i = psi(n - i, 0) - psi(i, 0) carries the column-0 sample, whose
+partner psi(i, n) lies off the grid.  With P = sum |F_i|^2 over rows
+1..n/2 - 1 and sums over the same rows,
+
+    I = |F_0|^2 + |F_{n/2}|^2 + P
+        + R(P + 2 Re(conj(sum Delta_i F_i) K) + (sum Delta_i^2) |K|^2),
+
+so rows 0..n/2 fly and the blocks past row n/2 only add to the products
+and the source-plane intensity.
 
 Rows/density time of one pass, each route forced, by (D + 1) / n, with one
 flight / two flights (+-40 mm, omega = 10 mm, one slit, L1 = 600 mm, beam
-1800 mm; 2 vCPU, OpenBLAS on one thread, best of 3 or 5):
+1800 mm; 2 vCPU, OpenBLAS on one thread, best of 2):
 
-    (D + 1) / n   1/16      1/10      1/8            0.15       0.20
-    n = 2048      3.9/6.4   -         2.6/4.4        1.5/3.0    1.4/2.1
-    n = 4096      4.3/6.4   -         2.0/3.1        1.5/2.2    0.89/1.6
-    n = 8192      3.5/5.6   1.7/2.6   0.96-1.15/1.7  0.75/1.1   -
+    (D + 1) / n   1/16      1/10      1/8        0.15       0.20
+    n = 2048      2.9/4.3   -         1.2/2.0    1.1/1.6    0.72/1.1
+    n = 4096      3.1/4.4   -         0.85/1.4   0.64/0.97  0.40/0.60
+    n = 8192      1.8/2.6   0.81/1.2  0.45/0.69  0.34/0.49  -
 
-One flight breaks even near 0.25 n, 0.19 n and 0.13 n, two flights beyond
-0.3 n, near 0.23 n and 0.16 n: the density route's Gram grows as D^2 per
-block while the row flights do not grow with D.
+One flight breaks even near 0.17 n, 0.12 n and 0.09 n, two flights near
+0.21 n, 0.15 n and 0.11 n: the density route's Gram grows as D^2 per block
+while the row flights do not grow with D.
 
 Grid convention: y = (arange(n) - n/2) * dy with dy = 2 * extent / n, and
 wavenumbers k = 2*pi*fftfreq(n, dy).  A plane-wave component exp(i k y)
@@ -74,11 +89,12 @@ TAIL_PROB_LIMIT = 1e-6
 SOURCE_BLOCK_ROWS = 64
 APERTURE_CHUNK = 64
 # particle 2's flown marginals come from the D + 1 diagonals of its reduced
-# density matrix when D + 1 <= n / DENSITY_RATIO, else from flown source rows.
-# One pass with one flight breaks even near 0.25 n (n = 2048), 0.19 n (4096)
-# and 0.13 n (8192), two flights later (table in the module docstring).  At
-# (D + 1) / n = 1/8 and n = 8192 one flight measured 0.96x-1.15x, so the
-# route stops at 1/10, where the diagonals win by 1.7x (8192) or more.
+# density matrix when D + 1 <= n / DENSITY_RATIO, else from flown source rows
+# (half of them, the source being mirror-symmetric).  One pass with two
+# flights breaks even near 0.21 n (n = 2048), 0.15 n (4096) and 0.11 n
+# (8192), one flight earlier (table in the module docstring).  At 1/10 and
+# n = 8192 the rows take 1.2x the diagonals' time with two flights, but
+# 0.8x with one.
 DENSITY_RATIO = 10
 # diagonals flown at a time on that route
 DIAGONAL_CHUNK = 16
@@ -134,7 +150,9 @@ class GridSpec:
         diagonal band: the band, its column sums of squares (one row) and
         the block's product.  Only the row route holds full-width block
         arrays, four of them: the zeroed block its bands are written into,
-        the flown rows and two half spectra.  The density route holds none;
+        the flown rows and two half spectra, and only until it has flown row
+        n/2; the blocks past it need none, so the model is unchanged.  The
+        density route holds none;
         its Gram buffer, (SOURCE_BLOCK_ROWS + D) x (SOURCE_BLOCK_ROWS + 2 D)
         values, and its band-wide block arrays fit in the seven block arrays
         and the band-wide product's stack for every n <= 16384, since
@@ -360,21 +378,42 @@ def source_rows(tables: SourceTables, start: int, stop: int,
     return cols, band
 
 
-def _source_blocks(a: float, omega: float, grid: GridSpec,
-                   out: np.ndarray | None = None):
+def _source_blocks(tables: SourceTables, out: np.ndarray | None = None,
+                   out_stop: int | None = None):
     """(row slice, column band, band) of the unnormalized source,
-    SOURCE_BLOCK_ROWS rows at a time from one :func:`source_tables` (see
-    ``source_rows``); the block size divides every grid's n, a power of two.
-    With ``out``, a zeroed array of one block's rows at full width, each band
-    is written into it and its columns are zeroed again once the consumer
-    asks for the next block."""
-    tables = source_tables(a, omega, grid)
-    for start in range(0, grid.n, SOURCE_BLOCK_ROWS):
+    SOURCE_BLOCK_ROWS rows at a time from ``tables`` (see ``source_rows``);
+    the block size divides every grid's n, a power of two.  With ``out``, a
+    zeroed array of one block's rows at full width, the band of each block
+    that starts before row ``out_stop`` (by default every block) is written
+    into it, and its columns are zeroed again once the consumer asks for the
+    next block."""
+    n = tables.y.size
+    out_stop = n if out_stop is None else out_stop
+    for start in range(0, n, SOURCE_BLOCK_ROWS):
+        if start >= out_stop:
+            # released, so the consumer can free it
+            out = None
         rows = slice(start, start + SOURCE_BLOCK_ROWS)
         cols, band = source_rows(tables, start, rows.stop, out)
         yield rows, cols, band
         if out is not None:
             out[:, cols] = 0.0
+
+
+def _column0_gaps(tables: SourceTables) -> np.ndarray:
+    """gaps[i] = psi(n - i, 0) - psi(i, 0) for rows i = 1 .. n/2 - 1, and
+    0.0 at i = 0 and n/2, of the unnormalized source on ``tables``: row
+    n - i is row i reflected, m -> (n - m) mod n, plus gaps[i] at column 0
+    (module docstring).  Each sample is the one product ``source_rows``
+    takes, so it has the same bits, and it is 0.0 where the band leaves
+    column 0 out."""
+    n = tables.y.size
+    i = np.arange(1, n // 2)
+    # sample (i, j) is u_factor[n - 1 + j - i] * v_factor[i + j]
+    gaps = np.zeros(n // 2 + 1)
+    gaps[1:-1] = (tables.u_factor[i - 1] * tables.v_factor[n - i]
+                  - tables.u_factor[n - 1 - i] * tables.v_factor[i])
+    return gaps
 
 
 def _check_tails(prob: np.ndarray):
@@ -552,9 +591,11 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     - density, when rho = psi^T psi has D + 1 <= n / DENSITY_RATIO nonzero
       diagonals: each block adds its band's Gram to them, and after the last
       block ``_density_flights`` flies them, with no transform per block;
-    - rows, otherwise: each band is written into one zeroed full-width block,
-      which takes one real transform along particle 2's axis and two inverse
-      ones per nonzero flight.
+    - rows, otherwise: the band of each block up to row n/2 is written into
+      one zeroed full-width block, whose rows 0..n/2 take one real transform
+      along particle 2's axis and two inverse ones per nonzero flight; the
+      mirror symmetry of the source (module docstring) gives the flown rows
+      past n/2.
 
     An intensity over L = 0 is the source-plane intensity on either route.
     Every intensity is tail-checked.
@@ -564,6 +605,7 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         raise DomainError(f"one pass takes at most {APERTURE_CHUNK} modes, "
                           f"got {len(modes)}")
     n, dy, y = grid.n, grid.dy, grid.y
+    tables = source_tables(a, omega, grid)
     count = len(modes)
     back = np.reshape(np.asarray(modes, dtype=complex), (count, n))
     # real and imaginary parts stacked: one real product per block
@@ -578,6 +620,7 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     flown = [(total, L) for L, total in intensities.items() if L > 0]
     density = bool(flown) and _density_route(a, grid)
     rows_out = None
+    half = n // 2
     if density:
         diagonals = np.zeros((_diagonal_count(a, dy), n))
         # one Gram buffer for the pass: the columns a block's samples at or
@@ -587,14 +630,26 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         widest = SOURCE_BLOCK_ROWS + diagonals.shape[0] - 1
         gram = np.empty(widest * (widest + diagonals.shape[0] - 1))
     elif flown:
-        phases = [_flight_phase(n, dy, L, params)[:n // 2 + 1] for _, L in flown]
-        # each band is written into this one zeroed full-width block, which
-        # its transform along particle 2's axis needs
+        # only rows 0..n/2 fly (module docstring): ``paired`` sums the
+        # squares of flown rows 1..n/2 - 1 and ``crossed`` those rows
+        # weighed by their column-0 gaps, each with the flight kernel
+        # K = ifft(phase) standing in for the rows past n/2
+        phases, kernels = [], []
+        for _, L in flown:
+            phase = _flight_phase(n, dy, L, params)
+            phases.append(phase[:half + 1])
+            kernels.append(np.fft.ifft(phase))
+        gaps = _column0_gaps(tables)
+        paired = [np.zeros(n) for _ in flown]
+        # sum of gaps[i] F_i: its real and imaginary rows
+        crossed = [np.zeros((2, n)) for _ in flown]
+        # the band of each flown block is written into this one zeroed
+        # full-width block, which its transform along particle 2's axis needs
         rows_out = np.zeros((SOURCE_BLOCK_ROWS, n))
         rows_flown = np.empty_like(rows_out)
-        half = np.empty((SOURCE_BLOCK_ROWS, n // 2 + 1), dtype=complex)
-        product = np.empty_like(half)
-    for rows, cols, band in _source_blocks(a, omega, grid, rows_out):
+        spectra = np.empty((SOURCE_BLOCK_ROWS, half + 1), dtype=complex)
+        product = np.empty_like(spectra)
+    for rows, cols, band in _source_blocks(tables, rows_out, half + 1):
         source_plane[cols] += np.einsum("ij,ij->j", band, band)
         products[:, cols] += back[:, rows] @ band
         if density:
@@ -602,15 +657,30 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
             _add_band_gram(diagonals, band[:, reach.start - cols.start:
                                            reach.stop - cols.start],
                            reach.start, gram)
-        elif flown:
-            np.fft.rfft(rows_out, out=half)
-            for (total, _), phase in zip(flown, phases):
+        elif flown and rows.start <= half:
+            m = min(SOURCE_BLOCK_ROWS, half + 1 - rows.start)
+            # rows 0 and n/2 have no partner to stand for: each adds once
+            alone = int(rows.start in (0, half))
+            weights = gaps[rows.start + alone:rows.start + m]
+            np.fft.rfft(rows_out[:m], out=spectra[:m])
+            for (total, _), phase, pair, cross in zip(flown, phases, paired,
+                                                       crossed):
                 # the flight kernel is even, so real rows fly as two real
-                # convolutions: irfft(half * Re phase) + i irfft(half * Im phase)
-                for part in (phase.real, phase.imag):
-                    np.multiply(half, part, out=product)
-                    np.fft.irfft(product, n, out=rows_flown)
-                    total += np.einsum("ij,ij->j", rows_flown, rows_flown)
+                # convolutions: irfft(spectra * Re phase) + i irfft(spectra *
+                # Im phase)
+                for part, sums in zip((phase.real, phase.imag), cross):
+                    np.multiply(spectra[:m], part, out=product[:m])
+                    np.fft.irfft(product[:m], n, out=rows_flown[:m])
+                    if alone:
+                        total += np.square(rows_flown[0])
+                    flying = rows_flown[alone:m]
+                    pair += np.einsum("ij,ij->j", flying, flying)
+                    sums += weights @ flying
+            if rows.start == half:
+                # no later block is flown
+                del rows_out, rows_flown, spectra, product
+    # the last block is done: the flights below need no source
+    del tables
     if density:
         del gram
         # rho is symmetric: diagonal d > 0 also stands for diagonal -d
@@ -619,6 +689,18 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         del diagonals
         for (total, _), marginal in zip(flown, marginals):
             total += marginal
+    elif flown:
+        # the rows past n/2 add the reflection of
+        # P + 2 Re(conj(sum gaps[i] F_i) K) + (sum gaps[i]^2) |K|^2
+        square_gaps = float(gaps @ gaps)
+        for (total, _), pair, (cross_re, cross_im), kernel in zip(
+                flown, paired, crossed, kernels):
+            mirrored = 2.0 * (cross_re * kernel.real + cross_im * kernel.imag)
+            mirrored += square_gaps * (kernel.real ** 2 + kernel.imag ** 2)
+            mirrored += pair
+            total += pair
+            total[0] += mirrored[0]
+            total[1:] += mirrored[:0:-1]
     # the norm before the source-plane intensity is scaled in place below
     norm = float(np.sum(source_plane)) * dy * dy
     # Particle 1's slit-plane intensity equals particle 2's: the sampled
@@ -738,7 +820,7 @@ def _masked_intensity(a: float, omega: float, grid: GridSpec, mask: np.ndarray,
     Particle 2's own flight is unitary and leaves that sum unchanged."""
     block = np.zeros((SOURCE_BLOCK_ROWS, grid.n))
     intensity = np.zeros(grid.n)
-    for _ in _source_blocks(a, omega, grid, block):
+    for _ in _source_blocks(source_tables(a, omega, grid), block):
         amp = fly(mask * fly(block, grid.dy, L1, params), grid.dy, d1, params)
         intensity += np.sum(np.abs(amp) ** 2, axis=0)
     return intensity

@@ -31,6 +31,7 @@ from poppersim.grid_oracle import (
     fringe_metrics,
     intensity_widths,
     propagate_amplitude,
+    source_tables,
 )
 
 
@@ -55,7 +56,7 @@ def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
     _check_source(a, omega, grid)
     psi = np.empty((grid.n, grid.n), dtype=complex)
     block = np.zeros((SOURCE_BLOCK_ROWS, grid.n))
-    for rows, _, _ in _source_blocks(a, omega, grid, block):
+    for rows, _, _ in _source_blocks(source_tables(a, omega, grid), block):
         psi[rows] = block
     prob = np.abs(psi)
     prob **= 2

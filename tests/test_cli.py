@@ -432,6 +432,21 @@ class TestFit:
         assert_refused_in_one_line(*run_cli(
             ["fit", "--fwhm", "1e200", "--L2", "500"], capsys))
 
+    def test_short_distance_keeps_the_near_root(self, capsys):
+        # the roots' product Lambda*L2 gives the near root where the
+        # difference W^2 - sqrt(disc) cancelled to 0.0
+        code, out, _ = run_cli(
+            ["fit", "--fwhm", "1", "--L2", "1e-6"], capsys)
+        assert code == cli.EXIT_OK
+        info = json.loads(out)["results"]["branch_info"]
+        assert info["s_near_mm"] == pytest.approx(2.63096438e-10, rel=1e-8)
+        assert info["s_near_mm"] * info["s_far_mm"] == pytest.approx(
+            info["root_product_mm2"], rel=1e-8)
+
+    def test_zero_distance_exits_2_with_one_line(self, capsys):
+        assert_refused_in_one_line(*run_cli(
+            ["fit", "--fwhm", "1", "--L2", "0"], capsys))
+
     def test_unreachable_width(self, capsys):
         code, _, err = run_cli(
             ["fit", "--fwhm", "0.0001", "--L2", "500"], capsys)

@@ -1,6 +1,7 @@
 """Scenario parsing, reference layout runs, sweeps, and the width inversion."""
 
 import dataclasses
+import decimal
 import importlib.resources
 import json
 import math
@@ -399,6 +400,26 @@ class TestFitSigmaFromWidth:
         W = math.sqrt(s2 + (lam * L2) ** 2 / s2)
         fit = ex.fit_sigma_from_width(gc.fwhm_from_width(W), 0.0, L2, params702)
         assert fit.branch_info["s_far_mm"] == pytest.approx(0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("L2", [1e-3, 1e-6])
+    def test_near_root_at_short_distance(self, params702, L2):
+        # the near root solved to 40 digits: sqrt((W^2 - sqrt(disc)) / 2) in
+        # floats was off by 1.9e-5 at L2 = 1e-3 mm and 0.0 at 1e-6 mm
+        W = 1.0 / gc.FWHM_FACTOR
+        fit = ex.fit_sigma_from_width(1.0, 0.0, L2, params702)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            w2 = decimal.Decimal(W) ** 2
+            lam_d = (decimal.Decimal(params702.rescaled_wavelength_mm)
+                     * decimal.Decimal(L2))
+            near = ((w2 - (w2 * w2 - 4 * lam_d * lam_d).sqrt()) / 2).sqrt()
+        assert fit.s == pytest.approx(float(near), rel=1e-14, abs=0)
+        assert fit.a2 == pytest.approx(float(near) ** 2, rel=1e-14, abs=0)
+
+    def test_zero_distance_refused(self, params702):
+        # at L2 = 0 the width is s itself: no near-field branch to return
+        with pytest.raises(DomainError, match="L2 must be > 0"):
+            ex.fit_sigma_from_width(1.0, 0.0, 0.0, params702)
 
     def test_unreachable_width(self, params702):
         with pytest.raises(DomainError, match="unreachable"):

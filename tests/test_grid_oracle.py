@@ -343,6 +343,35 @@ class TestSourcePass:
         assert cols == slice(0, grid.n)
         assert np.array_equal(block, block.T)
 
+    @pytest.mark.parametrize("a, omega, grid", [
+        (PARITY_A, PARITY_OMEGA, PARITY_GRID),
+        (0.04, 10.0, go.GridSpec(n=4096, extent=40.0)),  # strekalov.json
+        (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0))],  # kim_shih.json
+        ids=["parity", "strekalov", "kim_shih"])
+    def test_source_mirror_symmetric(self, a, omega, grid):
+        # row n - i at column j is row i at column n - j for every j >= 1,
+        # bit for bit; at column 0 the rows differ by the pass's gaps[i]
+        n = grid.n
+        tables = go.source_tables(a, omega, grid)
+        gaps = go._column0_gaps(tables)
+
+        def full_rows(start, stop):
+            out = np.zeros((stop - start, n))
+            go.source_rows(tables, start, stop, out)
+            return out
+
+        for start in range(0, n, go.SOURCE_BLOCK_ROWS):
+            first, stop = max(start, 1), start + go.SOURCE_BLOCK_ROWS
+            rows = full_rows(first, stop)
+            # rows n - first down to n - stop + 1
+            mirror = full_rows(n - stop + 1, n - first + 1)[::-1]
+            assert np.array_equal(mirror[:, 1:], rows[:, :0:-1])
+            if first < n // 2:
+                upto = min(stop, n // 2) - first
+                assert np.array_equal(mirror[:upto, 0] - rows[:upto, 0],
+                                      gaps[first:first + upto])
+        assert gaps[0] == gaps[n // 2] == 0.0
+
     @pytest.mark.parametrize("L1, L2", [(300.0, 300.0), (0.0, 500.0)])
     def test_conditional_matches_reference(self, params702, L1, L2):
         state = ref.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID)
@@ -364,12 +393,19 @@ class TestSourcePass:
     @pytest.mark.parametrize("L1", [300.0, 0.0])
     def test_marginals_match_reference(self, params702, L1):
         # both routes of particle 2's flown marginals: flown rows on the
-        # parity grid, rho's diagonals on a narrow band (D + 1 = 79 of 2048)
-        # and on about the widest band the route takes (203, just under
-        # n / DENSITY_RATIO = 204.8)
+        # parity grid and on a grid at the source's required extent, where
+        # column 0 lies inside the band (rows n - i and i differ there by up
+        # to 1.2e-4; without that term the beam is off by 7e-9), rho's
+        # diagonals on a narrow band (D + 1 = 79 of 2048) and on about the
+        # widest band the route takes (203, just under n / DENSITY_RATIO =
+        # 204.8)
         L2 = 300.0
+        tight = go.GridSpec(n=512, extent=go.required_extent(0.3, 1.0))
+        gaps = go._column0_gaps(go.source_tables(0.3, 1.0, tight))
+        assert np.max(np.abs(gaps)) > 1e-4
         for a, omega, grid, count in [
                 (PARITY_A, PARITY_OMEGA, PARITY_GRID, None),
+                (0.3, 1.0, tight, None),
                 (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 79),
                 (0.104, 1.0, go.GridSpec(n=2048, extent=20.0), 203)]:
             assert go._density_route(a, grid) is (count is not None)
@@ -418,6 +454,45 @@ class TestSourcePass:
         assert np.array_equal(source.slit_plane, alone.slit_plane)
         assert source.norm == alone.norm
 
+    @pytest.mark.parametrize("a, omega, grid, beam_L, flown", [
+        (PARITY_A, PARITY_OMEGA, PARITY_GRID, None, 1),
+        (PARITY_A, PARITY_OMEGA, PARITY_GRID, 600.0, 2),
+        (PARITY_A, PARITY_OMEGA, PARITY_GRID, 300.0, 1),
+        (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 600.0, 2)],
+        ids=["rows", "rows-beam", "rows-beam-at-slit", "density"])
+    def test_rows_route_flies_half_the_source(self, params702, monkeypatch,
+                                              a, omega, grid, beam_L, flown):
+        # the rows route hands rfft rows 0 .. n/2 of the source and irfft
+        # two spectra of each per flown distance; the density route, and a
+        # pass with no flight, transform no source row
+        bands, counts = [], {"rfft": 0, "irfft": 0}
+        source_rows = go.source_rows
+
+        def record(*args, **kwargs):
+            cols, band = source_rows(*args, **kwargs)
+            bands.append(band)
+            return cols, band
+
+        def spy(name):
+            transform = getattr(np.fft, name)
+
+            def counted(x, *args, **kwargs):
+                if name == "irfft" and x.ndim == 2:
+                    counts[name] += x.shape[0]
+                elif any(np.may_share_memory(x, band) for band in bands):
+                    counts[name] += x.shape[0]
+                return transform(x, *args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(go, "source_rows", record)
+        for name in counts:
+            monkeypatch.setattr(np.fft, name, spy(name))
+        go.source_pass(a, omega, grid, params702, 0.0, beam_L=0.0)
+        assert counts == {"rfft": 0, "irfft": 0}
+        go.source_pass(a, omega, grid, params702, 300.0, beam_L=beam_L)
+        rows = 0 if go._density_route(a, grid) else grid.n // 2 + 1
+        assert counts == {"rfft": rows, "irfft": 2 * rows * flown}
+
     def test_source_plane_intensity_without_flight(self, params702):
         # L1 = 0 and beam_L = 0 read the source-plane column sums, whose
         # total is the norm
@@ -443,7 +518,8 @@ class TestSourcePass:
         # SOURCE_BLOCK_ROWS + D of them, the width of its Gram buffer.
         D = go._diagonal_count(a, grid.dy) - 1
         beyond = 0
-        for rows, cols, band in go._source_blocks(a, omega, grid):
+        for rows, cols, band in go._source_blocks(
+                go.source_tables(a, omega, grid)):
             reach = go._band(a, grid.y, rows.start, rows.stop, go.GRAM_EXPONENT)
             assert reach.stop - reach.start <= go.SOURCE_BLOCK_ROWS + D
             band = np.where(band < go.GRAM_FLOOR, 0.0, band)
