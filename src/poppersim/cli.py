@@ -136,17 +136,23 @@ def _emit(doc: dict, out_path: str | None):
 
 
 def _check_grid_cap(grid: go.GridSpec):
+    """Refuse an oracle grid whose modelled peak memory exceeds the
+    MAX_GRID_ENV cap, or the machine's physical memory when it is unset."""
     cap = os.environ.get(MAX_GRID_ENV)
-    if not cap:
-        return
-    try:
-        cap_bytes = int(cap)
-    except ValueError:
-        raise ConfigError(f"{MAX_GRID_ENV} must be an integer byte count, got {cap!r}")
+    if cap:
+        try:
+            cap_bytes = int(cap)
+        except ValueError:
+            raise ConfigError(
+                f"{MAX_GRID_ENV} must be an integer byte count, got {cap!r}")
+        name = MAX_GRID_ENV
+    else:
+        cap_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        name = "physical memory"
     if grid.peak_bytes > cap_bytes:
         raise ConfigError(
             f"oracle grid {grid.n}x{grid.n} needs {grid.peak_bytes} bytes, over the "
-            f"{MAX_GRID_ENV} cap of {cap_bytes}"
+            f"{name} cap of {cap_bytes}"
         )
 
 

@@ -38,17 +38,16 @@ real, so the real part passes inside: I = sum_d w_d Re(G_d) (*) r_d, a sum of
 real circular convolutions.  When D + 1 <= n / DENSITY_RATIO (10) the pass
 takes this route.
 
-Wider bands fly source rows instead, half of them.  Both factor tables are
-even bit for bit, so the sampled source is mirror-symmetric,
-psi(n - i, n - j) = psi(i, j) for i, j >= 1, and K is even on the periodic
-grid.  With F_i the flown row i and R the reflection m -> (n - m) mod n,
-flown row n - i is then R F_i + Delta_i K, where
-Delta_i = psi(n - i, 0) - psi(i, 0) carries the column-0 sample, whose
-partner psi(i, n) lies off the grid.  With P = sum |F_i|^2 over rows
-1..n/2 - 1 and sums over the same rows,
+Wider bands fly source rows instead, half of them.  Index 0 (y = -extent)
+is its own mirror mod n, so its samples have no partner on the grid; the
+source takes them as 0.0 (``source_rows``).  Both factor tables are even
+bit for bit, so the sampled source is then mirror-symmetric,
+psi(n - i, n - j) = psi(i, j) for all i, j mod n, and the flight kernel is
+even on the periodic grid.  With F_i the flown row i and R the reflection
+m -> (n - m) mod n, flown row n - i is R F_i, and row n/2 is its own.  With
+P = sum |F_i|^2 over rows 0..n/2 - 1 (row 0 is zero),
 
-    I = |F_0|^2 + |F_{n/2}|^2 + P
-        + R(P + 2 Re(conj(sum Delta_i F_i) K) + (sum Delta_i^2) |K|^2),
+    I = P + R(P) + |F_{n/2}|^2,
 
 so rows 0..n/2 fly and the blocks past row n/2 only add to the products
 and the source-plane intensity.
@@ -350,14 +349,16 @@ def source_rows(tables: SourceTables, start: int, stop: int,
     exp(-u^2/a^2) exp(-v^2/(4 omega^2)) with u = y1 - y2, v = y1 + y2, as
     (cols, band): ``cols`` is the diagonal band of columns that ``_band``
     gives and band[:, j] is column cols.start + j.  Every sample outside the
-    band underflows to 0.0 and is not evaluated.  With ``out``, real rows
-    start:stop of the full width, the band is written into out[:, cols] and
-    returned as that view.
+    band underflows to 0.0 and is not evaluated.  Row 0 and column 0, the
+    grid's self-mirrored edge, are 0.0 (module docstring).  With ``out``,
+    real rows start:stop of the full width, the band is written into
+    out[:, cols] and returned as that view.
 
     The band is one product of two read-only views of ``tables``: a Toeplitz
     view of the u factor and a Hankel view of the v factor, so a block takes
     one multiply a sample and no temporary.  Both factors are exact under
-    i <-> j, so the sampled source is exchange-symmetric bit for bit.
+    i <-> j and even about the grid's centre, so the sampled source is
+    exchange- and mirror-symmetric bit for bit.
     """
     cols = _band(tables.a, tables.y, start, stop)
     shape = (stop - start, cols.stop - cols.start)
@@ -375,6 +376,10 @@ def source_rows(tables: SourceTables, start: int, stop: int,
     # one-term products are np.multiply's bits
     band = np.einsum("ij,ij->ij", toeplitz, hankel,
                      out=None if out is None else out[:, cols])
+    if start == 0:
+        band[0] = 0.0
+    if cols.start == 0:
+        band[:, 0] = 0.0
     return cols, band
 
 
@@ -398,22 +403,6 @@ def _source_blocks(tables: SourceTables, out: np.ndarray | None = None,
         yield rows, cols, band
         if out is not None:
             out[:, cols] = 0.0
-
-
-def _column0_gaps(tables: SourceTables) -> np.ndarray:
-    """gaps[i] = psi(n - i, 0) - psi(i, 0) for rows i = 1 .. n/2 - 1, and
-    0.0 at i = 0 and n/2, of the unnormalized source on ``tables``: row
-    n - i is row i reflected, m -> (n - m) mod n, plus gaps[i] at column 0
-    (module docstring).  Each sample is the one product ``source_rows``
-    takes, so it has the same bits, and it is 0.0 where the band leaves
-    column 0 out."""
-    n = tables.y.size
-    i = np.arange(1, n // 2)
-    # sample (i, j) is u_factor[n - 1 + j - i] * v_factor[i + j]
-    gaps = np.zeros(n // 2 + 1)
-    gaps[1:-1] = (tables.u_factor[i - 1] * tables.v_factor[n - i]
-                  - tables.u_factor[n - 1 - i] * tables.v_factor[i])
-    return gaps
 
 
 def _check_tails(prob: np.ndarray):
@@ -593,9 +582,10 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
       block ``_density_flights`` flies them, with no transform per block;
     - rows, otherwise: the band of each block up to row n/2 is written into
       one zeroed full-width block, whose rows 0..n/2 take one real transform
-      along particle 2's axis and two inverse ones per nonzero flight; the
-      mirror symmetry of the source (module docstring) gives the flown rows
-      past n/2.
+      along particle 2's axis and two inverse ones per nonzero flight.  The
+      source, its edge sampled as 0.0, is mirror-symmetric, so the flown
+      rows past n/2 add the reflection R(P) of the squares P of rows
+      0..n/2 - 1 (module docstring).
 
     An intensity over L = 0 is the source-plane intensity on either route.
     Every intensity is tail-checked.
@@ -631,18 +621,10 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         gram = np.empty(widest * (widest + diagonals.shape[0] - 1))
     elif flown:
         # only rows 0..n/2 fly (module docstring): ``paired`` sums the
-        # squares of flown rows 1..n/2 - 1 and ``crossed`` those rows
-        # weighed by their column-0 gaps, each with the flight kernel
-        # K = ifft(phase) standing in for the rows past n/2
-        phases, kernels = [], []
-        for _, L in flown:
-            phase = _flight_phase(n, dy, L, params)
-            phases.append(phase[:half + 1])
-            kernels.append(np.fft.ifft(phase))
-        gaps = _column0_gaps(tables)
+        # squares of flown rows 0..n/2 - 1, whose reflections stand for the
+        # rows past n/2
+        phases = [_flight_phase(n, dy, L, params)[:half + 1] for _, L in flown]
         paired = [np.zeros(n) for _ in flown]
-        # sum of gaps[i] F_i: its real and imaginary rows
-        crossed = [np.zeros((2, n)) for _ in flown]
         # the band of each flown block is written into this one zeroed
         # full-width block, which its transform along particle 2's axis needs
         rows_out = np.zeros((SOURCE_BLOCK_ROWS, n))
@@ -659,23 +641,19 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                            reach.start, gram)
         elif flown and rows.start <= half:
             m = min(SOURCE_BLOCK_ROWS, half + 1 - rows.start)
-            # rows 0 and n/2 have no partner to stand for: each adds once
-            alone = int(rows.start in (0, half))
-            weights = gaps[rows.start + alone:rows.start + m]
             np.fft.rfft(rows_out[:m], out=spectra[:m])
-            for (total, _), phase, pair, cross in zip(flown, phases, paired,
-                                                       crossed):
+            for (total, _), phase, pair in zip(flown, phases, paired):
+                # row n/2, its block's one row, is its own reflection and
+                # adds straight into the total
+                sums = total if rows.start == half else pair
                 # the flight kernel is even, so real rows fly as two real
                 # convolutions: irfft(spectra * Re phase) + i irfft(spectra *
                 # Im phase)
-                for part, sums in zip((phase.real, phase.imag), cross):
+                for part in (phase.real, phase.imag):
                     np.multiply(spectra[:m], part, out=product[:m])
                     np.fft.irfft(product[:m], n, out=rows_flown[:m])
-                    if alone:
-                        total += np.square(rows_flown[0])
-                    flying = rows_flown[alone:m]
-                    pair += np.einsum("ij,ij->j", flying, flying)
-                    sums += weights @ flying
+                    sums += np.einsum("ij,ij->j", rows_flown[:m],
+                                      rows_flown[:m])
             if rows.start == half:
                 # no later block is flown
                 del rows_out, rows_flown, spectra, product
@@ -690,17 +668,11 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         for (total, _), marginal in zip(flown, marginals):
             total += marginal
     elif flown:
-        # the rows past n/2 add the reflection of
-        # P + 2 Re(conj(sum gaps[i] F_i) K) + (sum gaps[i]^2) |K|^2
-        square_gaps = float(gaps @ gaps)
-        for (total, _), pair, (cross_re, cross_im), kernel in zip(
-                flown, paired, crossed, kernels):
-            mirrored = 2.0 * (cross_re * kernel.real + cross_im * kernel.imag)
-            mirrored += square_gaps * (kernel.real ** 2 + kernel.imag ** 2)
-            mirrored += pair
+        # the rows past n/2 add the reflection of P
+        for (total, _), pair in zip(flown, paired):
             total += pair
-            total[0] += mirrored[0]
-            total[1:] += mirrored[:0:-1]
+            total[0] += pair[0]
+            total[1:] += pair[:0:-1]
     # the norm before the source-plane intensity is scaled in place below
     norm = float(np.sum(source_plane)) * dy * dy
     # Particle 1's slit-plane intensity equals particle 2's: the sampled

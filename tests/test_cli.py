@@ -605,6 +605,27 @@ class TestGridCap:
         assert code == cli.EXIT_CONFIG
         assert "8192x8192" in err and "112394240" in err
 
+    @pytest.mark.parametrize("command", [
+        ["run", "scenario", "--oracle"],
+        ["oracle-check", "scenario"],
+        ["run", fixture_path("strekalov.json"), "--oracle", "--grid-n",
+         str(2 ** 60)],
+    ], ids=["run", "oracle-check", "grid-n"])
+    def test_physical_memory_caps_grid_without_variable(
+            self, tmp_path, capsys, monkeypatch, command):
+        # unset, the cap is the machine's physical memory: a 2**60-point
+        # grid, from the scenario or from --grid-n, exits 2 with one line
+        monkeypatch.delenv(cli.MAX_GRID_ENV, raising=False)
+        doc = fixture_doc("strekalov.json")
+        doc["oracle"] = {"n": 2 ** 60, "extent_mm": 40.0}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if arg == "scenario" else arg for arg in command]
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{2 ** 60}x{2 ** 60}" in err and "physical memory cap" in err
+
     def test_bad_cap_value(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.MAX_GRID_ENV, "lots")
         code, _, err = run_cli(

@@ -200,7 +200,7 @@ class TestPopperFreespace:
             fixture_scenario("popper_freespace.json"), L2=0.0)
         report = ex.run_popper_freespace(scenario, use_oracle=True)
         assert flights == [[600.0]]
-        assert report.beam_fwhm_mm.oracle == 12.417910227100545
+        assert report.beam_fwhm_mm.oracle == 12.41791022710054
 
     def test_rejects_lens(self):
         scenario = ex.Scenario.from_dict(scenario_doc(

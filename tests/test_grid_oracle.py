@@ -241,9 +241,20 @@ def assert_exact_steps(grid):
     assert (grid.dy * 1024).is_integer() and grid.dy < 1024
 
 
+def zero_edge(rows, start):
+    """``rows``, rows start:stop of the source's factor product, as the
+    source samples them: row 0 and column 0, the grid's self-mirrored edge,
+    set to 0.0 in place."""
+    if start == 0:
+        rows[0] = 0.0
+    rows[:, 0] = 0.0
+    return rows
+
+
 def full_grid_source(a, omega, grid):
-    """The source as one n x n product of its factors, normalized."""
-    psi = product_rows(a, omega, grid, 0, grid.n).astype(complex)
+    """The source as one n x n product of its factors, its self-mirrored
+    edge zeroed, normalized."""
+    psi = zero_edge(product_rows(a, omega, grid, 0, grid.n), 0).astype(complex)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dy ** 2)
     return psi
 
@@ -261,6 +272,9 @@ def slit_modes(apertures, grid, L1, params):
 # a small resolved layout: dy = 0.0625 mm against max_step 0.111 mm
 PARITY_GRID = go.GridSpec(n=512, extent=16.0)
 PARITY_A, PARITY_OMEGA = 0.2, 2.0
+# the a = 0.3, omega = 1 source at its required extent: the raw source at
+# column 0, the self-mirrored edge, is not negligible there
+TIGHT_GRID = go.GridSpec(n=512, extent=go.required_extent(0.3, 1.0))
 
 
 class TestSourcePass:
@@ -293,25 +307,26 @@ class TestSourcePass:
         (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0))],  # kim_shih.json
         ids=["strekalov", "kim_shih"])
     def test_fixture_blocks_match_formula(self, a, omega, grid):
-        # each band is the factors' product on its columns to the bit, and
-        # the product is 0.0 outside them; the one-exp formula is nonzero
-        # only inside them and within rounding of the product everywhere.
-        # Written into a zeroed full-width block the band is the product's
-        # block.
+        # each band is the factors' product on its columns to the bit, its
+        # self-mirrored edge zeroed, and the product is 0.0 outside them; the
+        # one-exp formula is nonzero only inside them and within rounding of
+        # the raw product everywhere.  Written into a zeroed full-width block
+        # the band is the sampled source's block.
         assert_exact_steps(grid)
         y = grid.y
         tables = go.source_tables(a, omega, grid)
         out = np.zeros((go.SOURCE_BLOCK_ROWS, grid.n))
         for start in range(0, grid.n, go.SOURCE_BLOCK_ROWS):
             stop = start + go.SOURCE_BLOCK_ROWS
-            want = product_rows(a, omega, grid, start, stop)
+            raw = product_rows(a, omega, grid, start, stop)
+            want = zero_edge(raw.copy(), start)
             formula = formula_rows(a, omega, y, start, stop)
             cols, band = go.source_rows(tables, start, stop)
             assert np.array_equal(band, want[:, cols])
             assert np.count_nonzero(want) == np.count_nonzero(want[:, cols])
             assert np.count_nonzero(formula) == \
                 np.count_nonzero(formula[:, cols])
-            assert_near_formula(want, formula, a, omega, y, start, stop)
+            assert_near_formula(raw, formula, a, omega, y, start, stop)
             go.source_rows(tables, start, stop, out)
             assert np.array_equal(out, want)
             out[:, cols] = 0.0
@@ -345,15 +360,16 @@ class TestSourcePass:
 
     @pytest.mark.parametrize("a, omega, grid", [
         (PARITY_A, PARITY_OMEGA, PARITY_GRID),
+        (0.3, 1.0, TIGHT_GRID),
         (0.04, 10.0, go.GridSpec(n=4096, extent=40.0)),  # strekalov.json
         (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0))],  # kim_shih.json
-        ids=["parity", "strekalov", "kim_shih"])
+        ids=["parity", "tight", "strekalov", "kim_shih"])
     def test_source_mirror_symmetric(self, a, omega, grid):
-        # row n - i at column j is row i at column n - j for every j >= 1,
-        # bit for bit; at column 0 the rows differ by the pass's gaps[i]
+        # row n - i is row i reflected, m -> (n - m) mod n, at every column,
+        # column 0 included, bit for bit; row 0 and column 0, the grid's
+        # self-mirrored edge, are 0.0
         n = grid.n
         tables = go.source_tables(a, omega, grid)
-        gaps = go._column0_gaps(tables)
 
         def full_rows(start, stop):
             out = np.zeros((stop - start, n))
@@ -365,12 +381,9 @@ class TestSourcePass:
             rows = full_rows(first, stop)
             # rows n - first down to n - stop + 1
             mirror = full_rows(n - stop + 1, n - first + 1)[::-1]
-            assert np.array_equal(mirror[:, 1:], rows[:, :0:-1])
-            if first < n // 2:
-                upto = min(stop, n // 2) - first
-                assert np.array_equal(mirror[:upto, 0] - rows[:upto, 0],
-                                      gaps[first:first + upto])
-        assert gaps[0] == gaps[n // 2] == 0.0
+            assert np.array_equal(mirror, np.roll(rows[:, ::-1], 1, axis=1))
+            assert np.all(rows[:, 0] == 0.0)
+        assert np.all(full_rows(0, go.SOURCE_BLOCK_ROWS)[0] == 0.0)
 
     @pytest.mark.parametrize("L1, L2", [(300.0, 300.0), (0.0, 500.0)])
     def test_conditional_matches_reference(self, params702, L1, L2):
@@ -394,18 +407,17 @@ class TestSourcePass:
     def test_marginals_match_reference(self, params702, L1):
         # both routes of particle 2's flown marginals: flown rows on the
         # parity grid and on a grid at the source's required extent, where
-        # column 0 lies inside the band (rows n - i and i differ there by up
-        # to 1.2e-4; without that term the beam is off by 7e-9), rho's
-        # diagonals on a narrow band (D + 1 = 79 of 2048) and on about the
-        # widest band the route takes (203, just under n / DENSITY_RATIO =
-        # 204.8)
+        # column 0 lies inside the band (its raw factor product reaches
+        # 1.2e-4 there; were it kept, the mirrored rows would put the beam
+        # off by 7e-9), rho's diagonals on a narrow band (D + 1 = 79 of 2048)
+        # and on about the widest band the route takes (203, just under
+        # n / DENSITY_RATIO = 204.8)
         L2 = 300.0
-        tight = go.GridSpec(n=512, extent=go.required_extent(0.3, 1.0))
-        gaps = go._column0_gaps(go.source_tables(0.3, 1.0, tight))
-        assert np.max(np.abs(gaps)) > 1e-4
+        edge = product_rows(0.3, 1.0, TIGHT_GRID, 0, TIGHT_GRID.n)[:, 0]
+        assert np.max(edge) > 1e-4
         for a, omega, grid, count in [
                 (PARITY_A, PARITY_OMEGA, PARITY_GRID, None),
-                (0.3, 1.0, tight, None),
+                (0.3, 1.0, TIGHT_GRID, None),
                 (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 79),
                 (0.104, 1.0, go.GridSpec(n=2048, extent=20.0), 203)]:
             assert go._density_route(a, grid) is (count is not None)
