@@ -367,14 +367,16 @@ def conditional_amplitude(gamma: GaussianParam, y: np.ndarray) -> np.ndarray:
 def beam_width(state: EprState, leg: PropagationLeg, params: PhysParams) -> float:
     """All-counts transverse width of either particle after distance L.
 
-    W(L) = sqrt(omega^2 + Lambda^2 L^2/omega^2 + a^2/4 + Lambda^2 L^2/a^2),
+    W(L) = sqrt(omega^2 + Lambda^2 L^2/(4 omega^2) + a^2/4 + Lambda^2 L^2/a^2),
     in the same Gaussian-equivalent convention as :func:`intensity_width`
-    (W = 2 * rms of the marginal intensity).  The omega-dependent flight
-    term is quoted to 5% against the grid oracle; see the package notes.
+    (W = 2 * rms of the marginal intensity).  Free flight maps y to
+    y + (Lambda L / 2) k, so W^2 = (2 Delta y)^2 + (Lambda L Delta k)^2 with
+    the source-plane spreads of :func:`position_uncertainty` and
+    :func:`momentum_uncertainty`.
     """
     if not state.at_source:
         raise DomainError("beam_width expects the source-plane state")
     lam_l = params.rescaled_wavelength_mm * leg.L
     om2 = state.omega ** 2
     a2 = state.a ** 2
-    return math.sqrt(om2 + lam_l ** 2 / om2 + a2 / 4.0 + lam_l ** 2 / a2)
+    return math.sqrt(om2 + lam_l ** 2 / (4.0 * om2) + a2 / 4.0 + lam_l ** 2 / a2)

@@ -25,18 +25,43 @@ The n x n route the pass replaced is kept only as the tests' reference
 against.
 
 Particle 2's flown marginal diag(U rho U^H) needs only its reduced density
-matrix rho = psi^T psi.  Samples below GRAM_FLOOR are left out of it, and a
-source sample more than R rows off the diagonal lies below the floor, so
-rho(j, l) = 0 for |j - l| > D = 2R and rho is known by its diagonals
-r_d(j) = rho(j, j+d), d = 0..D.  With the flight kernel
+matrix rho = psi^T psi.  The sampled source is F(i - j) G(i + j - n)
+(``source_tables``), so completing the square in each factor gives, for
+j, l >= 1,
+
+    rho(j, l) = E(j - l) H(j + l),
+    E(d) = exp(-d^2 dy^2 (1/(2 a^2) + 1/(8 omega^2))),
+    H(s) = sum_{i=1}^{n-1} exp(-(2i - s)^2 dy^2 / (2 a^2))
+                           exp(-(2i + s - 2n)^2 dy^2 / (8 omega^2)),
+
+and rho is 0 on row 0 and column 0, as the source is (below).  H sums the
+grid's own rows of two 1-D tables; it takes no continuum integral and
+nothing from ``gaussian_core``.  So rho is known by its diagonals
+r_d(j) = rho(j, j+d) = E(d) H(2j + d).  With the flight kernel
 K = ifft(flight phase) and G_d(x) = K(x) conj K(x - d), indices mod n,
 
     I = Re ifft(sum_d w_d fft(G_d) fft(r_d)),   w_0 = 1, w_d = 2 (d > 0),
 
 exactly on the periodic grid, because rho is real and symmetric.  r_d is
 real, so the real part passes inside: I = sum_d w_d Re(G_d) (*) r_d, a sum of
-real circular convolutions.  When D + 1 <= n / DENSITY_RATIO (10) the pass
+real circular convolutions.  When D + 1 <= n / DENSITY_RATIO (3) the pass
 takes this route.
+
+It keeps the diagonals d = 0..D with E(d) >= DENSITY_FLOOR = 2^-100, so
+D + 1 is about 11.8 a / dy, and H's terms whose a-factor is at least
+DENSITY_FLOOR, |2i - s| <= T with T about 11.8 a / dy.  On the grid |K| <= 1,
+so leaving out the diagonals past D moves a flown intensity by at most
+2 sum_{d>D} |r_d|_1 at any point.  rho is positive semidefinite, so
+|r_d|_1 <= E(d) tr(rho) / E(1), and dy <= ``max_step`` makes
+E(1) >= exp(-pi^2/64); E's Gaussian tail then bounds that move by
+
+    2 e^(pi^2/64) (1 + (D + 1) / (200 ln 2)) 2^-100 tr(rho).
+
+H's cut terms, each below 2^-100 times its v-factor, move it by about
+4 (1 + T / (200 ln 2)) 2^-100 tr(rho), summing them over d, s and i against
+tr(rho) = pi a omega / (2 dy^2) to leading order.  With D + 1 <= n / 3 and
+T <= 2n both stay under 1e-27 tr(rho) for every n <= 16384, while a flown
+intensity peaks at tr(rho) / n or more: far below float64 rounding.
 
 Wider bands fly source rows instead, half of them.  Index 0 (y = -extent)
 is its own mirror mod n, so its samples have no partner on the grid; the
@@ -56,14 +81,16 @@ Rows/density time of one pass, each route forced, by (D + 1) / n, with one
 flight / two flights (+-40 mm, omega = 10 mm, one slit, L1 = 600 mm, beam
 1800 mm; 2 vCPU, OpenBLAS on one thread, best of 2):
 
-    (D + 1) / n   1/16      1/10      1/8        0.15       0.20
-    n = 2048      2.9/4.3   -         1.2/2.0    1.1/1.6    0.72/1.1
-    n = 4096      3.1/4.4   -         0.85/1.4   0.64/0.97  0.40/0.60
-    n = 8192      1.8/2.6   0.81/1.2  0.45/0.69  0.34/0.49  -
+    (D + 1) / n   0.3        0.4        0.5        0.6        0.7
+    n = 2048      1.53/1.78  1.27/1.59  1.17/1.33  1.05/1.16  0.80/0.96
+    n = 4096      1.84/2.12  1.49/1.59  1.30/1.42  1.17/1.24  1.00/1.06
+    n = 8192      1.65/1.93  1.41/1.59  1.15/1.39  1.05/1.13  0.85/1.01
 
-One flight breaks even near 0.17 n, 0.12 n and 0.09 n, two flights near
-0.21 n, 0.15 n and 0.11 n: the density route's Gram grows as D^2 per block
-while the row flights do not grow with D.
+Each route grows with its count, of diagonals or of rows, so one flight
+breaks even near 0.6-0.7 n and two flights near 0.7 n at each of these n.  At
+n = 1024 a pass takes a few ms and the ratio swings from run to run (best
+of 7: 1.1-1.2/1.4-1.7 at 0.3 n, 0.9-1.0/1.0-1.1 at 0.5 n), so the break-even
+lies near 0.4-0.5 n with one flight.  n / 3 is below all of them.
 
 Grid convention: y = (arange(n) - n/2) * dy with dy = 2 * extent / n, and
 wavenumbers k = 2*pi*fftfreq(n, dy).  A plane-wave component exp(i k y)
@@ -89,28 +116,21 @@ SOURCE_BLOCK_ROWS = 64
 APERTURE_CHUNK = 64
 # particle 2's flown marginals come from the D + 1 diagonals of its reduced
 # density matrix when D + 1 <= n / DENSITY_RATIO, else from flown source rows
-# (half of them, the source being mirror-symmetric).  One pass with two
-# flights breaks even near 0.21 n (n = 2048), 0.15 n (4096) and 0.11 n
-# (8192), one flight earlier (table in the module docstring).  At 1/10 and
-# n = 8192 the rows take 1.2x the diagonals' time with two flights, but
-# 0.8x with one.
-DENSITY_RATIO = 10
-# diagonals flown at a time on that route
+# (half of them, the source being mirror-symmetric).  Each route's time grows
+# with its count of diagonals or rows, and the routes break even near
+# 0.4-0.7 n at n = 1024-8192, one flight or two (table in the module
+# docstring): n / 3 lies below every one.
+DENSITY_RATIO = 3
+# diagonals flown at a time on that route, and values of H summed at a time
 DIAGONAL_CHUNK = 16
-# source samples below this are left out of rho's Gram: a product of two
-# samples at or above it is a normal float (>= 2**-1022), while subnormal
-# products run several times slower through BLAS (50 -> 8 ms a pass on the
-# strekalov grid).  A left-out sample's products are under 2**-511 times
-# their partner; the flown marginals of the strekalov grids and of n = 2048
-# over +-20 mm come out bit-identical either way.
-GRAM_FLOOR = 2.0 ** -511
+H_BLOCK = 128
+# rho's diagonal d is kept while E(d) >= DENSITY_FLOOR, and H's sum keeps
+# the terms whose a-factor is at least DENSITY_FLOOR (module docstring)
+DENSITY_FLOOR = 2.0 ** -100
 # a source sample with u^2/a^2 above UNDERFLOW_EXPONENT underflows to 0.0
-# whatever v is, since its v factor is at most 1, and one with u^2/a^2 above
-# GRAM_EXPONENT lies below GRAM_FLOOR; each carries a margin over the float64
-# exp underflow (745.13) and -ln GRAM_FLOOR (354.2) that absorbs the
-# rounding of u and of the band's edges
+# whatever v is, since its v factor is at most 1; the margin over the float64
+# exp underflow (745.13) absorbs the rounding of u and of the band's edges
 UNDERFLOW_EXPONENT = 750.0
-GRAM_EXPONENT = -math.log(GRAM_FLOOR) + 5.0
 
 
 @dataclass(frozen=True)
@@ -139,27 +159,24 @@ class GridSpec:
         """Peak memory of a source pass on this grid, 8 bytes a value: seven
         real arrays of one block of source rows at full width, three real
         stacks of a full aperture chunk (back-flown modes, running products
-        and one block's product, each with real and imaginary rows), 64
-        one-axis arrays and n / DENSITY_RATIO diagonals of particle 2's
-        reduced density matrix, the most the density route keeps.
+        and one block's product, each with real and imaginary rows) and 64
+        one-axis arrays.
 
         The model over-counts.  The one-axis arrays include the source's two
         factor tables (``source_tables``, 4 n - 2 values), which every block
         reads and none copies.  Every per-block array spans only the block's
         diagonal band: the band, its column sums of squares (one row) and
         the block's product.  Only the row route holds full-width block
-        arrays, four of them: the zeroed block its bands are written into,
-        the flown rows and two half spectra, and only until it has flown row
-        n/2; the blocks past it need none, so the model is unchanged.  The
-        density route holds none;
-        its Gram buffer, (SOURCE_BLOCK_ROWS + D) x (SOURCE_BLOCK_ROWS + 2 D)
-        values, and its band-wide block arrays fit in the seven block arrays
-        and the band-wide product's stack for every n <= 16384, since
-        D + 1 <= n / DENSITY_RATIO (computed, not run, at n = 16384; at
-        32768 the widest band's Gram buffer alone would not fit).  So the
-        model stays an upper bound on both routes up to n = 16384."""
-        return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64
-                             + self.n // DENSITY_RATIO)
+        arrays, three of them: the zeroed block its bands are written into
+        and its flown rows overwrite, and two half spectra, and only until
+        it has flown row n/2; the blocks past it need none.  The density
+        route holds none.  After the last block it holds one chunk of
+        DIAGONAL_CHUNK diagonals and four transform buffers of its size,
+        fewer values than two blocks, and one-axis arrays: the tables of
+        ``_density_tables``, at most 13 n values however many diagonals it
+        keeps, and two flight kernels of 6 n values each.  Nothing in the
+        model grows with D, so it bounds both routes at every n."""
+        return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64)
 
 
 @dataclass(frozen=True)
@@ -298,12 +315,11 @@ def _check_source(a: float, omega: float, grid: GridSpec):
         )
 
 
-def _band(a: float, y: np.ndarray, start: int, stop: int,
-          exponent: float = UNDERFLOW_EXPONENT) -> slice:
+def _band(a: float, y: np.ndarray, start: int, stop: int) -> slice:
     """Columns of source rows start:stop (``y`` ascending) within
-    a * sqrt(exponent) of some row's y: by default those that can be nonzero,
-    with GRAM_EXPONENT those that can reach GRAM_FLOOR."""
-    reach = a * math.sqrt(exponent)
+    a * sqrt(UNDERFLOW_EXPONENT) of some row's y: those that can be
+    nonzero."""
+    reach = a * math.sqrt(UNDERFLOW_EXPONENT)
     return slice(int(np.searchsorted(y, y[start] - reach, side="left")),
                  int(np.searchsorted(y, y[stop - 1] + reach, side="right")))
 
@@ -327,17 +343,24 @@ class SourceTables:
     v_factor: np.ndarray
 
 
+def _gaussian_table(first: int, size: int, dy: float,
+                    scale: float) -> np.ndarray:
+    """exp(-(t dy)^2 / scale) for t = first .. first + size - 1, computed in
+    place."""
+    table = np.arange(first, first + size, dtype=float)
+    table *= dy
+    np.square(table, out=table)
+    table /= -scale
+    np.exp(table, out=table)
+    return table
+
+
 def source_tables(a: float, omega: float, grid: GridSpec) -> SourceTables:
-    """The two factor tables of the source on ``grid``, 4 n - 2 values,
-    each computed in place."""
+    """The two factor tables of the source on ``grid``, 4 n - 2 values."""
     n, dy = grid.n, grid.dy
     tables = []
     for first, scale in ((1 - n, a ** 2), (-n, 4.0 * omega ** 2)):
-        table = np.arange(first, first + 2 * n - 1, dtype=float)
-        table *= dy
-        np.square(table, out=table)
-        table /= -scale
-        np.exp(table, out=table)
+        table = _gaussian_table(first, 2 * n - 1, dy, scale)
         table.flags.writeable = False
         tables.append(table)
     return SourceTables(a, grid.y, *tables)
@@ -482,58 +505,106 @@ class SourcePass:
         return _conditional(self.y, phi2, self.dy)
 
 
-def _diagonal_count(a: float, dy: float) -> int:
-    """D + 1, the number of diagonals d = 0..D of rho = psi^T psi that can be
-    nonzero once samples below GRAM_FLOOR are left out.  A source sample more
-    than R = floor(a * sqrt(GRAM_EXPONENT) / dy) + 1 rows off the diagonal is
-    below the floor, so rho(j, l) is 0.0 for |j - l| > D = 2R."""
-    return 2 * (int(a * math.sqrt(GRAM_EXPONENT) / dy) + 1) + 1
+def _diagonal_scale(a: float, omega: float) -> float:
+    """The scale of E(d) = exp(-(d dy)^2 / scale), the factor of rho's
+    diagonal d (module docstring): 1 / (1/(2 a^2) + 1/(8 omega^2))."""
+    return 1.0 / (0.5 / a ** 2 + 0.125 / omega ** 2)
 
 
-def _density_route(a: float, grid: GridSpec) -> bool:
+def _density_count(a: float, omega: float, grid: GridSpec) -> int:
+    """D + 1, the number of diagonals d = 0..D of rho = psi^T psi that the
+    density route keeps: those with E(d) >= DENSITY_FLOOR, at most n."""
+    reach = math.sqrt(-math.log(DENSITY_FLOOR) * _diagonal_scale(a, omega))
+    return min(grid.n, int(reach / grid.dy) + 1)
+
+
+def _density_route(a: float, omega: float, grid: GridSpec) -> bool:
     """Whether particle 2's flown marginals come from rho's diagonals: when
-    there are at most n / DENSITY_RATIO of them."""
-    return DENSITY_RATIO * _diagonal_count(a, grid.dy) <= grid.n
+    the route keeps at most n / DENSITY_RATIO of them."""
+    return DENSITY_RATIO * _density_count(a, omega, grid) <= grid.n
 
 
-def _add_band_gram(diagonals: np.ndarray, band: np.ndarray, start: int,
-                   buffer: np.ndarray):
-    """Add the Gram band^T band of one block's band of columns, the first of
-    them column ``start``, to rho's diagonals: diagonals[d, j] = rho(j, j+d).
+def _density_tables(a: float, omega: float,
+                    grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(E, H), the two 1-D tables of rho(j, l) = E(j - l) H(j + l),
+    j, l >= 1 (module docstring): E(d) for d = 0..D, D + 1 from
+    ``_density_count``, and H(s) for s = 0..2 n - 2 followed by D zeros, so
+    that every diagonal's view of it stays in the array.
 
-    ``band`` holds every sample of the block's rows at or above GRAM_FLOOR
-    (``_band`` with GRAM_EXPONENT); samples below the floor are set to 0.0
-    in place.  The Gram of a band w columns wide goes into the first
-    w x (w + D) values of ``buffer``, its last D columns zeros; strides
-    (1, w + D + 1) then walk its diagonals.  Past the band's last column
-    they read the zeros, so rho(j, j+d) stays 0.0 where j + d runs off the
-    grid.
+    H(s) sums the terms of rows i = 1..n - 1 whose a-factor is at least
+    DENSITY_FLOOR, |2 i - s| <= T, H_BLOCK values of s at a time.  A block
+    reads the rows within T of any of its s, so it adds a few smaller terms
+    too.  Its terms are one product of two strided views of two factor
+    tables, A(t) = exp(-t^2 dy^2 / (2 a^2)) over the t the block reads and
+    B(q) = exp(-q^2 dy^2 / (8 omega^2)) over q = -2 n .. 2 n, as
+    ``source_rows`` reads its own.
     """
-    count = diagonals.shape[0]
-    width = band.shape[1]
-    band[band < GRAM_FLOOR] = 0.0
-    gram = buffer[:width * (width + count - 1)].reshape(width, width + count - 1)
-    gram[:, width:] = 0.0
-    np.matmul(band.T, band, out=gram[:, :width])
-    item = gram.itemsize
-    walk = np.lib.stride_tricks.as_strided(
-        gram, shape=(count, width), strides=(item, (width + count) * item),
-        writeable=False)
-    diagonals[:, start:start + width] += walk
+    n, dy = grid.n, grid.dy
+    count = _density_count(a, omega, grid)
+    e = _gaussian_table(0, count, dy, _diagonal_scale(a, omega))
+    # T: A(t) >= DENSITY_FLOOR for |t| <= T
+    reach = min(int(a * math.sqrt(-2.0 * math.log(DENSITY_FLOOR)) / dy),
+                2 * n)
+    # a block of s0 .. s0 + H_BLOCK - 1 reads 2 i - s within H_BLOCK + reach
+    # of 0
+    wide = min(reach + H_BLOCK, 2 * n)
+    a_factor = _gaussian_table(-wide, 2 * wide + 1, dy, 2.0 * a ** 2)
+    b_factor = _gaussian_table(-2 * n, 4 * n + 1, dy, 8.0 * omega ** 2)
+    h = np.zeros(2 * n - 2 + count)
+    item = h.itemsize
+    for s0 in range(0, 2 * n - 1, H_BLOCK):
+        s1 = min(s0 + H_BLOCK, 2 * n - 1)
+        # rows i with |2 i - s| <= reach for some s in s0 .. s1 - 1
+        first = max(1, (s0 - reach + 1) // 2)
+        last = min(n - 1, (s1 - 1 + reach) // 2)
+        if last < first:
+            continue
+        # term (s, i) is a_factor[wide + 2 i - s] * b_factor[2 i + s]
+        shape = (s1 - s0, last - first + 1)
+        a_view = np.ndarray(shape, float, a_factor,
+                            (wide + 2 * first - s0) * item, (-item, 2 * item))
+        b_view = np.ndarray(shape, float, b_factor,
+                            (2 * first + s0) * item, (item, 2 * item))
+        np.einsum("ij,ij->i", a_view, b_view, out=h[s0:s1])
+    return e, h
 
 
-def _density_flights(diagonals: np.ndarray, dy: float, flights,
+def _diagonal_chunk(e: np.ndarray, h: np.ndarray, first: int,
+                    out: np.ndarray) -> np.ndarray:
+    """Write diagonals d = first .. first + len(out) - 1 of rho into
+    ``out``: out[d - first, j] = e[d] H(2 j + d), rho(j, j + d) with
+    ``_density_tables``' E and H, where column j and row j + d lie on the
+    grid and are not its self-mirrored edge (module docstring), and 0.0
+    elsewhere."""
+    m, n = out.shape
+    item = h.itemsize
+    # H(2 j + d) for row d - first and column j
+    view = np.ndarray((m, n), float, h, first * item, (item, 2 * item))
+    np.multiply(view, e[first:first + m, None], out=out)
+    out[:, 0] = 0.0
+    for row, d in enumerate(range(first, first + m)):
+        # rho(j, j + d) with j + d >= n is off the grid
+        out[row, n - d:] = 0.0
+    return out
+
+
+def _density_flights(a: float, omega: float, grid: GridSpec, flights,
                      params: PhysParams) -> list[np.ndarray]:
     """Particle 2's intensity diag(U rho U^H) flown over each L in
-    ``flights``, from rho's diagonals r_d(j) = rho(j, j+d) with the
-    off-diagonal ones (d > 0) already doubled.
+    ``flights``, from rho's diagonals r_d(j) = rho(j, j+d), d = 0..D.
 
     With K = ifft(flight phase), the flight kernel, rho real and symmetric:
-    I = sum_d Re(G_d) (*) r_d, a circular convolution with
-    G_d(x) = K(x) conj K(x - d).  Diagonals go DIAGONAL_CHUNK at a time
-    through real transforms; each chunk's spectrum serves every flight.
+    I = sum_d w_d Re(G_d) (*) r_d, a circular convolution with
+    G_d(x) = K(x) conj K(x - d), w_0 = 1 and w_d = 2 for d > 0.  Diagonals
+    are built from ``_density_tables``, DIAGONAL_CHUNK at a time into one
+    buffer, and go through real transforms; each chunk's spectrum serves
+    every flight.
     """
-    count, n = diagonals.shape
+    n, dy = grid.n, grid.dy
+    e, h = _density_tables(a, omega, grid)
+    # rho is symmetric: diagonal d > 0 also stands for diagonal -d
+    e[1:] *= 2.0
+    count = e.size
     chunk = min(DIAGONAL_CHUNK, count)
     kernels = []
     for L in flights:
@@ -542,6 +613,7 @@ def _density_flights(diagonals: np.ndarray, dy: float, flights,
         kernels.append([(part, np.lib.stride_tricks.sliding_window_view(
             np.tile(part, 2), n)) for part in (kernel.real, kernel.imag)])
     spectra = [np.zeros(n // 2 + 1, dtype=complex) for _ in flights]
+    diagonals = np.empty((chunk, n))
     rho_hat = np.empty((chunk, n // 2 + 1), dtype=complex)
     kernel_hat = np.empty_like(rho_hat)
     re_g = np.empty((chunk, n))
@@ -549,7 +621,8 @@ def _density_flights(diagonals: np.ndarray, dy: float, flights,
     for d0 in range(0, count, chunk):
         d1 = min(d0 + chunk, count)
         m = d1 - d0
-        np.fft.rfft(diagonals[d0:d1], out=rho_hat[:m])
+        _diagonal_chunk(e, h, d0, diagonals[:m])
+        np.fft.rfft(diagonals[:m], out=rho_hat[:m])
         for parts, spectrum in zip(kernels, spectra):
             # Re G_d = Re K * Re K(. - d) + Im K * Im K(. - d)
             for out, (part, windows) in zip((re_g, term), parts):
@@ -577,12 +650,14 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     ``beam_L == L1`` the two are one array.  It takes one of two routes,
     chosen by ``_density_route``:
 
-    - density, when rho = psi^T psi has D + 1 <= n / DENSITY_RATIO nonzero
-      diagonals: each block adds its band's Gram to them, and after the last
-      block ``_density_flights`` flies them, with no transform per block;
+    - density, when the D + 1 diagonals of rho = psi^T psi it keeps are at
+      most n / DENSITY_RATIO: after the last block ``_density_flights``
+      builds them from two 1-D tables, a chunk at a time, and flies them,
+      with no transform per block;
     - rows, otherwise: the band of each block up to row n/2 is written into
       one zeroed full-width block, whose rows 0..n/2 take one real transform
-      along particle 2's axis and two inverse ones per nonzero flight.  The
+      along particle 2's axis and two inverse ones per nonzero flight, back
+      into the block.  The
       source, its edge sampled as 0.0, is mirror-symmetric, so the flown
       rows past n/2 add the reflection R(P) of the squares P of rows
       0..n/2 - 1 (module docstring).
@@ -608,38 +683,27 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     flights = [L1] if beam_L is None else [L1, beam_L]
     intensities = {L: source_plane if L == 0 else np.zeros(n) for L in flights}
     flown = [(total, L) for L, total in intensities.items() if L > 0]
-    density = bool(flown) and _density_route(a, grid)
+    density = bool(flown) and _density_route(a, omega, grid)
+    fly_rows = bool(flown) and not density
     rows_out = None
     half = n // 2
-    if density:
-        diagonals = np.zeros((_diagonal_count(a, dy), n))
-        # one Gram buffer for the pass: the columns a block's samples at or
-        # above GRAM_FLOOR reach span 63 dy + 2 a sqrt(GRAM_EXPONENT), fewer
-        # than SOURCE_BLOCK_ROWS + D grid columns; the rounding of their
-        # edges may add one
-        widest = SOURCE_BLOCK_ROWS + diagonals.shape[0] - 1
-        gram = np.empty(widest * (widest + diagonals.shape[0] - 1))
-    elif flown:
+    if fly_rows:
         # only rows 0..n/2 fly (module docstring): ``paired`` sums the
         # squares of flown rows 0..n/2 - 1, whose reflections stand for the
         # rows past n/2
         phases = [_flight_phase(n, dy, L, params)[:half + 1] for _, L in flown]
         paired = [np.zeros(n) for _ in flown]
         # the band of each flown block is written into this one zeroed
-        # full-width block, which its transform along particle 2's axis needs
+        # full-width block, which its transform along particle 2's axis
+        # needs; once transformed, the block takes its flown rows and is
+        # zeroed again
         rows_out = np.zeros((SOURCE_BLOCK_ROWS, n))
-        rows_flown = np.empty_like(rows_out)
         spectra = np.empty((SOURCE_BLOCK_ROWS, half + 1), dtype=complex)
         product = np.empty_like(spectra)
     for rows, cols, band in _source_blocks(tables, rows_out, half + 1):
         source_plane[cols] += np.einsum("ij,ij->j", band, band)
         products[:, cols] += back[:, rows] @ band
-        if density:
-            reach = _band(a, y, rows.start, rows.stop, GRAM_EXPONENT)
-            _add_band_gram(diagonals, band[:, reach.start - cols.start:
-                                           reach.stop - cols.start],
-                           reach.start, gram)
-        elif flown and rows.start <= half:
+        if fly_rows and rows.start <= half:
             m = min(SOURCE_BLOCK_ROWS, half + 1 - rows.start)
             np.fft.rfft(rows_out[:m], out=spectra[:m])
             for (total, _), phase, pair in zip(flown, phases, paired):
@@ -651,20 +715,17 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                 # Im phase)
                 for part in (phase.real, phase.imag):
                     np.multiply(spectra[:m], part, out=product[:m])
-                    np.fft.irfft(product[:m], n, out=rows_flown[:m])
-                    sums += np.einsum("ij,ij->j", rows_flown[:m],
-                                      rows_flown[:m])
+                    np.fft.irfft(product[:m], n, out=rows_out[:m])
+                    sums += np.einsum("ij,ij->j", rows_out[:m], rows_out[:m])
+            rows_out[:m] = 0.0
             if rows.start == half:
                 # no later block is flown
-                del rows_out, rows_flown, spectra, product
+                del rows_out, spectra, product
     # the last block is done: the flights below need no source
     del tables
     if density:
-        del gram
-        # rho is symmetric: diagonal d > 0 also stands for diagonal -d
-        diagonals[1:] *= 2.0
-        marginals = _density_flights(diagonals, dy, [L for _, L in flown], params)
-        del diagonals
+        marginals = _density_flights(a, omega, grid, [L for _, L in flown],
+                                     params)
         for (total, _), marginal in zip(flown, marginals):
             total += marginal
     elif flown:

@@ -305,13 +305,15 @@ class TestBlocklessSweep:
     the only slits its oracle conditions on, not for the scenario's own."""
 
     def test_narrow_point_runs(self, tmp_path, capsys):
-        # the 0.02 mm point (epsilon 0.01 mm) needs dy <= 0.00785 mm, n = 8192
+        # the 0.02 mm point (epsilon 0.01 mm) needs dy <= 0.00785 mm, n = 8192;
+        # the grid's extent comes from default_grid, partly from beam_width,
+        # so the frozen width moves with the beam law
         code, out, err = run_cli(
             ["sweep", sweep_scenario(tmp_path), "--from", "0.02", "--to", "0.5",
              "--steps", "2", "--oracle"], capsys)
         assert code == cli.EXIT_OK and err == ""
         narrow, wide = [line.split(",") for line in out.splitlines()[1:]]
-        assert float(narrow[2]) == pytest.approx(1.96532499, rel=1e-8)
+        assert float(narrow[2]) == pytest.approx(1.96532505, rel=1e-8)
         assert float(wide[2]) == pytest.approx(float(wide[1]), rel=0.01)
 
     def test_cap_counts_sweep_grid(self, tmp_path, capsys, monkeypatch):
@@ -565,9 +567,9 @@ class TestWrappedSlitPlane:
 
 
 def peak_bytes(n):
-    """The model GridSpec.peak_bytes, 8 * n * (7 * 64 + 3 * 2 * 64 + 64 + n // 10)
-    bytes: 7168 bytes per grid point of one axis and 8 * (n // 10) more."""
-    return n * (7168 + 8 * (n // 10))
+    """The model GridSpec.peak_bytes, 8 * n * (7 * 64 + 3 * 2 * 64 + 64)
+    bytes: 7168 bytes per grid point of one axis."""
+    return 7168 * n
 
 
 class TestGridCap:
@@ -603,7 +605,7 @@ class TestGridCap:
         path = blockless_fixture(tmp_path, "popper_freespace.json")
         code, _, err = run_cli(["run", path, "--oracle"], capsys)
         assert code == cli.EXIT_CONFIG
-        assert "8192x8192" in err and "112394240" in err
+        assert "8192x8192" in err and "58720256" in err
 
     @pytest.mark.parametrize("command", [
         ["run", "scenario", "--oracle"],

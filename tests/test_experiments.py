@@ -136,7 +136,7 @@ class TestKimShih:
 
     def test_wide_open_aperture_recovers_beam(self, kim_shih_scenario):
         # removing the conditioning altogether, the all-counts marginal is
-        # the beam; the oracle states this directly
+        # the beam; the oracle states this directly (to 5e-14 measured)
         s = kim_shih_scenario
         grid = go.GridSpec(n=1024, extent=s.oracle.extent)
         total = s.L1 + s.L2
@@ -144,7 +144,7 @@ class TestKimShih:
         w = go.intensity_widths(source.y, source.beam, source.dy)
         beam = gc.beam_width(gc.make_epr_state(s.a, s.omega),
                              gc.PropagationLeg(total), s.params)
-        assert w.gaussian_equiv_W == pytest.approx(beam, rel=0.05)
+        assert w.gaussian_equiv_W == pytest.approx(beam, rel=1e-12)
 
     def test_requires_lens_and_matching_l1(self, kim_shih_scenario):
         base = kim_shih_scenario
@@ -191,9 +191,9 @@ class TestPopperFreespace:
         flights = []
         density_flights = go._density_flights
 
-        def spy(diagonals, dy, distances, params):
+        def spy(a, omega, grid, distances, params):
             flights.append(list(distances))
-            return density_flights(diagonals, dy, distances, params)
+            return density_flights(a, omega, grid, distances, params)
 
         monkeypatch.setattr(go, "_density_flights", spy)
         scenario = dataclasses.replace(
@@ -289,19 +289,26 @@ class TestStrekalovSweep:
             assert many.fwhm_oracle_mm == pytest.approx(one.fwhm_oracle_mm,
                                                         rel=1e-12)
 
-    @pytest.mark.parametrize("steps, a, grid", [
-        pytest.param(5, 0.2, go.GridSpec(n=1024, extent=16.0), id="5"),
-        pytest.param(65, 0.2, go.GridSpec(n=1024, extent=16.0), id="65"),
-        # the density route's widest band, D + 1 = 819 of n / 10 = 819.2
-        pytest.param(65, 0.463, go.GridSpec(n=8192, extent=88.0),
-                     id="65-density-8192")])
-    def test_sweep_peak_memory_within_model(self, steps, a, grid):
+    @pytest.mark.parametrize("steps, a, omega, grid, density", [
+        # a band of D + 1 = 366 of 1024, over n / DENSITY_RATIO: flown rows
+        pytest.param(5, 1.0, 2.0, go.GridSpec(n=1024, extent=16.0), False,
+                     id="5"),
+        pytest.param(65, 1.0, 2.0, go.GridSpec(n=1024, extent=16.0), False,
+                     id="65"),
+        # rho's diagonals, 253 of them, and 2659, near the route's widest
+        # band (n / DENSITY_RATIO = 2730.7)
+        pytest.param(65, 0.463, 2.0, go.GridSpec(n=8192, extent=88.0), True,
+                     id="65-density-8192"),
+        pytest.param(5, 5.0, 10.0, go.GridSpec(n=8192, extent=88.0), True,
+                     id="5-density-8192-widest")])
+    def test_sweep_peak_memory_within_model(self, steps, a, omega, grid,
+                                            density):
         # one pass holds no n x n array; a sweep of more than one aperture
         # chunk (64) stays within the same model on either route
         scenario = ex.Scenario.from_dict(scenario_doc(
-            a_mm=a, L1_mm=300.0, L2_mm=300.0,
+            a_mm=a, omega_mm=omega, L1_mm=300.0, L2_mm=300.0,
             oracle={"n": grid.n, "extent_mm": grid.extent}))
-        assert go._density_route(a, grid) is (grid.n == 8192)
+        assert go._density_route(a, omega, grid) is density
         tracemalloc.start()
         try:
             points = ex.run_strekalov_sweep(scenario, np.linspace(0.2, 1.0, steps),
@@ -324,40 +331,40 @@ def fixture_scenario(name, oracle_block=True):
 
 class TestMarginalRoute:
     """Which route particle 2's flown marginals take on each fixture's grid:
-    rho's D + 1 diagonals when D + 1 <= n / 10, else flown rows."""
+    rho's D + 1 diagonals when D + 1 <= n / 3, else flown rows."""
 
     @pytest.mark.parametrize("name, oracle_block, n, count, density", [
-        ("strekalov.json", True, 4096, 79, True),
-        ("popper_freespace.json", True, 4096, 79, True),
-        ("kim_shih.json", True, 2048, 203, True),
-        ("strekalov.json", False, 8192, 131, True),
-        ("kim_shih.json", False, 2048, 203, True),
+        ("strekalov.json", True, 4096, 25, True),
+        ("popper_freespace.json", True, 4096, 25, True),
+        ("kim_shih.json", True, 2048, 63, True),
+        ("strekalov.json", False, 8192, 41, True),
+        ("kim_shih.json", False, 2048, 63, True),
     ], ids=["strekalov", "popper_freespace", "kim_shih", "strekalov-auto",
             "kim_shih-auto"])
     def test_fixture_routes(self, name, oracle_block, n, count, density):
         scenario = fixture_scenario(name, oracle_block)
         grid = ex.oracle_grid(scenario)
         assert grid.n == n
-        assert go._diagonal_count(scenario.a, grid.dy) == count
-        assert go._density_route(scenario.a, grid) is density
+        assert go._density_count(scenario.a, scenario.omega, grid) == count
+        assert go._density_route(scenario.a, scenario.omega, grid) is density
 
     @pytest.mark.parametrize("a", [0.01, 0.04, math.sqrt(0.043), 1.0, 50.0])
     @pytest.mark.parametrize("omega", [0.1, 1.0, 10.0, 1e6])
     def test_step_rule_keeps_n1024_on_rows(self, a, omega):
-        # The step rule bounds the band from below: at the coarsest step
-        # max_step allows, a / dy >= 4 sqrt(2) / pi, so D + 1 >= 71 whatever
-        # (a, omega).  That keeps n = 512 on rows (71 > 512 / 10) and n = 1024
-        # on rows at half that step or finer (D + 1 >= 139 > 1024 / 10); at
-        # the coarsest step itself n = 1024 takes the density route when its
-        # band fits.
+        # D + 1 depends on the step only through dy / max_step:
+        # E(d) = exp(-d^2 dy^2 (1/(2 a^2) + 1/(8 omega^2))) and max_step^2 =
+        # pi^2 / (64 (1/(2 a^2) + 1/(8 omega^2))), so at dy = max_step / f
+        # D + 1 = floor(21.2 f) + 1 for every (a, omega).  n = 1024 takes
+        # the density route at every step the rule allows down to a 16th of
+        # the coarsest (340 <= 1024 / 3) and stays on rows at a 32nd (679).
         step = go.max_step(a, omega)
-        coarsest = go.GridSpec(n=1024, extent=512 * step)
-        assert coarsest.dy == pytest.approx(step, rel=1e-15)
-        count = go._diagonal_count(a, coarsest.dy)
-        assert count >= 71
-        assert not go._density_route(a, go.GridSpec(n=512, extent=256 * step))
-        assert not go._density_route(a, go.GridSpec(n=1024, extent=256 * step))
-        assert go._density_route(a, coarsest) is (10 * count <= 1024)
+        counts = []
+        for f in (1, 2, 16, 32):
+            grid = go.GridSpec(n=1024, extent=512 * step / f)
+            assert grid.dy == pytest.approx(step / f, rel=1e-15)
+            counts.append(go._density_count(a, omega, grid))
+            assert go._density_route(a, omega, grid) is (f < 32)
+        assert counts == [22, 43, 340, 679]
 
 
 class TestFitSigmaFromWidth:

@@ -354,10 +354,11 @@ class TestBeamWidth:
 
     def test_strekalov_value_frozen_from_oracle(self, params702):
         # grid marginal second moment at a=0.04, omega=3, L=1800 gives
-        # W = 10.49362 mm (n=4096, extent 32); formula is quoted to 5%
+        # W = 10.49362 mm (n=4096, extent 32); the law meets it to the
+        # figure's rounding (4e-7; the grid's own width, 10.4936242, to 2e-9)
         state = gc.make_epr_state(0.04, 3.0)
         W = gc.beam_width(state, gc.PropagationLeg(1800.0), params702)
-        assert W == pytest.approx(10.49362, rel=0.05)
+        assert W == pytest.approx(10.49362, rel=1e-6)
 
     def test_rejects_evolved_state(self, params702):
         state = gc.evolve_free(gc.make_epr_state(0.04, 3.0),

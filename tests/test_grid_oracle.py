@@ -273,8 +273,12 @@ def slit_modes(apertures, grid, L1, params):
 PARITY_GRID = go.GridSpec(n=512, extent=16.0)
 PARITY_A, PARITY_OMEGA = 0.2, 2.0
 # the a = 0.3, omega = 1 source at its required extent: the raw source at
-# column 0, the self-mirrored edge, is not negligible there
+# column 0, the self-mirrored edge, is not negligible there, and its band is
+# wide enough for the rows route (D + 1 = 295 of 512)
 TIGHT_GRID = go.GridSpec(n=512, extent=go.required_extent(0.3, 1.0))
+# (a, omega, grid) whose density count is clipped at n: E(d) stays above
+# DENSITY_FLOOR on every diagonal of the grid
+CLIPPED = (1.0, 0.3, go.GridSpec(n=256, extent=1.75))
 
 
 class TestSourcePass:
@@ -404,53 +408,108 @@ class TestSourcePass:
         assert fwhm(got) == pytest.approx(fwhm(want), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("L1", [300.0, 0.0])
-    def test_marginals_match_reference(self, params702, L1):
-        # both routes of particle 2's flown marginals: flown rows on the
-        # parity grid and on a grid at the source's required extent, where
-        # column 0 lies inside the band (its raw factor product reaches
-        # 1.2e-4 there; were it kept, the mirrored rows would put the beam
-        # off by 7e-9), rho's diagonals on a narrow band (D + 1 = 79 of 2048)
-        # and on about the widest band the route takes (203, just under
-        # n / DENSITY_RATIO = 204.8)
+    def test_marginals_match_reference(self, params702, monkeypatch, L1):
+        # particle 2's flown marginals on each grid, through the route it
+        # takes and then through the other one: on the parity grid, a narrow
+        # band (D + 1 = 25 of 2048), about the widest band the density route
+        # takes (682, just under n / DENSITY_RATIO = 682.7), a grid at the
+        # source's required extent, where column 0 lies inside the band (its
+        # raw factor product reaches 1.2e-4 there; were it kept, the mirrored
+        # rows would put the beam off by 7e-9), and a grid whose count is
+        # clipped at n
         L2 = 300.0
         edge = product_rows(0.3, 1.0, TIGHT_GRID, 0, TIGHT_GRID.n)[:, 0]
         assert np.max(edge) > 1e-4
-        for a, omega, grid, count in [
-                (PARITY_A, PARITY_OMEGA, PARITY_GRID, None),
-                (0.3, 1.0, TIGHT_GRID, None),
-                (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 79),
-                (0.104, 1.0, go.GridSpec(n=2048, extent=20.0), 203)]:
-            assert go._density_route(a, grid) is (count is not None)
-            if count is not None:
-                assert go._diagonal_count(a, grid.dy) == count
+        route = go._density_route
+        for a, omega, grid, count, density in [
+                (PARITY_A, PARITY_OMEGA, PARITY_GRID, 38, True),
+                (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 25, True),
+                (1.37, 1.0, go.GridSpec(n=2048, extent=20.0), 682, True),
+                (0.3, 1.0, TIGHT_GRID, 295, False),
+                (*CLIPPED, 256, False)]:
+            assert go._density_count(a, omega, grid) == count
+            assert route(a, omega, grid) is density
             state = ref.build_grid_state(a, omega, grid)
-            source = go.source_pass(a, omega, grid, params702, L1,
-                                    beam_L=L1 + L2)
-            dy = grid.dy
             beam = ref.marginal_intensity(
                 ref.evolve_spectral(state, 0.0, L1 + L2, params702), 2)
-            assert max_rel(source.beam / (np.sum(source.beam) * dy), beam) \
-                <= 1e-12
             # one pass holds both particles' slit-plane marginals
             at_slit = ref.evolve_spectral(state, L1, L1, params702)
             del state
-            slit_plane = source.slit_plane / (np.sum(source.slit_plane) * dy)
-            for particle in (1, 2):
-                assert max_rel(slit_plane,
-                               ref.marginal_intensity(at_slit, particle)) <= 1e-12
-            # flight is unitary: the flown norm is the source norm
-            assert float(np.sum(source.slit_plane)) * dy == pytest.approx(
-                source.norm, rel=1e-12)
+            slit_want = [ref.marginal_intensity(at_slit, particle)
+                         for particle in (1, 2)]
+            del at_slit
+            dy = grid.dy
+            for forced in (density, not density):
+                monkeypatch.setattr(go, "_density_route",
+                                    lambda *args, forced=forced: forced)
+                source = go.source_pass(a, omega, grid, params702, L1,
+                                        beam_L=L1 + L2)
+                assert max_rel(source.beam / (np.sum(source.beam) * dy),
+                               beam) <= 1e-12
+                slit_plane = source.slit_plane / (np.sum(source.slit_plane)
+                                                  * dy)
+                for want in slit_want:
+                    assert max_rel(slit_plane, want) <= 1e-12
+                # flight is unitary: the flown norm is the source norm
+                assert float(np.sum(source.slit_plane)) * dy == \
+                    pytest.approx(source.norm, rel=1e-12)
 
     @pytest.mark.parametrize("a, omega, grid", [
         (PARITY_A, PARITY_OMEGA, PARITY_GRID),
+        (0.3, 1.0, TIGHT_GRID),
+        CLIPPED], ids=["parity", "tight", "clipped"])
+    def test_table_diagonals_match_direct_rho(self, a, omega, grid):
+        # rho(j, l) = E(j - l) H(j + l) from the two 1-D tables equals
+        # psi^T psi of the reference's sampled source, up to its norm, on
+        # every diagonal the route keeps, all n of them on the clipped grid
+        n = grid.n
+        psi = ref.build_grid_state(a, omega, grid).psi.real
+        rho = psi.T @ psi
+        e, h = go._density_tables(a, omega, grid)
+        assert e.size == go._density_count(a, omega, grid)
+        assert (e.size == n) is (grid is CLIPPED[2])
+        diagonals = np.empty((e.size, n))
+        for first in range(0, e.size, go.DIAGONAL_CHUNK):
+            go._diagonal_chunk(e, h, first,
+                               diagonals[first:first + go.DIAGONAL_CHUNK])
+        want = np.zeros_like(diagonals)
+        for d in range(e.size):
+            want[d, :n - d] = np.diagonal(rho, d)
+        assert max_rel(diagonals / np.sum(diagonals[0]),
+                       want / np.trace(rho)) <= 1e-14
+
+    @pytest.mark.parametrize("a, omega, grid", [
+        (0.04, 10.0, go.GridSpec(n=4096, extent=40.0)),  # strekalov.json
+        (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0)),  # kim_shih.json
+        (0.3, 1.0, TIGHT_GRID)],
+        ids=["strekalov", "kim_shih", "tight"])
+    def test_omitted_diagonals_within_bound(self, a, omega, grid):
+        # the diagonals d > D the density route leaves out of rho move a
+        # flown intensity by at most 2 sum_{d > D} |r_d|_1, which the module
+        # docstring bounds by 2 e^(pi^2/64) (1 + (D + 1) / (200 ln 2)) 2^-100
+        # of the trace.  The source is nonnegative, so that L1 mass is the
+        # sum of psi(i, j) psi(i, l) over l - j > D, each row's summed
+        # against its own suffix sums: no cancellation.
+        count = go._density_count(a, omega, grid)
+        omitted = trace = 0.0
+        for _, _, band in go._source_blocks(go.source_tables(a, omega, grid)):
+            trace += float(np.sum(band * band))
+            # suffix[:, j] = sum of band[:, j:]
+            suffix = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]
+            omitted += float(np.sum(band[:, :-count] * suffix[:, count:]))
+        bound = (2.0 * math.exp(math.pi ** 2 / 64.0)
+                 * (1.0 + count / (200.0 * math.log(2.0))) * 2.0 ** -100)
+        assert 0.0 < 2.0 * omitted <= bound * trace
+
+    @pytest.mark.parametrize("a, omega, grid", [
+        (0.3, 1.0, TIGHT_GRID),
         (0.04, 1.0, go.GridSpec(n=2048, extent=20.0))], ids=["rows", "density"])
     def test_beam_at_slit_plane_flown_once(self, params702, monkeypatch,
                                            a, omega, grid):
         # a beam at the slit-plane distance (L2 = 0) is the slit-plane
         # intensity: one flight phase for the one distance, on either route
         L1 = 300.0
-        assert go._density_route(a, grid) is (grid is not PARITY_GRID)
+        assert go._density_route(a, omega, grid) is (grid is not TIGHT_GRID)
         alone = go.source_pass(a, omega, grid, params702, L1)
         phases = []
         flight_phase = go._flight_phase
@@ -467,9 +526,9 @@ class TestSourcePass:
         assert source.norm == alone.norm
 
     @pytest.mark.parametrize("a, omega, grid, beam_L, flown", [
-        (PARITY_A, PARITY_OMEGA, PARITY_GRID, None, 1),
-        (PARITY_A, PARITY_OMEGA, PARITY_GRID, 600.0, 2),
-        (PARITY_A, PARITY_OMEGA, PARITY_GRID, 300.0, 1),
+        (0.3, 1.0, TIGHT_GRID, None, 1),
+        (0.3, 1.0, TIGHT_GRID, 600.0, 2),
+        (0.3, 1.0, TIGHT_GRID, 300.0, 1),
         (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 600.0, 2)],
         ids=["rows", "rows-beam", "rows-beam-at-slit", "density"])
     def test_rows_route_flies_half_the_source(self, params702, monkeypatch,
@@ -502,7 +561,7 @@ class TestSourcePass:
         go.source_pass(a, omega, grid, params702, 0.0, beam_L=0.0)
         assert counts == {"rfft": 0, "irfft": 0}
         go.source_pass(a, omega, grid, params702, 300.0, beam_L=beam_L)
-        rows = 0 if go._density_route(a, grid) else grid.n // 2 + 1
+        rows = 0 if go._density_route(a, omega, grid) else grid.n // 2 + 1
         assert counts == {"rfft": rows, "irfft": 2 * rows * flown}
 
     def test_source_plane_intensity_without_flight(self, params702):
@@ -518,44 +577,15 @@ class TestSourcePass:
         assert source.norm == pytest.approx(
             float(np.sum(source.slit_plane)) * dy, rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("a, omega, grid", [
-        (0.04, 10.0, go.GridSpec(n=4096, extent=40.0)),  # strekalov.json
-        (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0))],  # kim_shih.json
-        ids=["strekalov", "kim_shih"])
-    def test_band_gram_zero_beyond_diagonal_count(self, a, omega, grid):
-        # with samples below GRAM_FLOOR left out, as the pass leaves them out,
-        # rho = psi^T psi needs only its diagonals d = 0..D: every block's
-        # band Gram is exactly 0.0 further off the diagonal.  The samples at
-        # or above the floor lie in the columns the pass takes, at most
-        # SOURCE_BLOCK_ROWS + D of them, the width of its Gram buffer.
-        D = go._diagonal_count(a, grid.dy) - 1
-        beyond = 0
-        for rows, cols, band in go._source_blocks(
-                go.source_tables(a, omega, grid)):
-            reach = go._band(a, grid.y, rows.start, rows.stop, go.GRAM_EXPONENT)
-            assert reach.stop - reach.start <= go.SOURCE_BLOCK_ROWS + D
-            band = np.where(band < go.GRAM_FLOOR, 0.0, band)
-            outside = band.copy()
-            outside[:, reach.start - cols.start:reach.stop - cols.start] = 0.0
-            assert not np.any(outside)
-            gram = band.T @ band
-            index = np.arange(band.shape[1])
-            far = np.abs(np.subtract.outer(index, index)) > D
-            beyond += np.count_nonzero(far)
-            assert np.all(gram[far] == 0.0)
-            assert np.count_nonzero(gram) > 0
-        # a quarter of the Gram entries lie beyond D on the strekalov grid
-        assert beyond > grid.n // go.SOURCE_BLOCK_ROWS * D
-
     def test_strekalov_sweep_pass_holds_no_row_wide_block(self, params702):
-        # the 5-slit pass of the strekalov sweep holds rho's D + 1 diagonals
-        # (79 of 4096) and band-wide block arrays: its peak stays under the
-        # diagonals plus three blocks of 64 full-width rows
+        # the 5-slit pass of the strekalov sweep holds band-wide block
+        # arrays, then one chunk of rho's diagonals with its transform
+        # buffers: its peak stays under three blocks of 64 full-width rows
         a, omega, grid = 0.04, 10.0, go.GridSpec(n=4096, extent=40.0)
         slits = [go.Aperture(kind="gaussian", epsilon=w / 2.0)
                  for w in np.linspace(0.2, 1.0, 5)]
-        limit = (go._diagonal_count(a, grid.dy)
-                 + 3 * go.SOURCE_BLOCK_ROWS) * grid.n * 8
+        assert go._density_route(a, omega, grid)
+        limit = 3 * go.SOURCE_BLOCK_ROWS * grid.n * 8
         tracemalloc.start()
         try:
             go.source_pass(a, omega, grid, params702, 600.0,
@@ -563,7 +593,7 @@ class TestSourcePass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert limit == 8_880_128
+        assert limit == 6_291_456
         assert peak < limit
 
     def test_pass_without_flight_allocates_no_flight_buffers(self, params702):
