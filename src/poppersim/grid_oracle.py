@@ -24,10 +24,25 @@ The n x n route the pass replaced is kept only as the tests' reference
 (``tests/nxn_reference.py``), which every parity test compares the pass
 against.
 
+The source is F(i - j) G(i + j - n) (``source_tables``), F(d) =
+exp(-(d dy)^2 / a^2), cut where F < DENSITY_FLOOR = 2^-100: only
+|i - j| <= R (R about 8.3 a / dy) is kept, so a block of rows is generated
+on its diagonal band alone.  On each anti-diagonal s = i + j - n the cut
+samples F(d) G(s), |d| > R, have between them a kept sample off the
+self-mirrored edge with d = 0 or 1, at least F(1) G(s), and
+F(1)^2 >= e^(-pi^2/16) as dy <= ``max_step``.  With F's Gaussian tail, the
+cut part delta of the kept source psi has |delta|_F <= beta |psi|_F,
+
+    beta^2 = 2 e^(pi^2/16) (1 + (R + 1) / (400 ln 2)) 2^-200 < 2^-192
+
+for R < n <= 16384.  So the cut moves the norm by at most beta^2 of itself,
+a normalized projection onto a mode phi by 2 beta |phi|_2, and a flown
+intensity, summed over the grid, by (2 beta + beta^2) of the norm: the
+flight is unitary and | |x|^2 - |x'|^2 | <= |x - x'| (|x| + |x'|).
+
 Particle 2's flown marginal diag(U rho U^H) needs only its reduced density
-matrix rho = psi^T psi.  The sampled source is F(i - j) G(i + j - n)
-(``source_tables``), so completing the square in each factor gives, for
-j, l >= 1,
+matrix rho = psi^T psi, and the raw product gives it within the cut's
+bound.  Completing the square in each of its factors gives, for j, l >= 1,
 
     rho(j, l) = E(j - l) H(j + l),
     E(d) = exp(-d^2 dy^2 (1/(2 a^2) + 1/(8 omega^2))),
@@ -68,29 +83,28 @@ is its own mirror mod n, so its samples have no partner on the grid; the
 source takes them as 0.0 (``source_rows``).  Both factor tables are even
 bit for bit, so the sampled source is then mirror-symmetric,
 psi(n - i, n - j) = psi(i, j) for all i, j mod n, and the flight kernel is
-even on the periodic grid.  With F_i the flown row i and R the reflection
-m -> (n - m) mod n, flown row n - i is R F_i, and row n/2 is its own.  With
+even on the periodic grid.  With F_i the flown row i and M the reflection
+m -> (n - m) mod n, flown row n - i is M F_i, and row n/2 is its own.  With
 P = sum |F_i|^2 over rows 0..n/2 - 1 (row 0 is zero),
 
-    I = P + R(P) + |F_{n/2}|^2,
+    I = P + M(P) + |F_{n/2}|^2,
 
 so rows 0..n/2 fly and the blocks past row n/2 only add to the products
 and the source-plane intensity.
 
 Rows/density time of one pass, each route forced, by (D + 1) / n, with one
 flight / two flights (+-40 mm, omega = 10 mm, one slit, L1 = 600 mm, beam
-1800 mm; 2 vCPU, OpenBLAS on one thread, best of 2):
+1800 mm; 2 vCPU, OpenBLAS on one thread, best of 5):
 
     (D + 1) / n   0.3        0.4        0.5        0.6        0.7
-    n = 2048      1.53/1.78  1.27/1.59  1.17/1.33  1.05/1.16  0.80/0.96
-    n = 4096      1.84/2.12  1.49/1.59  1.30/1.42  1.17/1.24  1.00/1.06
-    n = 8192      1.65/1.93  1.41/1.59  1.15/1.39  1.05/1.13  0.85/1.01
+    n = 1024      1.54/1.88  1.22/1.49  1.02/1.25  0.85/0.86  0.83/1.03
+    n = 2048      1.75/2.27  1.27/1.51  1.21/1.53  1.12/1.38  1.03/1.20
+    n = 4096      2.21/2.67  1.32/2.37  1.51/1.76  1.22/1.35  1.04/1.15
+    n = 8192      2.23/2.58  1.54/1.90  1.39/1.62  1.19/1.36  0.99/1.27
 
-Each route grows with its count, of diagonals or of rows, so one flight
-breaks even near 0.6-0.7 n and two flights near 0.7 n at each of these n.  At
-n = 1024 a pass takes a few ms and the ratio swings from run to run (best
-of 7: 1.1-1.2/1.4-1.7 at 0.3 n, 0.9-1.0/1.0-1.1 at 0.5 n), so the break-even
-lies near 0.4-0.5 n with one flight.  n / 3 is below all of them.
+Each route grows with its count, of diagonals or of rows: one flight breaks
+even near 0.7 n (0.5 n at n = 1024), two at 0.6 n or past 0.7 n, and a cell
+swings by up to 0.4 from run to run.  n / 3 is below every break-even.
 
 Grid convention: y = (arange(n) - n/2) * dy with dy = 2 * extent / n, and
 wavenumbers k = 2*pi*fftfreq(n, dy).  A plane-wave component exp(i k y)
@@ -114,23 +128,15 @@ TAIL_PROB_LIMIT = 1e-6
 # rows of the source generated at a time, and apertures stacked in one pass
 SOURCE_BLOCK_ROWS = 64
 APERTURE_CHUNK = 64
-# particle 2's flown marginals come from the D + 1 diagonals of its reduced
-# density matrix when D + 1 <= n / DENSITY_RATIO, else from flown source rows
-# (half of them, the source being mirror-symmetric).  Each route's time grows
-# with its count of diagonals or rows, and the routes break even near
-# 0.4-0.7 n at n = 1024-8192, one flight or two (table in the module
-# docstring): n / 3 lies below every one.
+# particle 2's flown marginals come from the D + 1 diagonals of rho when
+# D + 1 <= n / DENSITY_RATIO, else from flown source rows; n / 3 lies below
+# every break-even of the two routes, 0.5-0.7 n (module docstring)
 DENSITY_RATIO = 3
 # diagonals flown at a time on that route, and values of H summed at a time
 DIAGONAL_CHUNK = 16
 H_BLOCK = 128
-# rho's diagonal d is kept while E(d) >= DENSITY_FLOOR, and H's sum keeps
-# the terms whose a-factor is at least DENSITY_FLOOR (module docstring)
+# where the source's u factor, E and H's a-factor are cut (module docstring)
 DENSITY_FLOOR = 2.0 ** -100
-# a source sample with u^2/a^2 above UNDERFLOW_EXPONENT underflows to 0.0
-# whatever v is, since its v factor is at most 1; the margin over the float64
-# exp underflow (745.13) absorbs the rounding of u and of the band's edges
-UNDERFLOW_EXPONENT = 750.0
 
 
 @dataclass(frozen=True)
@@ -165,17 +171,18 @@ class GridSpec:
         The model over-counts.  The one-axis arrays include the source's two
         factor tables (``source_tables``, 4 n - 2 values), which every block
         reads and none copies.  Every per-block array spans only the block's
-        diagonal band: the band, its column sums of squares (one row) and
-        the block's product.  Only the row route holds full-width block
-        arrays, three of them: the zeroed block its bands are written into
-        and its flown rows overwrite, and two half spectra, and only until
-        it has flown row n/2; the blocks past it need none.  The density
-        route holds none.  After the last block it holds one chunk of
-        DIAGONAL_CHUNK diagonals and four transform buffers of its size,
-        fewer values than two blocks, and one-axis arrays: the tables of
-        ``_density_tables``, at most 13 n values however many diagonals it
-        keeps, and two flight kernels of 6 n values each.  Nothing in the
-        model grows with D, so it bounds both routes at every n."""
+        band, SOURCE_BLOCK_ROWS + 2 R columns at most: the band, its column
+        sums of squares (one row) and the block's product.  Only the row
+        route holds full-width block arrays, three of them: the zeroed block
+        its bands are written into and its flown rows overwrite, and two
+        half spectra, and only until it has flown row n/2; the blocks past
+        it need none.  The density route holds none.  After the last block
+        it holds one chunk of DIAGONAL_CHUNK diagonals and three transform
+        buffers of its size, fewer values than two blocks, and one-axis
+        arrays: the tables of ``_density_tables``, at most 13 n values
+        however many diagonals it keeps, and two flight kernels of 4 n
+        values each.  Nothing in the model grows with D, so it bounds both
+        routes at every n."""
         return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64)
 
 
@@ -315,15 +322,6 @@ def _check_source(a: float, omega: float, grid: GridSpec):
         )
 
 
-def _band(a: float, y: np.ndarray, start: int, stop: int) -> slice:
-    """Columns of source rows start:stop (``y`` ascending) within
-    a * sqrt(UNDERFLOW_EXPONENT) of some row's y: those that can be
-    nonzero."""
-    reach = a * math.sqrt(UNDERFLOW_EXPONENT)
-    return slice(int(np.searchsorted(y, y[start] - reach, side="left")),
-                 int(np.searchsorted(y, y[stop - 1] + reach, side="right")))
-
-
 @dataclass(frozen=True)
 class SourceTables:
     """The source's two Gaussian factors on a grid of n points, one 1-D table
@@ -331,14 +329,14 @@ class SourceTables:
     u_factor[n - 1 + j - i] * v_factor[i + j] with
 
         u_factor[n - 1 + d] = exp(-(d dy)^2 / a^2),          d = 1 - n .. n - 1,
-        v_factor[n + s] = exp(-(s dy)^2 / (4 omega^2)),      s = -n .. n - 2.
+        v_factor[n + s] = exp(-(s dy)^2 / (4 omega^2)),      s = -n .. n - 2,
 
-    ``u_factor`` is even in d bit for bit, since (-d) dy = -(d dy) exactly.
-    Both tables are read-only.
+    each u_factor entry below DENSITY_FLOOR taken as 0.0 (module docstring):
+    ``reach`` R is the largest |d| kept.  ``u_factor`` is even in d bit for
+    bit, since (-d) dy = -(d dy) exactly.  Both tables are read-only.
     """
 
-    a: float
-    y: np.ndarray
+    reach: int
     u_factor: np.ndarray
     v_factor: np.ndarray
 
@@ -358,24 +356,25 @@ def _gaussian_table(first: int, size: int, dy: float,
 def source_tables(a: float, omega: float, grid: GridSpec) -> SourceTables:
     """The two factor tables of the source on ``grid``, 4 n - 2 values."""
     n, dy = grid.n, grid.dy
-    tables = []
-    for first, scale in ((1 - n, a ** 2), (-n, 4.0 * omega ** 2)):
-        table = _gaussian_table(first, 2 * n - 1, dy, scale)
-        table.flags.writeable = False
-        tables.append(table)
-    return SourceTables(a, grid.y, *tables)
+    u_factor = _gaussian_table(1 - n, 2 * n - 1, dy, a ** 2)
+    u_factor[u_factor < DENSITY_FLOOR] = 0.0
+    v_factor = _gaussian_table(-n, 2 * n - 1, dy, 4.0 * omega ** 2)
+    u_factor.flags.writeable = v_factor.flags.writeable = False
+    # u_factor is even and falls from d = 0, so it keeps d = -R .. R
+    reach = int(np.count_nonzero(u_factor)) // 2
+    return SourceTables(reach, u_factor, v_factor)
 
 
 def source_rows(tables: SourceTables, start: int, stop: int,
                 out: np.ndarray | None = None) -> tuple[slice, np.ndarray]:
     """Rows start:stop of the unnormalized source
-    exp(-u^2/a^2) exp(-v^2/(4 omega^2)) with u = y1 - y2, v = y1 + y2, as
-    (cols, band): ``cols`` is the diagonal band of columns that ``_band``
-    gives and band[:, j] is column cols.start + j.  Every sample outside the
-    band underflows to 0.0 and is not evaluated.  Row 0 and column 0, the
-    grid's self-mirrored edge, are 0.0 (module docstring).  With ``out``,
-    real rows start:stop of the full width, the band is written into
-    out[:, cols] and returned as that view.
+    exp(-u^2/a^2) exp(-v^2/(4 omega^2)) with u = y1 - y2, v = y1 + y2, cut
+    where its u factor falls below DENSITY_FLOOR, as (cols, band): ``cols``
+    is the band of columns within ``tables.reach`` of some row, outside
+    which every sample is 0.0 and is not evaluated, and band[:, j] is column
+    cols.start + j.  Row 0 and column 0, the grid's self-mirrored edge, are
+    0.0 (module docstring).  With ``out``, real rows start:stop of the full
+    width, the band is written into out[:, cols] and returned as that view.
 
     The band is one product of two read-only views of ``tables``: a Toeplitz
     view of the u factor and a Hankel view of the v factor, so a block takes
@@ -383,15 +382,15 @@ def source_rows(tables: SourceTables, start: int, stop: int,
     i <-> j and even about the grid's centre, so the sampled source is
     exchange- and mirror-symmetric bit for bit.
     """
-    cols = _band(tables.a, tables.y, start, stop)
+    n = (tables.u_factor.size + 1) // 2
+    cols = slice(max(0, start - tables.reach), min(n, stop + tables.reach))
     shape = (stop - start, cols.stop - cols.start)
     item = tables.u_factor.itemsize
     # views on the tables' buffers, which the constructor bounds-checks:
     # sample (start + r, cols.start + c) is u_factor[k - r + c] with
     # k = n - 1 + cols.start - start, times v_factor[start + cols.start + r + c]
     toeplitz = np.ndarray(shape, float, tables.u_factor,
-                          (tables.y.size - 1 + cols.start - start) * item,
-                          (-item, item))
+                          (n - 1 + cols.start - start) * item, (-item, item))
     hankel = np.ndarray(shape, float, tables.v_factor,
                         (start + cols.start) * item, (item, item))
     # np.multiply would stage these overlapping views through two iterator
@@ -415,7 +414,7 @@ def _source_blocks(tables: SourceTables, out: np.ndarray | None = None,
     that starts before row ``out_stop`` (by default every block) is written
     into it, and its columns are zeroed again once the consumer asks for the
     next block."""
-    n = tables.y.size
+    n = (tables.u_factor.size + 1) // 2
     out_stop = n if out_stop is None else out_stop
     for start in range(0, n, SOURCE_BLOCK_ROWS):
         if start >= out_stop:
@@ -609,28 +608,29 @@ def _density_flights(a: float, omega: float, grid: GridSpec, flights,
     kernels = []
     for L in flights:
         kernel = np.fft.ifft(_flight_phase(n, dy, L, params))
-        # K(x - d) for x = 0..n-1 is window n - d of K repeated twice
-        kernels.append([(part, np.lib.stride_tricks.sliding_window_view(
-            np.tile(part, 2), n)) for part in (kernel.real, kernel.imag)])
+        # Re K and Im K, each repeated twice: K(x - d) for x = 0..n-1 is
+        # window n - d of its row
+        tiled = np.tile([kernel.real, kernel.imag], 2)
+        kernels.append((tiled[:, :n], np.lib.stride_tricks.sliding_window_view(
+            tiled, n, axis=1)))
     spectra = [np.zeros(n // 2 + 1, dtype=complex) for _ in flights]
     diagonals = np.empty((chunk, n))
     rho_hat = np.empty((chunk, n // 2 + 1), dtype=complex)
     kernel_hat = np.empty_like(rho_hat)
     re_g = np.empty((chunk, n))
-    term = np.empty_like(re_g)
     for d0 in range(0, count, chunk):
         d1 = min(d0 + chunk, count)
         m = d1 - d0
         _diagonal_chunk(e, h, d0, diagonals[:m])
         np.fft.rfft(diagonals[:m], out=rho_hat[:m])
-        for parts, spectrum in zip(kernels, spectra):
+        for (parts, windows), spectrum in zip(kernels, spectra):
             # Re G_d = Re K * Re K(. - d) + Im K * Im K(. - d)
-            for out, (part, windows) in zip((re_g, term), parts):
-                np.multiply(windows[n - d1 + 1:n - d0 + 1][::-1], part,
-                            out=out[:m])
-            re_g[:m] += term[:m]
+            np.einsum("kx,kmx->mx", parts,
+                      windows[:, n - d1 + 1:n - d0 + 1][:, ::-1],
+                      out=re_g[:m])
             np.fft.rfft(re_g[:m], out=kernel_hat[:m])
-            spectrum += np.einsum("ij,ij->j", rho_hat[:m], kernel_hat[:m])
+            np.multiply(kernel_hat[:m], rho_hat[:m], out=kernel_hat[:m])
+            spectrum += kernel_hat[:m].sum(axis=0)
     return [np.fft.irfft(spectrum, n) for spectrum in spectra]
 
 
@@ -657,10 +657,9 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     - rows, otherwise: the band of each block up to row n/2 is written into
       one zeroed full-width block, whose rows 0..n/2 take one real transform
       along particle 2's axis and two inverse ones per nonzero flight, back
-      into the block.  The
-      source, its edge sampled as 0.0, is mirror-symmetric, so the flown
-      rows past n/2 add the reflection R(P) of the squares P of rows
-      0..n/2 - 1 (module docstring).
+      into the block.  The source, its edge sampled as 0.0, is
+      mirror-symmetric, so the flown rows past n/2 add the reflection M(P)
+      of the squares P of rows 0..n/2 - 1 (module docstring).
 
     An intensity over L = 0 is the source-plane intensity on either route.
     Every intensity is tail-checked.

@@ -241,10 +241,14 @@ def assert_exact_steps(grid):
     assert (grid.dy * 1024).is_integer() and grid.dy < 1024
 
 
-def zero_edge(rows, start):
+def as_sampled(rows, start, a, grid):
     """``rows``, rows start:stop of the source's factor product, as the
-    source samples them: row 0 and column 0, the grid's self-mirrored edge,
-    set to 0.0 in place."""
+    source samples them, in place: 0.0 where the u factor is below
+    DENSITY_FLOOR, the source floor, and on row 0 and column 0, the grid's
+    self-mirrored edge."""
+    i = np.arange(start, start + rows.shape[0])[:, None]
+    u = (i - np.arange(grid.n)[None, :]) * grid.dy
+    rows[np.exp(-(u ** 2) / a ** 2) < go.DENSITY_FLOOR] = 0.0
     if start == 0:
         rows[0] = 0.0
     rows[:, 0] = 0.0
@@ -252,11 +256,21 @@ def zero_edge(rows, start):
 
 
 def full_grid_source(a, omega, grid):
-    """The source as one n x n product of its factors, its self-mirrored
-    edge zeroed, normalized."""
-    psi = zero_edge(product_rows(a, omega, grid, 0, grid.n), 0).astype(complex)
+    """The source as one n x n product of its factors, as the source samples
+    it, normalized."""
+    psi = as_sampled(product_rows(a, omega, grid, 0, grid.n), 0, a,
+                     grid).astype(complex)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.dy ** 2)
     return psi
+
+
+def raw_tables(a, omega, grid):
+    """The source's factor tables without the source floor: every block's
+    band spans the grid, and the blocks are the raw factor product with its
+    self-mirrored edge zeroed."""
+    u_factor = go._gaussian_table(1 - grid.n, 2 * grid.n - 1, grid.dy, a ** 2)
+    return go.SourceTables(grid.n - 1, u_factor,
+                           go.source_tables(a, omega, grid).v_factor)
 
 
 def max_rel(got, want):
@@ -300,22 +314,28 @@ class TestSourcePass:
                             a, omega, grid.y, 0, n)
 
     def test_narrow_band_input_is_narrow(self):
-        # the last build input above evaluates under a quarter of each row
-        y = go.GridSpec(n=1024, extent=8.0).y
-        for start in range(0, y.size, go.SOURCE_BLOCK_ROWS):
-            band = go._band(0.04, y, start, start + go.SOURCE_BLOCK_ROWS)
-            assert band.stop - band.start < y.size // 4
+        # the last build input above evaluates under a quarter of each row:
+        # its reach R = 21 gives a block's band at most 64 + 2 R columns
+        grid = go.GridSpec(n=1024, extent=8.0)
+        tables = go.source_tables(0.04, 1.0, grid)
+        assert tables.reach == 21
+        for start in range(0, grid.n, go.SOURCE_BLOCK_ROWS):
+            cols, _ = go.source_rows(tables, start,
+                                     start + go.SOURCE_BLOCK_ROWS)
+            assert cols.stop - cols.start \
+                <= go.SOURCE_BLOCK_ROWS + 2 * tables.reach < grid.n // 4
 
     @pytest.mark.parametrize("a, omega, grid", [
         (0.04, 10.0, go.GridSpec(n=4096, extent=40.0)),  # strekalov.json
         (SQRT_A2, 10.0, go.GridSpec(n=2048, extent=40.0))],  # kim_shih.json
         ids=["strekalov", "kim_shih"])
     def test_fixture_blocks_match_formula(self, a, omega, grid):
-        # each band is the factors' product on its columns to the bit, its
-        # self-mirrored edge zeroed, and the product is 0.0 outside them; the
-        # one-exp formula is nonzero only inside them and within rounding of
-        # the raw product everywhere.  Written into a zeroed full-width block
-        # the band is the sampled source's block.
+        # each band is the factors' product on its columns to the bit, cut
+        # at the source floor and its self-mirrored edge zeroed, and the cut
+        # product is 0.0 outside them; outside them every sample of the
+        # one-exp formula is below DENSITY_FLOOR, and the formula is within
+        # rounding of the raw product everywhere.  Written into a zeroed
+        # full-width block the band is the sampled source's block.
         assert_exact_steps(grid)
         y = grid.y
         tables = go.source_tables(a, omega, grid)
@@ -323,23 +343,23 @@ class TestSourcePass:
         for start in range(0, grid.n, go.SOURCE_BLOCK_ROWS):
             stop = start + go.SOURCE_BLOCK_ROWS
             raw = product_rows(a, omega, grid, start, stop)
-            want = zero_edge(raw.copy(), start)
+            want = as_sampled(raw.copy(), start, a, grid)
             formula = formula_rows(a, omega, y, start, stop)
             cols, band = go.source_rows(tables, start, stop)
             assert np.array_equal(band, want[:, cols])
             assert np.count_nonzero(want) == np.count_nonzero(want[:, cols])
-            assert np.count_nonzero(formula) == \
-                np.count_nonzero(formula[:, cols])
+            outside = np.ones(grid.n, dtype=bool)
+            outside[cols] = False
+            assert np.all(formula[:, outside] < go.DENSITY_FLOOR)
             assert_near_formula(raw, formula, a, omega, y, start, stop)
             go.source_rows(tables, start, stop, out)
             assert np.array_equal(out, want)
             out[:, cols] = 0.0
 
     def test_block_allocates_about_its_own_size(self):
-        # on the strekalov grid the band is 176 of 4096 columns; the factor
-        # tables are built in place and the band is one product of two views
-        # of them: nothing but the band, the tables and the grid's y, which
-        # they keep for the band's edges
+        # on the strekalov grid the band is 98 of 4096 columns (R = 17); the
+        # factor tables are built in place and the band is one product of
+        # two views of them: nothing but the band and the tables
         grid = go.GridSpec(n=4096, extent=40.0)
         start = grid.n // 2
         tracemalloc.start()
@@ -350,10 +370,10 @@ class TestSourcePass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cols.stop - cols.start == 176
+        assert cols.stop - cols.start == 98
         table_bytes = tables.u_factor.nbytes + tables.v_factor.nbytes
         assert table_bytes == 8 * (4 * grid.n - 2)
-        assert peak < band.nbytes + table_bytes + tables.y.nbytes + 4096
+        assert peak < band.nbytes + table_bytes + 4096
 
     def test_source_exchange_symmetric(self):
         grid = go.GridSpec(n=1024, extent=40.0)
@@ -489,10 +509,11 @@ class TestSourcePass:
         # docstring bounds by 2 e^(pi^2/64) (1 + (D + 1) / (200 ln 2)) 2^-100
         # of the trace.  The source is nonnegative, so that L1 mass is the
         # sum of psi(i, j) psi(i, l) over l - j > D, each row's summed
-        # against its own suffix sums: no cancellation.
+        # against its own suffix sums: no cancellation.  rho is E and H's,
+        # that of the raw factor product, not cut at the source floor.
         count = go._density_count(a, omega, grid)
         omitted = trace = 0.0
-        for _, _, band in go._source_blocks(go.source_tables(a, omega, grid)):
+        for _, _, band in go._source_blocks(raw_tables(a, omega, grid)):
             trace += float(np.sum(band * band))
             # suffix[:, j] = sum of band[:, j:]
             suffix = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]
@@ -500,6 +521,61 @@ class TestSourcePass:
         bound = (2.0 * math.exp(math.pi ** 2 / 64.0)
                  * (1.0 + count / (200.0 * math.log(2.0))) * 2.0 ** -100)
         assert 0.0 < 2.0 * omitted <= bound * trace
+
+    @pytest.mark.parametrize("a, omega, grid", [
+        (PARITY_A, PARITY_OMEGA, PARITY_GRID),
+        (0.3, 1.0, TIGHT_GRID),
+        CLIPPED,
+        (0.04, 10.0, go.GridSpec(n=4096, extent=40.0))],  # strekalov.json
+        ids=["parity", "tight", "clipped", "strekalov"])
+    def test_source_floor_within_bound(self, params702, monkeypatch,
+                                       a, omega, grid):
+        # a pass over the source cut at DENSITY_FLOOR against a pass over the
+        # raw factor product, on both routes.  The module docstring bounds
+        # the cut part delta of the source by |delta|_F <= beta |psi|_F, with
+        # beta^2 = 2 e^(pi^2/16) (1 + (R + 1) / (400 ln 2)) DENSITY_FLOOR^2,
+        # and so the norm's move by beta^2 of it, each projection's by
+        # 2 beta |mode|_2 and each flown intensity's L1 move by
+        # (2 beta + beta^2) of the norm.  The two passes multiply blocks of
+        # different widths, so each check also allows 2^-52 of the compared
+        # value for rounding; a floor of 2^-40 moves the projections by
+        # ~1e-13 of their norm.  The clipped grid keeps every sample
+        # (R = n - 1).
+        n, eps = grid.n, 2.0 ** -52
+        floored = go.source_tables(a, omega, grid)
+        raw = raw_tables(a, omega, grid)
+        reach = floored.reach
+        assert np.count_nonzero(floored.u_factor) == 2 * reach + 1
+        # R is the largest |d| whose raw u factor is at least the floor
+        assert raw.u_factor[n - 1 + reach] >= go.DENSITY_FLOOR
+        assert (reach == n - 1) == (grid is CLIPPED[2])
+        assert reach == n - 1 or raw.u_factor[n + reach] < go.DENSITY_FLOOR
+        beta = go.DENSITY_FLOOR * math.sqrt(
+            2.0 * math.exp(math.pi ** 2 / 16.0)
+            * (1.0 + (reach + 1) / (400.0 * math.log(2.0))))
+        L1 = 300.0
+        modes = slit_modes([go.Aperture(kind="gaussian", epsilon=epsilon)
+                            for epsilon in (0.1, 0.5)], grid, L1, params702)
+        for density in (True, False):
+            monkeypatch.setattr(go, "_density_route",
+                                lambda *args, density=density: density)
+            passes = []
+            for tables in (floored, raw):
+                monkeypatch.setattr(go, "source_tables",
+                                    lambda *args, tables=tables: tables)
+                passes.append(go.source_pass(a, omega, grid, params702, L1,
+                                             modes, beam_L=L1 + 300.0))
+            got, want = passes
+            assert abs(want.norm - got.norm) <= (beta ** 2 + eps) * got.norm
+            for mode, projection, reference in zip(modes, got.projections,
+                                                   want.projections):
+                assert np.linalg.norm(projection - reference) \
+                    <= (2.0 * beta * np.linalg.norm(mode)
+                        + eps * np.linalg.norm(reference))
+            for intensity, reference in ((got.slit_plane, want.slit_plane),
+                                         (got.beam, want.beam)):
+                assert np.sum(np.abs(intensity - reference)) * grid.dy \
+                    <= (2.0 * beta + beta ** 2 + eps) * got.norm
 
     @pytest.mark.parametrize("a, omega, grid", [
         (0.3, 1.0, TIGHT_GRID),
