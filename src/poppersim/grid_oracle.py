@@ -49,62 +49,40 @@ bound.  Completing the square in each of its factors gives, for j, l >= 1,
     H(s) = sum_{i=1}^{n-1} exp(-(2i - s)^2 dy^2 / (2 a^2))
                            exp(-(2i + s - 2n)^2 dy^2 / (8 omega^2)),
 
-and rho is 0 on row 0 and column 0, as the source is (below).  H sums the
-grid's own rows of two 1-D tables; it takes no continuum integral and
-nothing from ``gaussian_core``.  So rho is known by its diagonals
-r_d(j) = rho(j, j+d) = E(d) H(2j + d).  With the flight kernel
+and rho is 0 on row 0 and column 0, as the source is: index 0
+(y = -extent) is its own mirror mod n, and the source samples its row and
+column as 0.0 (``source_rows``), so rho's tables, which cover j, l >= 1,
+give all of rho and the source stays exchange- and mirror-symmetric bit for
+bit.  H sums the grid's own rows of two 1-D tables; it takes no continuum
+integral and nothing from ``gaussian_core``.  So rho is known by its
+diagonals r_d(j) = rho(j, j+d) = E(d) H(2j + d).  With the flight kernel
 K = ifft(flight phase) and G_d(x) = K(x) conj K(x - d), indices mod n,
 
     I = Re ifft(sum_d w_d fft(G_d) fft(r_d)),   w_0 = 1, w_d = 2 (d > 0),
 
 exactly on the periodic grid, because rho is real and symmetric.  r_d is
 real, so the real part passes inside: I = sum_d w_d Re(G_d) (*) r_d, a sum of
-real circular convolutions.  When D + 1 <= n / DENSITY_RATIO (3) the pass
-takes this route.
+real circular convolutions.  Particle 2's flown marginals always take this
+route, at every band width.
 
-It keeps the diagonals d = 0..D with E(d) >= DENSITY_FLOOR = 2^-100, so
-D + 1 is about 11.8 a / dy, and H's terms whose a-factor is at least
-DENSITY_FLOOR, |2i - s| <= T with T about 11.8 a / dy.  On the grid |K| <= 1,
-so leaving out the diagonals past D moves a flown intensity by at most
-2 sum_{d>D} |r_d|_1 at any point.  rho is positive semidefinite, so
-|r_d|_1 <= E(d) tr(rho) / E(1), and dy <= ``max_step`` makes
-E(1) >= exp(-pi^2/64); E's Gaussian tail then bounds that move by
+It keeps the diagonals d = 0..D with E(d) >= DENSITY_FLOOR, so D + 1 is
+about 11.8 a / dy, clipped at n, where the sum over d is exact, and H's
+terms whose a-factor is at least DENSITY_FLOOR, |2i - s| <= T with T about
+11.8 a / dy.  On the grid |K| <= 1, so leaving out the diagonals past D
+moves a flown intensity by at most 2 sum_{d>D} |r_d|_1 at any point.  rho
+is positive semidefinite, so |r_d|_1 <= E(d) tr(rho) / E(1), and
+dy <= ``max_step`` makes E(1) >= exp(-pi^2/64); E's Gaussian tail then
+bounds that move by
 
     2 e^(pi^2/64) (1 + (D + 1) / (200 ln 2)) 2^-100 tr(rho).
 
 H's cut terms, each below 2^-100 times its v-factor, move it by about
 4 (1 + T / (200 ln 2)) 2^-100 tr(rho), summing them over d, s and i against
-tr(rho) = pi a omega / (2 dy^2) to leading order.  With D + 1 <= n / 3 and
-T <= 2n both stay under 1e-27 tr(rho) for every n <= 16384, while a flown
-intensity peaks at tr(rho) / n or more: far below float64 rounding.
-
-Wider bands fly source rows instead, half of them.  Index 0 (y = -extent)
-is its own mirror mod n, so its samples have no partner on the grid; the
-source takes them as 0.0 (``source_rows``).  Both factor tables are even
-bit for bit, so the sampled source is then mirror-symmetric,
-psi(n - i, n - j) = psi(i, j) for all i, j mod n, and the flight kernel is
-even on the periodic grid.  With F_i the flown row i and M the reflection
-m -> (n - m) mod n, flown row n - i is M F_i, and row n/2 is its own.  With
-P = sum |F_i|^2 over rows 0..n/2 - 1 (row 0 is zero),
-
-    I = P + M(P) + |F_{n/2}|^2,
-
-so rows 0..n/2 fly and the blocks past row n/2 only add to the products
-and the source-plane intensity.
-
-Rows/density time of one pass, each route forced, by (D + 1) / n, with one
-flight / two flights (+-40 mm, omega = 10 mm, one slit, L1 = 600 mm, beam
-1800 mm; 2 vCPU, OpenBLAS on one thread, best of 5):
-
-    (D + 1) / n   0.3        0.4        0.5        0.6        0.7
-    n = 1024      1.54/1.88  1.22/1.49  1.02/1.25  0.85/0.86  0.83/1.03
-    n = 2048      1.75/2.27  1.27/1.51  1.21/1.53  1.12/1.38  1.03/1.20
-    n = 4096      2.21/2.67  1.32/2.37  1.51/1.76  1.22/1.35  1.04/1.15
-    n = 8192      2.23/2.58  1.54/1.90  1.39/1.62  1.19/1.36  0.99/1.27
-
-Each route grows with its count, of diagonals or of rows: one flight breaks
-even near 0.7 n (0.5 n at n = 1024), two at 0.6 n or past 0.7 n, and a cell
-swings by up to 0.4 from run to run.  n / 3 is below every break-even.
+tr(rho) = pi a omega / (2 dy^2) to leading order.  With D + 1 <= n and
+T <= 2 n, at n = 16384 the first is at most 2.2e-28 tr(rho) and the second
+7.5e-28 tr(rho), so both stay under 1e-27 tr(rho) for every n <= 16384,
+while a flown intensity peaks at tr(rho) / n or more: far below float64
+rounding.
 
 Grid convention: y = (arange(n) - n/2) * dy with dy = 2 * extent / n, and
 wavenumbers k = 2*pi*fftfreq(n, dy).  A plane-wave component exp(i k y)
@@ -128,11 +106,7 @@ TAIL_PROB_LIMIT = 1e-6
 # rows of the source generated at a time, and apertures stacked in one pass
 SOURCE_BLOCK_ROWS = 64
 APERTURE_CHUNK = 64
-# particle 2's flown marginals come from the D + 1 diagonals of rho when
-# D + 1 <= n / DENSITY_RATIO, else from flown source rows; n / 3 lies below
-# every break-even of the two routes, 0.5-0.7 n (module docstring)
-DENSITY_RATIO = 3
-# diagonals flown at a time on that route, and values of H summed at a time
+# diagonals of rho flown at a time, and values of H summed at a time
 DIAGONAL_CHUNK = 16
 H_BLOCK = 128
 # where the source's u factor, E and H's a-factor are cut (module docstring)
@@ -172,17 +146,14 @@ class GridSpec:
         factor tables (``source_tables``, 4 n - 2 values), which every block
         reads and none copies.  Every per-block array spans only the block's
         band, SOURCE_BLOCK_ROWS + 2 R columns at most: the band, its column
-        sums of squares (one row) and the block's product.  Only the row
-        route holds full-width block arrays, three of them: the zeroed block
-        its bands are written into and its flown rows overwrite, and two
-        half spectra, and only until it has flown row n/2; the blocks past
-        it need none.  The density route holds none.  After the last block
-        it holds one chunk of DIAGONAL_CHUNK diagonals and three transform
-        buffers of its size, fewer values than two blocks, and one-axis
-        arrays: the tables of ``_density_tables``, at most 13 n values
-        however many diagonals it keeps, and two flight kernels of 4 n
-        values each.  Nothing in the model grows with D, so it bounds both
-        routes at every n."""
+        sums of squares (one row) and the block's product; the pass holds
+        no full-width block array.  After the last block it holds one chunk
+        of DIAGONAL_CHUNK diagonals and three transform buffers of its size,
+        fewer values than two blocks, and one-axis arrays: the tables of
+        ``_density_tables``, at most 13 n values however many diagonals it
+        keeps, and two flight kernels of 4 n values each.  Nothing in the
+        model grows with D, so it bounds the pass at every n, up to
+        D + 1 = n."""
         return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64)
 
 
@@ -405,21 +376,15 @@ def source_rows(tables: SourceTables, start: int, stop: int,
     return cols, band
 
 
-def _source_blocks(tables: SourceTables, out: np.ndarray | None = None,
-                   out_stop: int | None = None):
+def _source_blocks(tables: SourceTables, out: np.ndarray | None = None):
     """(row slice, column band, band) of the unnormalized source,
     SOURCE_BLOCK_ROWS rows at a time from ``tables`` (see ``source_rows``);
     the block size divides every grid's n, a power of two.  With ``out``, a
-    zeroed array of one block's rows at full width, the band of each block
-    that starts before row ``out_stop`` (by default every block) is written
-    into it, and its columns are zeroed again once the consumer asks for the
-    next block."""
+    zeroed array of one block's rows at full width, each block's band is
+    written into it, and its columns are zeroed again once the consumer asks
+    for the next block."""
     n = (tables.u_factor.size + 1) // 2
-    out_stop = n if out_stop is None else out_stop
     for start in range(0, n, SOURCE_BLOCK_ROWS):
-        if start >= out_stop:
-            # released, so the consumer can free it
-            out = None
         rows = slice(start, start + SOURCE_BLOCK_ROWS)
         cols, band = source_rows(tables, start, rows.stop, out)
         yield rows, cols, band
@@ -481,8 +446,10 @@ class SourcePass:
 
     ``norm`` is the squared norm of the source as sampled.  ``slit_plane`` and
     ``beam`` are particle 2's intensity of that source flown over L1 and over
-    the beam distance (``beam`` is None without one, and ``slit_plane``
-    itself when the beam lies at L1); each integrates to its flown norm.
+    the beam distance, from rho's diagonals (``_density_flights``), or its
+    source-plane intensity over a distance of 0 (``beam`` is None without
+    one, and ``slit_plane`` itself when the beam lies at L1); each integrates
+    to its flown norm.
     ``projections[k]`` is particle 2's amplitude at the source plane,
     conditioned on source-plane mode k, for the normalized source.
     """
@@ -511,16 +478,10 @@ def _diagonal_scale(a: float, omega: float) -> float:
 
 
 def _density_count(a: float, omega: float, grid: GridSpec) -> int:
-    """D + 1, the number of diagonals d = 0..D of rho = psi^T psi that the
-    density route keeps: those with E(d) >= DENSITY_FLOOR, at most n."""
+    """D + 1, the number of diagonals d = 0..D of rho = psi^T psi that a
+    pass keeps: those with E(d) >= DENSITY_FLOOR, at most n."""
     reach = math.sqrt(-math.log(DENSITY_FLOOR) * _diagonal_scale(a, omega))
     return min(grid.n, int(reach / grid.dy) + 1)
-
-
-def _density_route(a: float, omega: float, grid: GridSpec) -> bool:
-    """Whether particle 2's flown marginals come from rho's diagonals: when
-    the route keeps at most n / DENSITY_RATIO of them."""
-    return DENSITY_RATIO * _density_count(a, omega, grid) <= grid.n
 
 
 def _density_tables(a: float, omega: float,
@@ -645,24 +606,13 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     Each block of SOURCE_BLOCK_ROWS rows is generated on its diagonal band
     only, multiplied into the stacked modes, and its band's column sums of
     squares are added to particle 2's source-plane intensity, whose total is
-    the source norm.  Particle 2's intensity flown over L1 and, when given,
-    over ``beam_L`` is flown once per distinct nonzero distance, so with
-    ``beam_L == L1`` the two are one array.  It takes one of two routes,
-    chosen by ``_density_route``:
-
-    - density, when the D + 1 diagonals of rho = psi^T psi it keeps are at
-      most n / DENSITY_RATIO: after the last block ``_density_flights``
-      builds them from two 1-D tables, a chunk at a time, and flies them,
-      with no transform per block;
-    - rows, otherwise: the band of each block up to row n/2 is written into
-      one zeroed full-width block, whose rows 0..n/2 take one real transform
-      along particle 2's axis and two inverse ones per nonzero flight, back
-      into the block.  The source, its edge sampled as 0.0, is
-      mirror-symmetric, so the flown rows past n/2 add the reflection M(P)
-      of the squares P of rows 0..n/2 - 1 (module docstring).
-
-    An intensity over L = 0 is the source-plane intensity on either route.
-    Every intensity is tail-checked.
+    the source norm.  No block is transformed.  After the last block
+    ``_density_flights`` builds the D + 1 diagonals of rho = psi^T psi from
+    two 1-D tables, a chunk at a time, and flies them to particle 2's
+    intensity over L1 and, when given, over ``beam_L``: once per distinct
+    nonzero distance, so with ``beam_L == L1`` the two are one array.  An
+    intensity over L = 0 is the source-plane intensity.  Every intensity is
+    tail-checked.
     """
     _check_source(a, omega, grid)
     if len(modes) > APERTURE_CHUNK:
@@ -677,62 +627,19 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     products = np.zeros((2 * count, n))
     # particle 2's intensity at the source plane, unscaled: each block adds
     # its band's column sums of squares.  Its total is the source norm, and
-    # a flight over L = 0 reads it.  Every other distance is flown once.
+    # a flight over L = 0 reads it.
     source_plane = np.zeros(n)
-    flights = [L1] if beam_L is None else [L1, beam_L]
-    intensities = {L: source_plane if L == 0 else np.zeros(n) for L in flights}
-    flown = [(total, L) for L, total in intensities.items() if L > 0]
-    density = bool(flown) and _density_route(a, omega, grid)
-    fly_rows = bool(flown) and not density
-    rows_out = None
-    half = n // 2
-    if fly_rows:
-        # only rows 0..n/2 fly (module docstring): ``paired`` sums the
-        # squares of flown rows 0..n/2 - 1, whose reflections stand for the
-        # rows past n/2
-        phases = [_flight_phase(n, dy, L, params)[:half + 1] for _, L in flown]
-        paired = [np.zeros(n) for _ in flown]
-        # the band of each flown block is written into this one zeroed
-        # full-width block, which its transform along particle 2's axis
-        # needs; once transformed, the block takes its flown rows and is
-        # zeroed again
-        rows_out = np.zeros((SOURCE_BLOCK_ROWS, n))
-        spectra = np.empty((SOURCE_BLOCK_ROWS, half + 1), dtype=complex)
-        product = np.empty_like(spectra)
-    for rows, cols, band in _source_blocks(tables, rows_out, half + 1):
+    for rows, cols, band in _source_blocks(tables):
         source_plane[cols] += np.einsum("ij,ij->j", band, band)
         products[:, cols] += back[:, rows] @ band
-        if fly_rows and rows.start <= half:
-            m = min(SOURCE_BLOCK_ROWS, half + 1 - rows.start)
-            np.fft.rfft(rows_out[:m], out=spectra[:m])
-            for (total, _), phase, pair in zip(flown, phases, paired):
-                # row n/2, its block's one row, is its own reflection and
-                # adds straight into the total
-                sums = total if rows.start == half else pair
-                # the flight kernel is even, so real rows fly as two real
-                # convolutions: irfft(spectra * Re phase) + i irfft(spectra *
-                # Im phase)
-                for part in (phase.real, phase.imag):
-                    np.multiply(spectra[:m], part, out=product[:m])
-                    np.fft.irfft(product[:m], n, out=rows_out[:m])
-                    sums += np.einsum("ij,ij->j", rows_out[:m], rows_out[:m])
-            rows_out[:m] = 0.0
-            if rows.start == half:
-                # no later block is flown
-                del rows_out, spectra, product
     # the last block is done: the flights below need no source
     del tables
-    if density:
-        marginals = _density_flights(a, omega, grid, [L for _, L in flown],
-                                     params)
-        for (total, _), marginal in zip(flown, marginals):
-            total += marginal
-    elif flown:
-        # the rows past n/2 add the reflection of P
-        for (total, _), pair in zip(flown, paired):
-            total += pair
-            total[0] += pair[0]
-            total[1:] += pair[:0:-1]
+    flights = [L1] if beam_L is None else [L1, beam_L]
+    # each distinct nonzero distance is flown once
+    flown = [L for L in dict.fromkeys(flights) if L > 0]
+    marginals = dict(zip(flown, _density_flights(a, omega, grid, flown,
+                                                 params))) if flown else {}
+    intensities = {L: marginals.get(L, source_plane) for L in flights}
     # the norm before the source-plane intensity is scaled in place below
     norm = float(np.sum(source_plane)) * dy * dy
     # Particle 1's slit-plane intensity equals particle 2's: the sampled

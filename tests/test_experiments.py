@@ -289,26 +289,27 @@ class TestStrekalovSweep:
             assert many.fwhm_oracle_mm == pytest.approx(one.fwhm_oracle_mm,
                                                         rel=1e-12)
 
-    @pytest.mark.parametrize("steps, a, omega, grid, density", [
-        # a band of D + 1 = 366 of 1024, over n / DENSITY_RATIO: flown rows
-        pytest.param(5, 1.0, 2.0, go.GridSpec(n=1024, extent=16.0), False,
+    @pytest.mark.parametrize("steps, a, omega, grid, count", [
+        # D + 1 diagonals of rho: 366 of 1024, 253 and 2659 of 8192, and all
+        # 1024 of 1024, the count clipped at n
+        pytest.param(5, 1.0, 2.0, go.GridSpec(n=1024, extent=16.0), 366,
                      id="5"),
-        pytest.param(65, 1.0, 2.0, go.GridSpec(n=1024, extent=16.0), False,
+        pytest.param(65, 1.0, 2.0, go.GridSpec(n=1024, extent=16.0), 366,
                      id="65"),
-        # rho's diagonals, 253 of them, and 2659, near the route's widest
-        # band (n / DENSITY_RATIO = 2730.7)
-        pytest.param(65, 0.463, 2.0, go.GridSpec(n=8192, extent=88.0), True,
+        pytest.param(65, 0.463, 2.0, go.GridSpec(n=8192, extent=88.0), 253,
                      id="65-density-8192"),
-        pytest.param(5, 5.0, 10.0, go.GridSpec(n=8192, extent=88.0), True,
-                     id="5-density-8192-widest")])
+        pytest.param(5, 5.0, 10.0, go.GridSpec(n=8192, extent=88.0), 2659,
+                     id="5-density-8192-widest"),
+        pytest.param(65, 2.0, 0.6, go.GridSpec(n=1024, extent=5.0), 1024,
+                     id="65-clipped")])
     def test_sweep_peak_memory_within_model(self, steps, a, omega, grid,
-                                            density):
+                                            count):
         # one pass holds no n x n array; a sweep of more than one aperture
-        # chunk (64) stays within the same model on either route
+        # chunk (64) stays within the same model at every band width
         scenario = ex.Scenario.from_dict(scenario_doc(
             a_mm=a, omega_mm=omega, L1_mm=300.0, L2_mm=300.0,
             oracle={"n": grid.n, "extent_mm": grid.extent}))
-        assert go._density_route(a, omega, grid) is density
+        assert go._density_count(a, omega, grid) == count
         tracemalloc.start()
         try:
             points = ex.run_strekalov_sweep(scenario, np.linspace(0.2, 1.0, steps),
@@ -318,7 +319,7 @@ class TestStrekalovSweep:
             tracemalloc.stop()
         assert all(p.error is None for p in points)
         assert peak < grid.n * grid.n * 16
-        assert peak <= grid.peak_bytes
+        assert peak < grid.peak_bytes
 
 
 def fixture_scenario(name, oracle_block=True):
@@ -330,23 +331,22 @@ def fixture_scenario(name, oracle_block=True):
 
 
 class TestMarginalRoute:
-    """Which route particle 2's flown marginals take on each fixture's grid:
-    rho's D + 1 diagonals when D + 1 <= n / 3, else flown rows."""
+    """How many diagonals of rho, D + 1, particle 2's flown marginals take
+    on each grid."""
 
-    @pytest.mark.parametrize("name, oracle_block, n, count, density", [
-        ("strekalov.json", True, 4096, 25, True),
-        ("popper_freespace.json", True, 4096, 25, True),
-        ("kim_shih.json", True, 2048, 63, True),
-        ("strekalov.json", False, 8192, 41, True),
-        ("kim_shih.json", False, 2048, 63, True),
+    @pytest.mark.parametrize("name, oracle_block, n, count", [
+        ("strekalov.json", True, 4096, 25),
+        ("popper_freespace.json", True, 4096, 25),
+        ("kim_shih.json", True, 2048, 63),
+        ("strekalov.json", False, 8192, 41),
+        ("kim_shih.json", False, 2048, 63),
     ], ids=["strekalov", "popper_freespace", "kim_shih", "strekalov-auto",
             "kim_shih-auto"])
-    def test_fixture_routes(self, name, oracle_block, n, count, density):
+    def test_fixture_routes(self, name, oracle_block, n, count):
         scenario = fixture_scenario(name, oracle_block)
         grid = ex.oracle_grid(scenario)
         assert grid.n == n
         assert go._density_count(scenario.a, scenario.omega, grid) == count
-        assert go._density_route(scenario.a, scenario.omega, grid) is density
 
     @pytest.mark.parametrize("a", [0.01, 0.04, math.sqrt(0.043), 1.0, 50.0])
     @pytest.mark.parametrize("omega", [0.1, 1.0, 10.0, 1e6])
@@ -354,16 +354,14 @@ class TestMarginalRoute:
         # D + 1 depends on the step only through dy / max_step:
         # E(d) = exp(-d^2 dy^2 (1/(2 a^2) + 1/(8 omega^2))) and max_step^2 =
         # pi^2 / (64 (1/(2 a^2) + 1/(8 omega^2))), so at dy = max_step / f
-        # D + 1 = floor(21.2 f) + 1 for every (a, omega).  n = 1024 takes
-        # the density route at every step the rule allows down to a 16th of
-        # the coarsest (340 <= 1024 / 3) and stays on rows at a 32nd (679).
+        # D + 1 = floor(21.2 f) + 1 for every (a, omega), below n = 1024 at
+        # every step the rule allows down to a 32nd of the coarsest.
         step = go.max_step(a, omega)
         counts = []
         for f in (1, 2, 16, 32):
             grid = go.GridSpec(n=1024, extent=512 * step / f)
             assert grid.dy == pytest.approx(step / f, rel=1e-15)
             counts.append(go._density_count(a, omega, grid))
-            assert go._density_route(a, omega, grid) is (f < 32)
         assert counts == [22, 43, 340, 679]
 
 

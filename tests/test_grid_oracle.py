@@ -288,7 +288,7 @@ PARITY_GRID = go.GridSpec(n=512, extent=16.0)
 PARITY_A, PARITY_OMEGA = 0.2, 2.0
 # the a = 0.3, omega = 1 source at its required extent: the raw source at
 # column 0, the self-mirrored edge, is not negligible there, and its band is
-# wide enough for the rows route (D + 1 = 295 of 512)
+# wide (D + 1 = 295 of 512)
 TIGHT_GRID = go.GridSpec(n=512, extent=go.required_extent(0.3, 1.0))
 # (a, omega, grid) whose density count is clipped at n: E(d) stays above
 # DENSITY_FLOOR on every diagonal of the grid
@@ -428,27 +428,23 @@ class TestSourcePass:
         assert fwhm(got) == pytest.approx(fwhm(want), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("L1", [300.0, 0.0])
-    def test_marginals_match_reference(self, params702, monkeypatch, L1):
-        # particle 2's flown marginals on each grid, through the route it
-        # takes and then through the other one: on the parity grid, a narrow
-        # band (D + 1 = 25 of 2048), about the widest band the density route
-        # takes (682, just under n / DENSITY_RATIO = 682.7), a grid at the
-        # source's required extent, where column 0 lies inside the band (its
-        # raw factor product reaches 1.2e-4 there; were it kept, the mirrored
-        # rows would put the beam off by 7e-9), and a grid whose count is
-        # clipped at n
+    def test_marginals_match_reference(self, params702, L1):
+        # particle 2's flown marginals, from rho's diagonals, on the parity
+        # grid, a narrow band (D + 1 = 25 of 2048), a wide one (682 of
+        # 2048), a grid at the source's required extent, where column 0 lies
+        # inside the band (its raw factor product reaches 1.2e-4 there;
+        # rho's tables leave it out, as the sampled source does) and the
+        # band is 0.58 n wide, and a grid whose count is clipped at n
         L2 = 300.0
         edge = product_rows(0.3, 1.0, TIGHT_GRID, 0, TIGHT_GRID.n)[:, 0]
         assert np.max(edge) > 1e-4
-        route = go._density_route
-        for a, omega, grid, count, density in [
-                (PARITY_A, PARITY_OMEGA, PARITY_GRID, 38, True),
-                (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 25, True),
-                (1.37, 1.0, go.GridSpec(n=2048, extent=20.0), 682, True),
-                (0.3, 1.0, TIGHT_GRID, 295, False),
-                (*CLIPPED, 256, False)]:
+        for a, omega, grid, count in [
+                (PARITY_A, PARITY_OMEGA, PARITY_GRID, 38),
+                (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 25),
+                (1.37, 1.0, go.GridSpec(n=2048, extent=20.0), 682),
+                (0.3, 1.0, TIGHT_GRID, 295),
+                (*CLIPPED, 256)]:
             assert go._density_count(a, omega, grid) == count
-            assert route(a, omega, grid) is density
             state = ref.build_grid_state(a, omega, grid)
             beam = ref.marginal_intensity(
                 ref.evolve_spectral(state, 0.0, L1 + L2, params702), 2)
@@ -459,20 +455,16 @@ class TestSourcePass:
                          for particle in (1, 2)]
             del at_slit
             dy = grid.dy
-            for forced in (density, not density):
-                monkeypatch.setattr(go, "_density_route",
-                                    lambda *args, forced=forced: forced)
-                source = go.source_pass(a, omega, grid, params702, L1,
-                                        beam_L=L1 + L2)
-                assert max_rel(source.beam / (np.sum(source.beam) * dy),
-                               beam) <= 1e-12
-                slit_plane = source.slit_plane / (np.sum(source.slit_plane)
-                                                  * dy)
-                for want in slit_want:
-                    assert max_rel(slit_plane, want) <= 1e-12
-                # flight is unitary: the flown norm is the source norm
-                assert float(np.sum(source.slit_plane)) * dy == \
-                    pytest.approx(source.norm, rel=1e-12)
+            source = go.source_pass(a, omega, grid, params702, L1,
+                                    beam_L=L1 + L2)
+            assert max_rel(source.beam / (np.sum(source.beam) * dy),
+                           beam) <= 1e-12
+            slit_plane = source.slit_plane / (np.sum(source.slit_plane) * dy)
+            for want in slit_want:
+                assert max_rel(slit_plane, want) <= 1e-12
+            # flight is unitary: the flown norm is the source norm
+            assert float(np.sum(source.slit_plane)) * dy == \
+                pytest.approx(source.norm, rel=1e-12)
 
     @pytest.mark.parametrize("a, omega, grid", [
         (PARITY_A, PARITY_OMEGA, PARITY_GRID),
@@ -481,7 +473,7 @@ class TestSourcePass:
     def test_table_diagonals_match_direct_rho(self, a, omega, grid):
         # rho(j, l) = E(j - l) H(j + l) from the two 1-D tables equals
         # psi^T psi of the reference's sampled source, up to its norm, on
-        # every diagonal the route keeps, all n of them on the clipped grid
+        # every diagonal a pass keeps, all n of them on the clipped grid
         n = grid.n
         psi = ref.build_grid_state(a, omega, grid).psi.real
         rho = psi.T @ psi
@@ -504,7 +496,7 @@ class TestSourcePass:
         (0.3, 1.0, TIGHT_GRID)],
         ids=["strekalov", "kim_shih", "tight"])
     def test_omitted_diagonals_within_bound(self, a, omega, grid):
-        # the diagonals d > D the density route leaves out of rho move a
+        # the diagonals d > D a pass leaves out of rho move a
         # flown intensity by at most 2 sum_{d > D} |r_d|_1, which the module
         # docstring bounds by 2 e^(pi^2/64) (1 + (D + 1) / (200 ln 2)) 2^-100
         # of the trace.  The source is nonnegative, so that L1 mass is the
@@ -531,7 +523,7 @@ class TestSourcePass:
     def test_source_floor_within_bound(self, params702, monkeypatch,
                                        a, omega, grid):
         # a pass over the source cut at DENSITY_FLOOR against a pass over the
-        # raw factor product, on both routes.  The module docstring bounds
+        # raw factor product.  The module docstring bounds
         # the cut part delta of the source by |delta|_F <= beta |psi|_F, with
         # beta^2 = 2 e^(pi^2/16) (1 + (R + 1) / (400 ln 2)) DENSITY_FLOOR^2,
         # and so the norm's move by beta^2 of it, each projection's by
@@ -556,26 +548,23 @@ class TestSourcePass:
         L1 = 300.0
         modes = slit_modes([go.Aperture(kind="gaussian", epsilon=epsilon)
                             for epsilon in (0.1, 0.5)], grid, L1, params702)
-        for density in (True, False):
-            monkeypatch.setattr(go, "_density_route",
-                                lambda *args, density=density: density)
-            passes = []
-            for tables in (floored, raw):
-                monkeypatch.setattr(go, "source_tables",
-                                    lambda *args, tables=tables: tables)
-                passes.append(go.source_pass(a, omega, grid, params702, L1,
-                                             modes, beam_L=L1 + 300.0))
-            got, want = passes
-            assert abs(want.norm - got.norm) <= (beta ** 2 + eps) * got.norm
-            for mode, projection, reference in zip(modes, got.projections,
-                                                   want.projections):
-                assert np.linalg.norm(projection - reference) \
-                    <= (2.0 * beta * np.linalg.norm(mode)
-                        + eps * np.linalg.norm(reference))
-            for intensity, reference in ((got.slit_plane, want.slit_plane),
-                                         (got.beam, want.beam)):
-                assert np.sum(np.abs(intensity - reference)) * grid.dy \
-                    <= (2.0 * beta + beta ** 2 + eps) * got.norm
+        passes = []
+        for tables in (floored, raw):
+            monkeypatch.setattr(go, "source_tables",
+                                lambda *args, tables=tables: tables)
+            passes.append(go.source_pass(a, omega, grid, params702, L1, modes,
+                                         beam_L=L1 + 300.0))
+        got, want = passes
+        assert abs(want.norm - got.norm) <= (beta ** 2 + eps) * got.norm
+        for mode, projection, reference in zip(modes, got.projections,
+                                               want.projections):
+            assert np.linalg.norm(projection - reference) \
+                <= (2.0 * beta * np.linalg.norm(mode)
+                    + eps * np.linalg.norm(reference))
+        for intensity, reference in ((got.slit_plane, want.slit_plane),
+                                     (got.beam, want.beam)):
+            assert np.sum(np.abs(intensity - reference)) * grid.dy \
+                <= (2.0 * beta + beta ** 2 + eps) * got.norm
 
     @pytest.mark.parametrize("a, omega, grid", [
         (0.3, 1.0, TIGHT_GRID),
@@ -583,9 +572,9 @@ class TestSourcePass:
     def test_beam_at_slit_plane_flown_once(self, params702, monkeypatch,
                                            a, omega, grid):
         # a beam at the slit-plane distance (L2 = 0) is the slit-plane
-        # intensity: one flight phase for the one distance, on either route
+        # intensity: one flight phase for the one distance, on a wide band
+        # and a narrow one
         L1 = 300.0
-        assert go._density_route(a, omega, grid) is (grid is not TIGHT_GRID)
         alone = go.source_pass(a, omega, grid, params702, L1)
         phases = []
         flight_phase = go._flight_phase
@@ -601,18 +590,15 @@ class TestSourcePass:
         assert np.array_equal(source.slit_plane, alone.slit_plane)
         assert source.norm == alone.norm
 
-    @pytest.mark.parametrize("a, omega, grid, beam_L, flown", [
-        (0.3, 1.0, TIGHT_GRID, None, 1),
-        (0.3, 1.0, TIGHT_GRID, 600.0, 2),
-        (0.3, 1.0, TIGHT_GRID, 300.0, 1),
-        (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 600.0, 2)],
-        ids=["rows", "rows-beam", "rows-beam-at-slit", "density"])
-    def test_rows_route_flies_half_the_source(self, params702, monkeypatch,
-                                              a, omega, grid, beam_L, flown):
-        # the rows route hands rfft rows 0 .. n/2 of the source and irfft
-        # two spectra of each per flown distance; the density route, and a
-        # pass with no flight, transform no source row
-        bands, counts = [], {"rfft": 0, "irfft": 0}
+    @pytest.mark.parametrize("a, omega, grid", [
+        (0.3, 1.0, TIGHT_GRID),
+        (0.04, 1.0, go.GridSpec(n=2048, extent=20.0))], ids=["tight", "narrow"])
+    def test_pass_transforms_no_source_row(self, params702, monkeypatch,
+                                           a, omega, grid):
+        # particle 2's flights come from rho's diagonals, so no pass hands a
+        # source row to rfft or irfft: with no flight, with a beam at the
+        # slit plane and with two distinct flights
+        bands, calls = [], []
         source_rows = go.source_rows
 
         def record(*args, **kwargs):
@@ -624,21 +610,21 @@ class TestSourcePass:
             transform = getattr(np.fft, name)
 
             def counted(x, *args, **kwargs):
-                if name == "irfft" and x.ndim == 2:
-                    counts[name] += x.shape[0]
-                elif any(np.may_share_memory(x, band) for band in bands):
-                    counts[name] += x.shape[0]
+                out = kwargs.get("out")
+                if any(np.may_share_memory(array, band) for band in bands
+                       for array in (x, out) if array is not None):
+                    calls.append(name)
                 return transform(x, *args, **kwargs)
             return counted
 
         monkeypatch.setattr(go, "source_rows", record)
-        for name in counts:
+        for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, spy(name))
-        go.source_pass(a, omega, grid, params702, 0.0, beam_L=0.0)
-        assert counts == {"rfft": 0, "irfft": 0}
-        go.source_pass(a, omega, grid, params702, 300.0, beam_L=beam_L)
-        rows = 0 if go._density_route(a, omega, grid) else grid.n // 2 + 1
-        assert counts == {"rfft": rows, "irfft": 2 * rows * flown}
+        for L1, beam_L in ((0.0, 0.0), (300.0, None), (300.0, 300.0),
+                           (300.0, 600.0)):
+            go.source_pass(a, omega, grid, params702, L1, beam_L=beam_L)
+        assert len(bands) == 4 * grid.n // go.SOURCE_BLOCK_ROWS
+        assert calls == []
 
     def test_source_plane_intensity_without_flight(self, params702):
         # L1 = 0 and beam_L = 0 read the source-plane column sums, whose
@@ -660,7 +646,6 @@ class TestSourcePass:
         a, omega, grid = 0.04, 10.0, go.GridSpec(n=4096, extent=40.0)
         slits = [go.Aperture(kind="gaussian", epsilon=w / 2.0)
                  for w in np.linspace(0.2, 1.0, 5)]
-        assert go._density_route(a, omega, grid)
         limit = 3 * go.SOURCE_BLOCK_ROWS * grid.n * 8
         tracemalloc.start()
         try:
@@ -674,7 +659,7 @@ class TestSourcePass:
 
     def test_pass_without_flight_allocates_no_flight_buffers(self, params702):
         # with every flight 0 the pass holds the block, the next one being
-        # generated and the squares, not the flown rows or half spectra
+        # generated and the squares, and no diagonals of rho
         block_bytes = go.SOURCE_BLOCK_ROWS * PARITY_GRID.n * 8
         tracemalloc.start()
         try:
