@@ -142,18 +142,12 @@ class GridSpec:
         and one block's product, each with real and imaginary rows) and 64
         one-axis arrays.
 
-        The model over-counts.  The one-axis arrays include the source's two
-        factor tables (``source_tables``, 4 n - 2 values), which every block
-        reads and none copies.  Every per-block array spans only the block's
-        band, SOURCE_BLOCK_ROWS + 2 R columns at most: the band, its column
-        sums of squares (one row) and the block's product; the pass holds
-        no full-width block array.  After the last block it holds one chunk
-        of DIAGONAL_CHUNK diagonals and three transform buffers of its size,
-        fewer values than two blocks, and one-axis arrays: the tables of
-        ``_density_tables``, at most 13 n values however many diagonals it
-        keeps, and two flight kernels of 4 n values each.  Nothing in the
-        model grows with D, so it bounds the pass at every n, up to
-        D + 1 = n."""
+        The model over-counts: no package path holds a full-width source
+        block, as every per-block array spans only the block's band.  After
+        the last block a pass holds one chunk of DIAGONAL_CHUNK diagonals
+        with three transform buffers of its size and under 25 one-axis
+        arrays, whatever D.  The ghost pattern's d1 guard adds about |S| n
+        complex values (``ghost_double_slit``)."""
         return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64)
 
 
@@ -336,16 +330,15 @@ def source_tables(a: float, omega: float, grid: GridSpec) -> SourceTables:
     return SourceTables(reach, u_factor, v_factor)
 
 
-def source_rows(tables: SourceTables, start: int, stop: int,
-                out: np.ndarray | None = None) -> tuple[slice, np.ndarray]:
+def source_rows(tables: SourceTables, start: int,
+                stop: int) -> tuple[slice, np.ndarray]:
     """Rows start:stop of the unnormalized source
     exp(-u^2/a^2) exp(-v^2/(4 omega^2)) with u = y1 - y2, v = y1 + y2, cut
     where its u factor falls below DENSITY_FLOOR, as (cols, band): ``cols``
     is the band of columns within ``tables.reach`` of some row, outside
     which every sample is 0.0 and is not evaluated, and band[:, j] is column
     cols.start + j.  Row 0 and column 0, the grid's self-mirrored edge, are
-    0.0 (module docstring).  With ``out``, real rows start:stop of the full
-    width, the band is written into out[:, cols] and returned as that view.
+    0.0 (module docstring).
 
     The band is one product of two read-only views of ``tables``: a Toeplitz
     view of the u factor and a Hankel view of the v factor, so a block takes
@@ -367,8 +360,7 @@ def source_rows(tables: SourceTables, start: int, stop: int,
     # np.multiply would stage these overlapping views through two iterator
     # buffers of np.getbufsize() values; einsum reads them directly, and its
     # one-term products are np.multiply's bits
-    band = np.einsum("ij,ij->ij", toeplitz, hankel,
-                     out=None if out is None else out[:, cols])
+    band = np.einsum("ij,ij->ij", toeplitz, hankel)
     if start == 0:
         band[0] = 0.0
     if cols.start == 0:
@@ -376,20 +368,15 @@ def source_rows(tables: SourceTables, start: int, stop: int,
     return cols, band
 
 
-def _source_blocks(tables: SourceTables, out: np.ndarray | None = None):
+def _source_blocks(tables: SourceTables):
     """(row slice, column band, band) of the unnormalized source,
     SOURCE_BLOCK_ROWS rows at a time from ``tables`` (see ``source_rows``);
-    the block size divides every grid's n, a power of two.  With ``out``, a
-    zeroed array of one block's rows at full width, each block's band is
-    written into it, and its columns are zeroed again once the consumer asks
-    for the next block."""
+    the block size divides every grid's n, a power of two."""
     n = (tables.u_factor.size + 1) // 2
     for start in range(0, n, SOURCE_BLOCK_ROWS):
         rows = slice(start, start + SOURCE_BLOCK_ROWS)
-        cols, band = source_rows(tables, start, rows.stop, out)
+        cols, band = source_rows(tables, start, rows.stop)
         yield rows, cols, band
-        if out is not None:
-            out[:, cols] = 0.0
 
 
 def _check_tails(prob: np.ndarray):
@@ -749,20 +736,31 @@ def fringe_metrics(y: np.ndarray, intensity: np.ndarray):
     return spacing, (i_max - i_min) / (i_max + i_min)
 
 
-def _masked_intensity(a: float, omega: float, grid: GridSpec, mask: np.ndarray,
-                      L1: float, d1: float, params: PhysParams) -> np.ndarray:
-    """Particle 1's intensity behind ``mask`` at the plane L1, flown a
-    further d1, unnormalized.  The sampled source is exchange-symmetric bit
-    for bit, so row i of a source block is particle 1's amplitude for
-    particle 2 at y[i]; each full-width block flies L1, takes the mask and
-    flies d1 along its rows, and its squared moduli add up over the rows.
-    Particle 2's own flight is unitary and leaves that sum unchanged."""
-    block = np.zeros((SOURCE_BLOCK_ROWS, grid.n))
-    intensity = np.zeros(grid.n)
-    for _ in _source_blocks(source_tables(a, omega, grid), block):
-        amp = fly(mask * fly(block, grid.dy, L1, params), grid.dy, d1, params)
-        intensity += np.sum(np.abs(amp) ** 2, axis=0)
-    return intensity
+def _ghost_pass(a: float, omega: float, grid: GridSpec, slit: Aperture,
+                L1: float, d1: float,
+                params: PhysParams) -> tuple[SourcePass, np.ndarray]:
+    """(pass, unnormalized d1 guard) of :func:`ghost_double_slit`."""
+    n, dy = grid.n, grid.dy
+    # aperture scale drops out after the renormalized conditioning
+    mask = slit.sample(grid.y, dy)
+    point = Aperture(kind="point", center=0.0).sample(grid.y, dy)
+    mode = fly(mask * fly(np.conj(point), dy, d1, params), dy, L1, params)
+    support = np.flatnonzero(np.abs(mask) >= DENSITY_FLOOR * np.abs(mask).max())
+    points = np.zeros((support.size, n), dtype=complex)
+    points[np.arange(support.size), support] = 1.0
+    modes = [mode, *fly(points, dy, L1, params)]
+    # a later chunk needs only its projections: over 0 a pass flies nothing
+    passes = [source_pass(a, omega, grid, params, 0.0 if start else L1,
+                          modes[start:start + APERTURE_CHUNK])
+              for start in range(0, len(modes), APERTURE_CHUNK)]
+    del modes
+    amp = mask[support, None] * np.concatenate(
+        [source.projections for source in passes])[1:]
+    gram = amp @ amp.conj().T
+    del amp
+    flown = fly(points, dy, d1, params)
+    del points
+    return passes[0], np.einsum("sx,sx->x", gram.T @ flown, flown.conj()).real
 
 
 def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
@@ -775,23 +773,24 @@ def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
     L2 to its detector.  One :func:`source_pass` conditions the source on
     the chain's source-plane mode fly(mask * fly(conj(point), d1), L1).
 
-    The d1 leg's guard is particle 1's real intensity behind the mask,
-    flown d1 (``_masked_intensity``), not the back-flown modes: the point
-    mode flown back d1 spreads over the whole grid by design (3.6e-2 of it
-    in the outer bands for a 0.1 mm slit with d1 = 400 mm, n = 2048 over
-    +-10 mm), and criterion 9's mode after L1 holds 5.4e-5 there, while
-    both states stay well inside the grid.
+    The d1 leg's guard is particle 1's real intensity behind the mask m,
+    flown d1 and summed over particle 2 (the back-flown modes spread over
+    the grid by design), from the same pass: on S, the samples with
+    |m_j| >= DENSITY_FLOOR max|m|, particle 1's slit-plane amplitude for
+    each row of particle 2 is the projection P on fly(delta_j, L1), modes
+    that follow the detector mode, APERTURE_CHUNK a pass.  With A = m_S P,
+    C = A A^H and K_j = fly(delta_j, d1), the guard is
+    Re sum_{s,t} K_s C_st conj K_t, as particle 2's flight is unitary.  The
+    samples left out move its total by at most 2^-99/sqrt(q) + 2^-200/q of
+    itself, q the mask's transmitted share over max|m|^2, and it holds about
+    |S| n complex values (|S| = 20 for criterion 9's double slits, n = 2048).
     """
     if L1 < 0 or d1 < 0:
         raise DomainError("propagation distances must be >= 0")
     y, dy = grid.y, grid.dy
-    # aperture scale drops out after the renormalized conditioning
-    mask = slit.sample(y, dy)
-    point = Aperture(kind="point", center=0.0).sample(y, dy)
-    mode = fly(mask * fly(np.conj(point), dy, d1, params), dy, L1, params)
-    source = source_pass(a, omega, grid, params, L1, [mode])
+    source, guard = _ghost_pass(a, omega, grid, slit, L1, d1, params)
     if d1 > 0:
-        _check_tails(_masked_intensity(a, omega, grid, mask, L1, d1, params))
+        _check_tails(guard)
     cond = source.conditional(0)
     amp = propagate_amplitude(cond.amplitude, cond.dy, L2, params)
     intensity = np.abs(amp) ** 2

@@ -2,6 +2,10 @@ import math
 
 import pytest
 
+import nxn_reference as ref
+import poppersim.cli as cli
+import poppersim.experiments as ex
+import poppersim.grid_oracle as go
 from poppersim.gaussian_core import PhysParams
 
 LAMBDA_NM = 702.0
@@ -28,3 +32,28 @@ BIG_OMEGA = 1e6  # numerical stand-in for the wide-source limit
 
 def fwhm_factor():
     return math.sqrt(2.0 * math.log(2.0))
+
+
+NO_REFERENCE_CALLS = {"build_grid_state": 0, "evolve_spectral": 0, "condition": 0,
+                      "marginal_intensity": 0}
+
+
+@pytest.fixture()
+def oracle_spies(monkeypatch):
+    """Call counts of the n x n reference's stages and of the source pass.
+    The package defines none of the reference's names, so a runner could
+    reach the reference only through its test module, spied on here."""
+    for module in (go, ex, cli):
+        for name in (*NO_REFERENCE_CALLS, "GridState"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    calls = {**NO_REFERENCE_CALLS, "source_pass": 0, "source_rows": 0}
+    for name in calls:
+        module = ref if name in NO_REFERENCE_CALLS else go
+        original = getattr(module, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls

@@ -18,7 +18,6 @@ import numpy as np
 from poppersim.errors import DomainError
 from poppersim.gaussian_core import FWHM_FACTOR, PhysParams
 from poppersim.grid_oracle import (
-    SOURCE_BLOCK_ROWS,
     Aperture,
     ConditionalAmplitude,
     GhostPattern,
@@ -54,10 +53,9 @@ class GridState:
 def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
     """Sample and normalize the correlated source amplitude."""
     _check_source(a, omega, grid)
-    psi = np.empty((grid.n, grid.n), dtype=complex)
-    block = np.zeros((SOURCE_BLOCK_ROWS, grid.n))
-    for rows, _, _ in _source_blocks(source_tables(a, omega, grid), block):
-        psi[rows] = block
+    psi = np.zeros((grid.n, grid.n), dtype=complex)
+    for rows, cols, band in _source_blocks(source_tables(a, omega, grid)):
+        psi[rows, cols] = band
     prob = np.abs(psi)
     prob **= 2
     psi /= math.sqrt(float(np.sum(prob)) * grid.dy ** 2)

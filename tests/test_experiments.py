@@ -10,15 +10,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import nxn_reference as ref
-import poppersim.cli as cli
 import poppersim.experiments as ex
 import poppersim.gaussian_core as gc
 import poppersim.grid_oracle as go
 from poppersim.errors import ConfigError, DomainError
 from poppersim.gaussian_core import PhysParams
 
-from conftest import BIG_OMEGA
+from conftest import BIG_OMEGA, NO_REFERENCE_CALLS
 
 
 def scenario_doc(**overrides):
@@ -78,31 +76,6 @@ def kim_shih_scenario():
     root = importlib.resources.files("poppersim.scenarios")
     return ex.Scenario.from_dict(
         json.loads(root.joinpath("kim_shih.json").read_text()))
-
-
-NO_REFERENCE_CALLS = {"build_grid_state": 0, "evolve_spectral": 0, "condition": 0,
-                      "marginal_intensity": 0}
-
-
-@pytest.fixture()
-def oracle_spies(monkeypatch):
-    """Call counts of the n x n reference's stages and of the source pass.
-    The package defines none of the reference's names, so a runner could
-    reach the reference only through its test module, spied on here."""
-    for module in (go, ex, cli):
-        for name in (*NO_REFERENCE_CALLS, "GridState"):
-            assert not hasattr(module, name), f"{module.__name__}.{name}"
-    calls = {**NO_REFERENCE_CALLS, "source_pass": 0, "source_rows": 0}
-    for name in calls:
-        module = ref if name in NO_REFERENCE_CALLS else go
-        original = getattr(module, name)
-
-        def spy(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, spy)
-    return calls
 
 
 class TestKimShih:

@@ -14,6 +14,8 @@ import poppersim.gaussian_core as gc
 import poppersim.grid_oracle as go
 from poppersim.errors import DomainError, ResolutionError
 
+from conftest import NO_REFERENCE_CALLS
+
 SQRT_A2 = math.sqrt(0.043)
 
 
@@ -352,7 +354,7 @@ class TestSourcePass:
             outside[cols] = False
             assert np.all(formula[:, outside] < go.DENSITY_FLOOR)
             assert_near_formula(raw, formula, a, omega, y, start, stop)
-            go.source_rows(tables, start, stop, out)
+            out[:, cols] = band
             assert np.array_equal(out, want)
             out[:, cols] = 0.0
 
@@ -397,7 +399,8 @@ class TestSourcePass:
 
         def full_rows(start, stop):
             out = np.zeros((stop - start, n))
-            go.source_rows(tables, start, stop, out)
+            cols, band = go.source_rows(tables, start, stop)
+            out[:, cols] = band
             return out
 
         for start in range(0, n, go.SOURCE_BLOCK_ROWS):
@@ -788,6 +791,8 @@ class TestApertureValidation:
 
 GHOST_GRID = go.GridSpec(n=2048, extent=10.0)
 DOUBLE_SLIT = go.Aperture(kind="double_slit", slit_width=0.1, separation=0.4)
+# a 1 mm slit: its 103 samples on GHOST_GRID need two passes of point modes
+WIDE_RECT = go.Aperture(kind="rect", full_width=1.0)
 # (a, omega, slit, d1) with L1 = L2 = 200 mm: criterion 9's entangled and
 # separable layouts, and a single Gaussian slit whose point detector sits far
 # enough behind it to sample its whole transmitted mode
@@ -858,20 +863,56 @@ class TestGhostDoubleSlit:
 
     def test_d1_guard_profile_matches_reference(self, params702):
         # the guard's profile is particle 1's intensity behind the mask,
-        # flown d1: the n x n state's particle-1 marginal
-        slit = go.Aperture(kind="gaussian", epsilon=0.5)
-        L1, d1 = 300.0, 100.0
-        mask = slit.sample(PARITY_GRID.y, PARITY_GRID.dy)
-        got = go._masked_intensity(PARITY_A, PARITY_OMEGA, PARITY_GRID, mask,
-                                   L1, d1, params702)
-        state = ref.evolve_spectral(
-            ref.build_grid_state(PARITY_A, PARITY_OMEGA, PARITY_GRID), L1, L1,
-            params702)
-        masked = ref.GridState(psi=state.psi * mask[:, None], y=state.y,
-                               dy=state.dy)
-        want = ref.marginal_intensity(
-            ref.evolve_spectral(masked, d1, 0.0, params702), 1)
-        assert max_rel(got / (np.sum(got) * PARITY_GRID.dy), want) <= 1e-12
+        # flown d1: the n x n state's particle-1 marginal.  It takes one point
+        # mode per mask sample at least DENSITY_FLOOR of the peak, after the
+        # detector mode: 133 take three passes, 20 one and 103 two.
+        entangled = GHOST_LAYOUTS["entangled"][:2]
+        for a, omega, grid, slit, L1, d1, points in [
+                (PARITY_A, PARITY_OMEGA, PARITY_GRID,
+                 go.Aperture(kind="gaussian", epsilon=0.5), 300.0, 100.0, 133),
+                (*entangled, GHOST_GRID, DOUBLE_SLIT, 200.0, 50.0, 20),
+                (*entangled, GHOST_GRID, WIDE_RECT, 200.0, 50.0, 103)]:
+            mask = slit.sample(grid.y, grid.dy)
+            kept = np.abs(mask) >= go.DENSITY_FLOOR * np.abs(mask).max()
+            assert np.count_nonzero(kept) == points
+            _, got = go._ghost_pass(a, omega, grid, slit, L1, d1, params702)
+            state = ref.evolve_spectral(ref.build_grid_state(a, omega, grid),
+                                        L1, L1, params702)
+            masked = ref.GridState(psi=state.psi * mask[:, None], y=state.y,
+                                   dy=state.dy)
+            want = ref.marginal_intensity(
+                ref.evolve_spectral(masked, d1, 0.0, params702), 1)
+            assert max_rel(got / (np.sum(got) * grid.dy), want) <= 1e-12
+
+    @pytest.mark.parametrize("name, slit, passes", [
+        ("entangled", DOUBLE_SLIT, 1), ("separable", DOUBLE_SLIT, 1),
+        ("entangled", WIDE_RECT, 2)],
+        ids=["entangled", "separable", "rect-two-passes"])
+    def test_guard_rides_on_the_pass(self, params702, oracle_spies, name, slit,
+                                     passes):
+        # the d1 guard's point modes follow the detector mode, 63 in the
+        # first pass and 64 in each further one: criterion 9's 20 make one
+        # pass over the source, the 1 mm slit's 103 two
+        a, omega, _, d1 = GHOST_LAYOUTS[name]
+        go.ghost_double_slit(a, omega, GHOST_GRID, slit, 200.0, d1, 200.0,
+                             params702)
+        assert oracle_spies == {
+            **NO_REFERENCE_CALLS, "source_pass": passes,
+            "source_rows": passes * GHOST_GRID.n // go.SOURCE_BLOCK_ROWS}
+
+    @pytest.mark.parametrize("name", ["entangled", "separable"])
+    def test_criterion_9_peak_memory_within_model(self, params702, name):
+        # criterion 9's guard holds its 20 point modes a few times over, no
+        # full-width source block
+        a, omega, slit, d1 = GHOST_LAYOUTS[name]
+        tracemalloc.start()
+        try:
+            go.ghost_double_slit(a, omega, GHOST_GRID, slit, 200.0, d1, 200.0,
+                                 params702)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < GHOST_GRID.peak_bytes
 
     def test_d1_leg_aliasing_guard(self, params702):
         # behind a 0.05 mm slit particle 1 spreads to W ~ 22 mm over
