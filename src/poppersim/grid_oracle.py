@@ -33,9 +33,9 @@ self-mirrored edge with d = 0 or 1, at least F(1) G(s), and
 F(1)^2 >= e^(-pi^2/16) as dy <= ``max_step``.  With F's Gaussian tail, the
 cut part delta of the kept source psi has |delta|_F <= beta |psi|_F,
 
-    beta^2 = 2 e^(pi^2/16) (1 + (R + 1) / (400 ln 2)) 2^-200 < 2^-192
+    beta^2 = 2 e^(pi^2/16) (1 + (R + 1) / (400 ln 2)) 2^-200 < 2^-190
 
-for R < n <= 16384.  So the cut moves the norm by at most beta^2 of itself,
+for R < n <= 65536.  So the cut moves the norm by at most beta^2 of itself,
 a normalized projection onto a mode phi by 2 beta |phi|_2, and a flown
 intensity, summed over the grid, by (2 beta + beta^2) of the norm: the
 flight is unitary and | |x|^2 - |x'|^2 | <= |x - x'| (|x| + |x'|).
@@ -79,10 +79,10 @@ bounds that move by
 H's cut terms, each below 2^-100 times its v-factor, move it by about
 4 (1 + T / (200 ln 2)) 2^-100 tr(rho), summing them over d, s and i against
 tr(rho) = pi a omega / (2 dy^2) to leading order.  With D + 1 <= n and
-T <= 2 n, at n = 16384 the first is at most 2.2e-28 tr(rho) and the second
-7.5e-28 tr(rho), so both stay under 1e-27 tr(rho) for every n <= 16384,
-while a flown intensity peaks at tr(rho) / n or more: far below float64
-rounding.
+T <= 2 n, at n = 65536 the first is at most 8.8e-28 tr(rho) and the second
+3.0e-27 tr(rho), so together they stay under 4e-27 tr(rho) for every
+n <= 65536, while a flown intensity peaks at tr(rho) / n or more: far below
+float64 rounding.
 
 Grid convention: y = (arange(n) - n/2) * dy with dy = 2 * extent / n, and
 wavenumbers k = 2*pi*fftfreq(n, dy).  A plane-wave component exp(i k y)
@@ -106,8 +106,9 @@ TAIL_PROB_LIMIT = 1e-6
 # rows of the source generated at a time, and apertures stacked in one pass
 SOURCE_BLOCK_ROWS = 64
 APERTURE_CHUNK = 64
-# diagonals of rho flown at a time, and values of H summed at a time
-DIAGONAL_CHUNK = 16
+# values of rho's diagonals flown at a time (``_chunk_rows``), and values
+# of H summed at a time
+DIAGONAL_VALUES = 16384
 H_BLOCK = 128
 # where the source's u factor, E and H's a-factor are cut (module docstring)
 DENSITY_FLOOR = 2.0 ** -100
@@ -144,10 +145,13 @@ class GridSpec:
 
         The model over-counts: no package path holds a full-width source
         block, as every per-block array spans only the block's band.  After
-        the last block a pass holds one chunk of DIAGONAL_CHUNK diagonals
-        with three transform buffers of its size and under 25 one-axis
-        arrays, whatever D.  The ghost pattern's d1 guard adds about |S| n
-        complex values (``ghost_double_slit``)."""
+        the last block a pass holds one chunk of rho's diagonals,
+        DIAGONAL_VALUES values but at least 4 diagonals (``_chunk_rows``),
+        in three buffers of its size, and under 25 one-axis arrays, its
+        tables and flight kernels among them, whatever D: traced, flying
+        kim_shih.json's source 500 and 1000 mm peaks at 0.73 MB on n = 4096
+        and 1.46 MB on n = 8192.  The ghost pattern's d1 guard adds about
+        |S| n complex values (``ghost_double_slit``)."""
         return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64)
 
 
@@ -535,6 +539,27 @@ def _diagonal_chunk(e: np.ndarray, h: np.ndarray, first: int,
     return out
 
 
+def _chunk_rows(n: int, count: int) -> int:
+    """Diagonals of rho that ``_density_flights`` flies at a time on an
+    n-point grid keeping ``count`` of them: DIAGONAL_VALUES // n, but at
+    least 4, as a batched real transform of fewer rows runs slower a value,
+    and at most ``count``."""
+    return min(count, max(4, DIAGONAL_VALUES // n))
+
+
+def _kernel_windows(n: int, dy: float, L: float, params: PhysParams,
+                    count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parts, windows) of the flight kernel K = ifft(flight phase) over L:
+    parts is Re K and Im K, and windows[:, D - d] is K(x - d), x = 0..n-1,
+    for d = 0..D, D + 1 = ``count``: views on one array of n + D values a
+    row, K's last D values then K."""
+    kernel = np.fft.ifft(_flight_phase(n, dy, L, params))
+    parts = np.stack([kernel.real, kernel.imag])
+    tiled = np.concatenate([parts[:, n - count + 1:], parts], axis=1)
+    return tiled[:, count - 1:], np.lib.stride_tricks.sliding_window_view(
+        tiled, n, axis=1)
+
+
 def _density_flights(a: float, omega: float, grid: GridSpec, flights,
                      params: PhysParams) -> list[np.ndarray]:
     """Particle 2's intensity diag(U rho U^H) flown over each L in
@@ -543,38 +568,32 @@ def _density_flights(a: float, omega: float, grid: GridSpec, flights,
     With K = ifft(flight phase), the flight kernel, rho real and symmetric:
     I = sum_d w_d Re(G_d) (*) r_d, a circular convolution with
     G_d(x) = K(x) conj K(x - d), w_0 = 1 and w_d = 2 for d > 0.  Diagonals
-    are built from ``_density_tables``, DIAGONAL_CHUNK at a time into one
-    buffer, and go through real transforms; each chunk's spectrum serves
-    every flight.
+    are built from ``_density_tables``, ``_chunk_rows`` at a time, and go
+    through real transforms; each chunk's spectrum serves every flight.  A
+    chunk takes three buffers of its size, one real and two of half-spectra,
+    whatever D: its diagonals share the real one with each flight's Re G_d,
+    as their transform has read them before Re G_d is written.  Each flight
+    holds its kernel over n + D values (``_kernel_windows``).
     """
     n, dy = grid.n, grid.dy
     e, h = _density_tables(a, omega, grid)
     # rho is symmetric: diagonal d > 0 also stands for diagonal -d
     e[1:] *= 2.0
     count = e.size
-    chunk = min(DIAGONAL_CHUNK, count)
-    kernels = []
-    for L in flights:
-        kernel = np.fft.ifft(_flight_phase(n, dy, L, params))
-        # Re K and Im K, each repeated twice: K(x - d) for x = 0..n-1 is
-        # window n - d of its row
-        tiled = np.tile([kernel.real, kernel.imag], 2)
-        kernels.append((tiled[:, :n], np.lib.stride_tricks.sliding_window_view(
-            tiled, n, axis=1)))
+    chunk = _chunk_rows(n, count)
+    kernels = [_kernel_windows(n, dy, L, params, count) for L in flights]
     spectra = [np.zeros(n // 2 + 1, dtype=complex) for _ in flights]
-    diagonals = np.empty((chunk, n))
+    re_g = np.empty((chunk, n))
     rho_hat = np.empty((chunk, n // 2 + 1), dtype=complex)
     kernel_hat = np.empty_like(rho_hat)
-    re_g = np.empty((chunk, n))
     for d0 in range(0, count, chunk):
         d1 = min(d0 + chunk, count)
         m = d1 - d0
-        _diagonal_chunk(e, h, d0, diagonals[:m])
-        np.fft.rfft(diagonals[:m], out=rho_hat[:m])
+        np.fft.rfft(_diagonal_chunk(e, h, d0, re_g[:m]), out=rho_hat[:m])
         for (parts, windows), spectrum in zip(kernels, spectra):
             # Re G_d = Re K * Re K(. - d) + Im K * Im K(. - d)
             np.einsum("kx,kmx->mx", parts,
-                      windows[:, n - d1 + 1:n - d0 + 1][:, ::-1],
+                      windows[:, count - d1:count - d0][:, ::-1],
                       out=re_g[:m])
             np.fft.rfft(re_g[:m], out=kernel_hat[:m])
             np.multiply(kernel_hat[:m], rho_hat[:m], out=kernel_hat[:m])

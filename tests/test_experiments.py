@@ -160,7 +160,7 @@ class TestPopperFreespace:
 
     def test_beam_at_slit_plane_flown_once(self, monkeypatch):
         # with L2 = 0 the beam lies at the slit plane: rho's diagonals fly
-        # 600 mm once, and the beam FWHM is the one two flights gave
+        # 600 mm once, and the beam FWHM is the one two flights give
         flights = []
         density_flights = go._density_flights
 
@@ -173,7 +173,12 @@ class TestPopperFreespace:
             fixture_scenario("popper_freespace.json"), L2=0.0)
         report = ex.run_popper_freespace(scenario, use_oracle=True)
         assert flights == [[600.0]]
-        assert report.beam_fwhm_mm.oracle == 12.41791022710054
+        grid = ex.oracle_grid(scenario)
+        _, beam = density_flights(scenario.a, scenario.omega, grid,
+                                  [600.0, 600.0], scenario.params)
+        width = go.intensity_widths(grid.y, beam * grid.dy, grid.dy)
+        assert report.beam_fwhm_mm.oracle == \
+            gc.FWHM_FACTOR * width.gaussian_equiv_W
 
     def test_rejects_lens(self):
         scenario = ex.Scenario.from_dict(scenario_doc(

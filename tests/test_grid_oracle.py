@@ -437,17 +437,20 @@ class TestSourcePass:
         # 2048), a grid at the source's required extent, where column 0 lies
         # inside the band (its raw factor product reaches 1.2e-4 there;
         # rho's tables leave it out, as the sampled source does) and the
-        # band is 0.58 n wide, and a grid whose count is clipped at n
+        # band is 0.58 n wide, and a grid whose count is clipped at n.  All
+        # but the clipped grid end on a partial chunk of diagonals (8 rows a
+        # chunk at n = 2048, 32 at n = 512)
         L2 = 300.0
         edge = product_rows(0.3, 1.0, TIGHT_GRID, 0, TIGHT_GRID.n)[:, 0]
         assert np.max(edge) > 1e-4
-        for a, omega, grid, count in [
-                (PARITY_A, PARITY_OMEGA, PARITY_GRID, 38),
-                (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 25),
-                (1.37, 1.0, go.GridSpec(n=2048, extent=20.0), 682),
-                (0.3, 1.0, TIGHT_GRID, 295),
-                (*CLIPPED, 256)]:
+        for a, omega, grid, count, partial in [
+                (PARITY_A, PARITY_OMEGA, PARITY_GRID, 38, True),
+                (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 25, True),
+                (1.37, 1.0, go.GridSpec(n=2048, extent=20.0), 682, True),
+                (0.3, 1.0, TIGHT_GRID, 295, True),
+                (*CLIPPED, 256, False)]:
             assert go._density_count(a, omega, grid) == count
+            assert (count % go._chunk_rows(grid.n, count) > 0) is partial
             state = ref.build_grid_state(a, omega, grid)
             beam = ref.marginal_intensity(
                 ref.evolve_spectral(state, 0.0, L1 + L2, params702), 2)
@@ -484,9 +487,9 @@ class TestSourcePass:
         assert e.size == go._density_count(a, omega, grid)
         assert (e.size == n) is (grid is CLIPPED[2])
         diagonals = np.empty((e.size, n))
-        for first in range(0, e.size, go.DIAGONAL_CHUNK):
-            go._diagonal_chunk(e, h, first,
-                               diagonals[first:first + go.DIAGONAL_CHUNK])
+        rows = go._chunk_rows(n, e.size)
+        for first in range(0, e.size, rows):
+            go._diagonal_chunk(e, h, first, diagonals[first:first + rows])
         want = np.zeros_like(diagonals)
         for d in range(e.size):
             want[d, :n - d] = np.diagonal(rho, d)
@@ -659,6 +662,29 @@ class TestSourcePass:
             tracemalloc.stop()
         assert limit == 6_291_456
         assert peak < limit
+
+    @pytest.mark.parametrize("n, count", [(4096, 125), (8192, 250)])
+    def test_flights_hold_one_small_chunk(self, params702, n, count):
+        # at n >= 4096 a chunk is 4 diagonals: the flights hold its three
+        # buffers (one real row and two half-spectra a diagonal), each of
+        # two flights' kernel as two rows of n + D values, rho's tables E
+        # and H (2 n + 2 D values), and eight one-axis arrays (the spectra,
+        # the results and transients), 8 bytes a value, whatever D
+        a, omega, grid = SQRT_A2, 10.0, go.GridSpec(n=n, extent=40.0)
+        assert go._density_count(a, omega, grid) == count
+        rows, d_max = 4, count - 1
+        budget = 8 * (rows * (n + 2 * 2 * (n // 2 + 1))
+                      + 2 * 2 * (n + d_max) + (2 * n + 2 * d_max) + 8 * n)
+        # a first call imports numpy.fft, which numpy loads lazily and
+        # tracemalloc would count
+        go._density_flights(a, omega, grid, [500.0, 1000.0], params702)
+        tracemalloc.start()
+        try:
+            go._density_flights(a, omega, grid, [500.0, 1000.0], params702)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
     def test_pass_without_flight_allocates_no_flight_buffers(self, params702):
         # with every flight 0 the pass holds the block, the next one being
