@@ -135,9 +135,10 @@ def _emit(doc: dict, out_path: str | None):
     _write(out_path, json.dumps(_round_sig(doc), indent=2) + "\n")
 
 
-def _check_grid_cap(grid: go.GridSpec):
-    """Refuse an oracle grid whose modelled peak memory exceeds the
-    MAX_GRID_ENV cap, or the machine's physical memory when it is unset."""
+def _check_grid_cap(grid: go.GridSpec, modes: int):
+    """Refuse an oracle grid whose modelled peak memory for a pass over
+    ``modes`` slits exceeds the MAX_GRID_ENV cap, or the machine's physical
+    memory when it is unset."""
     cap = os.environ.get(MAX_GRID_ENV)
     if cap:
         try:
@@ -149,9 +150,10 @@ def _check_grid_cap(grid: go.GridSpec):
     else:
         cap_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         name = "physical memory"
-    if grid.peak_bytes > cap_bytes:
+    need = grid.peak_bytes(modes)
+    if need > cap_bytes:
         raise ConfigError(
-            f"oracle grid {grid.n}x{grid.n} needs {grid.peak_bytes} bytes, over the "
+            f"oracle grid {grid.n}x{grid.n} needs {need} bytes, over the "
             f"{name} cap of {cap_bytes}"
         )
 
@@ -167,14 +169,16 @@ def _check_finite_options(args):
 def _load_scenario(args, slit_full_widths=None) -> ex.Scenario:
     """The command's scenario file with ``--grid-n`` applied; when the
     command runs the oracle, its grid is checked against the memory cap.
-    A sweep passes its slits, which size a grid the file does not give."""
+    A sweep passes its slits, which size a grid the file does not give and
+    count the modes of its one pass; any other command conditions on one."""
     scenario = ex.Scenario.from_json(args.scenario)
     if args.grid_n is not None:
         scenario = dataclasses.replace(scenario, oracle=go.GridSpec(
             n=args.grid_n,
             extent=ex.oracle_grid(scenario, slit_full_widths).extent))
     if args.oracle:
-        _check_grid_cap(ex.oracle_grid(scenario, slit_full_widths))
+        _check_grid_cap(ex.oracle_grid(scenario, slit_full_widths),
+                        1 if slit_full_widths is None else len(slit_full_widths))
     return scenario
 
 

@@ -347,44 +347,18 @@ def run_popper_freespace(scenario: Scenario, use_oracle: bool = False) -> WidthR
     return report
 
 
-def _sweep_chunk(scenario: Scenario, chunk: list[SweepPoint]):
-    """Oracle widths of up to go.APERTURE_CHUNK sweep points from one pass
-    over the points whose slit the grid resolves; an unresolved slit, or a
-    failure after the pass, lands in its own point."""
-    grid = oracle_grid(scenario)
-    resolved, slits = [], []
-    for point in chunk:
-        slit = Aperture(kind="gaussian", epsilon=point.slit_full_width_mm / 2.0)
-        try:
-            slit.check_resolved(grid.n, grid.dy)
-        except ResolutionError as exc:
-            point.error = str(exc)
-            continue
-        resolved.append(point)
-        slits.append(slit)
-    if not resolved:
-        return
-    source = oracle_pass(scenario, scenario.L1, slits)
-    for k, point in enumerate(resolved):
-        try:
-            point.fwhm_oracle_mm = _detector_widths(
-                source.conditional(k), scenario.L2, scenario.params).fwhm
-        except (DomainError, ResolutionError) as exc:
-            point.error = str(exc)
-
-
 def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
                         use_oracle: bool = False) -> list[SweepPoint]:
     """Coincidence pattern width against slit width, half-width convention.
 
     Analytic widths use the wide-source closed form over the effective
     distance 2*L1 + L2; the oracle arm conditions the source, with the
-    scenario's finite omega, on every slit width of a chunk of
-    go.APERTURE_CHUNK in one pass.  Oracle failures are isolated into the
-    points' ``error`` fields: a slit the grid does not resolve
-    (``Aperture.check_resolved``) is flagged and left out of the pass, and a
-    failure of a pass lands in every other point it and the later chunks
-    hold.  Both arms are free-space widths, so a lens layout is refused.
+    scenario's finite omega, on every slit width in one pass.  Oracle
+    failures are isolated into the points' ``error`` fields: a slit the
+    grid does not resolve (``Aperture.check_resolved``) is flagged and left
+    out of the pass, a failure of the pass lands in every point it holds,
+    and a failure after it in its own point.  Both arms are free-space
+    widths, so a lens layout is refused.
     """
     if scenario.lens is not None:
         raise ConfigError("sweep is defined for the free-space layout; "
@@ -406,16 +380,32 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
     if not use_oracle:
         return points
     # the oracle conditions on the sweep's slits, never on the scenario's
-    # own: one grid sized for them serves every chunk
-    scenario = replace(scenario, oracle=oracle_grid(scenario, widths))
-    for start in range(0, len(points), go.APERTURE_CHUNK):
+    # own: its grid is sized for them
+    grid = oracle_grid(scenario, widths)
+    resolved, slits = [], []
+    for point in points:
+        slit = Aperture(kind="gaussian", epsilon=point.slit_full_width_mm / 2.0)
         try:
-            _sweep_chunk(scenario, points[start:start + go.APERTURE_CHUNK])
+            slit.check_resolved(grid.n, grid.dy)
+        except ResolutionError as exc:
+            point.error = str(exc)
+            continue
+        resolved.append(point)
+        slits.append(slit)
+    if not resolved:
+        return points
+    try:
+        source = oracle_pass(replace(scenario, oracle=grid), scenario.L1, slits)
+    except (DomainError, ResolutionError) as exc:
+        for point in resolved:
+            point.error = str(exc)
+        return points
+    for k, point in enumerate(resolved):
+        try:
+            point.fwhm_oracle_mm = _detector_widths(
+                source.conditional(k), scenario.L2, scenario.params).fwhm
         except (DomainError, ResolutionError) as exc:
-            for point in points[start:]:
-                if point.error is None:
-                    point.error = str(exc)
-            break
+            point.error = str(exc)
     return points
 
 

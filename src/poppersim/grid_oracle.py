@@ -94,7 +94,7 @@ exp(-y^2/(eps^2 + i*Lambda*L)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,9 +103,8 @@ from .gaussian_core import FWHM_FACTOR, PhysParams
 
 TAIL_BAND_FRACTION = 0.05
 TAIL_PROB_LIMIT = 1e-6
-# rows of the source generated at a time, and apertures stacked in one pass
+# rows of the source generated at a time
 SOURCE_BLOCK_ROWS = 64
-APERTURE_CHUNK = 64
 # values of rho's diagonals flown at a time (``_chunk_rows``), and values
 # of H summed at a time
 DIAGONAL_VALUES = 16384
@@ -135,24 +134,26 @@ class GridSpec:
     def y(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.dy
 
-    @property
-    def peak_bytes(self) -> int:
-        """Peak memory of a source pass on this grid, 8 bytes a value: seven
-        real arrays of one block of source rows at full width, three real
-        stacks of a full aperture chunk (back-flown modes, running products
-        and one block's product, each with real and imaginary rows) and 64
-        one-axis arrays.
+    def peak_bytes(self, modes: int) -> int:
+        """Modelled peak memory of a source pass over ``modes`` source-plane
+        modes on this grid.  Up to 64 modes it is 7168 n bytes, 8 bytes a
+        value: seven real arrays of a full-width block of source rows, three
+        real and imaginary stacks of 64 modes and 64 one-axis arrays.  Each
+        further mode adds four complex rows of n values: the three that a
+        pass or its modes' flight holds of it at once, and a row of the
+        ghost guard's Gram matrix (|S| <= n).  Traced, each further mode
+        added 48.1 n bytes to a strekalov.json sweep (n = 4096, 128 to 512
+        points) and 52.8 n bytes to the ghost guard (n = 2048, |S| = 103 to
+        511).
 
-        The model over-counts: no package path holds a full-width source
-        block, as every per-block array spans only the block's band.  After
-        the last block a pass holds one chunk of rho's diagonals,
-        DIAGONAL_VALUES values but at least 4 diagonals (``_chunk_rows``),
-        in three buffers of its size, and under 25 one-axis arrays, its
-        tables and flight kernels among them, whatever D: traced, flying
+        Up to 64 modes the model over-counts: every per-block array spans
+        only the block's band, and after the last block a pass holds one
+        chunk of rho's diagonals (``_chunk_rows``) in three buffers of its
+        size and under 25 one-axis arrays, whatever D: traced, flying
         kim_shih.json's source 500 and 1000 mm peaks at 0.73 MB on n = 4096
-        and 1.46 MB on n = 8192.  The ghost pattern's d1 guard adds about
-        |S| n complex values (``ghost_double_slit``)."""
-        return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * APERTURE_CHUNK + 64)
+        and 1.46 MB on n = 8192."""
+        return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * 64 + 64
+                             + 4 * 2 * max(0, modes - 64))
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,8 @@ class Aperture:
 
     kinds: 'gaussian' (amplitude exp(-y^2/epsilon^2)), 'rect' (hard slit of
     ``full_width``), 'double_slit' (two hard slits of ``slit_width`` whose
-    centers are ``separation`` apart), 'point' (narrow Gaussian sampler of
-    width ``tolerance`` at ``center``; defaults to one grid step).
+    centers are ``separation`` apart), 'point' (narrow Gaussian sampler on
+    axis, one grid step wide).
     """
 
     kind: str
@@ -170,8 +171,6 @@ class Aperture:
     full_width: float = 0.0
     slit_width: float = 0.0
     separation: float = 0.0
-    center: float = 0.0
-    tolerance: float = 0.0
 
     def __post_init__(self):
         if self.kind == "gaussian":
@@ -183,10 +182,7 @@ class Aperture:
         elif self.kind == "double_slit":
             if self.slit_width <= 0 or self.separation <= self.slit_width:
                 raise DomainError("double slit needs separation > slit_width > 0")
-        elif self.kind == "point":
-            if self.tolerance < 0:
-                raise DomainError("point tolerance must be >= 0")
-        else:
+        elif self.kind != "point":
             raise DomainError(f"unknown aperture kind {self.kind!r}")
 
     def check_resolved(self, n: int, dy: float):
@@ -218,8 +214,7 @@ class Aperture:
             phi = (np.abs(np.abs(y) - self.separation / 2.0)
                    < self.slit_width / 2.0).astype(float)
         else:  # point
-            w = self.tolerance if self.tolerance > 0 else dy
-            phi = np.exp(-((y - self.center) ** 2) / w ** 2)
+            phi = np.exp(-(y ** 2) / dy ** 2)
         norm = math.sqrt(float(np.sum(np.abs(phi) ** 2)) * dy)
         if norm == 0.0:
             raise ResolutionError("aperture has no support on this grid")
@@ -241,7 +236,6 @@ class WidthResult:
     rms: float
     fwhm: float
     gaussian_equiv_W: float
-    multimodal: bool = False
 
 
 def required_extent(a: float, omega: float) -> float:
@@ -603,33 +597,31 @@ def _density_flights(a: float, omega: float, grid: GridSpec, flights,
 
 def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                 L1: float, modes=(), beam_L: float | None = None) -> SourcePass:
-    """Condition the source on particle 1's source-plane ``modes``, 1-D
-    arrays of n values, in one pass over row blocks of the source, with no
-    n x n array.  For an aperture phi at the slit plane L1 the mode is
-    fly(conj(phi), L1); a chain of flights and masks gives its own (module
-    docstring).  The modes are not tail-checked.
+    """Condition the source on particle 1's source-plane ``modes``, any
+    number K of 1-D arrays of n values, in one pass over row blocks of the
+    source, with no n x n array.  For an aperture phi at the slit plane L1
+    the mode is fly(conj(phi), L1); a chain of flights and masks gives its
+    own (module docstring).  The modes are not tail-checked.
 
     Each block of SOURCE_BLOCK_ROWS rows is generated on its diagonal band
-    only, multiplied into the stacked modes, and its band's column sums of
-    squares are added to particle 2's source-plane intensity, whose total is
-    the source norm.  No block is transformed.  After the last block
+    only, multiplied into the block's columns of every mode, real and
+    imaginary parts stacked, and its band's column sums of squares are added
+    to particle 2's source-plane intensity, whose total is the source norm.
+    No block is transformed.  Besides the modes, the pass holds 2 K x n real
+    products and, at its end, their complex copy.  After the last block
     ``_density_flights`` builds the D + 1 diagonals of rho = psi^T psi from
     two 1-D tables, a chunk at a time, and flies them to particle 2's
     intensity over L1 and, when given, over ``beam_L``: once per distinct
-    nonzero distance, so with ``beam_L == L1`` the two are one array.  An
-    intensity over L = 0 is the source-plane intensity.  Every intensity is
-    tail-checked.
+    nonzero distance, whatever K, so with ``beam_L == L1`` the two are one
+    array.  An intensity over L = 0 is the source-plane intensity.  Every
+    intensity is tail-checked.
     """
     _check_source(a, omega, grid)
-    if len(modes) > APERTURE_CHUNK:
-        raise DomainError(f"one pass takes at most {APERTURE_CHUNK} modes, "
-                          f"got {len(modes)}")
     n, dy, y = grid.n, grid.dy, grid.y
     tables = source_tables(a, omega, grid)
+    modes = np.reshape(np.asarray(modes, dtype=complex), (-1, n))
     count = len(modes)
-    back = np.reshape(np.asarray(modes, dtype=complex), (count, n))
-    # real and imaginary parts stacked: one real product per block
-    back = np.concatenate([back.real, back.imag])
+    # real and imaginary rows of the projections, summed apart
     products = np.zeros((2 * count, n))
     # particle 2's intensity at the source plane, unscaled: each block adds
     # its band's column sums of squares.  Its total is the source norm, and
@@ -637,7 +629,10 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     source_plane = np.zeros(n)
     for rows, cols, band in _source_blocks(tables):
         source_plane[cols] += np.einsum("ij,ij->j", band, band)
-        products[:, cols] += back[:, rows] @ band
+        # the block's columns of the modes, real and imaginary parts
+        # stacked: one real product per block
+        block = modes[:, rows]
+        products[:, cols] += np.concatenate([block.real, block.imag]) @ band
     # the last block is done: the flights below need no source
     del tables
     flights = [L1] if beam_L is None else [L1, beam_L]
@@ -655,7 +650,8 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         total *= dy
         _check_tails(total)
     products *= dy / math.sqrt(norm)
-    projections = products[:count] + 1j * products[count:]
+    projections = np.empty((count, n), dtype=complex)
+    projections.real, projections.imag = products[:count], products[count:]
     return SourcePass(y=y, dy=dy, L1=L1, params=params, norm=norm,
                       projections=projections,
                       slit_plane=intensities[L1],
@@ -701,10 +697,8 @@ def intensity_widths(y: np.ndarray, intensity: np.ndarray,
     half = intensity[i_peak] / 2.0
     y_lo = _half_crossing(y, intensity, i_peak, half, -1)
     y_hi = _half_crossing(y, intensity, i_peak, half, +1)
-    maxima = _local_maxima(intensity, half)
     return WidthResult(rms=rms, fwhm=float(y_hi - y_lo),
-                       gaussian_equiv_W=2.0 * rms,
-                       multimodal=maxima.size > 1)
+                       gaussian_equiv_W=2.0 * rms)
 
 
 def widths(amplitude: ConditionalAmplitude) -> WidthResult:
@@ -762,24 +756,28 @@ def _ghost_pass(a: float, omega: float, grid: GridSpec, slit: Aperture,
     n, dy = grid.n, grid.dy
     # aperture scale drops out after the renormalized conditioning
     mask = slit.sample(grid.y, dy)
-    point = Aperture(kind="point", center=0.0).sample(grid.y, dy)
-    mode = fly(mask * fly(np.conj(point), dy, d1, params), dy, L1, params)
+    point = Aperture(kind="point").sample(grid.y, dy)
     support = np.flatnonzero(np.abs(mask) >= DENSITY_FLOOR * np.abs(mask).max())
-    points = np.zeros((support.size, n), dtype=complex)
-    points[np.arange(support.size), support] = 1.0
-    modes = [mode, *fly(points, dy, L1, params)]
-    # a later chunk needs only its projections: over 0 a pass flies nothing
-    passes = [source_pass(a, omega, grid, params, 0.0 if start else L1,
-                          modes[start:start + APERTURE_CHUNK])
-              for start in range(0, len(modes), APERTURE_CHUNK)]
+    # the detector mode's chain up to the slit plane, then a point on each
+    # sample of S, all flown back over L1 as the modes of one pass; the
+    # points are built again for the d1 leg, not held through the pass
+    rows = np.arange(support.size)
+    modes = np.zeros((support.size + 1, n), dtype=complex)
+    modes[0] = mask * fly(np.conj(point), dy, d1, params)
+    modes[1 + rows, support] = 1.0
+    modes = fly(modes, dy, L1, params)
+    source = source_pass(a, omega, grid, params, L1, modes)
     del modes
-    amp = mask[support, None] * np.concatenate(
-        [source.projections for source in passes])[1:]
+    amp = mask[support, None] * source.projections[1:]
+    # the pattern reads the detector mode's projection alone
+    source = replace(source, projections=source.projections[:1].copy())
     gram = amp @ amp.conj().T
     del amp
+    points = np.zeros((support.size, n), dtype=complex)
+    points[rows, support] = 1.0
     flown = fly(points, dy, d1, params)
     del points
-    return passes[0], np.einsum("sx,sx->x", gram.T @ flown, flown.conj()).real
+    return source, np.einsum("sx,sx->x", gram.T @ flown, flown.conj()).real
 
 
 def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
@@ -797,12 +795,13 @@ def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
     the grid by design), from the same pass: on S, the samples with
     |m_j| >= DENSITY_FLOOR max|m|, particle 1's slit-plane amplitude for
     each row of particle 2 is the projection P on fly(delta_j, L1), modes
-    that follow the detector mode, APERTURE_CHUNK a pass.  With A = m_S P,
+    that follow the detector mode in its pass.  With A = m_S P,
     C = A A^H and K_j = fly(delta_j, d1), the guard is
     Re sum_{s,t} K_s C_st conj K_t, as particle 2's flight is unitary.  The
     samples left out move its total by at most 2^-99/sqrt(q) + 2^-200/q of
-    itself, q the mask's transmitted share over max|m|^2, and it holds about
-    |S| n complex values (|S| = 20 for criterion 9's double slits, n = 2048).
+    itself, q the mask's transmitted share over max|m|^2.  It holds C and at
+    most three arrays of |S| + 1 rows of n complex values: traced on
+    n = 2048, 2.3 and 3.7 MB for criterion 9's double slits (|S| = 20).
     """
     if L1 < 0 or d1 < 0:
         raise DomainError("propagation distances must be >= 0")

@@ -121,7 +121,7 @@ def ghost_double_slit(state: GridState, slit: Aperture, d1: float, L2: float,
     masked = GridState(psi=state.psi * mask[:, None], y=state.y, dy=state.dy)
     if d1 > 0:
         masked = evolve_spectral(masked, d1, 0.0, params)
-    detector = Aperture(kind="point", center=0.0)
+    detector = Aperture(kind="point")
     cond = condition(masked, detector)
     amp = propagate_amplitude(cond.amplitude, cond.dy, L2, params)
     intensity = np.abs(amp) ** 2

@@ -13,6 +13,7 @@ import pytest
 
 from poppersim import cli
 from poppersim import experiments as ex
+from poppersim import grid_oracle as go
 
 
 def fixture_path(name):
@@ -566,10 +567,11 @@ class TestWrappedSlitPlane:
         assert out == "" and "boundary" in err
 
 
-def peak_bytes(n):
+def peak_bytes(n, modes=1):
     """The model GridSpec.peak_bytes, 8 * n * (7 * 64 + 3 * 2 * 64 + 64)
-    bytes: 7168 bytes per grid point of one axis."""
-    return 7168 * n
+    bytes up to 64 modes, 7168 bytes per grid point of one axis, and 64 more
+    per point for each mode past 64."""
+    return 7168 * n + 64 * n * max(0, modes - 64)
 
 
 class TestGridCap:
@@ -589,6 +591,19 @@ class TestGridCap:
         code, _, err = run_cli([command[0], small_scenario, *command[1:]], capsys)
         assert code == cli.EXIT_CONFIG
         assert "cap" in err
+
+    def test_cap_counts_sweep_steps(self, capsys, monkeypatch, small_scenario):
+        # a 300-step sweep is one pass over 300 slits: a cap that admits a
+        # pass over 64 on its grid refuses it in one line
+        assert go.GridSpec(n=1024, extent=16.0).peak_bytes(300) == \
+            peak_bytes(1024, 300)
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(
+            (peak_bytes(1024, 64) + peak_bytes(1024, 300)) // 2))
+        code, out, err = run_cli(["sweep", small_scenario, "--from", "0.2",
+                                  "--to", "1.0", "--steps", "300", "--oracle"],
+                                 capsys)
+        assert_refused_in_one_line(code, out, err)
+        assert "1024x1024" in err and "cap" in err
 
     def test_cap_ignored_without_oracle(self, capsys, monkeypatch, small_scenario):
         monkeypatch.setenv(cli.MAX_GRID_ENV, str(512 * 512 * 16))

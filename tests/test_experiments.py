@@ -252,17 +252,30 @@ class TestStrekalovSweep:
         assert oracle_spies == {**NO_REFERENCE_CALLS, "source_pass": 2,
                                 "source_rows": 2 * blocks}
 
-    def test_sweep_chunks_apertures(self, monkeypatch, oracle_spies):
-        # a sweep stacks at most APERTURE_CHUNK slits per pass; the chunked
-        # widths are the one-pass widths
+    def test_sweep_makes_one_pass(self, monkeypatch, oracle_spies):
+        # a 130-point sweep, more than two 64-slit slices, walks the source
+        # once and flies particle 2's marginals once; its widths are those
+        # of one pass per 64-slit slice
+        flights = []
+        density_flights = go._density_flights
+
+        def spy(*args, **kwargs):
+            flights.append(args)
+            return density_flights(*args, **kwargs)
+
+        monkeypatch.setattr(go, "_density_flights", spy)
         scenario = ex.Scenario.from_dict(scenario_doc(
             L1_mm=300.0, L2_mm=300.0, oracle={"n": 512, "extent_mm": 16.0}))
-        widths = [0.2, 0.4, 0.6, 0.8, 1.0]
+        widths = list(np.linspace(0.2, 1.0, 130))
         whole = ex.run_strekalov_sweep(scenario, widths, use_oracle=True)
-        monkeypatch.setattr(go, "APERTURE_CHUNK", 2)
-        chunked = ex.run_strekalov_sweep(scenario, widths, use_oracle=True)
+        assert oracle_spies == {**NO_REFERENCE_CALLS, "source_pass": 1,
+                                "source_rows": 512 // go.SOURCE_BLOCK_ROWS}
+        assert len(flights) == 1
+        sliced = [point for start in range(0, len(widths), 64)
+                  for point in ex.run_strekalov_sweep(
+                      scenario, widths[start:start + 64], use_oracle=True)]
         assert oracle_spies["source_pass"] == 1 + 3
-        for one, many in zip(whole, chunked):
+        for one, many in zip(sliced, whole):
             assert many.error is None
             assert many.fwhm_oracle_mm == pytest.approx(one.fwhm_oracle_mm,
                                                         rel=1e-12)
@@ -279,11 +292,15 @@ class TestStrekalovSweep:
         pytest.param(5, 5.0, 10.0, go.GridSpec(n=8192, extent=88.0), 2659,
                      id="5-density-8192-widest"),
         pytest.param(65, 2.0, 0.6, go.GridSpec(n=1024, extent=5.0), 1024,
-                     id="65-clipped")])
+                     id="65-clipped"),
+        pytest.param(256, 1.0, 2.0, go.GridSpec(n=1024, extent=16.0), 366,
+                     id="256"),
+        pytest.param(256, 0.04, 10.0, go.GridSpec(n=4096, extent=40.0), 25,
+                     id="256-strekalov-4096")])
     def test_sweep_peak_memory_within_model(self, steps, a, omega, grid,
                                             count):
-        # one pass holds no n x n array; a sweep of more than one aperture
-        # chunk (64) stays within the same model at every band width
+        # one pass holds no n x n array; a sweep of any number of slits
+        # stays within the model for its count at every band width
         scenario = ex.Scenario.from_dict(scenario_doc(
             a_mm=a, omega_mm=omega, L1_mm=300.0, L2_mm=300.0,
             oracle={"n": grid.n, "extent_mm": grid.extent}))
@@ -297,7 +314,7 @@ class TestStrekalovSweep:
             tracemalloc.stop()
         assert all(p.error is None for p in points)
         assert peak < grid.n * grid.n * 16
-        assert peak < grid.peak_bytes
+        assert peak <= grid.peak_bytes(steps)
 
 
 def fixture_scenario(name, oracle_block=True):
