@@ -228,12 +228,12 @@ def oracle_pass(scenario: Scenario, L1: float, apertures=(),
                 beam_L: float | None = None) -> go.SourcePass:
     """One :func:`grid_oracle.source_pass` over ``scenario``'s source on its
     oracle grid, conditioned on ``apertures`` at the slit plane L1: on their
-    source-plane modes fly(conj(phi), L1), one row each."""
+    slit-plane modes conj(phi), one row each, which the pass flies back
+    over L1 in place."""
     grid = oracle_grid(scenario)
     modes = np.empty((len(apertures), grid.n), dtype=complex)
     for k, aperture in enumerate(apertures):
         modes[k] = np.conj(aperture.sample(grid.y, grid.dy))
-    modes = go.fly(modes, grid.dy, L1, scenario.params)
     return go.source_pass(scenario.a, scenario.omega, grid, scenario.params,
                           L1, modes, beam_L)
 

@@ -12,14 +12,18 @@ flight and an aperture mask are each their own transpose on the periodic
 grid.  So conditioning particle 1, after a chain of them, on a detector mode
 phi equals conditioning the source on the chain applied to conj(phi) in
 reverse order, then flying the 1-D result over particle 2's own legs.  The
-caller builds that source-plane mode.  For a slit at the plane L1 it is
+caller builds the chain up to the slit plane L1, a slit-plane mode, and the
+pass flies it the last leg back.  For a slit at L1 the mode is conj(phi):
 
     condition(evolve(psi, L1, L1), phi) = fly(fly(conj(phi), L1) @ psi, L1),
 
-and for the ghost double slit, a point detector d1 behind a mask at L1, the
-mode is fly(mask * fly(conj(point), d1), L1).  The source is real and
-closed-form per sample, so one pass over row blocks of it gives every
-conditional amplitude and particle 2's marginals without an n x n buffer.
+and for the ghost double slit, a point detector d1 behind a mask at L1, it
+is mask * fly(conj(point), d1).  The pass flies its K modes back over L1 in
+place and writes their projections into the same buffer, so beside that
+buffer the pass holds only the modes' real and imaginary products: two
+K x n complex arrays' worth.  The source is real and closed-form per sample, so one pass
+over row blocks of it gives every conditional amplitude and particle 2's
+marginals without an n x n buffer.
 The n x n route the pass replaced is kept only as the tests' reference
 (``tests/nxn_reference.py``), which every parity test compares the pass
 against.
@@ -135,16 +139,16 @@ class GridSpec:
         return (np.arange(self.n) - self.n // 2) * self.dy
 
     def peak_bytes(self, modes: int) -> int:
-        """Modelled peak memory of a source pass over ``modes`` source-plane
+        """Modelled peak memory of a source pass over ``modes`` slit-plane
         modes on this grid.  Up to 64 modes it is 7168 n bytes, 8 bytes a
         value: seven real arrays of a full-width block of source rows, three
         real and imaginary stacks of 64 modes and 64 one-axis arrays.  Each
-        further mode adds four complex rows of n values: the three that a
-        pass or its modes' flight holds of it at once, and a row of the
-        ghost guard's Gram matrix (|S| <= n).  Traced, each further mode
-        added 48.1 n bytes to a strekalov.json sweep (n = 4096, 128 to 512
-        points) and 52.8 n bytes to the ghost guard (n = 2048, |S| = 103 to
-        511).
+        further mode adds three complex rows of n values: the two that a
+        pass holds of it at once, the mode flown in place and its real and
+        imaginary products, and a row of the ghost guard's Gram matrix
+        (|S| <= n).  Traced, each further mode added 32.5 n bytes to a
+        strekalov.json sweep (n = 4096, 128 to 256 points) and 36.2 n bytes
+        to the ghost guard (n = 2048, |S| = 103 to 511).
 
         Up to 64 modes the model over-counts: every per-block array spans
         only the block's band, and after the last block a pass holds one
@@ -153,7 +157,7 @@ class GridSpec:
         kim_shih.json's source 500 and 1000 mm peaks at 0.73 MB on n = 4096
         and 1.46 MB on n = 8192."""
         return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * 64 + 64
-                             + 4 * 2 * max(0, modes - 64))
+                             + 3 * 2 * max(0, modes - 64))
 
 
 @dataclass(frozen=True)
@@ -397,19 +401,23 @@ def _flight_phase(n: int, dy: float, L: float, params: PhysParams) -> np.ndarray
 
 
 def fly(amp: np.ndarray, dy: float, L: float, params: PhysParams) -> np.ndarray:
-    """Spectral free flight over L along the last axis, with no tail guard:
-    for source-plane modes, whose tails say nothing about a wrapped state."""
-    if L == 0:
-        return amp.copy()
-    return np.fft.ifft(np.fft.fft(amp) * _flight_phase(amp.shape[-1], dy, L, params))
+    """Spectral free flight over L along the last axis of the complex array
+    ``amp``, in place, returning it; no tail guard: for the modes a pass
+    flies back, whose tails say nothing about a wrapped state."""
+    if L != 0:
+        np.fft.fft(amp, out=amp)
+        amp *= _flight_phase(amp.shape[-1], dy, L, params)
+        np.fft.ifft(amp, out=amp)
+    return amp
 
 
 def propagate_amplitude(amp: np.ndarray, dy: float, L: float,
                         params: PhysParams) -> np.ndarray:
-    """Single-particle spectral free flight of a sampled 1-D amplitude."""
+    """Single-particle spectral free flight of a sampled 1-D amplitude,
+    into a new array."""
     if L < 0:
         raise DomainError("propagation distance must be >= 0")
-    out = fly(amp, dy, L, params)
+    out = fly(np.array(amp, dtype=complex), dy, L, params)
     if L > 0:
         _check_tails(np.abs(out) ** 2)
     return out
@@ -436,7 +444,8 @@ class SourcePass:
     one, and ``slit_plane`` itself when the beam lies at L1); each integrates
     to its flown norm.
     ``projections[k]`` is particle 2's amplitude at the source plane,
-    conditioned on source-plane mode k, for the normalized source.
+    conditioned on particle 1's slit-plane mode k, for the normalized
+    source; it is the buffer of the modes the pass was given.
     """
 
     y: np.ndarray
@@ -597,30 +606,36 @@ def _density_flights(a: float, omega: float, grid: GridSpec, flights,
 
 def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                 L1: float, modes=(), beam_L: float | None = None) -> SourcePass:
-    """Condition the source on particle 1's source-plane ``modes``, any
-    number K of 1-D arrays of n values, in one pass over row blocks of the
-    source, with no n x n array.  For an aperture phi at the slit plane L1
-    the mode is fly(conj(phi), L1); a chain of flights and masks gives its
-    own (module docstring).  The modes are not tail-checked.
+    """Condition the source on particle 1's slit-plane ``modes``, any number
+    K of 1-D arrays of n values, in one pass over row blocks of the source,
+    with no n x n array.  For an aperture phi at the slit plane L1 the mode
+    is conj(phi); a chain of flights and masks behind it gives its own
+    (module docstring).  The pass flies the modes back over L1 in place,
+    with no tail check, and after the last block writes the normalized
+    projections into the same buffer, returned as ``projections``: a
+    complex K x n array is flown and overwritten, any other input copied
+    once.
 
     Each block of SOURCE_BLOCK_ROWS rows is generated on its diagonal band
-    only, multiplied into the block's columns of every mode, real and
+    only, multiplied into the block's columns of every flown mode, real and
     imaginary parts stacked, and its band's column sums of squares are added
     to particle 2's source-plane intensity, whose total is the source norm.
-    No block is transformed.  Besides the modes, the pass holds 2 K x n real
-    products and, at its end, their complex copy.  After the last block
-    ``_density_flights`` builds the D + 1 diagonals of rho = psi^T psi from
-    two 1-D tables, a chunk at a time, and flies them to particle 2's
-    intensity over L1 and, when given, over ``beam_L``: once per distinct
-    nonzero distance, whatever K, so with ``beam_L == L1`` the two are one
-    array.  An intensity over L = 0 is the source-plane intensity.  Every
-    intensity is tail-checked.
+    No block is transformed.  Besides the modes, the pass holds their 2 K x n
+    real products, so at most two K x n complex arrays' worth.  After the
+    last block ``_density_flights`` builds the D + 1 diagonals of
+    rho = psi^T psi from two 1-D tables, a chunk at a time, and flies them
+    to particle 2's intensity over L1 and, when given, over ``beam_L``: once
+    per distinct nonzero distance, whatever K, so with ``beam_L == L1`` the
+    two are one array.  An intensity over L = 0 is the source-plane
+    intensity.  Every intensity is tail-checked.
     """
     _check_source(a, omega, grid)
     n, dy, y = grid.n, grid.dy, grid.y
     tables = source_tables(a, omega, grid)
     modes = np.reshape(np.asarray(modes, dtype=complex), (-1, n))
     count = len(modes)
+    # particle 1's flight from the slit plane back to the source
+    fly(modes, dy, L1, params)
     # real and imaginary rows of the projections, summed apart
     products = np.zeros((2 * count, n))
     # particle 2's intensity at the source plane, unscaled: each block adds
@@ -650,10 +665,10 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         total *= dy
         _check_tails(total)
     products *= dy / math.sqrt(norm)
-    projections = np.empty((count, n), dtype=complex)
-    projections.real, projections.imag = products[:count], products[count:]
+    # the projections take the flown modes' buffer
+    modes.real, modes.imag = products[:count], products[count:]
     return SourcePass(y=y, dy=dy, L1=L1, params=params, norm=norm,
-                      projections=projections,
+                      projections=modes,
                       slit_plane=intensities[L1],
                       beam=None if beam_L is None else intensities[beam_L])
 
@@ -759,25 +774,25 @@ def _ghost_pass(a: float, omega: float, grid: GridSpec, slit: Aperture,
     point = Aperture(kind="point").sample(grid.y, dy)
     support = np.flatnonzero(np.abs(mask) >= DENSITY_FLOOR * np.abs(mask).max())
     # the detector mode's chain up to the slit plane, then a point on each
-    # sample of S, all flown back over L1 as the modes of one pass; the
-    # points are built again for the d1 leg, not held through the pass
+    # sample of S, as the slit-plane modes of one pass; the points are built
+    # again for the d1 leg, not held through the pass
     rows = np.arange(support.size)
     modes = np.zeros((support.size + 1, n), dtype=complex)
     modes[0] = mask * fly(np.conj(point), dy, d1, params)
     modes[1 + rows, support] = 1.0
-    modes = fly(modes, dy, L1, params)
     source = source_pass(a, omega, grid, params, L1, modes)
-    del modes
-    amp = mask[support, None] * source.projections[1:]
-    # the pattern reads the detector mode's projection alone
-    source = replace(source, projections=source.projections[:1].copy())
+    amp = modes[1:]
+    amp *= mask[support, None]
     gram = amp @ amp.conj().T
-    del amp
-    points = np.zeros((support.size, n), dtype=complex)
-    points[rows, support] = 1.0
-    flown = fly(points, dy, d1, params)
-    del points
-    return source, np.einsum("sx,sx->x", gram.T @ flown, flown.conj()).real
+    # the pattern reads the detector mode's projection alone
+    source = replace(source, projections=modes[:1].copy())
+    del modes, amp
+    # the point kernels K_j, flown in place and conjugated in place
+    kernels = np.zeros((support.size, n), dtype=complex)
+    kernels[rows, support] = 1.0
+    fly(kernels, dy, d1, params)
+    return source, np.einsum("sx,sx->x", gram.T @ kernels,
+                             np.conj(kernels, out=kernels)).real
 
 
 def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
@@ -788,20 +803,24 @@ def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
     Both particles fly L1 from the source.  Particle 1 passes ``slit``,
     flies a further d1, and is point-detected on axis; particle 2 then flies
     L2 to its detector.  One :func:`source_pass` conditions the source on
-    the chain's source-plane mode fly(mask * fly(conj(point), d1), L1).
+    the chain's slit-plane mode mask * fly(conj(point), d1), which the pass
+    flies back over L1.
 
     The d1 leg's guard is particle 1's real intensity behind the mask m,
     flown d1 and summed over particle 2 (the back-flown modes spread over
     the grid by design), from the same pass: on S, the samples with
     |m_j| >= DENSITY_FLOOR max|m|, particle 1's slit-plane amplitude for
-    each row of particle 2 is the projection P on fly(delta_j, L1), modes
-    that follow the detector mode in its pass.  With A = m_S P,
-    C = A A^H and K_j = fly(delta_j, d1), the guard is
+    each row of particle 2 is the projection P on the points delta_j,
+    slit-plane modes that follow the detector mode in its pass.  With
+    A = m_S P, C = A A^H and K_j = fly(delta_j, d1), the guard is
     Re sum_{s,t} K_s C_st conj K_t, as particle 2's flight is unitary.  The
     samples left out move its total by at most 2^-99/sqrt(q) + 2^-200/q of
     itself, q the mask's transmitted share over max|m|^2.  It holds C and at
-    most three arrays of |S| + 1 rows of n complex values: traced on
-    n = 2048, 2.3 and 3.7 MB for criterion 9's double slits (|S| = 20).
+    most two arrays of |S| + 1 rows of n complex values: A is taken in place
+    in the buffer the pass returns its projections in, and the kernels K are
+    flown and conjugated in place.  Traced on n = 2048, 2.2 and 3.7 MB for
+    criterion 9's double slits (|S| = 20), 37.9 MB for a 5 mm rect
+    (|S| = 511).
     """
     if L1 < 0 or d1 < 0:
         raise DomainError("propagation distances must be >= 0")

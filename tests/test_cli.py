@@ -569,9 +569,9 @@ class TestWrappedSlitPlane:
 
 def peak_bytes(n, modes=1):
     """The model GridSpec.peak_bytes, 8 * n * (7 * 64 + 3 * 2 * 64 + 64)
-    bytes up to 64 modes, 7168 bytes per grid point of one axis, and 64 more
+    bytes up to 64 modes, 7168 bytes per grid point of one axis, and 48 more
     per point for each mode past 64."""
-    return 7168 * n + 64 * n * max(0, modes - 64)
+    return 7168 * n + 48 * n * max(0, modes - 64)
 
 
 class TestGridCap:

@@ -316,6 +316,29 @@ class TestStrekalovSweep:
         assert peak < grid.n * grid.n * 16
         assert peak <= grid.peak_bytes(steps)
 
+    def test_sweep_holds_its_modes_twice(self):
+        # the pass flies strekalov.json's 256 slit modes in place and writes
+        # their projections over them: the sweep holds two K x n complex
+        # arrays, the modes and their real and imaginary products, and under
+        # 64 one-axis real arrays besides
+        scenario = fixture_scenario("strekalov.json")
+        n, steps = ex.oracle_grid(scenario).n, 256
+        assert n == 4096
+        bound = 2 * steps * n * 16 + 64 * n * 8
+        # a first pass imports numpy.fft, which numpy loads lazily and
+        # tracemalloc would count
+        ex.run_strekalov_sweep(scenario, [0.5], use_oracle=True)
+        tracemalloc.start()
+        try:
+            points = ex.run_strekalov_sweep(scenario, np.linspace(0.2, 1.0, steps),
+                                            use_oracle=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(p.error is None for p in points)
+        assert bound == 35_651_584
+        assert peak < bound
+
 
 def fixture_scenario(name, oracle_block=True):
     doc = json.loads(importlib.resources.files("poppersim.scenarios")

@@ -280,10 +280,9 @@ def max_rel(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def slit_modes(apertures, grid, L1, params):
-    """Source-plane modes fly(conj(phi), L1) of ``apertures``, one row each."""
-    back = np.array([np.conj(ap.sample(grid.y, grid.dy)) for ap in apertures])
-    return go.fly(back, grid.dy, L1, params)
+def slit_modes(apertures, grid):
+    """Slit-plane modes conj(phi) of ``apertures``, one row each."""
+    return np.array([np.conj(ap.sample(grid.y, grid.dy)) for ap in apertures])
 
 
 # a small resolved layout: dy = 0.0625 mm against max_step 0.111 mm
@@ -420,7 +419,7 @@ class TestSourcePass:
         slit = go.Aperture(kind="gaussian", epsilon=0.1)
         want = ref.condition(at_slit, slit)
         source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
-                                L1, slit_modes([slit], PARITY_GRID, L1, params702))
+                                L1, slit_modes([slit], PARITY_GRID))
         got = source.conditional(0)
         assert max_rel(got.amplitude, want.amplitude) <= 1e-12
         assert got.weight == pytest.approx(want.weight, rel=1e-12, abs=0)
@@ -554,13 +553,13 @@ class TestSourcePass:
             * (1.0 + (reach + 1) / (400.0 * math.log(2.0))))
         L1 = 300.0
         modes = slit_modes([go.Aperture(kind="gaussian", epsilon=epsilon)
-                            for epsilon in (0.1, 0.5)], grid, L1, params702)
+                            for epsilon in (0.1, 0.5)], grid)
         passes = []
         for tables in (floored, raw):
             monkeypatch.setattr(go, "source_tables",
                                 lambda *args, tables=tables: tables)
-            passes.append(go.source_pass(a, omega, grid, params702, L1, modes,
-                                         beam_L=L1 + 300.0))
+            passes.append(go.source_pass(a, omega, grid, params702, L1,
+                                         modes.copy(), beam_L=L1 + 300.0))
         got, want = passes
         assert abs(want.norm - got.norm) <= (beta ** 2 + eps) * got.norm
         for mode, projection, reference in zip(modes, got.projections,
@@ -579,18 +578,18 @@ class TestSourcePass:
     def test_beam_at_slit_plane_flown_once(self, params702, monkeypatch,
                                            a, omega, grid):
         # a beam at the slit-plane distance (L2 = 0) is the slit-plane
-        # intensity: one flight phase for the one distance, on a wide band
+        # intensity: one flight kernel for the one distance, on a wide band
         # and a narrow one
         L1 = 300.0
         alone = go.source_pass(a, omega, grid, params702, L1)
         phases = []
-        flight_phase = go._flight_phase
+        kernel_windows = go._kernel_windows
 
-        def spy(n, dy, L, params):
+        def spy(n, dy, L, params, count):
             phases.append(L)
-            return flight_phase(n, dy, L, params)
+            return kernel_windows(n, dy, L, params, count)
 
-        monkeypatch.setattr(go, "_flight_phase", spy)
+        monkeypatch.setattr(go, "_kernel_windows", spy)
         source = go.source_pass(a, omega, grid, params702, L1, beam_L=L1)
         assert phases == [L1]
         assert np.array_equal(source.beam, source.slit_plane)
@@ -657,7 +656,7 @@ class TestSourcePass:
         tracemalloc.start()
         try:
             go.source_pass(a, omega, grid, params702, 600.0,
-                           slit_modes(slits, grid, 600.0, params702))
+                           slit_modes(slits, grid))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -707,16 +706,29 @@ class TestSourcePass:
         slit = go.Aperture(kind="gaussian", epsilon=0.1)
         with pytest.raises(ResolutionError, match="boundary"):
             go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702, 20000.0,
-                           slit_modes([slit], PARITY_GRID, 20000.0, params702))
+                           slit_modes([slit], PARITY_GRID))
+
+    def test_projections_take_the_modes_buffer(self, params702):
+        # the pass flies its slit-plane modes in place and writes their
+        # projections into the same buffer, which it returns
+        slits = [go.Aperture(kind="gaussian", epsilon=eps)
+                 for eps in (0.1, 0.2, 0.3)]
+        modes = slit_modes(slits, PARITY_GRID)
+        fresh = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
+                               300.0, modes.copy())
+        source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
+                                300.0, modes)
+        assert np.shares_memory(source.projections, modes)
+        assert np.array_equal(source.projections, fresh.projections)
 
     def test_many_modes_match_sliced_passes(self, params702):
         # one pass over 130 modes gives each mode's projection of one pass
         # per 64-mode slice, to within rounding of each row's peak
         slits = [go.Aperture(kind="gaussian", epsilon=eps)
                  for eps in np.linspace(0.08, 0.5, 130)]
-        modes = slit_modes(slits, PARITY_GRID, 300.0, params702)
+        modes = slit_modes(slits, PARITY_GRID)
         whole = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
-                               300.0, modes).projections
+                               300.0, modes.copy()).projections
         assert whole.shape == (130, PARITY_GRID.n)
         sliced = np.concatenate([
             go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
@@ -960,6 +972,32 @@ class TestGhostDoubleSlit:
             tracemalloc.stop()
         assert peak <= GHOST_GRID.peak_bytes(1 + points)
 
+    def test_wide_mask_holds_its_modes_twice(self, params702):
+        # the 5 mm slit's |S| = 511 point modes ride with the detector mode,
+        # flown in place and overwritten by their projections, and the d1
+        # leg flies its point kernels in place and conjugates them in place:
+        # the guard holds two (|S| + 1) x n complex arrays, its |S| x |S|
+        # Gram and under 64 one-axis real arrays besides
+        a, omega, _, d1 = GHOST_LAYOUTS["entangled"]
+        slit = go.Aperture(kind="rect", full_width=5.0)
+        n, points = GHOST_GRID.n, 511
+        assert np.count_nonzero(slit.sample(GHOST_GRID.y, GHOST_GRID.dy)) \
+            == points
+        bound = 2 * (points + 1) * n * 16 + points * points * 16 + 64 * n * 8
+        # a first call imports numpy.fft, which numpy loads lazily and
+        # tracemalloc would count
+        go.ghost_double_slit(a, omega, GHOST_GRID, DOUBLE_SLIT, 200.0, d1,
+                             200.0, params702)
+        tracemalloc.start()
+        try:
+            go.ghost_double_slit(a, omega, GHOST_GRID, slit, 200.0, d1, 200.0,
+                                 params702)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bound == 38_780_944
+        assert peak < bound
+
     def test_d1_leg_aliasing_guard(self, params702):
         # behind a 0.05 mm slit particle 1 spreads to W ~ 22 mm over
         # d1 = 5 m, far beyond the +-4 mm domain
@@ -976,7 +1014,7 @@ class TestDeterminism:
 
         def run():
             source = go.source_pass(0.3, 1.0, grid, params702, 300.0,
-                                    slit_modes([slit], grid, 300.0, params702))
+                                    slit_modes([slit], grid))
             return source.conditional(0).amplitude
 
         a, b = run(), run()
