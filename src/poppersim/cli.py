@@ -135,10 +135,10 @@ def _emit(doc: dict, out_path: str | None):
     _write(out_path, json.dumps(_round_sig(doc), indent=2) + "\n")
 
 
-def _check_grid_cap(grid: go.GridSpec, modes: int):
-    """Refuse an oracle grid whose modelled peak memory for a pass over
-    ``modes`` slits exceeds the MAX_GRID_ENV cap, or the machine's physical
-    memory when it is unset."""
+def _check_grid_cap(scenario: ex.Scenario, grid: go.GridSpec, modes: int):
+    """Refuse an oracle pass over ``modes`` slits on ``grid`` whose modelled
+    peak memory (``grid_oracle.peak_bytes``) exceeds the MAX_GRID_ENV cap,
+    or the machine's physical memory when it is unset."""
     cap = os.environ.get(MAX_GRID_ENV)
     if cap:
         try:
@@ -150,10 +150,11 @@ def _check_grid_cap(grid: go.GridSpec, modes: int):
     else:
         cap_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         name = "physical memory"
-    need = grid.peak_bytes(modes)
+    need = go.peak_bytes(scenario.a, scenario.omega, grid, modes)
     if need > cap_bytes:
         raise ConfigError(
-            f"oracle grid {grid.n}x{grid.n} needs {need} bytes, over the "
+            f"oracle pass on n = {grid.n} over {modes} "
+            f"mode{'' if modes == 1 else 's'} needs {need} bytes, over the "
             f"{name} cap of {cap_bytes}"
         )
 
@@ -177,7 +178,7 @@ def _load_scenario(args, slit_full_widths=None) -> ex.Scenario:
             n=args.grid_n,
             extent=ex.oracle_grid(scenario, slit_full_widths).extent))
     if args.oracle:
-        _check_grid_cap(ex.oracle_grid(scenario, slit_full_widths),
+        _check_grid_cap(scenario, ex.oracle_grid(scenario, slit_full_widths),
                         1 if slit_full_widths is None else len(slit_full_widths))
     return scenario
 

@@ -138,27 +138,6 @@ class GridSpec:
     def y(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.dy
 
-    def peak_bytes(self, modes: int) -> int:
-        """Modelled peak memory of a source pass over ``modes`` slit-plane
-        modes on this grid.  Up to 64 modes it is 7168 n bytes, 8 bytes a
-        value: seven real arrays of a full-width block of source rows, three
-        real and imaginary stacks of 64 modes and 64 one-axis arrays.  Each
-        further mode adds three complex rows of n values: the two that a
-        pass holds of it at once, the mode flown in place and its real and
-        imaginary products, and a row of the ghost guard's Gram matrix
-        (|S| <= n).  Traced, each further mode added 32.5 n bytes to a
-        strekalov.json sweep (n = 4096, 128 to 256 points) and 36.2 n bytes
-        to the ghost guard (n = 2048, |S| = 103 to 511).
-
-        Up to 64 modes the model over-counts: every per-block array spans
-        only the block's band, and after the last block a pass holds one
-        chunk of rho's diagonals (``_chunk_rows``) in three buffers of its
-        size and under 25 one-axis arrays, whatever D: traced, flying
-        kim_shih.json's source 500 and 1000 mm peaks at 0.73 MB on n = 4096
-        and 1.46 MB on n = 8192."""
-        return 8 * self.n * (7 * SOURCE_BLOCK_ROWS + 3 * 2 * 64 + 64
-                             + 3 * 2 * max(0, modes - 64))
-
 
 @dataclass(frozen=True)
 class Aperture:
@@ -475,7 +454,7 @@ def _density_count(a: float, omega: float, grid: GridSpec) -> int:
     """D + 1, the number of diagonals d = 0..D of rho = psi^T psi that a
     pass keeps: those with E(d) >= DENSITY_FLOOR, at most n."""
     reach = math.sqrt(-math.log(DENSITY_FLOOR) * _diagonal_scale(a, omega))
-    return min(grid.n, int(reach / grid.dy) + 1)
+    return int(min(grid.n - 1, reach / grid.dy)) + 1
 
 
 def _density_tables(a: float, omega: float,
@@ -604,6 +583,48 @@ def _density_flights(a: float, omega: float, grid: GridSpec, flights,
     return [np.fft.irfft(spectrum, n) for spectrum in spectra]
 
 
+def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int) -> int:
+    """Modelled peak memory of a :func:`source_pass` over K = ``modes``
+    slit-plane modes on ``grid``, and of the ghost guard that follows a pass
+    over its points: the sum of what each stage allocates, 8 bytes a real
+    value.  The stages do not hold their arrays all at once, so the sum
+    bounds the peak with room for each stage's one-axis transients; the
+    tests hold traced peaks between half the model and the model.
+
+    - The modes, flown in place and overwritten by their projections, and
+      their real and imaginary products: 4 K n values.
+    - The block walk: the band of a block and the next one being generated,
+      64 x w values each with w = min(n, 64 + 2 R) columns, the block's
+      2 K x 64 stacked modes and their 2 K x w product, and the source's two
+      factor tables of 2 n - 1 values each.
+    - The flights (``_density_flights``): one ``_chunk_rows`` chunk in its
+      three buffers and the two iterator buffers of np.getbufsize() values
+      that np.multiply stages the chunk's strided view of H through, two
+      flights' kernels over n + D values a row and their spectra, H over
+      2 n - 1 + D values and the v-factor table of H's terms, 4 n + 1
+      values.
+    - The ghost guard's Gram over its |S| < K points, |S| <= n: at most
+      K min(K, n) complex values.
+
+    R and D + 1 come from their closed forms, so the model builds no table.
+    """
+    n = grid.n
+    # R: the source's u factor exp(-(d dy)^2 / a^2) >= DENSITY_FLOOR
+    reach = int(min(n - 1, a * math.sqrt(-math.log(DENSITY_FLOOR)) / grid.dy))
+    width = min(n, SOURCE_BLOCK_ROWS + 2 * reach)
+    count = _density_count(a, omega, grid)
+    spectrum = n + 2  # the real values of an rfft's n // 2 + 1 outputs
+    held = 4 * modes * n
+    walk = (2 * SOURCE_BLOCK_ROWS * width
+            + 2 * modes * (SOURCE_BLOCK_ROWS + width) + 2 * (2 * n - 1))
+    flights = (_chunk_rows(n, count) * (n + 2 * spectrum)
+               + 2 * np.getbufsize()
+               + 2 * (2 * (n + count - 1) + spectrum)
+               + (2 * n - 2 + count) + (4 * n + 1))
+    gram = 2 * modes * min(modes, n)
+    return 8 * (held + walk + flights + gram)
+
+
 def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                 L1: float, modes=(), beam_L: float | None = None) -> SourcePass:
     """Condition the source on particle 1's slit-plane ``modes``, any number
@@ -627,7 +648,8 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     to particle 2's intensity over L1 and, when given, over ``beam_L``: once
     per distinct nonzero distance, whatever K, so with ``beam_L == L1`` the
     two are one array.  An intensity over L = 0 is the source-plane
-    intensity.  Every intensity is tail-checked.
+    intensity.  Every intensity is tail-checked.  ``peak_bytes`` models the
+    pass's peak memory from these arrays.
     """
     _check_source(a, omega, grid)
     n, dy, y = grid.n, grid.dy, grid.y
@@ -818,9 +840,10 @@ def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
     itself, q the mask's transmitted share over max|m|^2.  It holds C and at
     most two arrays of |S| + 1 rows of n complex values: A is taken in place
     in the buffer the pass returns its projections in, and the kernels K are
-    flown and conjugated in place.  Traced on n = 2048, 2.2 and 3.7 MB for
-    criterion 9's double slits (|S| = 20), 37.9 MB for a 5 mm rect
-    (|S| = 511).
+    flown and conjugated in place.  ``peak_bytes`` over |S| + 1 modes counts
+    the pass and C: traced on n = 2048, criterion 9's double slits
+    (|S| = 20) peak at 2.2 and 3.7 MB against 2.4 and 5.0 MB modelled, and
+    a 5 mm rect (|S| = 511) at 37.9 MB against 40.3 MB.
     """
     if L1 < 0 or d1 < 0:
         raise DomainError("propagation distances must be >= 0")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -32,6 +33,19 @@ BIG_OMEGA = 1e6  # numerical stand-in for the wide-source limit
 
 def fwhm_factor():
     return math.sqrt(2.0 * math.log(2.0))
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc traces over ``call()``, after one untraced
+    warm call: a first call imports numpy.fft, which numpy loads lazily and
+    tracemalloc would count."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 NO_REFERENCE_CALLS = {"build_grid_state": 0, "evolve_spectral": 0, "condition": 0,

@@ -321,12 +321,14 @@ class TestBlocklessSweep:
         path = sweep_scenario(tmp_path)
         argv = ["sweep", path, "--from", "0.02", "--to", "0.5", "--steps", "2",
                 "--oracle"]
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(peak_bytes(8192) - 1))
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(
+            pass_bytes(path, 2, widths=[0.02, 0.5]) - 1))
         code, _, err = run_cli(argv, capsys)
-        assert code == cli.EXIT_CONFIG and "8192x8192" in err
+        assert code == cli.EXIT_CONFIG and "n = 8192 over 2 modes" in err
         # a wide sweep of a narrow-slit scenario needs only n = 2048
         path = sweep_scenario(tmp_path, slit={"kind": "gaussian", "width_mm": 0.01})
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(peak_bytes(2048)))
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(
+            pass_bytes(path, 2, n=2048, widths=[0.6, 1.0])))
         code, _, err = run_cli(
             ["sweep", path, "--from", "0.6", "--to", "1.0", "--steps", "2",
              "--oracle"], capsys)
@@ -567,27 +569,31 @@ class TestWrappedSlitPlane:
         assert out == "" and "boundary" in err
 
 
-def peak_bytes(n, modes=1):
-    """The model GridSpec.peak_bytes, 8 * n * (7 * 64 + 3 * 2 * 64 + 64)
-    bytes up to 64 modes, 7168 bytes per grid point of one axis, and 48 more
-    per point for each mode past 64."""
-    return 7168 * n + 48 * n * max(0, modes - 64)
+def pass_bytes(path, modes=1, n=None, widths=None):
+    """The modelled peak memory, ``grid_oracle.peak_bytes``, of a pass over
+    ``modes`` slits on the oracle grid of the scenario at ``path`` (a
+    sweep's over ``widths``), or on a grid of ``n`` points over its extent."""
+    scenario = ex.Scenario.from_json(path)
+    grid = ex.oracle_grid(scenario, widths)
+    if n is not None:
+        grid = go.GridSpec(n=n, extent=grid.extent)
+    return go.peak_bytes(scenario.a, scenario.omega, grid, modes)
 
 
 class TestGridCap:
-    @pytest.mark.parametrize("command, cap", [
+    @pytest.mark.parametrize("command, modes, n, short", [
         # the budget of a 512-point grid refuses the 1024-point one
-        pytest.param(["run", "--oracle"], peak_bytes(512), id="run"),
+        pytest.param(["run", "--oracle"], 1, 512, 0, id="run"),
         pytest.param(["sweep", "--from", "0.4", "--to", "0.8", "--steps", "2",
-                      "--oracle"], peak_bytes(512), id="sweep"),
-        pytest.param(["oracle-check"], peak_bytes(512), id="oracle-check"),
+                      "--oracle"], 2, 512, 0, id="sweep"),
+        pytest.param(["oracle-check"], 1, 512, 0, id="oracle-check"),
         # one byte short of the model
-        pytest.param(["run", "--oracle"], peak_bytes(1024) - 1,
-                     id="run-below-peak"),
+        pytest.param(["run", "--oracle"], 1, 1024, 1, id="run-below-peak"),
     ])
     def test_cap_refuses_large_grid(self, capsys, monkeypatch, small_scenario,
-                                    command, cap):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(cap))
+                                    command, modes, n, short):
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(
+            pass_bytes(small_scenario, modes, n) - short))
         code, _, err = run_cli([command[0], small_scenario, *command[1:]], capsys)
         assert code == cli.EXIT_CONFIG
         assert "cap" in err
@@ -595,15 +601,14 @@ class TestGridCap:
     def test_cap_counts_sweep_steps(self, capsys, monkeypatch, small_scenario):
         # a 300-step sweep is one pass over 300 slits: a cap that admits a
         # pass over 64 on its grid refuses it in one line
-        assert go.GridSpec(n=1024, extent=16.0).peak_bytes(300) == \
-            peak_bytes(1024, 300)
         monkeypatch.setenv(cli.MAX_GRID_ENV, str(
-            (peak_bytes(1024, 64) + peak_bytes(1024, 300)) // 2))
+            (pass_bytes(small_scenario, 64) + pass_bytes(small_scenario, 300))
+            // 2))
         code, out, err = run_cli(["sweep", small_scenario, "--from", "0.2",
                                   "--to", "1.0", "--steps", "300", "--oracle"],
                                  capsys)
         assert_refused_in_one_line(code, out, err)
-        assert "1024x1024" in err and "cap" in err
+        assert "n = 1024 over 300 modes" in err and "cap" in err
 
     def test_cap_ignored_without_oracle(self, capsys, monkeypatch, small_scenario):
         monkeypatch.setenv(cli.MAX_GRID_ENV, str(512 * 512 * 16))
@@ -611,16 +616,16 @@ class TestGridCap:
         assert code == cli.EXIT_OK
 
     def test_cap_allows_small_grid(self, capsys, monkeypatch, small_scenario):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(peak_bytes(1024)))
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(pass_bytes(small_scenario)))
         code, _, _ = run_cli(["run", small_scenario, "--oracle"], capsys)
         assert code == cli.EXIT_OK
 
     def test_cap_counts_auto_sized_grid(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(peak_bytes(8192) - 1))
         path = blockless_fixture(tmp_path, "popper_freespace.json")
+        monkeypatch.setenv(cli.MAX_GRID_ENV, str(pass_bytes(path) - 1))
         code, _, err = run_cli(["run", path, "--oracle"], capsys)
         assert code == cli.EXIT_CONFIG
-        assert "8192x8192" in err and "58720256" in err
+        assert "n = 8192 over 1 mode " in err and "2355808" in err
 
     @pytest.mark.parametrize("command", [
         ["run", "scenario", "--oracle"],
@@ -641,7 +646,8 @@ class TestGridCap:
         code, out, err = run_cli(argv, capsys)
         assert code == cli.EXIT_CONFIG and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"{2 ** 60}x{2 ** 60}" in err and "physical memory cap" in err
+        assert f"n = {2 ** 60} over 1 mode " in err
+        assert "physical memory cap" in err
 
     def test_bad_cap_value(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.MAX_GRID_ENV, "lots")

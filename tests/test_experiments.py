@@ -16,7 +16,7 @@ import poppersim.grid_oracle as go
 from poppersim.errors import ConfigError, DomainError
 from poppersim.gaussian_core import PhysParams
 
-from conftest import BIG_OMEGA, NO_REFERENCE_CALLS
+from conftest import BIG_OMEGA, NO_REFERENCE_CALLS, traced_peak
 
 
 def scenario_doc(**overrides):
@@ -305,16 +305,16 @@ class TestStrekalovSweep:
             a_mm=a, omega_mm=omega, L1_mm=300.0, L2_mm=300.0,
             oracle={"n": grid.n, "extent_mm": grid.extent}))
         assert go._density_count(a, omega, grid) == count
-        tracemalloc.start()
-        try:
-            points = ex.run_strekalov_sweep(scenario, np.linspace(0.2, 1.0, steps),
-                                            use_oracle=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert all(p.error is None for p in points)
+
+        def sweep():
+            return ex.run_strekalov_sweep(
+                scenario, np.linspace(0.2, 1.0, steps), use_oracle=True)
+
+        assert all(p.error is None for p in sweep())
+        peak = traced_peak(sweep)
         assert peak < grid.n * grid.n * 16
-        assert peak <= grid.peak_bytes(steps)
+        model = go.peak_bytes(a, omega, grid, steps)
+        assert model / 2 <= peak <= model
 
     def test_sweep_holds_its_modes_twice(self):
         # the pass flies strekalov.json's 256 slit modes in place and writes

@@ -14,7 +14,7 @@ import poppersim.gaussian_core as gc
 import poppersim.grid_oracle as go
 from poppersim.errors import DomainError, ResolutionError
 
-from conftest import NO_REFERENCE_CALLS
+from conftest import NO_REFERENCE_CALLS, traced_peak
 
 SQRT_A2 = math.sqrt(0.043)
 
@@ -945,14 +945,10 @@ class TestGhostDoubleSlit:
         # criterion 9's guard holds its 20 point modes a few times over, no
         # full-width source block
         a, omega, slit, d1 = GHOST_LAYOUTS[name]
-        tracemalloc.start()
-        try:
-            go.ghost_double_slit(a, omega, GHOST_GRID, slit, 200.0, d1, 200.0,
-                                 params702)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < GHOST_GRID.peak_bytes(1 + 20)
+        model = go.peak_bytes(a, omega, GHOST_GRID, 1 + 20)
+        peak = traced_peak(lambda: go.ghost_double_slit(
+            a, omega, GHOST_GRID, slit, 200.0, d1, 200.0, params702))
+        assert model / 2 <= peak <= model
 
     @pytest.mark.parametrize("width, points", [(1.0, 103), (5.0, 511)])
     def test_wide_mask_peak_memory_within_model(self, params702, width,
@@ -963,14 +959,10 @@ class TestGhostDoubleSlit:
         slit = go.Aperture(kind="rect", full_width=width)
         mask = slit.sample(GHOST_GRID.y, GHOST_GRID.dy)
         assert np.count_nonzero(mask) == points
-        tracemalloc.start()
-        try:
-            go.ghost_double_slit(a, omega, GHOST_GRID, slit, 200.0, d1, 200.0,
-                                 params702)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= GHOST_GRID.peak_bytes(1 + points)
+        model = go.peak_bytes(a, omega, GHOST_GRID, 1 + points)
+        peak = traced_peak(lambda: go.ghost_double_slit(
+            a, omega, GHOST_GRID, slit, 200.0, d1, 200.0, params702))
+        assert model / 2 <= peak <= model
 
     def test_wide_mask_holds_its_modes_twice(self, params702):
         # the 5 mm slit's |S| = 511 point modes ride with the detector mode,
@@ -1005,6 +997,61 @@ class TestGhostDoubleSlit:
         with pytest.raises(ResolutionError, match="boundary"):
             go.ghost_double_slit(0.3, 0.5, go.GridSpec(n=512, extent=4.0), slit,
                                  0.0, 5000.0, 0.0, params702)
+
+
+def slits_case(a, omega, grid, epsilons, L1, beam_L, id):
+    """A peak-memory case: one pass over the slit-plane modes of Gaussian
+    slits of ``epsilons`` at L1, the modes built inside the call."""
+    def call(params):
+        slits = [go.Aperture(kind="gaussian", epsilon=eps) for eps in epsilons]
+        go.source_pass(a, omega, grid, params, L1, slit_modes(slits, grid),
+                       beam_L)
+    return pytest.param(a, omega, grid, len(epsilons), call, id=id)
+
+
+def ghost_case(slit, points, id):
+    """A peak-memory case: the ghost's pass over the detector mode and the
+    |S| = ``points`` point modes of ``slit``, and its d1 guard."""
+    a, omega, _, d1 = GHOST_LAYOUTS["entangled"]
+
+    def call(params):
+        go.ghost_double_slit(a, omega, GHOST_GRID, slit, 200.0, d1, 200.0,
+                             params)
+    return pytest.param(a, omega, GHOST_GRID, 1 + points, call, id=id)
+
+
+class TestPeakBytes:
+    @pytest.mark.parametrize("a, omega, grid, modes, call", [
+        # one Gaussian slit flown 500 mm and a beam flown 1000 mm over
+        # +-40 mm: D + 1 = 32 .. 1000
+        *[slits_case(SQRT_A2, 10.0, go.GridSpec(n=n, extent=40.0), [0.2],
+                     500.0, 1000.0, id=f"slit-{n}")
+          for n in (1024, 2048, 4096, 8192, 16384, 32768)],
+        # strekalov.json's sweep pass over its slits' half-widths
+        *[slits_case(0.04, 10.0, go.GridSpec(n=4096, extent=40.0),
+                     np.linspace(0.1, 0.5, steps), 600.0, None,
+                     id=f"strekalov-{steps}")
+          for steps in (5, 65, 256, 512)],
+        # every diagonal of rho kept, D + 1 = n = 512, and a wide band,
+        # D + 1 = 621 of 1024
+        slits_case(1.0, 0.3, go.GridSpec(n=512, extent=2.5), [0.3], 5.0,
+                   10.0, id="clipped-1"),
+        slits_case(1.0, 0.3, go.GridSpec(n=512, extent=2.5),
+                   np.linspace(0.1, 0.5, 64), 5.0, 10.0, id="clipped-64"),
+        slits_case(1.0, 0.3, go.GridSpec(n=1024, extent=5.0),
+                   np.linspace(0.1, 0.5, 256), 5.0, 10.0, id="wide-256"),
+        ghost_case(DOUBLE_SLIT, 20, id="ghost-20"),
+        ghost_case(WIDE_RECT, 103, id="ghost-103"),
+        ghost_case(go.Aperture(kind="rect", full_width=5.0), 511,
+                   id="ghost-511"),
+    ])
+    def test_traced_peak_within_model(self, params702, a, omega, grid, modes,
+                                      call):
+        # the model counts what each stage of the pass allocates: it bounds
+        # the traced peak, and the peak takes at least half of it
+        model = go.peak_bytes(a, omega, grid, modes)
+        peak = traced_peak(lambda: call(params702))
+        assert model / 2 <= peak <= model
 
 
 class TestDeterminism:
