@@ -238,13 +238,6 @@ def oracle_pass(scenario: Scenario, L1: float, apertures=(),
                           L1, modes, beam_L)
 
 
-def _detector_widths(cond: go.ConditionalAmplitude, L2: float,
-                     params: PhysParams) -> go.WidthResult:
-    """Widths of the conditional amplitude flown a further L2 to the detector."""
-    amp = go.propagate_amplitude(cond.amplitude, cond.dy, L2, params)
-    return go.intensity_widths(cond.y, np.abs(amp) ** 2, cond.dy)
-
-
 def _beam_fwhm(source: go.SourcePass) -> float:
     """All-counts FWHM of particle 2 from a pass's beam intensity."""
     w = go.intensity_widths(source.y, source.beam, source.dy)
@@ -293,11 +286,11 @@ def run_kim_shih(scenario: Scenario, use_oracle: bool = False) -> WidthReport:
     if use_oracle:
         slit = Aperture(kind="gaussian", epsilon=eps)
         source = oracle_pass(scenario, 0.0, [slit], beam_L=total)
-        cond = source.conditional(0)
-        report.ghost_image_width_mm.oracle = go.widths(cond).gaussian_equiv_W
-        report.coincidence_fwhm_mm.oracle = _detector_widths(cond, scenario.L2,
-                                                             params).fwhm
-        report.coincidence_weight = cond.weight
+        # the ghost image lies at the slit plane, the detector L2 past it
+        cond = go.conditionals(source)
+        report.ghost_image_width_mm.oracle = cond.widths(0).gaussian_equiv_W
+        report.coincidence_fwhm_mm.oracle = cond.fly(scenario.L2).widths(0).fwhm
+        report.coincidence_weight = float(cond.weight[0])
         # real slit: plain single-particle diffraction on the same grid
         phi = slit.sample(source.y, source.dy)
         amp_r = go.propagate_amplitude(phi, source.dy, scenario.L2, params)
@@ -339,10 +332,9 @@ def run_popper_freespace(scenario: Scenario, use_oracle: bool = False) -> WidthR
     if use_oracle:
         source = oracle_pass(scenario, scenario.L1,
                               [Aperture(kind="gaussian", epsilon=eps)], beam_L=total)
-        cond = source.conditional(0)
-        report.coincidence_fwhm_mm.oracle = _detector_widths(cond, scenario.L2,
-                                                             params).fwhm
-        report.coincidence_weight = cond.weight
+        cond = go.conditionals(source).fly(scenario.L2)
+        report.coincidence_fwhm_mm.oracle = cond.widths(0).fwhm
+        report.coincidence_weight = float(cond.weight[0])
         report.beam_fwhm_mm.oracle = _beam_fwhm(source)
     return report
 
@@ -357,8 +349,9 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
     failures are isolated into the points' ``error`` fields: a slit the
     grid does not resolve (``Aperture.check_resolved``) is flagged and left
     out of the pass, a failure of the pass lands in every point it holds,
-    and a failure after it in its own point.  Both arms are free-space
-    widths, so a lens layout is refused.
+    and a row's failure in ``grid_oracle.conditionals``, which flies every
+    point at once, in its own point.  Both arms are free-space widths, so a
+    lens layout is refused.
     """
     if scenario.lens is not None:
         raise ConfigError("sweep is defined for the free-space layout; "
@@ -400,10 +393,10 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
         for point in resolved:
             point.error = str(exc)
         return points
+    cond = go.conditionals(source).fly(scenario.L2)
     for k, point in enumerate(resolved):
         try:
-            point.fwhm_oracle_mm = _detector_widths(
-                source.conditional(k), scenario.L2, scenario.params).fwhm
+            point.fwhm_oracle_mm = cond.widths(k).fwhm
         except (DomainError, ResolutionError) as exc:
             point.error = str(exc)
     return points

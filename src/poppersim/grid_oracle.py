@@ -21,9 +21,10 @@ and for the ghost double slit, a point detector d1 behind a mask at L1, it
 is mask * fly(conj(point), d1).  The pass flies its K modes back over L1 in
 place and writes their projections into the same buffer, so beside that
 buffer the pass holds only the modes' real and imaginary products: two
-K x n complex arrays' worth.  The source is real and closed-form per sample, so one pass
-over row blocks of it gives every conditional amplitude and particle 2's
-marginals without an n x n buffer.
+K x n complex arrays' worth, and ``conditionals`` flies them all on in it,
+one flight a distance.  The source is real and closed-form per sample, so
+one pass over row blocks of it gives every conditional amplitude and
+particle 2's marginals without an n x n buffer.
 The n x n route the pass replaced is kept only as the tests' reference
 (``tests/nxn_reference.py``), which every parity test compares the pass
 against.
@@ -98,7 +99,7 @@ exp(-y^2/(eps^2 + i*Lambda*L)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,16 +203,6 @@ class Aperture:
         if norm == 0.0:
             raise ResolutionError("aperture has no support on this grid")
         return phi.astype(complex) / norm
-
-
-@dataclass
-class ConditionalAmplitude:
-    """Particle-2 amplitude after conditioning, plus the coincidence fraction."""
-
-    y: np.ndarray
-    amplitude: np.ndarray
-    dy: float
-    weight: float
 
 
 @dataclass
@@ -360,17 +351,24 @@ def _source_blocks(tables: SourceTables):
         yield rows, cols, band
 
 
+def _tail_failures(prob: np.ndarray) -> dict[int, ResolutionError]:
+    """{row: error} for the probability profiles along the last axis of
+    ``prob`` (a 1-D one is row 0) whose outer bands hold more than
+    TAIL_PROB_LIMIT of their total: spectral flight has wrapped them."""
+    rows = prob.reshape(-1, prob.shape[-1])
+    band = max(1, int(round(TAIL_BAND_FRACTION * rows.shape[1])))
+    tail = np.sum(rows[:, :band], axis=1) + np.sum(rows[:, -band:], axis=1)
+    total = np.sum(rows, axis=1)
+    return {int(k): ResolutionError(
+        f"propagated state reaches the domain boundary (tail probability "
+        f"{tail[k] / total[k]:.3g} > {TAIL_PROB_LIMIT}); enlarge the extent")
+        for k in np.flatnonzero(tail > TAIL_PROB_LIMIT * total)}
+
+
 def _check_tails(prob: np.ndarray):
-    """Refuse a 1-D probability profile whose outer bands hold more than
-    TAIL_PROB_LIMIT of its total: spectral flight has wrapped it around."""
-    band = max(1, int(round(TAIL_BAND_FRACTION * prob.size)))
-    tail = float(np.sum(prob[:band]) + np.sum(prob[-band:]))
-    total = float(np.sum(prob))
-    if tail > TAIL_PROB_LIMIT * total:
-        raise ResolutionError(
-            f"propagated state reaches the domain boundary (tail probability "
-            f"{tail / total:.3g} > {TAIL_PROB_LIMIT}); enlarge the extent"
-        )
+    """Refuse a 1-D profile that ``_tail_failures`` flags."""
+    for error in _tail_failures(prob).values():
+        raise error
 
 
 def _flight_phase(n: int, dy: float, L: float, params: PhysParams) -> np.ndarray:
@@ -402,16 +400,6 @@ def propagate_amplitude(amp: np.ndarray, dy: float, L: float,
     return out
 
 
-def _conditional(y: np.ndarray, phi2: np.ndarray, dy: float) -> ConditionalAmplitude:
-    """Renormalize a conditioned particle-2 amplitude; its squared norm is the
-    coincidence weight."""
-    weight = float(np.sum(np.abs(phi2) ** 2) * dy)
-    if weight < 1e-12:
-        raise DomainError(f"degenerate conditioning: coincidence weight {weight:.3g}")
-    return ConditionalAmplitude(y=y, amplitude=phi2 / math.sqrt(weight), dy=dy,
-                                weight=weight)
-
-
 @dataclass
 class SourcePass:
     """What one :func:`source_pass` over the source yields.
@@ -436,12 +424,35 @@ class SourcePass:
     slit_plane: np.ndarray
     beam: np.ndarray | None
 
-    def conditional(self, k: int) -> ConditionalAmplitude:
-        """Mode k's conditional amplitude of particle 2 at the slit plane:
-        its projection flown forward over L1, tail-checked, then weighed."""
-        phi2 = propagate_amplitude(self.projections[k], self.dy, self.L1,
-                                   self.params)
-        return _conditional(self.y, phi2, self.dy)
+
+@dataclass
+class ConditionalAmplitudes:
+    """Particle 2's amplitudes conditioned on each slit-plane mode of a pass
+    (:func:`conditionals`), normalized, one row each in the pass's buffer,
+    with their coincidence weights; ``failures`` maps a failed row to the
+    first error it hit."""
+
+    y: np.ndarray
+    dy: float
+    params: PhysParams
+    amplitude: np.ndarray
+    weight: np.ndarray
+    failures: dict[int, Exception]
+
+    def fly(self, L: float) -> ConditionalAmplitudes:
+        """Fly every row a further L >= 0 in place and tail-check it."""
+        fly(self.amplitude, self.dy, L, self.params)
+        if L > 0:
+            for k, error in _tail_failures(np.abs(self.amplitude) ** 2).items():
+                self.failures.setdefault(k, error)
+        return self
+
+    def widths(self, k: int) -> WidthResult:
+        """Width measures of |row k|^2, or row k's first failure raised."""
+        if k in self.failures:
+            raise self.failures[k]
+        return intensity_widths(self.y, np.abs(self.amplitude[k]) ** 2,
+                                self.dy)
 
 
 def _diagonal_scale(a: float, omega: float) -> float:
@@ -592,7 +603,8 @@ def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int) -> int:
     tests hold traced peaks between half the model and the model.
 
     - The modes, flown in place and overwritten by their projections, and
-      their real and imaginary products: 4 K n values.
+      their real and imaginary products: 4 K n values, which cover
+      :func:`conditionals`' K x n real intensity too.
     - The block walk: the band of a block and the next one being generated,
       64 x w values each with w = min(n, 64 + 2 R) columns, the block's
       2 K x 64 stacked modes and their 2 K x w product, and the source's two
@@ -648,9 +660,11 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     to particle 2's intensity over L1 and, when given, over ``beam_L``: once
     per distinct nonzero distance, whatever K, so with ``beam_L == L1`` the
     two are one array.  An intensity over L = 0 is the source-plane
-    intensity.  Every intensity is tail-checked.  ``peak_bytes`` models the
-    pass's peak memory from these arrays.
+    intensity.  Every intensity is tail-checked; a negative distance is
+    refused.  ``peak_bytes`` models the pass's peak memory from these arrays.
     """
+    if L1 < 0 or (beam_L is not None and beam_L < 0):
+        raise DomainError("propagation distances must be >= 0")
     _check_source(a, omega, grid)
     n, dy, y = grid.n, grid.dy, grid.y
     tables = source_tables(a, omega, grid)
@@ -695,6 +709,26 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                       beam=None if beam_L is None else intensities[beam_L])
 
 
+def conditionals(source: SourcePass) -> ConditionalAmplitudes:
+    """Particle 2's conditional amplitudes at the slit plane: every
+    projection of ``source`` flown over L1 in place in one ``fly``, then
+    tail-checked, weighed and normalized.  A row whose flight wraps, or
+    whose weight is below 1e-12, keeps that failure unnormalized."""
+    rows = fly(source.projections, source.dy, source.L1, source.params)
+    prob = np.abs(rows) ** 2
+    failures = _tail_failures(prob) if source.L1 > 0 else {}
+    weight = np.sum(prob, axis=1) * source.dy
+    del prob
+    for k in np.flatnonzero(weight < 1e-12):
+        failures.setdefault(int(k), DomainError(
+            f"degenerate conditioning: coincidence weight {weight[k]:.3g}"))
+    scale = np.sqrt(weight)
+    scale[list(failures)] = 1.0
+    rows /= scale[:, None]
+    return ConditionalAmplitudes(source.y, source.dy, source.params, rows,
+                                 weight, failures)
+
+
 def _local_maxima(intensity: np.ndarray, floor: float) -> np.ndarray:
     left = intensity[1:-1] > intensity[:-2]
     right = intensity[1:-1] >= intensity[2:]
@@ -736,12 +770,6 @@ def intensity_widths(y: np.ndarray, intensity: np.ndarray,
     y_hi = _half_crossing(y, intensity, i_peak, half, +1)
     return WidthResult(rms=rms, fwhm=float(y_hi - y_lo),
                        gaussian_equiv_W=2.0 * rms)
-
-
-def widths(amplitude: ConditionalAmplitude) -> WidthResult:
-    """Width measures of |amplitude|^2."""
-    return intensity_widths(amplitude.y, np.abs(amplitude.amplitude) ** 2,
-                            amplitude.dy)
 
 
 @dataclass
@@ -803,18 +831,18 @@ def _ghost_pass(a: float, omega: float, grid: GridSpec, slit: Aperture,
     modes[0] = mask * fly(np.conj(point), dy, d1, params)
     modes[1 + rows, support] = 1.0
     source = source_pass(a, omega, grid, params, L1, modes)
+    # the pattern reads the detector mode's projection alone
+    source.projections = modes[:1]
     amp = modes[1:]
     amp *= mask[support, None]
     gram = amp @ amp.conj().T
-    # the pattern reads the detector mode's projection alone
-    source = replace(source, projections=modes[:1].copy())
-    del modes, amp
-    # the point kernels K_j, flown in place and conjugated in place
-    kernels = np.zeros((support.size, n), dtype=complex)
-    kernels[rows, support] = 1.0
-    fly(kernels, dy, d1, params)
-    return source, np.einsum("sx,sx->x", gram.T @ kernels,
-                             np.conj(kernels, out=kernels)).real
+    # the point kernels K_j take the points' rows, flown in place and
+    # conjugated in place
+    amp[:] = 0.0
+    amp[rows, support] = 1.0
+    fly(amp, dy, d1, params)
+    return source, np.einsum("sx,sx->x", gram.T @ amp,
+                             np.conj(amp, out=amp)).real
 
 
 def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
@@ -826,7 +854,7 @@ def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
     flies a further d1, and is point-detected on axis; particle 2 then flies
     L2 to its detector.  One :func:`source_pass` conditions the source on
     the chain's slit-plane mode mask * fly(conj(point), d1), which the pass
-    flies back over L1.
+    flies back over L1.  A negative distance is refused.
 
     The d1 leg's guard is particle 1's real intensity behind the mask m,
     flown d1 and summed over particle 2 (the back-flown modes spread over
@@ -839,24 +867,21 @@ def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
     samples left out move its total by at most 2^-99/sqrt(q) + 2^-200/q of
     itself, q the mask's transmitted share over max|m|^2.  It holds C and at
     most two arrays of |S| + 1 rows of n complex values: A is taken in place
-    in the buffer the pass returns its projections in, and the kernels K are
-    flown and conjugated in place.  ``peak_bytes`` over |S| + 1 modes counts
-    the pass and C: traced on n = 2048, criterion 9's double slits
-    (|S| = 20) peak at 2.2 and 3.7 MB against 2.4 and 5.0 MB modelled, and
-    a 5 mm rect (|S| = 511) at 37.9 MB against 40.3 MB.
+    in the buffer the pass returns its projections in, and the kernels K
+    then take A's rows, flown and conjugated in place.  ``peak_bytes`` over
+    |S| + 1 modes counts the pass and C.
     """
-    if L1 < 0 or d1 < 0:
+    if L1 < 0 or d1 < 0 or L2 < 0:
         raise DomainError("propagation distances must be >= 0")
     y, dy = grid.y, grid.dy
     source, guard = _ghost_pass(a, omega, grid, slit, L1, d1, params)
     if d1 > 0:
         _check_tails(guard)
-    cond = source.conditional(0)
-    amp = propagate_amplitude(cond.amplitude, cond.dy, L2, params)
-    intensity = np.abs(amp) ** 2
+    cond = conditionals(source).fly(L2)
+    env = cond.widths(0)
+    intensity = np.abs(cond.amplitude[0]) ** 2
     spacing, visibility = fringe_metrics(y, intensity)
-    env = intensity_widths(y, intensity, dy)
     return GhostPattern(y=y, intensity=intensity, dy=dy,
-                        weight=cond.weight, fringe_spacing=spacing,
+                        weight=float(cond.weight[0]), fringe_spacing=spacing,
                         visibility=visibility,
                         envelope_fwhm=2.0 * env.rms * FWHM_FACTOR)

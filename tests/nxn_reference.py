@@ -19,12 +19,10 @@ from poppersim.errors import DomainError
 from poppersim.gaussian_core import FWHM_FACTOR, PhysParams
 from poppersim.grid_oracle import (
     Aperture,
-    ConditionalAmplitude,
     GhostPattern,
     GridSpec,
     _check_source,
     _check_tails,
-    _conditional,
     _flight_phase,
     _source_blocks,
     fringe_metrics,
@@ -48,6 +46,20 @@ class GridState:
 
     def norm(self) -> float:
         return float(np.sum(np.abs(self.psi) ** 2) * self.dy * self.dy)
+
+
+@dataclass
+class ConditionalAmplitude:
+    """Particle-2 amplitude after conditioning, plus the coincidence fraction."""
+
+    y: np.ndarray
+    amplitude: np.ndarray
+    dy: float
+    weight: float
+
+    def widths(self):
+        """Width measures of |amplitude|^2."""
+        return intensity_widths(self.y, np.abs(self.amplitude) ** 2, self.dy)
 
 
 def build_grid_state(a: float, omega: float, grid: GridSpec) -> GridState:
@@ -96,7 +108,12 @@ def condition(state: GridState, aperture: Aperture) -> ConditionalAmplitude:
     fraction (the squared norm before renormalization).
     """
     phi1 = aperture.sample(state.y, state.dy)
-    return _conditional(state.y, (np.conj(phi1) @ state.psi) * state.dy, state.dy)
+    phi2 = (np.conj(phi1) @ state.psi) * state.dy
+    weight = float(np.sum(np.abs(phi2) ** 2) * state.dy)
+    if weight < 1e-12:
+        raise DomainError(f"degenerate conditioning: coincidence weight {weight:.3g}")
+    return ConditionalAmplitude(y=state.y, amplitude=phi2 / math.sqrt(weight),
+                                dy=state.dy, weight=weight)
 
 
 def marginal_intensity(state: GridState, particle: int = 2) -> np.ndarray:

@@ -36,13 +36,14 @@ def load_scenario(name):
 
 def conditional_on_pass(a, omega, grid, L1, epsilon, beam_L=None):
     """One oracle pass over a free-space layout on ``grid``, conditioned on
-    a Gaussian slit of ``epsilon`` at L1: (the pass, the conditional)."""
+    a Gaussian slit of ``epsilon`` at L1: (the pass, its conditional
+    amplitudes at the slit plane, one row)."""
     scenario = ex.Scenario(name="layout", params=PARAMS, a=a, omega=omega,
                            slit=None, lens=None, L1=L1, L2=0.0, oracle=grid)
     source = ex.oracle_pass(scenario, L1,
                             [go.Aperture(kind="gaussian", epsilon=epsilon)],
                             beam_L)
-    return source, source.conditional(0)
+    return source, go.conditionals(source)
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +135,7 @@ def test_criterion_6_split_invariance(capsys):
     def oracle_fwhm(L1, L2):
         grid = go.GridSpec(n=2048, extent=48.0)
         _, cond = conditional_on_pass(0.1, 15.0, grid, L1, 0.1)
-        amp = go.propagate_amplitude(cond.amplitude, cond.dy, L2, PARAMS)
-        return go.intensity_widths(cond.y, np.abs(amp) ** 2, cond.dy).fwhm
+        return cond.fly(L2).widths(0).fwhm
 
     dev_or = abs(oracle_fwhm(900.0, 0.0) / oracle_fwhm(450.0, 900.0) - 1.0)
     ok = dev_an < 1e-8 and dev_or < 0.005
@@ -161,9 +161,7 @@ def test_criterion_7_no_extra_spread(capsys):
                            extent=max(8.0 * rms, go.required_extent(a, omega)))
         source, cond = conditional_on_pass(a, omega, grid, L1, eps,
                                            beam_L=L1 + L2)
-        amp = go.propagate_amplitude(cond.amplitude, cond.dy, L2, PARAMS)
-        coincidence = go.intensity_widths(cond.y, np.abs(amp) ** 2,
-                                          cond.dy).fwhm
+        coincidence = cond.fly(L2).widths(0).fwhm
         beam = go.intensity_widths(source.y, source.beam, source.dy).fwhm
         if coincidence > beam:
             violations += 1
@@ -215,7 +213,7 @@ def test_criterion_10_oracle_fidelity(capsys):
     def conditional_width(n):
         grid = go.GridSpec(n=n, extent=12.0)
         _, cond = conditional_on_pass(math.sqrt(0.043), 2.0, grid, 500.0, 0.065)
-        return go.widths(cond).gaussian_equiv_W
+        return cond.widths(0).gaussian_equiv_W
 
     gamma = gc.condition_on_gaussian_slit(
         gc.make_epr_state(math.sqrt(0.043), 2.0),

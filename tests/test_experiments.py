@@ -280,6 +280,30 @@ class TestStrekalovSweep:
             assert many.fwhm_oracle_mm == pytest.approx(one.fwhm_oracle_mm,
                                                         rel=1e-12)
 
+    def test_sweep_builds_fixed_phase_tables(self, monkeypatch):
+        # every conditional of a sweep flies over L1 and L2 in one batched
+        # stage, so a 130-point sweep builds as many flight-phase tables as a
+        # 5-point one: the pass's mode flight and particle 2's flight, then
+        # one for each of the stage's two flights
+        tables = []
+        flight_phase = go._flight_phase
+
+        def spy(*args, **kwargs):
+            tables.append(args)
+            return flight_phase(*args, **kwargs)
+
+        monkeypatch.setattr(go, "_flight_phase", spy)
+        scenario = ex.Scenario.from_dict(scenario_doc(
+            L1_mm=300.0, L2_mm=300.0, oracle={"n": 512, "extent_mm": 16.0}))
+        counts = []
+        for steps in (5, 130):
+            tables.clear()
+            points = ex.run_strekalov_sweep(
+                scenario, list(np.linspace(0.2, 1.0, steps)), use_oracle=True)
+            assert all(p.error is None for p in points)
+            counts.append(len(tables))
+        assert counts == [4, 4]
+
     @pytest.mark.parametrize("steps, a, omega, grid, count", [
         # D + 1 diagonals of rho: 366 of 1024, 253 and 2659 of 8192, and all
         # 1024 of 1024, the count clipped at n

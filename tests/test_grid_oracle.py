@@ -5,6 +5,7 @@ reference route (``nxn_reference``)."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -160,14 +161,14 @@ class TestCondition:
             gc.make_epr_state(SQRT_A2, 2.0),
             gc.SlitSpec(kind="gaussian", epsilon=0.065),
             gc.PropagationLeg(500.0), params702)
-        got = go.widths(cond).gaussian_equiv_W
+        got = cond.widths().gaussian_equiv_W
         assert got == pytest.approx(gc.intensity_width(gamma), rel=1e-3)
 
     def test_separable_state_conditional_is_marginal(self, params702):
         grid = go.GridSpec(n=512, extent=4.0)
         state = ref.build_grid_state(1.0, 0.5, grid)
         cond = ref.condition(state, go.Aperture(kind="rect", full_width=0.3))
-        w_cond = go.widths(cond).gaussian_equiv_W
+        w_cond = cond.widths().gaussian_equiv_W
         w_marg = go.intensity_widths(state.y, ref.marginal_intensity(state, 2),
                                      state.dy).gaussian_equiv_W
         assert w_cond == pytest.approx(w_marg, rel=1e-3)
@@ -178,7 +179,7 @@ class TestCondition:
         grid = go.GridSpec(n=2048, extent=12.0)
         state = ref.build_grid_state(SQRT_A2, 2.0, grid)
         cond = ref.condition(state, go.Aperture(kind="rect", full_width=0.16))
-        w = go.widths(cond).gaussian_equiv_W
+        w = cond.widths().gaussian_equiv_W
         beam = go.intensity_widths(state.y, ref.marginal_intensity(state, 2),
                                    state.dy).gaussian_equiv_W
         assert 0.08 < w < beam
@@ -420,15 +421,13 @@ class TestSourcePass:
         want = ref.condition(at_slit, slit)
         source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
                                 L1, slit_modes([slit], PARITY_GRID))
-        got = source.conditional(0)
-        assert max_rel(got.amplitude, want.amplitude) <= 1e-12
-        assert got.weight == pytest.approx(want.weight, rel=1e-12, abs=0)
-
-        def fwhm(cond):
-            amp = go.propagate_amplitude(cond.amplitude, cond.dy, L2, params702)
-            return go.intensity_widths(cond.y, np.abs(amp) ** 2, cond.dy).fwhm
-
-        assert fwhm(got) == pytest.approx(fwhm(want), rel=1e-12, abs=0)
+        got = go.conditionals(source)
+        assert max_rel(got.amplitude[0], want.amplitude) <= 1e-12
+        assert got.weight[0] == pytest.approx(want.weight, rel=1e-12, abs=0)
+        amp = go.propagate_amplitude(want.amplitude, want.dy, L2, params702)
+        fwhm = go.intensity_widths(want.y, np.abs(amp) ** 2, want.dy).fwhm
+        assert got.fly(L2).widths(0).fwhm == pytest.approx(fwhm, rel=1e-12,
+                                                           abs=0)
 
     @pytest.mark.parametrize("L1", [300.0, 0.0])
     def test_marginals_match_reference(self, params702, L1):
@@ -737,6 +736,20 @@ class TestSourcePass:
         peaks = np.max(np.abs(sliced), axis=1)
         assert np.all(np.max(np.abs(whole - sliced), axis=1) <= 1e-15 * peaks)
 
+    @pytest.mark.parametrize("call", [
+        lambda params: go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
+                                      params, -300.0),
+        lambda params: go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
+                                      params, 300.0, beam_L=-300.0),
+        lambda params: go.ghost_double_slit(
+            PARITY_A, PARITY_OMEGA, PARITY_GRID, DOUBLE_SLIT, 300.0, 50.0,
+            -300.0, params)], ids=["L1", "beam_L", "ghost-L2"])
+    def test_negative_distance_refused(self, params702, call):
+        # a negative distance is refused, not read as no flight
+        with pytest.raises(DomainError,
+                           match=r"^propagation distances must be >= 0$"):
+            call(params702)
+
     def test_build_guards_apply(self, params702):
         with pytest.raises(ResolutionError, match="step"):
             go.source_pass(0.01, 1.0, go.GridSpec(n=256, extent=8.0), params702, 0.0)
@@ -749,6 +762,65 @@ class TestSourcePass:
                                match=r"too coarse.*\(n >= 16384 on this extent\)"):
                 go._check_source(0.01, 4.0, go.GridSpec(n=n, extent=40.0))
         go._check_source(0.01, 4.0, go.GridSpec(n=16384, extent=40.0))
+
+
+def isolation_modes(grid):
+    """Three slit-plane modes: Gaussian slits of 0.5 and 1 mm around a point
+    on axis, whose conditional is narrow enough to wrap over 8 m."""
+    modes = np.zeros((3, grid.n), dtype=complex)
+    modes[[0, 2]] = slit_modes([go.Aperture(kind="gaussian", epsilon=eps)
+                                for eps in (0.5, 1.0)], grid)
+    modes[1, grid.n // 2] = 1.0
+    return modes
+
+
+class TestConditionals:
+    def test_wrapped_row_isolated(self, params702):
+        # over L2 = 8 m only the point's conditional reaches the boundary of
+        # +-16 mm: its row alone keeps the tail check's error, and the other
+        # rows are those of one-mode passes, bit for bit
+        L1, L2 = 300.0, 8000.0
+
+        def stage(modes):
+            source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
+                                    params702, L1, modes)
+            return go.conditionals(source)
+
+        modes = isolation_modes(PARITY_GRID)
+        point = stage(modes[1:2].copy())
+        cond = stage(modes.copy()).fly(L2)
+        assert list(cond.failures) == [1]
+        with pytest.raises(ResolutionError, match="boundary") as wrapped:
+            go.propagate_amplitude(point.amplitude[0], PARITY_GRID.dy, L2,
+                                   params702)
+        with pytest.raises(ResolutionError) as got:
+            cond.widths(1)
+        assert str(got.value) == str(wrapped.value)
+        for k in (0, 2):
+            one = stage(modes[k:k + 1].copy()).fly(L2)
+            assert not one.failures
+            assert np.array_equal(cond.amplitude[k], one.amplitude[0])
+            assert cond.weight[k] == one.weight[0]
+            assert cond.widths(k) == one.widths(0)
+
+    def test_degenerate_row_left_unnormalized(self, params702):
+        # a mode with no overlap has weight 0: its row keeps the degenerate
+        # error, is not divided by its zero norm, and warns of nothing
+        modes = isolation_modes(PARITY_GRID)
+        modes[1] = 0.0
+        source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
+                                params702, 300.0, modes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cond = go.conditionals(source).fly(300.0)
+        assert list(cond.failures) == [1]
+        assert cond.weight[1] == 0.0
+        assert not np.any(cond.amplitude[1])
+        with pytest.raises(DomainError, match="degenerate"):
+            cond.widths(1)
+        for k in (0, 2):
+            assert np.sum(np.abs(cond.amplitude[k]) ** 2) * PARITY_GRID.dy \
+                == pytest.approx(1.0, abs=1e-12)
 
 
 # frozen from the first run of test_rect_aperture_regression (n=2048,
@@ -1062,7 +1134,7 @@ class TestDeterminism:
         def run():
             source = go.source_pass(0.3, 1.0, grid, params702, 300.0,
                                     slit_modes([slit], grid))
-            return source.conditional(0).amplitude
+            return go.conditionals(source).fly(300.0).amplitude
 
         a, b = run(), run()
         assert np.array_equal(a, b)
