@@ -322,7 +322,7 @@ def cmd_oracle_check(args) -> int:
                             [go.Aperture(kind="gaussian", epsilon=eps)])
     # the source norm against its norm flown over L1, both from the one pass
     drift = abs(float(np.sum(source.slit_plane)) * source.dy / source.norm - 1.0)
-    w_cond = go.conditionals(source).widths(0)
+    w_cond = source.widths(0)
     gamma = gc.condition_on_gaussian_slit(
         gc.make_epr_state(scenario.a, scenario.omega),
         gc.SlitSpec(kind="gaussian", epsilon=eps),

@@ -227,15 +227,9 @@ def oracle_grid(scenario: Scenario, slit_full_widths=None) -> GridSpec:
 def oracle_pass(scenario: Scenario, L1: float, apertures=(),
                 beam_L: float | None = None) -> go.SourcePass:
     """One :func:`grid_oracle.source_pass` over ``scenario``'s source on its
-    oracle grid, conditioned on ``apertures`` at the slit plane L1: on their
-    slit-plane modes conj(phi), one row each, which the pass flies back
-    over L1 in place."""
-    grid = oracle_grid(scenario)
-    modes = np.empty((len(apertures), grid.n), dtype=complex)
-    for k, aperture in enumerate(apertures):
-        modes[k] = np.conj(aperture.sample(grid.y, grid.dy))
-    return go.source_pass(scenario.a, scenario.omega, grid, scenario.params,
-                          L1, modes, beam_L)
+    oracle grid, conditioned on ``apertures`` at the slit plane L1."""
+    return go.source_pass(scenario.a, scenario.omega, oracle_grid(scenario),
+                          scenario.params, L1, apertures, beam_L)
 
 
 def _beam_fwhm(source: go.SourcePass) -> float:
@@ -287,10 +281,10 @@ def run_kim_shih(scenario: Scenario, use_oracle: bool = False) -> WidthReport:
         slit = Aperture(kind="gaussian", epsilon=eps)
         source = oracle_pass(scenario, 0.0, [slit], beam_L=total)
         # the ghost image lies at the slit plane, the detector L2 past it
-        cond = go.conditionals(source)
-        report.ghost_image_width_mm.oracle = cond.widths(0).gaussian_equiv_W
-        report.coincidence_fwhm_mm.oracle = cond.fly(scenario.L2).widths(0).fwhm
-        report.coincidence_weight = float(cond.weight[0])
+        report.ghost_image_width_mm.oracle = source.widths(0).gaussian_equiv_W
+        source.fly(scenario.L2)
+        report.coincidence_fwhm_mm.oracle = source.widths(0).fwhm
+        report.coincidence_weight = float(source.weight[0])
         # real slit: plain single-particle diffraction on the same grid
         phi = slit.sample(source.y, source.dy)
         amp_r = go.propagate_amplitude(phi, source.dy, scenario.L2, params)
@@ -332,9 +326,9 @@ def run_popper_freespace(scenario: Scenario, use_oracle: bool = False) -> WidthR
     if use_oracle:
         source = oracle_pass(scenario, scenario.L1,
                               [Aperture(kind="gaussian", epsilon=eps)], beam_L=total)
-        cond = go.conditionals(source).fly(scenario.L2)
-        report.coincidence_fwhm_mm.oracle = cond.widths(0).fwhm
-        report.coincidence_weight = float(cond.weight[0])
+        source.fly(scenario.L2)
+        report.coincidence_fwhm_mm.oracle = source.widths(0).fwhm
+        report.coincidence_weight = float(source.weight[0])
         report.beam_fwhm_mm.oracle = _beam_fwhm(source)
     return report
 
@@ -349,9 +343,8 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
     failures are isolated into the points' ``error`` fields: a slit the
     grid does not resolve (``Aperture.check_resolved``) is flagged and left
     out of the pass, a failure of the pass lands in every point it holds,
-    and a row's failure in ``grid_oracle.conditionals``, which flies every
-    point at once, in its own point.  Both arms are free-space widths, so a
-    lens layout is refused.
+    and a row's failure, as the pass flies every point at once, in its own
+    point.  Both arms are free-space widths, so a lens layout is refused.
     """
     if scenario.lens is not None:
         raise ConfigError("sweep is defined for the free-space layout; "
@@ -393,10 +386,10 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
         for point in resolved:
             point.error = str(exc)
         return points
-    cond = go.conditionals(source).fly(scenario.L2)
+    source.fly(scenario.L2)
     for k, point in enumerate(resolved):
         try:
-            point.fwhm_oracle_mm = cond.widths(k).fwhm
+            point.fwhm_oracle_mm = source.widths(k).fwhm
         except (DomainError, ResolutionError) as exc:
             point.error = str(exc)
     return points

@@ -12,8 +12,9 @@ flight and an aperture mask are each their own transpose on the periodic
 grid.  So conditioning particle 1, after a chain of them, on a detector mode
 phi equals conditioning the source on the chain applied to conj(phi) in
 reverse order, then flying the 1-D result over particle 2's own legs.  The
-caller builds the chain up to the slit plane L1, a slit-plane mode, and the
-pass flies it the last leg back.  For a slit at L1 the mode is conj(phi):
+pass builds the chain up to the slit plane L1 from each of particle 1's
+apertures, one slit-plane mode each, and flies it the last leg back.  For a slit at L1 the
+mode is conj(phi):
 
     condition(evolve(psi, L1, L1), phi) = fly(fly(conj(phi), L1) @ psi, L1),
 
@@ -21,10 +22,10 @@ and for the ghost double slit, a point detector d1 behind a mask at L1, it
 is mask * fly(conj(point), d1).  The pass flies its K modes back over L1 in
 place and writes their projections into the same buffer, so beside that
 buffer the pass holds only the modes' real and imaginary products: two
-K x n complex arrays' worth, and ``conditionals`` flies them all on in it,
-one flight a distance.  The source is real and closed-form per sample, so
-one pass over row blocks of it gives every conditional amplitude and
-particle 2's marginals without an n x n buffer.
+K x n complex arrays' worth, and it flies the projections on in the same
+buffer, one flight a distance.  The source is real and closed-form per
+sample, so one pass over row blocks of it gives every conditional amplitude
+and particle 2's marginals without an n x n buffer.
 The n x n route the pass replaced is kept only as the tests' reference
 (``tests/nxn_reference.py``), which every parity test compares the pass
 against.
@@ -410,36 +411,25 @@ class SourcePass:
     source-plane intensity over a distance of 0 (``beam`` is None without
     one, and ``slit_plane`` itself when the beam lies at L1); each integrates
     to its flown norm.
-    ``projections[k]`` is particle 2's amplitude at the source plane,
-    conditioned on particle 1's slit-plane mode k, for the normalized
-    source; it is the buffer of the modes the pass was given.
+    ``amplitude[k]`` is particle 2's amplitude at the slit plane, normalized,
+    conditioned on particle 1's detector mode k, and ``weight[k]`` its
+    coincidence weight; ``failures`` maps a failed row to the first error it
+    hit.  ``guard`` is the profile of a d1 leg's guard, unnormalized, and
+    None without one.
     """
 
     y: np.ndarray
     dy: float
-    L1: float
     params: PhysParams
     norm: float
-    projections: np.ndarray
     slit_plane: np.ndarray
     beam: np.ndarray | None
-
-
-@dataclass
-class ConditionalAmplitudes:
-    """Particle 2's amplitudes conditioned on each slit-plane mode of a pass
-    (:func:`conditionals`), normalized, one row each in the pass's buffer,
-    with their coincidence weights; ``failures`` maps a failed row to the
-    first error it hit."""
-
-    y: np.ndarray
-    dy: float
-    params: PhysParams
     amplitude: np.ndarray
     weight: np.ndarray
     failures: dict[int, Exception]
+    guard: np.ndarray | None
 
-    def fly(self, L: float) -> ConditionalAmplitudes:
+    def fly(self, L: float) -> SourcePass:
         """Fly every row a further L >= 0 in place and tail-check it."""
         fly(self.amplitude, self.dy, L, self.params)
         if L > 0:
@@ -521,14 +511,12 @@ def _diagonal_chunk(e: np.ndarray, h: np.ndarray, first: int,
     grid and are not its self-mirrored edge (module docstring), and 0.0
     elsewhere."""
     m, n = out.shape
-    item = h.itemsize
-    # H(2 j + d) for row d - first and column j
-    view = np.ndarray((m, n), float, h, first * item, (item, 2 * item))
-    np.multiply(view, e[first:first + m, None], out=out)
-    out[:, 0] = 0.0
     for row, d in enumerate(range(first, first + m)):
+        # H(2 j + d) for column j
+        np.multiply(h[d:d + 2 * n:2], e[d], out=out[row])
         # rho(j, j + d) with j + d >= n is off the grid
         out[row, n - d:] = 0.0
+    out[:, 0] = 0.0
     return out
 
 
@@ -594,61 +582,65 @@ def _density_flights(a: float, omega: float, grid: GridSpec, flights,
     return [np.fft.irfft(spectrum, n) for spectrum in spectra]
 
 
-def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int) -> int:
-    """Modelled peak memory of a :func:`source_pass` over K = ``modes``
-    slit-plane modes on ``grid``, and of the ghost guard that follows a pass
-    over its points: the sum of what each stage allocates, 8 bytes a real
-    value.  The stages do not hold their arrays all at once, so the sum
-    bounds the peak with room for each stage's one-axis transients; the
-    tests hold traced peaks between half the model and the model.
+def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int,
+               points: int = 0) -> int:
+    """Modelled peak memory of a :func:`source_pass` on ``grid`` over
+    K = ``modes`` detector modes and the |S| = ``points`` point modes of a d1
+    leg's guard, with its Gram: the sum of what each stage allocates,
+    8 bytes a real value.  The stages do not hold their arrays all at once,
+    so the sum bounds the peak with room for each stage's one-axis
+    transients; the tests hold traced peaks between half the model and the
+    model.
 
-    - The modes, flown in place and overwritten by their projections, and
-      their real and imaginary products: 4 K n values, which cover
-      :func:`conditionals`' K x n real intensity too.
+    - The K + |S| modes, flown in place and overwritten by their
+      projections, and their real and imaginary products: 4 (K + |S|) n
+      values, which cover the K x n real intensity the rows are weighed by
+      too.
     - The block walk: the band of a block and the next one being generated,
       64 x w values each with w = min(n, 64 + 2 R) columns, the block's
-      2 K x 64 stacked modes and their 2 K x w product, and the source's two
-      factor tables of 2 n - 1 values each.
+      2 (K + |S|) x 64 stacked modes and their 2 (K + |S|) x w product, and
+      the source's two factor tables of 2 n - 1 values each.
     - The flights (``_density_flights``): one ``_chunk_rows`` chunk in its
-      three buffers and the two iterator buffers of np.getbufsize() values
-      that np.multiply stages the chunk's strided view of H through, two
-      flights' kernels over n + D values a row and their spectra, H over
-      2 n - 1 + D values and the v-factor table of H's terms, 4 n + 1
-      values.
-    - The ghost guard's Gram over its |S| < K points, |S| <= n: at most
-      K min(K, n) complex values.
+      three buffers, two flights' kernels over n + D values a row and their
+      spectra, H over 2 n - 1 + D values and the v-factor table of H's
+      terms, 4 n + 1 values.
+    - The guard's Gram over its |S| <= n points: |S|^2 complex values.
 
     R and D + 1 come from their closed forms, so the model builds no table.
     """
     n = grid.n
+    rows = modes + points
     # R: the source's u factor exp(-(d dy)^2 / a^2) >= DENSITY_FLOOR
     reach = int(min(n - 1, a * math.sqrt(-math.log(DENSITY_FLOOR)) / grid.dy))
     width = min(n, SOURCE_BLOCK_ROWS + 2 * reach)
     count = _density_count(a, omega, grid)
     spectrum = n + 2  # the real values of an rfft's n // 2 + 1 outputs
-    held = 4 * modes * n
+    held = 4 * rows * n
     walk = (2 * SOURCE_BLOCK_ROWS * width
-            + 2 * modes * (SOURCE_BLOCK_ROWS + width) + 2 * (2 * n - 1))
+            + 2 * rows * (SOURCE_BLOCK_ROWS + width) + 2 * (2 * n - 1))
     flights = (_chunk_rows(n, count) * (n + 2 * spectrum)
-               + 2 * np.getbufsize()
                + 2 * (2 * (n + count - 1) + spectrum)
                + (2 * n - 2 + count) + (4 * n + 1))
-    gram = 2 * modes * min(modes, n)
+    gram = 2 * points * points
     return 8 * (held + walk + flights + gram)
 
 
 def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
-                L1: float, modes=(), beam_L: float | None = None) -> SourcePass:
-    """Condition the source on particle 1's slit-plane ``modes``, any number
-    K of 1-D arrays of n values, in one pass over row blocks of the source,
-    with no n x n array.  For an aperture phi at the slit plane L1 the mode
-    is conj(phi); a chain of flights and masks behind it gives its own
-    (module docstring).  The pass flies the modes back over L1 in place,
-    with no tail check, and after the last block writes the normalized
-    projections into the same buffer, returned as ``projections``: a
-    complex K x n array is flown and overwritten, any other input copied
-    once.
+                L1: float, apertures=(), beam_L: float | None = None,
+                d1: float | None = None) -> SourcePass:
+    """Particle 2's amplitudes at the slit plane L1 conditioned on each of
+    particle 1's ``apertures`` there, and its marginals, from one pass over
+    row blocks of the source with no n x n array.
 
+    Each aperture phi gives the slit-plane mode conj(phi), sampled one row
+    at a time before the source is checked.  Given ``d1``, particle 1 passes
+    its one aperture, a mask m, flies a further d1 and is point-detected on
+    axis: the pass conditions on the one mode m * fly(conj(point), d1)
+    (module docstring) and guards the d1 leg (below).  ``d1`` with any other
+    number of apertures is refused, as is a distance that is not >= 0, NaN
+    included.
+
+    The pass flies the modes back over L1 in place, with no tail check.
     Each block of SOURCE_BLOCK_ROWS rows is generated on its diagonal band
     only, multiplied into the block's columns of every flown mode, real and
     imaginary parts stacked, and its band's column sums of squares are added
@@ -660,20 +652,57 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     to particle 2's intensity over L1 and, when given, over ``beam_L``: once
     per distinct nonzero distance, whatever K, so with ``beam_L == L1`` the
     two are one array.  An intensity over L = 0 is the source-plane
-    intensity.  Every intensity is tail-checked; a negative distance is
-    refused.  ``peak_bytes`` models the pass's peak memory from these arrays.
+    intensity, and every intensity is tail-checked.  The normalized
+    projections then take the modes' buffer, and ``_normalize`` flies the
+    detector modes' rows over L1 in it, in one ``fly``.
+
+    The d1 leg's guard is particle 1's real intensity behind the mask,
+    flown d1 and summed over particle 2 (the back-flown modes spread over
+    the grid by design), from the same pass: on S, the samples with
+    |m_j| >= DENSITY_FLOOR max|m|, particle 1's slit-plane amplitude for
+    each row of particle 2 is the projection P on the points delta_j,
+    slit-plane modes that follow the detector mode in the pass.  With
+    A = m_S P, C = A A^H and K_j = fly(delta_j, d1), the guard is
+    Re sum_{s,t} K_s C_st conj K_t, as particle 2's flight is unitary.  The
+    samples left out move its total by at most 2^-99/sqrt(q) + 2^-200/q of
+    itself, q the mask's transmitted share over max|m|^2.  It holds C and at
+    most two arrays of |S| + 1 rows of n complex values: A is taken in place
+    in the projections' buffer, and the kernels K then take A's rows, flown
+    and conjugated in place.  The guard is kept as ``guard`` and, for
+    d1 > 0, tail-checked.  ``peak_bytes`` models the pass's peak memory from
+    these arrays.
     """
-    if L1 < 0 or (beam_L is not None and beam_L < 0):
+    if not all(L >= 0 for L in (L1, beam_L, d1) if L is not None):
         raise DomainError("propagation distances must be >= 0")
-    _check_source(a, omega, grid)
     n, dy, y = grid.n, grid.dy, grid.y
+    if d1 is None:
+        count = len(apertures)
+        modes = np.empty((count, n), dtype=complex)
+        for k, aperture in enumerate(apertures):
+            modes[k] = np.conj(aperture.sample(y, dy))
+    else:
+        if len(apertures) != 1:
+            raise DomainError(
+                f"a d1 leg takes one aperture, got {len(apertures)}")
+        count = 1
+        # aperture scale drops out after the renormalized conditioning
+        mask = apertures[0].sample(y, dy)
+        point = Aperture(kind="point").sample(y, dy)
+        support = np.flatnonzero(
+            np.abs(mask) >= DENSITY_FLOOR * np.abs(mask).max())
+        # the detector mode's chain up to the slit plane, then a point on
+        # each sample of S; the points are built again for the d1 leg, not
+        # held through the pass
+        points = np.arange(support.size)
+        modes = np.zeros((1 + support.size, n), dtype=complex)
+        modes[0] = mask * fly(np.conj(point), dy, d1, params)
+        modes[1 + points, support] = 1.0
+    _check_source(a, omega, grid)
     tables = source_tables(a, omega, grid)
-    modes = np.reshape(np.asarray(modes, dtype=complex), (-1, n))
-    count = len(modes)
     # particle 1's flight from the slit plane back to the source
     fly(modes, dy, L1, params)
     # real and imaginary rows of the projections, summed apart
-    products = np.zeros((2 * count, n))
+    products = np.zeros((2 * len(modes), n))
     # particle 2's intensity at the source plane, unscaled: each block adds
     # its band's column sums of squares.  Its total is the source norm, and
     # a flight over L = 0 reads it.
@@ -702,22 +731,41 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         _check_tails(total)
     products *= dy / math.sqrt(norm)
     # the projections take the flown modes' buffer
-    modes.real, modes.imag = products[:count], products[count:]
-    return SourcePass(y=y, dy=dy, L1=L1, params=params, norm=norm,
-                      projections=modes,
+    modes.real, modes.imag = products[:len(modes)], products[len(modes):]
+    del products
+    guard = None
+    if d1 is not None:
+        amp = modes[1:]
+        amp *= mask[support, None]
+        gram = amp @ amp.conj().T
+        # the point kernels K_j take the points' rows, flown in place and
+        # conjugated in place
+        amp[:] = 0.0
+        amp[points, support] = 1.0
+        fly(amp, dy, d1, params)
+        guard = np.einsum("sx,sx->x", gram.T @ amp,
+                          np.conj(amp, out=amp)).real
+        if d1 > 0:
+            _check_tails(guard)
+    amplitude = modes[:count]
+    weight, failures = _normalize(amplitude, dy, L1, params)
+    return SourcePass(y=y, dy=dy, params=params, norm=norm,
                       slit_plane=intensities[L1],
-                      beam=None if beam_L is None else intensities[beam_L])
+                      beam=None if beam_L is None else intensities[beam_L],
+                      amplitude=amplitude, weight=weight, failures=failures,
+                      guard=guard)
 
 
-def conditionals(source: SourcePass) -> ConditionalAmplitudes:
-    """Particle 2's conditional amplitudes at the slit plane: every
-    projection of ``source`` flown over L1 in place in one ``fly``, then
-    tail-checked, weighed and normalized.  A row whose flight wraps, or
-    whose weight is below 1e-12, keeps that failure unnormalized."""
-    rows = fly(source.projections, source.dy, source.L1, source.params)
+def _normalize(rows: np.ndarray, dy: float, L1: float,
+               params: PhysParams) -> tuple[np.ndarray, dict[int, Exception]]:
+    """(weight, failures) of the projections ``rows``, flown over L1 in
+    place in one ``fly``, then tail-checked, weighed and normalized in
+    place.  A row whose flight wraps, or whose weight is below 1e-12, keeps
+    that failure unnormalized."""
+    fly(rows, dy, L1, params)
     prob = np.abs(rows) ** 2
-    failures = _tail_failures(prob) if source.L1 > 0 else {}
-    weight = np.sum(prob, axis=1) * source.dy
+    failures = _tail_failures(prob) if L1 > 0 else {}
+    weight = np.sum(prob, axis=1) * dy
     del prob
     for k in np.flatnonzero(weight < 1e-12):
         failures.setdefault(int(k), DomainError(
@@ -725,8 +773,7 @@ def conditionals(source: SourcePass) -> ConditionalAmplitudes:
     scale = np.sqrt(weight)
     scale[list(failures)] = 1.0
     rows /= scale[:, None]
-    return ConditionalAmplitudes(source.y, source.dy, source.params, rows,
-                                 weight, failures)
+    return weight, failures
 
 
 def _local_maxima(intensity: np.ndarray, floor: float) -> np.ndarray:
@@ -814,37 +861,6 @@ def fringe_metrics(y: np.ndarray, intensity: np.ndarray):
     return spacing, (i_max - i_min) / (i_max + i_min)
 
 
-def _ghost_pass(a: float, omega: float, grid: GridSpec, slit: Aperture,
-                L1: float, d1: float,
-                params: PhysParams) -> tuple[SourcePass, np.ndarray]:
-    """(pass, unnormalized d1 guard) of :func:`ghost_double_slit`."""
-    n, dy = grid.n, grid.dy
-    # aperture scale drops out after the renormalized conditioning
-    mask = slit.sample(grid.y, dy)
-    point = Aperture(kind="point").sample(grid.y, dy)
-    support = np.flatnonzero(np.abs(mask) >= DENSITY_FLOOR * np.abs(mask).max())
-    # the detector mode's chain up to the slit plane, then a point on each
-    # sample of S, as the slit-plane modes of one pass; the points are built
-    # again for the d1 leg, not held through the pass
-    rows = np.arange(support.size)
-    modes = np.zeros((support.size + 1, n), dtype=complex)
-    modes[0] = mask * fly(np.conj(point), dy, d1, params)
-    modes[1 + rows, support] = 1.0
-    source = source_pass(a, omega, grid, params, L1, modes)
-    # the pattern reads the detector mode's projection alone
-    source.projections = modes[:1]
-    amp = modes[1:]
-    amp *= mask[support, None]
-    gram = amp @ amp.conj().T
-    # the point kernels K_j take the points' rows, flown in place and
-    # conjugated in place
-    amp[:] = 0.0
-    amp[rows, support] = 1.0
-    fly(amp, dy, d1, params)
-    return source, np.einsum("sx,sx->x", gram.T @ amp,
-                             np.conj(amp, out=amp)).real
-
-
 def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
                       L1: float, d1: float, L2: float,
                       params: PhysParams) -> GhostPattern:
@@ -852,36 +868,18 @@ def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
 
     Both particles fly L1 from the source.  Particle 1 passes ``slit``,
     flies a further d1, and is point-detected on axis; particle 2 then flies
-    L2 to its detector.  One :func:`source_pass` conditions the source on
-    the chain's slit-plane mode mask * fly(conj(point), d1), which the pass
-    flies back over L1.  A negative distance is refused.
-
-    The d1 leg's guard is particle 1's real intensity behind the mask m,
-    flown d1 and summed over particle 2 (the back-flown modes spread over
-    the grid by design), from the same pass: on S, the samples with
-    |m_j| >= DENSITY_FLOOR max|m|, particle 1's slit-plane amplitude for
-    each row of particle 2 is the projection P on the points delta_j,
-    slit-plane modes that follow the detector mode in its pass.  With
-    A = m_S P, C = A A^H and K_j = fly(delta_j, d1), the guard is
-    Re sum_{s,t} K_s C_st conj K_t, as particle 2's flight is unitary.  The
-    samples left out move its total by at most 2^-99/sqrt(q) + 2^-200/q of
-    itself, q the mask's transmitted share over max|m|^2.  It holds C and at
-    most two arrays of |S| + 1 rows of n complex values: A is taken in place
-    in the buffer the pass returns its projections in, and the kernels K
-    then take A's rows, flown and conjugated in place.  ``peak_bytes`` over
-    |S| + 1 modes counts the pass and C.
+    L2 to its detector.  One :func:`source_pass` with its d1 leg conditions
+    the source on that chain and guards the leg; a distance that is not
+    >= 0 is refused.
     """
-    if L1 < 0 or d1 < 0 or L2 < 0:
+    if not L2 >= 0:
         raise DomainError("propagation distances must be >= 0")
     y, dy = grid.y, grid.dy
-    source, guard = _ghost_pass(a, omega, grid, slit, L1, d1, params)
-    if d1 > 0:
-        _check_tails(guard)
-    cond = conditionals(source).fly(L2)
-    env = cond.widths(0)
-    intensity = np.abs(cond.amplitude[0]) ** 2
+    source = source_pass(a, omega, grid, params, L1, [slit], d1=d1).fly(L2)
+    env = source.widths(0)
+    intensity = np.abs(source.amplitude[0]) ** 2
     spacing, visibility = fringe_metrics(y, intensity)
     return GhostPattern(y=y, intensity=intensity, dy=dy,
-                        weight=float(cond.weight[0]), fringe_spacing=spacing,
+                        weight=float(source.weight[0]), fringe_spacing=spacing,
                         visibility=visibility,
                         envelope_fwhm=2.0 * env.rms * FWHM_FACTOR)

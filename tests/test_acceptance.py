@@ -36,14 +36,13 @@ def load_scenario(name):
 
 def conditional_on_pass(a, omega, grid, L1, epsilon, beam_L=None):
     """One oracle pass over a free-space layout on ``grid``, conditioned on
-    a Gaussian slit of ``epsilon`` at L1: (the pass, its conditional
-    amplitudes at the slit plane, one row)."""
+    a Gaussian slit of ``epsilon`` at L1, with its conditional amplitude at
+    the slit plane as its one row."""
     scenario = ex.Scenario(name="layout", params=PARAMS, a=a, omega=omega,
                            slit=None, lens=None, L1=L1, L2=0.0, oracle=grid)
-    source = ex.oracle_pass(scenario, L1,
-                            [go.Aperture(kind="gaussian", epsilon=epsilon)],
-                            beam_L)
-    return source, go.conditionals(source)
+    return ex.oracle_pass(scenario, L1,
+                          [go.Aperture(kind="gaussian", epsilon=epsilon)],
+                          beam_L)
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +133,8 @@ def test_criterion_6_split_invariance(capsys):
 
     def oracle_fwhm(L1, L2):
         grid = go.GridSpec(n=2048, extent=48.0)
-        _, cond = conditional_on_pass(0.1, 15.0, grid, L1, 0.1)
-        return cond.fly(L2).widths(0).fwhm
+        source = conditional_on_pass(0.1, 15.0, grid, L1, 0.1)
+        return source.fly(L2).widths(0).fwhm
 
     dev_or = abs(oracle_fwhm(900.0, 0.0) / oracle_fwhm(450.0, 900.0) - 1.0)
     ok = dev_an < 1e-8 and dev_or < 0.005
@@ -159,9 +158,9 @@ def test_criterion_7_no_extra_spread(capsys):
                   gc.beam_width(source, PropagationLeg(L1 + L2), PARAMS) / 2.0)
         grid = go.GridSpec(n=1024,
                            extent=max(8.0 * rms, go.required_extent(a, omega)))
-        source, cond = conditional_on_pass(a, omega, grid, L1, eps,
-                                           beam_L=L1 + L2)
-        coincidence = cond.fly(L2).widths(0).fwhm
+        source = conditional_on_pass(a, omega, grid, L1, eps,
+                                     beam_L=L1 + L2)
+        coincidence = source.fly(L2).widths(0).fwhm
         beam = go.intensity_widths(source.y, source.beam, source.dy).fwhm
         if coincidence > beam:
             violations += 1
@@ -212,8 +211,9 @@ def test_criterion_10_oracle_fidelity(capsys):
     # (a) Gaussian conditional width vs closed form, finite omega + flight
     def conditional_width(n):
         grid = go.GridSpec(n=n, extent=12.0)
-        _, cond = conditional_on_pass(math.sqrt(0.043), 2.0, grid, 500.0, 0.065)
-        return cond.widths(0).gaussian_equiv_W
+        source = conditional_on_pass(math.sqrt(0.043), 2.0, grid, 500.0,
+                                     0.065)
+        return source.widths(0).gaussian_equiv_W
 
     gamma = gc.condition_on_gaussian_slit(
         gc.make_epr_state(math.sqrt(0.043), 2.0),

@@ -281,11 +281,6 @@ def max_rel(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def slit_modes(apertures, grid):
-    """Slit-plane modes conj(phi) of ``apertures``, one row each."""
-    return np.array([np.conj(ap.sample(grid.y, grid.dy)) for ap in apertures])
-
-
 # a small resolved layout: dy = 0.0625 mm against max_step 0.111 mm
 PARITY_GRID = go.GridSpec(n=512, extent=16.0)
 PARITY_A, PARITY_OMEGA = 0.2, 2.0
@@ -419,9 +414,8 @@ class TestSourcePass:
         at_slit = ref.evolve_spectral(state, L1, L1, params702) if L1 else state
         slit = go.Aperture(kind="gaussian", epsilon=0.1)
         want = ref.condition(at_slit, slit)
-        source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
-                                L1, slit_modes([slit], PARITY_GRID))
-        got = go.conditionals(source)
+        got = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
+                             L1, [slit])
         assert max_rel(got.amplitude[0], want.amplitude) <= 1e-12
         assert got.weight[0] == pytest.approx(want.weight, rel=1e-12, abs=0)
         amp = go.propagate_amplitude(want.amplitude, want.dy, L2, params702)
@@ -532,12 +526,13 @@ class TestSourcePass:
         # the cut part delta of the source by |delta|_F <= beta |psi|_F, with
         # beta^2 = 2 e^(pi^2/16) (1 + (R + 1) / (400 ln 2)) DENSITY_FLOOR^2,
         # and so the norm's move by beta^2 of it, each projection's by
-        # 2 beta |mode|_2 and each flown intensity's L1 move by
-        # (2 beta + beta^2) of the norm.  The two passes multiply blocks of
-        # different widths, so each check also allows 2^-52 of the compared
-        # value for rounding; a floor of 2^-40 moves the projections by
-        # ~1e-13 of their norm.  The clipped grid keeps every sample
-        # (R = n - 1).
+        # 2 beta |mode|_2, and so each row's times the root of its weight,
+        # the projection flown over L1 by a unitary flight, and each flown
+        # intensity's L1 move by (2 beta + beta^2) of the norm.  The two
+        # passes multiply blocks of different widths, so each check also
+        # allows 2^-52 of the compared value for rounding; a floor of 2^-40
+        # moves the projections by ~1e-13 of their norm.  The clipped grid
+        # keeps every sample (R = n - 1).
         n, eps = grid.n, 2.0 ** -52
         floored = go.source_tables(a, omega, grid)
         raw = raw_tables(a, omega, grid)
@@ -551,19 +546,21 @@ class TestSourcePass:
             2.0 * math.exp(math.pi ** 2 / 16.0)
             * (1.0 + (reach + 1) / (400.0 * math.log(2.0))))
         L1 = 300.0
-        modes = slit_modes([go.Aperture(kind="gaussian", epsilon=epsilon)
-                            for epsilon in (0.1, 0.5)], grid)
+        slits = [go.Aperture(kind="gaussian", epsilon=epsilon)
+                 for epsilon in (0.1, 0.5)]
         passes = []
         for tables in (floored, raw):
             monkeypatch.setattr(go, "source_tables",
                                 lambda *args, tables=tables: tables)
             passes.append(go.source_pass(a, omega, grid, params702, L1,
-                                         modes.copy(), beam_L=L1 + 300.0))
+                                         slits, beam_L=L1 + 300.0))
         got, want = passes
         assert abs(want.norm - got.norm) <= (beta ** 2 + eps) * got.norm
-        for mode, projection, reference in zip(modes, got.projections,
-                                               want.projections):
-            assert np.linalg.norm(projection - reference) \
+        for k, slit in enumerate(slits):
+            flown = got.amplitude[k] * math.sqrt(got.weight[k])
+            reference = want.amplitude[k] * math.sqrt(want.weight[k])
+            mode = slit.sample(grid.y, grid.dy)
+            assert np.linalg.norm(flown - reference) \
                 <= (2.0 * beta * np.linalg.norm(mode)
                     + eps * np.linalg.norm(reference))
         for intensity, reference in ((got.slit_plane, want.slit_plane),
@@ -654,24 +651,25 @@ class TestSourcePass:
         limit = 3 * go.SOURCE_BLOCK_ROWS * grid.n * 8
         tracemalloc.start()
         try:
-            go.source_pass(a, omega, grid, params702, 600.0,
-                           slit_modes(slits, grid))
+            go.source_pass(a, omega, grid, params702, 600.0, slits)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert limit == 6_291_456
         assert peak < limit
 
-    @pytest.mark.parametrize("n, count", [(4096, 125), (8192, 250)])
+    @pytest.mark.parametrize("n, count", [(1024, 32), (2048, 63), (4096, 125),
+                                          (8192, 250)])
     def test_flights_hold_one_small_chunk(self, params702, n, count):
-        # at n >= 4096 a chunk is 4 diagonals: the flights hold its three
-        # buffers (one real row and two half-spectra a diagonal), each of
-        # two flights' kernel as two rows of n + D values, rho's tables E
-        # and H (2 n + 2 D values), and eight one-axis arrays (the spectra,
-        # the results and transients), 8 bytes a value, whatever D
+        # a chunk is ``_chunk_rows`` diagonals, 16, 8 and then 4: the flights
+        # hold its three buffers (one real row and two half-spectra a
+        # diagonal), each of two flights' kernel as two rows of n + D
+        # values, rho's tables E and H (2 n + 2 D values), and eight
+        # one-axis arrays (the spectra, the results and transients), 8 bytes
+        # a value, whatever D
         a, omega, grid = SQRT_A2, 10.0, go.GridSpec(n=n, extent=40.0)
         assert go._density_count(a, omega, grid) == count
-        rows, d_max = 4, count - 1
+        rows, d_max = go._chunk_rows(n, count), count - 1
         budget = 8 * (rows * (n + 2 * 2 * (n // 2 + 1))
                       + 2 * 2 * (n + d_max) + (2 * n + 2 * d_max) + 8 * n)
         # a first call imports numpy.fft, which numpy loads lazily and
@@ -705,47 +703,41 @@ class TestSourcePass:
         slit = go.Aperture(kind="gaussian", epsilon=0.1)
         with pytest.raises(ResolutionError, match="boundary"):
             go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702, 20000.0,
-                           slit_modes([slit], PARITY_GRID))
-
-    def test_projections_take_the_modes_buffer(self, params702):
-        # the pass flies its slit-plane modes in place and writes their
-        # projections into the same buffer, which it returns
-        slits = [go.Aperture(kind="gaussian", epsilon=eps)
-                 for eps in (0.1, 0.2, 0.3)]
-        modes = slit_modes(slits, PARITY_GRID)
-        fresh = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
-                               300.0, modes.copy())
-        source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
-                                300.0, modes)
-        assert np.shares_memory(source.projections, modes)
-        assert np.array_equal(source.projections, fresh.projections)
+                           [slit])
 
     def test_many_modes_match_sliced_passes(self, params702):
-        # one pass over 130 modes gives each mode's projection of one pass
-        # per 64-mode slice, to within rounding of each row's peak
+        # one pass over 130 slits gives each slit's conditional of one pass
+        # per 64-slit slice, to within rounding of each row's peak
         slits = [go.Aperture(kind="gaussian", epsilon=eps)
                  for eps in np.linspace(0.08, 0.5, 130)]
-        modes = slit_modes(slits, PARITY_GRID)
         whole = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
-                               300.0, modes.copy()).projections
+                               300.0, slits).amplitude
         assert whole.shape == (130, PARITY_GRID.n)
         sliced = np.concatenate([
             go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
-                           300.0, modes[start:start + 64]).projections
+                           300.0, slits[start:start + 64]).amplitude
             for start in range(0, 130, 64)])
         peaks = np.max(np.abs(sliced), axis=1)
         assert np.all(np.max(np.abs(whole - sliced), axis=1) <= 1e-15 * peaks)
 
     @pytest.mark.parametrize("call", [
-        lambda params: go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
-                                      params, -300.0),
-        lambda params: go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
-                                      params, 300.0, beam_L=-300.0),
-        lambda params: go.ghost_double_slit(
-            PARITY_A, PARITY_OMEGA, PARITY_GRID, DOUBLE_SLIT, 300.0, 50.0,
-            -300.0, params)], ids=["L1", "beam_L", "ghost-L2"])
+        *[pytest.param(lambda params, L=L: go.source_pass(
+            PARITY_A, PARITY_OMEGA, PARITY_GRID, params, L), id=f"L1{id}")
+          for L, id in ((-300.0, ""), (math.nan, "-nan"))],
+        *[pytest.param(lambda params, L=L: go.source_pass(
+            PARITY_A, PARITY_OMEGA, PARITY_GRID, params, 300.0, beam_L=L),
+            id=f"beam_L{id}")
+          for L, id in ((-300.0, ""), (math.nan, "-nan"))],
+        *[pytest.param(lambda params, L=L: go.source_pass(
+            PARITY_A, PARITY_OMEGA, PARITY_GRID, params, 300.0, [DOUBLE_SLIT],
+            d1=L), id=f"d1{id}")
+          for L, id in ((-50.0, ""), (math.nan, "-nan"))],
+        *[pytest.param(lambda params, L=L: go.ghost_double_slit(
+            PARITY_A, PARITY_OMEGA, PARITY_GRID, DOUBLE_SLIT, 300.0, 50.0, L,
+            params), id=f"ghost-L2{id}")
+          for L, id in ((-300.0, ""), (math.nan, "-nan"))]])
     def test_negative_distance_refused(self, params702, call):
-        # a negative distance is refused, not read as no flight
+        # a negative or NaN distance is refused, not read as no flight
         with pytest.raises(DomainError,
                            match=r"^propagation distances must be >= 0$"):
             call(params702)
@@ -764,14 +756,11 @@ class TestSourcePass:
         go._check_source(0.01, 4.0, go.GridSpec(n=16384, extent=40.0))
 
 
-def isolation_modes(grid):
-    """Three slit-plane modes: Gaussian slits of 0.5 and 1 mm around a point
-    on axis, whose conditional is narrow enough to wrap over 8 m."""
-    modes = np.zeros((3, grid.n), dtype=complex)
-    modes[[0, 2]] = slit_modes([go.Aperture(kind="gaussian", epsilon=eps)
-                                for eps in (0.5, 1.0)], grid)
-    modes[1, grid.n // 2] = 1.0
-    return modes
+# Gaussian slits of 0.5 and 1 mm around a point on axis, whose conditional is
+# narrow enough to wrap over 8 m on the parity grid
+ISOLATION_APERTURES = [go.Aperture(kind="gaussian", epsilon=0.5),
+                       go.Aperture(kind="point"),
+                       go.Aperture(kind="gaussian", epsilon=1.0)]
 
 
 class TestConditionals:
@@ -781,14 +770,13 @@ class TestConditionals:
         # rows are those of one-mode passes, bit for bit
         L1, L2 = 300.0, 8000.0
 
-        def stage(modes):
-            source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
-                                    params702, L1, modes)
-            return go.conditionals(source)
+        def stage(apertures):
+            return go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
+                                  params702, L1, apertures)
 
-        modes = isolation_modes(PARITY_GRID)
-        point = stage(modes[1:2].copy())
-        cond = stage(modes.copy()).fly(L2)
+        apertures = ISOLATION_APERTURES
+        point = stage(apertures[1:2])
+        cond = stage(apertures).fly(L2)
         assert list(cond.failures) == [1]
         with pytest.raises(ResolutionError, match="boundary") as wrapped:
             go.propagate_amplitude(point.amplitude[0], PARITY_GRID.dy, L2,
@@ -797,22 +785,24 @@ class TestConditionals:
             cond.widths(1)
         assert str(got.value) == str(wrapped.value)
         for k in (0, 2):
-            one = stage(modes[k:k + 1].copy()).fly(L2)
+            one = stage(apertures[k:k + 1]).fly(L2)
             assert not one.failures
             assert np.array_equal(cond.amplitude[k], one.amplitude[0])
             assert cond.weight[k] == one.weight[0]
             assert cond.widths(k) == one.widths(0)
 
     def test_degenerate_row_left_unnormalized(self, params702):
-        # a mode with no overlap has weight 0: its row keeps the degenerate
-        # error, is not divided by its zero norm, and warns of nothing
-        modes = isolation_modes(PARITY_GRID)
-        modes[1] = 0.0
-        source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
-                                params702, 300.0, modes)
+        # a row with no overlap has weight 0: the normalization step leaves
+        # it the degenerate error, does not divide it by its zero norm, and
+        # warns of nothing
+        cond = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
+                              300.0, ISOLATION_APERTURES)
+        cond.amplitude[1] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cond = go.conditionals(source).fly(300.0)
+            cond.weight, cond.failures = go._normalize(
+                cond.amplitude, PARITY_GRID.dy, 300.0, params702)
+            cond.fly(300.0)
         assert list(cond.failures) == [1]
         assert cond.weight[1] == 0.0
         assert not np.any(cond.amplitude[1])
@@ -988,7 +978,8 @@ class TestGhostDoubleSlit:
             mask = slit.sample(grid.y, grid.dy)
             kept = np.abs(mask) >= go.DENSITY_FLOOR * np.abs(mask).max()
             assert np.count_nonzero(kept) == points
-            _, got = go._ghost_pass(a, omega, grid, slit, L1, d1, params702)
+            got = go.source_pass(a, omega, grid, params702, L1, [slit],
+                                 d1=d1).guard
             state = ref.evolve_spectral(ref.build_grid_state(a, omega, grid),
                                         L1, L1, params702)
             masked = ref.GridState(psi=state.psi * mask[:, None], y=state.y,
@@ -1017,7 +1008,7 @@ class TestGhostDoubleSlit:
         # criterion 9's guard holds its 20 point modes a few times over, no
         # full-width source block
         a, omega, slit, d1 = GHOST_LAYOUTS[name]
-        model = go.peak_bytes(a, omega, GHOST_GRID, 1 + 20)
+        model = go.peak_bytes(a, omega, GHOST_GRID, 1, 20)
         peak = traced_peak(lambda: go.ghost_double_slit(
             a, omega, GHOST_GRID, slit, 200.0, d1, 200.0, params702))
         assert model / 2 <= peak <= model
@@ -1026,12 +1017,12 @@ class TestGhostDoubleSlit:
     def test_wide_mask_peak_memory_within_model(self, params702, width,
                                                 points):
         # the guard's pass holds the detector mode and |S| point modes: its
-        # peak stays within the model of a pass over |S| + 1 modes
+        # peak stays within the model of a pass over them
         a, omega, _, d1 = GHOST_LAYOUTS["entangled"]
         slit = go.Aperture(kind="rect", full_width=width)
         mask = slit.sample(GHOST_GRID.y, GHOST_GRID.dy)
         assert np.count_nonzero(mask) == points
-        model = go.peak_bytes(a, omega, GHOST_GRID, 1 + points)
+        model = go.peak_bytes(a, omega, GHOST_GRID, 1, points)
         peak = traced_peak(lambda: go.ghost_double_slit(
             a, omega, GHOST_GRID, slit, 200.0, d1, 200.0, params702))
         assert model / 2 <= peak <= model
@@ -1062,6 +1053,14 @@ class TestGhostDoubleSlit:
         assert bound == 38_780_944
         assert peak < bound
 
+    @pytest.mark.parametrize("apertures", [[], [DOUBLE_SLIT, WIDE_RECT]],
+                             ids=["none", "two"])
+    def test_d1_leg_takes_one_aperture(self, params702, apertures):
+        # a d1 leg lies behind exactly one mask
+        with pytest.raises(DomainError, match="one aperture, got"):
+            go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
+                           300.0, apertures, d1=50.0)
+
     def test_d1_leg_aliasing_guard(self, params702):
         # behind a 0.05 mm slit particle 1 spreads to W ~ 22 mm over
         # d1 = 5 m, far beyond the +-4 mm domain
@@ -1072,13 +1071,12 @@ class TestGhostDoubleSlit:
 
 
 def slits_case(a, omega, grid, epsilons, L1, beam_L, id):
-    """A peak-memory case: one pass over the slit-plane modes of Gaussian
-    slits of ``epsilons`` at L1, the modes built inside the call."""
+    """A peak-memory case: one pass over Gaussian slits of ``epsilons`` at
+    L1, the slits built inside the call."""
     def call(params):
         slits = [go.Aperture(kind="gaussian", epsilon=eps) for eps in epsilons]
-        go.source_pass(a, omega, grid, params, L1, slit_modes(slits, grid),
-                       beam_L)
-    return pytest.param(a, omega, grid, len(epsilons), call, id=id)
+        go.source_pass(a, omega, grid, params, L1, slits, beam_L)
+    return pytest.param(a, omega, grid, len(epsilons), 0, call, id=id)
 
 
 def ghost_case(slit, points, id):
@@ -1089,11 +1087,11 @@ def ghost_case(slit, points, id):
     def call(params):
         go.ghost_double_slit(a, omega, GHOST_GRID, slit, 200.0, d1, 200.0,
                              params)
-    return pytest.param(a, omega, GHOST_GRID, 1 + points, call, id=id)
+    return pytest.param(a, omega, GHOST_GRID, 1, points, call, id=id)
 
 
 class TestPeakBytes:
-    @pytest.mark.parametrize("a, omega, grid, modes, call", [
+    @pytest.mark.parametrize("a, omega, grid, modes, points, call", [
         # one Gaussian slit flown 500 mm and a beam flown 1000 mm over
         # +-40 mm: D + 1 = 32 .. 1000
         *[slits_case(SQRT_A2, 10.0, go.GridSpec(n=n, extent=40.0), [0.2],
@@ -1118,10 +1116,10 @@ class TestPeakBytes:
                    id="ghost-511"),
     ])
     def test_traced_peak_within_model(self, params702, a, omega, grid, modes,
-                                      call):
+                                      points, call):
         # the model counts what each stage of the pass allocates: it bounds
         # the traced peak, and the peak takes at least half of it
-        model = go.peak_bytes(a, omega, grid, modes)
+        model = go.peak_bytes(a, omega, grid, modes, points)
         peak = traced_peak(lambda: call(params702))
         assert model / 2 <= peak <= model
 
@@ -1132,9 +1130,8 @@ class TestDeterminism:
         slit = go.Aperture(kind="gaussian", epsilon=0.2)
 
         def run():
-            source = go.source_pass(0.3, 1.0, grid, params702, 300.0,
-                                    slit_modes([slit], grid))
-            return go.conditionals(source).fly(300.0).amplitude
+            return go.source_pass(0.3, 1.0, grid, params702, 300.0,
+                                  [slit]).fly(300.0).amplitude
 
         a, b = run(), run()
         assert np.array_equal(a, b)
