@@ -47,21 +47,25 @@ intensity, summed over the grid, by (2 beta + beta^2) of the norm: the
 flight is unitary and | |x|^2 - |x'|^2 | <= |x - x'| (|x| + |x'|).
 
 Particle 2's flown marginal diag(U rho U^H) needs only its reduced density
-matrix rho = psi^T psi, and the raw product gives it within the cut's
-bound.  Completing the square in each of its factors gives, for j, l >= 1,
+matrix rho = psi^T psi.  Completing the square in i in each term
+psi(i, j) psi(i, l) of the uncut source gives, for j, l >= 1,
 
     rho(j, l) = E(j - l) H(j + l),
     E(d) = exp(-d^2 dy^2 (1/(2 a^2) + 1/(8 omega^2))),
-    H(s) = sum_{i=1}^{n-1} exp(-(2i - s)^2 dy^2 / (2 a^2))
-                           exp(-(2i + s - 2n)^2 dy^2 / (8 omega^2)),
 
-and rho is 0 on row 0 and column 0, as the source is: index 0
-(y = -extent) is its own mirror mod n, and the source samples its row and
-column as 0.0 (``source_rows``), so rho's tables, which cover j, l >= 1,
-give all of rho and the source stays exchange- and mirror-symmetric bit for
-bit.  H sums the grid's own rows of two 1-D tables; it takes no continuum
-integral and nothing from ``gaussian_core``.  So rho is known by its
-diagonals r_d(j) = rho(j, j+d) = E(d) H(2j + d).  With the flight kernel
+with H a function of j + l alone.  So rho is known by its diagonals
+r_d(j) = rho(j, j+d) = E(d) H(2j + d), and diagonals 0 and 1 fix H
+everywhere, H(2j) = r_0(j) and H(2j + 1) = r_1(j) / E(1):
+
+    r_d(j) = E(d) / E(d mod 2) r_{d mod 2}(j + floor(d / 2)).
+
+The block walk sums r_0, particle 2's source-plane intensity, from each
+band's columns and r_1 from its adjacent pairs of columns; no other table
+of rho is built, and nothing comes from ``gaussian_core``.  rho is 0 on row
+0 and column 0, as the source is: index 0 (y = -extent) is its own mirror
+mod n, and the source samples its row and column as 0.0
+(``source_rows``), so every diagonal is 0.0 in column 0 and the source
+stays exchange- and mirror-symmetric bit for bit.  With the flight kernel
 K = ifft(flight phase) and G_d(x) = K(x) conj K(x - d), indices mod n,
 
     I = Re ifft(sum_d w_d fft(G_d) fft(r_d)),   w_0 = 1, w_d = 2 (d > 0),
@@ -72,21 +76,24 @@ real circular convolutions.  Particle 2's flown marginals always take this
 route, at every band width.
 
 It keeps the diagonals d = 0..D with E(d) >= DENSITY_FLOOR, so D + 1 is
-about 11.8 a / dy, clipped at n, where the sum over d is exact, and H's
-terms whose a-factor is at least DENSITY_FLOOR, |2i - s| <= T with T about
-11.8 a / dy.  On the grid |K| <= 1, so leaving out the diagonals past D
-moves a flown intensity by at most 2 sum_{d>D} |r_d|_1 at any point.  rho
-is positive semidefinite, so |r_d|_1 <= E(d) tr(rho) / E(1), and
-dy <= ``max_step`` makes E(1) >= exp(-pi^2/64); E's Gaussian tail then
-bounds that move by
+about 11.8 a / dy, clipped at n, where the sum over d is exact.  On the
+grid |K| <= 1, so a move of the diagonals moves a flown intensity by at
+most sum_d w_d |move of r_d|_1 at any point.  Leaving out the diagonals
+past D moves it by at most 2 sum_{d>D} |r_d|_1.  rho is positive
+semidefinite, so |r_d|_1 <= E(d) tr(rho) / E(1), and dy <= ``max_step``
+makes E(1) >= exp(-pi^2/64); E's Gaussian tail then bounds that move by
 
     2 e^(pi^2/64) (1 + (D + 1) / (200 ln 2)) 2^-100 tr(rho).
 
-H's cut terms, each below 2^-100 times its v-factor, move it by about
-4 (1 + T / (200 ln 2)) 2^-100 tr(rho), summing them over d, s and i against
-tr(rho) = pi a omega / (2 dy^2) to leading order.  With D + 1 <= n and
-T <= 2 n, at n = 65536 the first is at most 8.8e-28 tr(rho) and the second
-3.0e-27 tr(rho), so together they stay under 4e-27 tr(rho) for every
+The walk's r_0 and r_1 are the cut source's, and differ from the uncut
+source's only by terms the source cut drops: r_0 by the squares of the cut
+samples, |delta|_F^2 <= beta^2 tr(rho) in all, and r_1 by the products
+with a cut sample, at most 2 |delta|_F |psi|_F <= 2 beta tr(rho) in all
+(Cauchy-Schwarz).  Each diagonal scales one of them by
+E(d) / E(d mod 2) <= e^(pi^2/64), so together they move a flown intensity
+by at most 4 (D + 1) e^(pi^2/64) beta tr(rho).  With D + 1 <= n, at
+n = 65536 the first move is at most 8.8e-28 tr(rho) and the second under
+7.8e-24 tr(rho), so together they stay under 1e-23 tr(rho) for every
 n <= 65536, while a flown intensity peaks at tr(rho) / n or more: far below
 float64 rounding.
 
@@ -111,11 +118,9 @@ TAIL_BAND_FRACTION = 0.05
 TAIL_PROB_LIMIT = 1e-6
 # rows of the source generated at a time
 SOURCE_BLOCK_ROWS = 64
-# values of rho's diagonals flown at a time (``_chunk_rows``), and values
-# of H summed at a time
+# values of rho's diagonals flown at a time (``_chunk_rows``)
 DIAGONAL_VALUES = 16384
-H_BLOCK = 128
-# where the source's u factor, E and H's a-factor are cut (module docstring)
+# where the source's u factor and E are cut (module docstring)
 DENSITY_FLOOR = 2.0 ** -100
 
 
@@ -129,8 +134,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 256 or self.n & (self.n - 1) != 0:
             raise DomainError(f"n must be a power of two >= 256, got {self.n!r:.40}")
-        if self.extent <= 0:
-            raise DomainError(f"extent must be positive, got {self.extent}")
+        if not 0 < self.extent < math.inf:
+            raise DomainError(
+                f"extent must be positive and finite, got {self.extent}")
 
     @property
     def dy(self) -> float:
@@ -159,13 +165,13 @@ class Aperture:
 
     def __post_init__(self):
         if self.kind == "gaussian":
-            if self.epsilon <= 0:
+            if not self.epsilon > 0:
                 raise DomainError("gaussian aperture needs epsilon > 0")
         elif self.kind == "rect":
-            if self.full_width <= 0:
+            if not self.full_width > 0:
                 raise DomainError("rect aperture needs full_width > 0")
         elif self.kind == "double_slit":
-            if self.slit_width <= 0 or self.separation <= self.slit_width:
+            if not self.separation > self.slit_width > 0:
                 raise DomainError("double slit needs separation > slit_width > 0")
         elif self.kind != "point":
             raise DomainError(f"unknown aperture kind {self.kind!r}")
@@ -241,9 +247,10 @@ def points_for_step(extent: float, step: float, n: int = 256,
 
 
 def _check_source(a: float, omega: float, grid: GridSpec):
-    """Refuse a grid whose extent or step cannot hold the source."""
-    if a <= 0 or omega <= 0:
-        raise DomainError("a and omega must be positive")
+    """Refuse an a or omega that is not positive and finite, and a grid
+    whose extent or step cannot hold the source."""
+    if not (0 < a < math.inf and 0 < omega < math.inf):
+        raise DomainError("a and omega must be positive and finite")
     need = required_extent(a, omega)
     if grid.extent < need:
         raise ResolutionError(
@@ -458,62 +465,18 @@ def _density_count(a: float, omega: float, grid: GridSpec) -> int:
     return int(min(grid.n - 1, reach / grid.dy)) + 1
 
 
-def _density_tables(a: float, omega: float,
-                    grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(E, H), the two 1-D tables of rho(j, l) = E(j - l) H(j + l),
-    j, l >= 1 (module docstring): E(d) for d = 0..D, D + 1 from
-    ``_density_count``, and H(s) for s = 0..2 n - 2 followed by D zeros, so
-    that every diagonal's view of it stays in the array.
-
-    H(s) sums the terms of rows i = 1..n - 1 whose a-factor is at least
-    DENSITY_FLOOR, |2 i - s| <= T, H_BLOCK values of s at a time.  A block
-    reads the rows within T of any of its s, so it adds a few smaller terms
-    too.  Its terms are one product of two strided views of two factor
-    tables, A(t) = exp(-t^2 dy^2 / (2 a^2)) over the t the block reads and
-    B(q) = exp(-q^2 dy^2 / (8 omega^2)) over q = -2 n .. 2 n, as
-    ``source_rows`` reads its own.
-    """
-    n, dy = grid.n, grid.dy
-    count = _density_count(a, omega, grid)
-    e = _gaussian_table(0, count, dy, _diagonal_scale(a, omega))
-    # T: A(t) >= DENSITY_FLOOR for |t| <= T
-    reach = min(int(a * math.sqrt(-2.0 * math.log(DENSITY_FLOOR)) / dy),
-                2 * n)
-    # a block of s0 .. s0 + H_BLOCK - 1 reads 2 i - s within H_BLOCK + reach
-    # of 0
-    wide = min(reach + H_BLOCK, 2 * n)
-    a_factor = _gaussian_table(-wide, 2 * wide + 1, dy, 2.0 * a ** 2)
-    b_factor = _gaussian_table(-2 * n, 4 * n + 1, dy, 8.0 * omega ** 2)
-    h = np.zeros(2 * n - 2 + count)
-    item = h.itemsize
-    for s0 in range(0, 2 * n - 1, H_BLOCK):
-        s1 = min(s0 + H_BLOCK, 2 * n - 1)
-        # rows i with |2 i - s| <= reach for some s in s0 .. s1 - 1
-        first = max(1, (s0 - reach + 1) // 2)
-        last = min(n - 1, (s1 - 1 + reach) // 2)
-        if last < first:
-            continue
-        # term (s, i) is a_factor[wide + 2 i - s] * b_factor[2 i + s]
-        shape = (s1 - s0, last - first + 1)
-        a_view = np.ndarray(shape, float, a_factor,
-                            (wide + 2 * first - s0) * item, (-item, 2 * item))
-        b_view = np.ndarray(shape, float, b_factor,
-                            (2 * first + s0) * item, (item, 2 * item))
-        np.einsum("ij,ij->i", a_view, b_view, out=h[s0:s1])
-    return e, h
-
-
-def _diagonal_chunk(e: np.ndarray, h: np.ndarray, first: int,
+def _diagonal_chunk(e: np.ndarray, diagonals, first: int,
                     out: np.ndarray) -> np.ndarray:
-    """Write diagonals d = first .. first + len(out) - 1 of rho into
-    ``out``: out[d - first, j] = e[d] H(2 j + d), rho(j, j + d) with
-    ``_density_tables``' E and H, where column j and row j + d lie on the
-    grid and are not its self-mirrored edge (module docstring), and 0.0
-    elsewhere."""
+    """Write diagonals d = first .. first + len(out) - 1 of rho, each scaled
+    by e[d], into ``out`` from the walk's ``diagonals`` (r_0, r_1):
+    out[d - first, j] = e[d] r_{d mod 2}(j + d // 2) where column j and row
+    j + d lie on the grid and are not its self-mirrored edge (module
+    docstring), and 0.0 elsewhere."""
     m, n = out.shape
     for row, d in enumerate(range(first, first + m)):
-        # H(2 j + d) for column j
-        np.multiply(h[d:d + 2 * n:2], e[d], out=out[row])
+        half = d // 2
+        np.multiply(diagonals[d % 2][half:half + n - d], e[d],
+                    out=out[row, :n - d])
         # rho(j, j + d) with j + d >= n is off the grid
         out[row, n - d:] = 0.0
     out[:, 0] = 0.0
@@ -541,26 +504,31 @@ def _kernel_windows(n: int, dy: float, L: float, params: PhysParams,
         tiled, n, axis=1)
 
 
-def _density_flights(a: float, omega: float, grid: GridSpec, flights,
-                     params: PhysParams) -> list[np.ndarray]:
+def _density_flights(a: float, omega: float, grid: GridSpec, diagonals,
+                     flights, params: PhysParams) -> list[np.ndarray]:
     """Particle 2's intensity diag(U rho U^H) flown over each L in
-    ``flights``, from rho's diagonals r_d(j) = rho(j, j+d), d = 0..D.
+    ``flights``, from rho's diagonals r_d(j) = rho(j, j+d), d = 0..D, which
+    the walk's two, ``diagonals`` = (r_0, r_1) of n and n - 1 values, fix:
+    r_d(j) = E(d) / E(d mod 2) r_{d mod 2}(j + d // 2) (module docstring).
 
     With K = ifft(flight phase), the flight kernel, rho real and symmetric:
     I = sum_d w_d Re(G_d) (*) r_d, a circular convolution with
     G_d(x) = K(x) conj K(x - d), w_0 = 1 and w_d = 2 for d > 0.  Diagonals
-    are built from ``_density_tables``, ``_chunk_rows`` at a time, and go
-    through real transforms; each chunk's spectrum serves every flight.  A
-    chunk takes three buffers of its size, one real and two of half-spectra,
-    whatever D: its diagonals share the real one with each flight's Re G_d,
-    as their transform has read them before Re G_d is written.  Each flight
-    holds its kernel over n + D values (``_kernel_windows``).
+    are built from r_0, r_1 and a table of E over D + 1 values,
+    ``_chunk_rows`` at a time, and go through real transforms; each chunk's
+    spectrum serves every flight.  A chunk takes three buffers of its size,
+    one real and two of half-spectra, whatever D: its diagonals share the
+    real one with each flight's Re G_d, as their transform has read them
+    before Re G_d is written.  Each flight holds its kernel over n + D values
+    (``_kernel_windows``).
     """
     n, dy = grid.n, grid.dy
-    e, h = _density_tables(a, omega, grid)
-    # rho is symmetric: diagonal d > 0 also stands for diagonal -d
+    count = _density_count(a, omega, grid)
+    e = _gaussian_table(0, count, dy, _diagonal_scale(a, omega))
+    # diagonal d scales diagonal d mod 2 by E(d) / E(d mod 2), and rho is
+    # symmetric: diagonal d > 0 also stands for diagonal -d
+    e[1::2] /= e[1]
     e[1:] *= 2.0
-    count = e.size
     chunk = _chunk_rows(n, count)
     kernels = [_kernel_windows(n, dy, L, params, count) for L in flights]
     spectra = [np.zeros(n // 2 + 1, dtype=complex) for _ in flights]
@@ -570,7 +538,8 @@ def _density_flights(a: float, omega: float, grid: GridSpec, flights,
     for d0 in range(0, count, chunk):
         d1 = min(d0 + chunk, count)
         m = d1 - d0
-        np.fft.rfft(_diagonal_chunk(e, h, d0, re_g[:m]), out=rho_hat[:m])
+        np.fft.rfft(_diagonal_chunk(e, diagonals, d0, re_g[:m]),
+                     out=rho_hat[:m])
         for (parts, windows), spectrum in zip(kernels, spectra):
             # Re G_d = Re K * Re K(. - d) + Im K * Im K(. - d)
             np.einsum("kx,kmx->mx", parts,
@@ -598,12 +567,13 @@ def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int,
       too.
     - The block walk: the band of a block and the next one being generated,
       64 x w values each with w = min(n, 64 + 2 R) columns, the block's
-      2 (K + |S|) x 64 stacked modes and their 2 (K + |S|) x w product, and
-      the source's two factor tables of 2 n - 1 values each.
+      2 (K + |S|) x 64 stacked modes and their 2 (K + |S|) x w product, the
+      source's two factor tables of 2 n - 1 values each, and rho's diagonal
+      1, n - 1 values, which it sums beside particle 2's source-plane
+      intensity.
     - The flights (``_density_flights``): one ``_chunk_rows`` chunk in its
       three buffers, two flights' kernels over n + D values a row and their
-      spectra, H over 2 n - 1 + D values and the v-factor table of H's
-      terms, 4 n + 1 values.
+      spectra, and E over D + 1 values.
     - The guard's Gram over its |S| <= n points: |S|^2 complex values.
 
     R and D + 1 come from their closed forms, so the model builds no table.
@@ -617,10 +587,10 @@ def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int,
     spectrum = n + 2  # the real values of an rfft's n // 2 + 1 outputs
     held = 4 * rows * n
     walk = (2 * SOURCE_BLOCK_ROWS * width
-            + 2 * rows * (SOURCE_BLOCK_ROWS + width) + 2 * (2 * n - 1))
+            + 2 * rows * (SOURCE_BLOCK_ROWS + width) + 2 * (2 * n - 1)
+            + (n - 1))
     flights = (_chunk_rows(n, count) * (n + 2 * spectrum)
-               + 2 * (2 * (n + count - 1) + spectrum)
-               + (2 * n - 2 + count) + (4 * n + 1))
+               + 2 * (2 * (n + count - 1) + spectrum) + count)
     gram = 2 * points * points
     return 8 * (held + walk + flights + gram)
 
@@ -645,10 +615,12 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     only, multiplied into the block's columns of every flown mode, real and
     imaginary parts stacked, and its band's column sums of squares are added
     to particle 2's source-plane intensity, whose total is the source norm.
-    No block is transformed.  Besides the modes, the pass holds their 2 K x n
-    real products, so at most two K x n complex arrays' worth.  After the
-    last block ``_density_flights`` builds the D + 1 diagonals of
-    rho = psi^T psi from two 1-D tables, a chunk at a time, and flies them
+    The sums of its adjacent columns' products are added to rho's diagonal
+    1 (module docstring).  No block is transformed.  Besides the modes, the
+    pass holds their 2 K x n real products, so at most two K x n complex
+    arrays' worth.  After the last block ``_density_flights`` builds the
+    D + 1 diagonals of rho = psi^T psi from diagonals 0 and 1, the
+    source-plane intensity and that sum, a chunk at a time, and flies them
     to particle 2's intensity over L1 and, when given, over ``beam_L``: once
     per distinct nonzero distance, whatever K, so with ``beam_L == L1`` the
     two are one array.  An intensity over L = 0 is the source-plane
@@ -669,22 +641,21 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     most two arrays of |S| + 1 rows of n complex values: A is taken in place
     in the projections' buffer, and the kernels K then take A's rows, flown
     and conjugated in place.  The guard is kept as ``guard`` and, for
-    d1 > 0, tail-checked.  ``peak_bytes`` models the pass's peak memory from
-    these arrays.
+    d1 > 0, tail-checked, and the detector mode's row is copied out, so the
+    returned pass holds none of those arrays.  ``peak_bytes`` models the
+    pass's peak memory from them.
     """
     if not all(L >= 0 for L in (L1, beam_L, d1) if L is not None):
         raise DomainError("propagation distances must be >= 0")
     n, dy, y = grid.n, grid.dy, grid.y
     if d1 is None:
-        count = len(apertures)
-        modes = np.empty((count, n), dtype=complex)
+        modes = np.empty((len(apertures), n), dtype=complex)
         for k, aperture in enumerate(apertures):
             modes[k] = np.conj(aperture.sample(y, dy))
     else:
         if len(apertures) != 1:
             raise DomainError(
                 f"a d1 leg takes one aperture, got {len(apertures)}")
-        count = 1
         # aperture scale drops out after the renormalized conditioning
         mask = apertures[0].sample(y, dy)
         point = Aperture(kind="point").sample(y, dy)
@@ -707,8 +678,13 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     # its band's column sums of squares.  Its total is the source norm, and
     # a flight over L = 0 reads it.
     source_plane = np.zeros(n)
+    # rho's diagonal 1: each block adds its band's sums over rows of
+    # adjacent columns' products
+    adjacent = np.zeros(n - 1)
     for rows, cols, band in _source_blocks(tables):
         source_plane[cols] += np.einsum("ij,ij->j", band, band)
+        adjacent[cols.start:cols.stop - 1] += np.einsum(
+            "ij,ij->j", band[:, :-1], band[:, 1:])
         # the block's columns of the modes, real and imaginary parts
         # stacked: one real product per block
         block = modes[:, rows]
@@ -718,8 +694,9 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     flights = [L1] if beam_L is None else [L1, beam_L]
     # each distinct nonzero distance is flown once
     flown = [L for L in dict.fromkeys(flights) if L > 0]
-    marginals = dict(zip(flown, _density_flights(a, omega, grid, flown,
-                                                 params))) if flown else {}
+    marginals = dict(zip(flown, _density_flights(
+        a, omega, grid, (source_plane, adjacent), flown,
+        params))) if flown else {}
     intensities = {L: marginals.get(L, source_plane) for L in flights}
     # the norm before the source-plane intensity is scaled in place below
     norm = float(np.sum(source_plane)) * dy * dy
@@ -747,7 +724,9 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                           np.conj(amp, out=amp)).real
         if d1 > 0:
             _check_tails(guard)
-    amplitude = modes[:count]
+    # a d1 leg's detector row is copied out of its guard's buffer, so the
+    # returned pass does not hold that buffer
+    amplitude = modes if d1 is None else modes[:1].copy()
     weight, failures = _normalize(amplitude, dy, L1, params)
     return SourcePass(y=y, dy=dy, params=params, norm=norm,
                       slit_plane=intensities[L1],

@@ -161,12 +161,14 @@ class TestPopperFreespace:
     def test_beam_at_slit_plane_flown_once(self, monkeypatch):
         # with L2 = 0 the beam lies at the slit plane: rho's diagonals fly
         # 600 mm once, and the beam FWHM is the one two flights give
-        flights = []
+        flights, walked = [], []
         density_flights = go._density_flights
 
-        def spy(a, omega, grid, distances, params):
+        def spy(a, omega, grid, diagonals, distances, params):
             flights.append(list(distances))
-            return density_flights(a, omega, grid, distances, params)
+            walked.append(diagonals)
+            return density_flights(a, omega, grid, diagonals, distances,
+                                   params)
 
         monkeypatch.setattr(go, "_density_flights", spy)
         scenario = dataclasses.replace(
@@ -174,7 +176,7 @@ class TestPopperFreespace:
         report = ex.run_popper_freespace(scenario, use_oracle=True)
         assert flights == [[600.0]]
         grid = ex.oracle_grid(scenario)
-        _, beam = density_flights(scenario.a, scenario.omega, grid,
+        _, beam = density_flights(scenario.a, scenario.omega, grid, walked[0],
                                   [600.0, 600.0], scenario.params)
         width = go.intensity_widths(grid.y, beam * grid.dy, grid.dy)
         assert report.beam_fwhm_mm.oracle == \

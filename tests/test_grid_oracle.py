@@ -281,6 +281,23 @@ def max_rel(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+def walk_diagonals(monkeypatch, params, a, omega, grid):
+    """The diagonals 0 and 1 of rho that the block walk of a pass over 300
+    mm sums and hands to ``_density_flights``."""
+    captured = []
+    density_flights = go._density_flights
+
+    def spy(a, omega, grid, diagonals, flights, params):
+        captured.append(diagonals)
+        return density_flights(a, omega, grid, diagonals, flights, params)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(go, "_density_flights", spy)
+        go.source_pass(a, omega, grid, params, 300.0)
+    (diagonals,) = captured
+    return diagonals
+
+
 # a small resolved layout: dy = 0.0625 mm against max_step 0.111 mm
 PARITY_GRID = go.GridSpec(n=512, extent=16.0)
 PARITY_A, PARITY_OMEGA = 0.2, 2.0
@@ -469,22 +486,35 @@ class TestSourcePass:
         (PARITY_A, PARITY_OMEGA, PARITY_GRID),
         (0.3, 1.0, TIGHT_GRID),
         CLIPPED], ids=["parity", "tight", "clipped"])
-    def test_table_diagonals_match_direct_rho(self, a, omega, grid):
-        # rho(j, l) = E(j - l) H(j + l) from the two 1-D tables equals
-        # psi^T psi of the reference's sampled source, up to its norm, on
-        # every diagonal a pass keeps, all n of them on the clipped grid
-        n = grid.n
+    def test_table_diagonals_match_direct_rho(self, params702, monkeypatch,
+                                              a, omega, grid):
+        # the diagonals of rho a pass flies, built from the walk's diagonals
+        # 0 and 1 by rho(j, l) = E(j - l) H(j + l), equal psi^T psi of the
+        # reference's sampled source, up to its norm, on every diagonal a
+        # pass keeps, all n of them on the clipped grid.  Diagonal 0 is the
+        # walk's source-plane sum bit for bit.
+        n, count = grid.n, go._density_count(a, omega, grid)
+        assert (count == n) is (grid is CLIPPED[2])
+        chunks = []
+        diagonal_chunk = go._diagonal_chunk
+
+        def spy(*args):
+            chunk = diagonal_chunk(*args)
+            chunks.append(chunk.copy())
+            return chunk
+
+        monkeypatch.setattr(go, "_diagonal_chunk", spy)
+        go.source_pass(a, omega, grid, params702, 300.0)
+        diagonals = np.concatenate(chunks)
+        assert diagonals.shape == (count, n)
+        # the pass weighs each diagonal d > 0 by 2, for d and -d
+        diagonals[1:] /= 2.0
+        at_source = go.source_pass(a, omega, grid, params702, 0.0).slit_plane
+        assert np.array_equal(diagonals[0] * grid.dy, at_source)
         psi = ref.build_grid_state(a, omega, grid).psi.real
         rho = psi.T @ psi
-        e, h = go._density_tables(a, omega, grid)
-        assert e.size == go._density_count(a, omega, grid)
-        assert (e.size == n) is (grid is CLIPPED[2])
-        diagonals = np.empty((e.size, n))
-        rows = go._chunk_rows(n, e.size)
-        for first in range(0, e.size, rows):
-            go._diagonal_chunk(e, h, first, diagonals[first:first + rows])
         want = np.zeros_like(diagonals)
-        for d in range(e.size):
+        for d in range(count):
             want[d, :n - d] = np.diagonal(rho, d)
         assert max_rel(diagonals / np.sum(diagonals[0]),
                        want / np.trace(rho)) <= 1e-14
@@ -500,8 +530,8 @@ class TestSourcePass:
         # docstring bounds by 2 e^(pi^2/64) (1 + (D + 1) / (200 ln 2)) 2^-100
         # of the trace.  The source is nonnegative, so that L1 mass is the
         # sum of psi(i, j) psi(i, l) over l - j > D, each row's summed
-        # against its own suffix sums: no cancellation.  rho is E and H's,
-        # that of the raw factor product, not cut at the source floor.
+        # against its own suffix sums: no cancellation.  rho is that of the
+        # raw factor product, not cut at the source floor.
         count = go._density_count(a, omega, grid)
         omitted = trace = 0.0
         for _, _, band in go._source_blocks(raw_tables(a, omega, grid)):
@@ -660,24 +690,28 @@ class TestSourcePass:
 
     @pytest.mark.parametrize("n, count", [(1024, 32), (2048, 63), (4096, 125),
                                           (8192, 250)])
-    def test_flights_hold_one_small_chunk(self, params702, n, count):
+    def test_flights_hold_one_small_chunk(self, params702, monkeypatch, n,
+                                          count):
         # a chunk is ``_chunk_rows`` diagonals, 16, 8 and then 4: the flights
         # hold its three buffers (one real row and two half-spectra a
         # diagonal), each of two flights' kernel as two rows of n + D
-        # values, rho's tables E and H (2 n + 2 D values), and eight
-        # one-axis arrays (the spectra, the results and transients), 8 bytes
-        # a value, whatever D
+        # values, the table of E (D + 1 values), and eight one-axis arrays
+        # (the spectra, the results and transients), 8 bytes a value,
+        # whatever D.  The walk's diagonals 0 and 1 are the caller's.
         a, omega, grid = SQRT_A2, 10.0, go.GridSpec(n=n, extent=40.0)
         assert go._density_count(a, omega, grid) == count
         rows, d_max = go._chunk_rows(n, count), count - 1
         budget = 8 * (rows * (n + 2 * 2 * (n // 2 + 1))
-                      + 2 * 2 * (n + d_max) + (2 * n + 2 * d_max) + 8 * n)
+                      + 2 * 2 * (n + d_max) + (d_max + 1) + 8 * n)
+        diagonals = walk_diagonals(monkeypatch, params702, a, omega, grid)
         # a first call imports numpy.fft, which numpy loads lazily and
         # tracemalloc would count
-        go._density_flights(a, omega, grid, [500.0, 1000.0], params702)
+        go._density_flights(a, omega, grid, diagonals, [500.0, 1000.0],
+                            params702)
         tracemalloc.start()
         try:
-            go._density_flights(a, omega, grid, [500.0, 1000.0], params702)
+            go._density_flights(a, omega, grid, diagonals, [500.0, 1000.0],
+                                params702)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -892,6 +926,35 @@ class TestApertureValidation:
             aperture.sample(grid.y, grid.dy)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("call", [
+        *[pytest.param(lambda params, x=x: go.GridSpec(n=512, extent=x),
+                       id=f"extent-{x}") for x in (math.nan, math.inf)],
+        pytest.param(lambda params: go.Aperture(kind="gaussian",
+                                                epsilon=math.nan),
+                     id="epsilon-nan"),
+        pytest.param(lambda params: go.Aperture(kind="rect",
+                                                full_width=math.nan),
+                     id="full_width-nan"),
+        pytest.param(lambda params: go.Aperture(
+            kind="double_slit", slit_width=math.nan, separation=0.4),
+            id="slit_width-nan"),
+        pytest.param(lambda params: go.Aperture(
+            kind="double_slit", slit_width=0.1, separation=math.nan),
+            id="separation-nan"),
+        *[pytest.param(lambda params, x=x: go.source_pass(
+            x, PARITY_OMEGA, PARITY_GRID, params, 300.0), id=f"a-{x}")
+          for x in (math.nan, math.inf)],
+        *[pytest.param(lambda params, x=x: go.source_pass(
+            PARITY_A, x, PARITY_GRID, params, 300.0), id=f"omega-{x}")
+          for x in (math.nan, math.inf)]])
+    def test_refused(self, params702, call):
+        # a NaN or infinite size is refused, not carried into a traceback or
+        # a NaN result
+        with pytest.raises(DomainError):
+            call(params702)
+
+
 GHOST_GRID = go.GridSpec(n=2048, extent=10.0)
 DOUBLE_SLIT = go.Aperture(kind="double_slit", slit_width=0.1, separation=0.4)
 # a 1 mm slit: 103 samples on GHOST_GRID, each a point mode of the guard
@@ -1026,6 +1089,26 @@ class TestGhostDoubleSlit:
         peak = traced_peak(lambda: go.ghost_double_slit(
             a, omega, GHOST_GRID, slit, 200.0, d1, 200.0, params702))
         assert model / 2 <= peak <= model
+
+    def test_d1_pass_holds_its_row_alone(self, params702):
+        # the pass returns the d1 leg's detector row on its own, not as a
+        # view into the buffer of the 5 mm slit's |S| = 511 point modes: what
+        # the returned pass holds is a few n-rows
+        a, omega, _, d1 = GHOST_LAYOUTS["entangled"]
+        slit = go.Aperture(kind="rect", full_width=5.0)
+        # a first call imports numpy.fft, which numpy loads lazily and
+        # tracemalloc would count
+        go.source_pass(a, omega, GHOST_GRID, params702, 200.0, [DOUBLE_SLIT],
+                       d1=d1)
+        tracemalloc.start()
+        try:
+            source = go.source_pass(a, omega, GHOST_GRID, params702, 200.0,
+                                    [slit], d1=d1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert source.amplitude.shape == (1, GHOST_GRID.n)
+        assert held < 8 * GHOST_GRID.n * 16
 
     def test_wide_mask_holds_its_modes_twice(self, params702):
         # the 5 mm slit's |S| = 511 point modes ride with the detector mode,
