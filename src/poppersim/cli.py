@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -32,7 +31,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOLUTION = 3
 
-MAX_GRID_ENV = "POPPER_SIM_MAX_GRID"
+# the oracle's memory-cap variable, read by grid_oracle; perfbench keeps it
+# out of its children's environment by this name
+MAX_GRID_ENV = go.MAX_GRID_ENV
 
 CONVENTION_BLOCK = {
     "units": "lengths in mm, transverse momenta in rad/mm, hbar = 1",
@@ -135,30 +136,6 @@ def _emit(doc: dict, out_path: str | None):
     _write(out_path, json.dumps(_round_sig(doc), indent=2) + "\n")
 
 
-def _check_grid_cap(scenario: ex.Scenario, grid: go.GridSpec, modes: int):
-    """Refuse an oracle pass over ``modes`` slits on ``grid`` whose modelled
-    peak memory (``grid_oracle.peak_bytes``) exceeds the MAX_GRID_ENV cap,
-    or the machine's physical memory when it is unset."""
-    cap = os.environ.get(MAX_GRID_ENV)
-    if cap:
-        try:
-            cap_bytes = int(cap)
-        except ValueError:
-            raise ConfigError(
-                f"{MAX_GRID_ENV} must be an integer byte count, got {cap!r}")
-        name = MAX_GRID_ENV
-    else:
-        cap_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        name = "physical memory"
-    need = go.peak_bytes(scenario.a, scenario.omega, grid, modes)
-    if need > cap_bytes:
-        raise ConfigError(
-            f"oracle pass on n = {grid.n} over {modes} "
-            f"mode{'' if modes == 1 else 's'} needs {need} bytes, over the "
-            f"{name} cap of {cap_bytes}"
-        )
-
-
 def _check_finite_options(args):
     """Refuse a NaN or infinite float option, as a scenario field is refused."""
     for dest, option in FLOAT_OPTIONS.items():
@@ -168,18 +145,14 @@ def _check_finite_options(args):
 
 
 def _load_scenario(args, slit_full_widths=None) -> ex.Scenario:
-    """The command's scenario file with ``--grid-n`` applied; when the
-    command runs the oracle, its grid is checked against the memory cap.
-    A sweep passes its slits, which size a grid the file does not give and
-    count the modes of its one pass; any other command conditions on one."""
+    """The command's scenario file with ``--grid-n`` applied over the extent
+    of its oracle grid; a sweep passes its slits, which size a grid the file
+    does not give.  The oracle's pass checks its own memory cap."""
     scenario = ex.Scenario.from_json(args.scenario)
     if args.grid_n is not None:
         scenario = dataclasses.replace(scenario, oracle=go.GridSpec(
             n=args.grid_n,
             extent=ex.oracle_grid(scenario, slit_full_widths).extent))
-    if args.oracle:
-        _check_grid_cap(scenario, ex.oracle_grid(scenario, slit_full_widths),
-                        1 if slit_full_widths is None else len(slit_full_widths))
     return scenario
 
 

@@ -70,9 +70,9 @@ class Scenario:
     oracle: GridSpec | None = None
 
     def __post_init__(self):
-        if self.a <= 0 or self.omega <= 0:
+        if not (0 < self.a < math.inf and 0 < self.omega < math.inf):
             raise ConfigError("source parameters a and omega must be positive")
-        if self.L1 < 0 or self.L2 < 0:
+        if not (self.L1 >= 0 and self.L2 >= 0):
             raise ConfigError("flight legs must be >= 0")
 
     @property
@@ -340,11 +340,11 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
     Analytic widths use the wide-source closed form over the effective
     distance 2*L1 + L2; the oracle arm conditions the source, with the
     scenario's finite omega, on every slit width in one pass.  Oracle
-    failures are isolated into the points' ``error`` fields: a slit the
-    grid does not resolve (``Aperture.check_resolved``) is flagged and left
-    out of the pass, a failure of the pass lands in every point it holds,
-    and a row's failure, as the pass flies every point at once, in its own
-    point.  Both arms are free-space widths, so a lens layout is refused.
+    failures are isolated into the points' ``error`` fields: a failure of
+    the pass lands in every point, and a row's own failure in its point: a
+    slit the grid does not resolve, or a row whose flight wraps.  The pass
+    refuses a grid over the memory cap before it runs.  Both arms are
+    free-space widths, so a lens layout is refused.
     """
     if scenario.lens is not None:
         raise ConfigError("sweep is defined for the free-space layout; "
@@ -368,26 +368,15 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
     # the oracle conditions on the sweep's slits, never on the scenario's
     # own: its grid is sized for them
     grid = oracle_grid(scenario, widths)
-    resolved, slits = [], []
-    for point in points:
-        slit = Aperture(kind="gaussian", epsilon=point.slit_full_width_mm / 2.0)
-        try:
-            slit.check_resolved(grid.n, grid.dy)
-        except ResolutionError as exc:
-            point.error = str(exc)
-            continue
-        resolved.append(point)
-        slits.append(slit)
-    if not resolved:
-        return points
+    slits = [Aperture(kind="gaussian", epsilon=w_full / 2.0) for w_full in widths]
     try:
         source = oracle_pass(replace(scenario, oracle=grid), scenario.L1, slits)
     except (DomainError, ResolutionError) as exc:
-        for point in resolved:
+        for point in points:
             point.error = str(exc)
         return points
     source.fly(scenario.L2)
-    for k, point in enumerate(resolved):
+    for k, point in enumerate(points):
         try:
             point.fwhm_oracle_mm = source.widths(k).fwhm
         except (DomainError, ResolutionError) as exc:

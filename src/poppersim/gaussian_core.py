@@ -46,7 +46,7 @@ class PhysParams:
     wavelength_mm: float
 
     def __post_init__(self):
-        if self.wavelength_mm <= 0:
+        if not 0 < self.wavelength_mm < math.inf:
             raise DomainError(f"wavelength must be positive, got {self.wavelength_mm}")
 
     @property
@@ -74,9 +74,9 @@ class EprState:
     gamma_v: complex
 
     def __post_init__(self):
-        if self.a <= 0 or self.omega <= 0:
+        if not (0 < self.a < math.inf and 0 < self.omega < math.inf):
             raise DomainError("a and omega must be positive")
-        if self.gamma_u.real <= 0 or self.gamma_v.real <= 0:
+        if not (self.gamma_u.real > 0 and self.gamma_v.real > 0):
             raise DomainError("Re(gamma_u) and Re(gamma_v) must stay positive")
 
     @property
@@ -92,7 +92,7 @@ class GaussianParam:
     gamma: complex
 
     def __post_init__(self):
-        if self.gamma.real <= 0:
+        if not self.gamma.real > 0 or math.isnan(self.gamma.imag):
             raise DomainError(f"Re(gamma) must be positive, got {self.gamma}")
 
 
@@ -120,10 +120,10 @@ class SlitSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "rectangular"):
             raise DomainError(f"unknown slit kind {self.kind!r}")
-        if self.kind == "gaussian" and self.epsilon <= 0:
+        if self.kind == "gaussian" and not self.epsilon > 0:
             raise DomainError("gaussian slit requires epsilon > 0")
         if self.kind == "rectangular":
-            if self.full_width <= 0:
+            if not self.full_width > 0:
                 raise DomainError("rectangular slit requires full_width > 0")
             if self.convention not in ("half-width", "diffraction-matched"):
                 raise DomainError(f"unknown slit convention {self.convention!r}")
@@ -154,7 +154,7 @@ class PropagationLeg:
     L: float
 
     def __post_init__(self):
-        if self.L < 0:
+        if not self.L >= 0:
             raise DomainError(f"propagation distance must be >= 0, got {self.L}")
 
 
@@ -166,11 +166,11 @@ class LensConfig:
     b1: float
 
     def __post_init__(self):
-        if self.f <= 0:
+        if not self.f > 0:
             raise DomainError(f"focal length must be positive, got {self.f}")
-        if self.b1 < 0:
+        if not self.b1 >= 0:
             raise DomainError(f"source-to-lens distance must be >= 0, got {self.b1}")
-        if self.image_distance <= 0:
+        if not self.image_distance > 0:
             raise ConfigError(
                 f"ghost-image distance 2f - b1 = {2 * self.f - self.b1} must be positive"
             )
@@ -183,7 +183,7 @@ class LensConfig:
 
 def make_epr_state(a: float, omega: float) -> EprState:
     """Source-plane state with gamma_u = a^2 and gamma_v = 4*omega^2."""
-    if a <= 0 or omega <= 0:
+    if not (0 < a < math.inf and 0 < omega < math.inf):
         raise DomainError(f"a and omega must be positive, got a={a}, omega={omega}")
     return EprState(a=a, omega=omega, gamma_u=complex(a * a), gamma_v=complex(4.0 * omega * omega))
 

@@ -107,11 +107,12 @@ exp(-y^2/(eps^2 + i*Lambda*L)).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import ConfigError, DomainError, ResolutionError
 from .gaussian_core import FWHM_FACTOR, PhysParams
 
 TAIL_BAND_FRACTION = 0.05
@@ -122,6 +123,8 @@ SOURCE_BLOCK_ROWS = 64
 DIAGONAL_VALUES = 16384
 # where the source's u factor and E are cut (module docstring)
 DENSITY_FLOOR = 2.0 ** -100
+# the environment variable capping a pass's modelled peak memory, in bytes
+MAX_GRID_ENV = "POPPER_SIM_MAX_GRID"
 
 
 @dataclass(frozen=True)
@@ -359,23 +362,27 @@ def _source_blocks(tables: SourceTables):
         yield rows, cols, band
 
 
-def _tail_failures(prob: np.ndarray) -> dict[int, ResolutionError]:
-    """{row: error} for the probability profiles along the last axis of
-    ``prob`` (a 1-D one is row 0) whose outer bands hold more than
-    TAIL_PROB_LIMIT of their total: spectral flight has wrapped them."""
+def _tail_failures(prob: np.ndarray,
+                   failures: dict[int, Exception]) -> dict[int, Exception]:
+    """Add to ``failures``, {row: first error}, and return it, an error for
+    each probability profile along the last axis of ``prob`` (a 1-D one is
+    row 0) whose outer bands hold more than TAIL_PROB_LIMIT of its total:
+    spectral flight has wrapped it.  A row that failed before keeps its
+    first error."""
     rows = prob.reshape(-1, prob.shape[-1])
     band = max(1, int(round(TAIL_BAND_FRACTION * rows.shape[1])))
     tail = np.sum(rows[:, :band], axis=1) + np.sum(rows[:, -band:], axis=1)
     total = np.sum(rows, axis=1)
-    return {int(k): ResolutionError(
-        f"propagated state reaches the domain boundary (tail probability "
-        f"{tail[k] / total[k]:.3g} > {TAIL_PROB_LIMIT}); enlarge the extent")
-        for k in np.flatnonzero(tail > TAIL_PROB_LIMIT * total)}
+    for k in np.flatnonzero(tail > TAIL_PROB_LIMIT * total):
+        failures.setdefault(int(k), ResolutionError(
+            f"propagated state reaches the domain boundary (tail probability "
+            f"{tail[k] / total[k]:.3g} > {TAIL_PROB_LIMIT}); enlarge the extent"))
+    return failures
 
 
 def _check_tails(prob: np.ndarray):
     """Refuse a 1-D profile that ``_tail_failures`` flags."""
-    for error in _tail_failures(prob).values():
+    for error in _tail_failures(prob, {}).values():
         raise error
 
 
@@ -421,8 +428,9 @@ class SourcePass:
     ``amplitude[k]`` is particle 2's amplitude at the slit plane, normalized,
     conditioned on particle 1's detector mode k, and ``weight[k]`` its
     coincidence weight; ``failures`` maps a failed row to the first error it
-    hit.  ``guard`` is the profile of a d1 leg's guard, unnormalized, and
-    None without one.
+    hit: its aperture unresolved, its flight wrapped or its weight
+    degenerate.  ``guard`` is the profile of a d1 leg's guard, unnormalized,
+    and None without one.
     """
 
     y: np.ndarray
@@ -440,8 +448,7 @@ class SourcePass:
         """Fly every row a further L >= 0 in place and tail-check it."""
         fly(self.amplitude, self.dy, L, self.params)
         if L > 0:
-            for k, error in _tail_failures(np.abs(self.amplitude) ** 2).items():
-                self.failures.setdefault(k, error)
+            _tail_failures(np.abs(self.amplitude) ** 2, self.failures)
         return self
 
     def widths(self, k: int) -> WidthResult:
@@ -595,6 +602,31 @@ def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int,
     return 8 * (held + walk + flights + gram)
 
 
+def _check_grid_cap(a: float, omega: float, grid: GridSpec, modes: int,
+                    points: int):
+    """Refuse a pass on ``grid`` over ``modes`` detector modes and a guard's
+    ``points`` whose modelled peak memory (``peak_bytes``) exceeds the
+    MAX_GRID_ENV cap, or the machine's physical memory when it is unset."""
+    cap = os.environ.get(MAX_GRID_ENV)
+    if cap:
+        try:
+            cap_bytes = int(cap)
+        except ValueError:
+            raise ConfigError(
+                f"{MAX_GRID_ENV} must be an integer byte count, got {cap!r}")
+        name = MAX_GRID_ENV
+    else:
+        cap_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        name = "physical memory"
+    need = peak_bytes(a, omega, grid, modes, points)
+    if need > cap_bytes:
+        guard = f" and {points} point{'' if points == 1 else 's'}" if points else ""
+        raise ConfigError(
+            f"oracle pass on n = {grid.n} over {modes} "
+            f"mode{'' if modes == 1 else 's'}{guard} needs {need} bytes, over "
+            f"the {name} cap of {cap_bytes}")
+
+
 def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                 L1: float, apertures=(), beam_L: float | None = None,
                 d1: float | None = None) -> SourcePass:
@@ -603,12 +635,21 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     row blocks of the source with no n x n array.
 
     Each aperture phi gives the slit-plane mode conj(phi), sampled one row
-    at a time before the source is checked.  Given ``d1``, particle 1 passes
-    its one aperture, a mask m, flies a further d1 and is point-detected on
-    axis: the pass conditions on the one mode m * fly(conj(point), d1)
-    (module docstring) and guards the d1 leg (below).  ``d1`` with any other
-    number of apertures is refused, as is a distance that is not >= 0, NaN
-    included.
+    at a time after the source is checked.  An aperture the grid cannot
+    resolve (``Aperture.sample`` raises ResolutionError) leaves its row 0.0
+    with that error as the row's failure, and the other rows run.  Given
+    ``d1``, particle 1 passes its one aperture, a mask m, flies a further d1
+    and is point-detected on axis: the pass conditions on the one mode
+    m * fly(conj(point), d1) (module docstring) and guards the d1 leg
+    (below), so a mask the grid cannot resolve is refused.  ``d1`` with any
+    other number of apertures is refused, as is a distance that is not
+    >= 0, NaN included.
+
+    Before it allocates its modes, the pass refuses with ConfigError a
+    modelled peak (``peak_bytes``) over its K modes above the MAX_GRID_ENV
+    cap, or above the machine's physical memory when that is unset; a d1
+    leg is checked again with its |S| points once its mask is sampled.  The
+    source is checked first, as the model divides by a and omega.
 
     The pass flies the modes back over L1 in place, with no tail check.
     Each block of SOURCE_BLOCK_ROWS rows is generated on its diagonal band
@@ -647,20 +688,29 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     """
     if not all(L >= 0 for L in (L1, beam_L, d1) if L is not None):
         raise DomainError("propagation distances must be >= 0")
+    if d1 is not None and len(apertures) != 1:
+        raise DomainError(f"a d1 leg takes one aperture, got {len(apertures)}")
+    _check_source(a, omega, grid)
+    # the modes first: a d1 leg's points are counted once its mask is sampled
+    _check_grid_cap(a, omega, grid, len(apertures), 0)
     n, dy, y = grid.n, grid.dy, grid.y
+    failures = {}
     if d1 is None:
         modes = np.empty((len(apertures), n), dtype=complex)
         for k, aperture in enumerate(apertures):
-            modes[k] = np.conj(aperture.sample(y, dy))
+            try:
+                modes[k] = np.conj(aperture.sample(y, dy))
+            except ResolutionError as exc:
+                # the row is 0.0 and fails alone
+                modes[k] = 0.0
+                failures[k] = exc
     else:
-        if len(apertures) != 1:
-            raise DomainError(
-                f"a d1 leg takes one aperture, got {len(apertures)}")
         # aperture scale drops out after the renormalized conditioning
         mask = apertures[0].sample(y, dy)
-        point = Aperture(kind="point").sample(y, dy)
         support = np.flatnonzero(
             np.abs(mask) >= DENSITY_FLOOR * np.abs(mask).max())
+        _check_grid_cap(a, omega, grid, 1, support.size)
+        point = Aperture(kind="point").sample(y, dy)
         # the detector mode's chain up to the slit plane, then a point on
         # each sample of S; the points are built again for the d1 leg, not
         # held through the pass
@@ -668,7 +718,6 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         modes = np.zeros((1 + support.size, n), dtype=complex)
         modes[0] = mask * fly(np.conj(point), dy, d1, params)
         modes[1 + points, support] = 1.0
-    _check_source(a, omega, grid)
     tables = source_tables(a, omega, grid)
     # particle 1's flight from the slit plane back to the source
     fly(modes, dy, L1, params)
@@ -727,7 +776,7 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     # a d1 leg's detector row is copied out of its guard's buffer, so the
     # returned pass does not hold that buffer
     amplitude = modes if d1 is None else modes[:1].copy()
-    weight, failures = _normalize(amplitude, dy, L1, params)
+    weight = _normalize(amplitude, dy, L1, params, failures)
     return SourcePass(y=y, dy=dy, params=params, norm=norm,
                       slit_plane=intensities[L1],
                       beam=None if beam_L is None else intensities[beam_L],
@@ -735,15 +784,17 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                       guard=guard)
 
 
-def _normalize(rows: np.ndarray, dy: float, L1: float,
-               params: PhysParams) -> tuple[np.ndarray, dict[int, Exception]]:
-    """(weight, failures) of the projections ``rows``, flown over L1 in
-    place in one ``fly``, then tail-checked, weighed and normalized in
-    place.  A row whose flight wraps, or whose weight is below 1e-12, keeps
-    that failure unnormalized."""
+def _normalize(rows: np.ndarray, dy: float, L1: float, params: PhysParams,
+               failures: dict[int, Exception]) -> np.ndarray:
+    """The weights of the projections ``rows``, flown over L1 in place in
+    one ``fly``, then tail-checked, weighed and normalized in place.
+    ``failures`` maps a row to the first error it hit: one that failed
+    before (an unresolved aperture's 0.0 row), whose flight wraps, or whose
+    weight is below 1e-12 keeps that first failure there, unnormalized."""
     fly(rows, dy, L1, params)
     prob = np.abs(rows) ** 2
-    failures = _tail_failures(prob) if L1 > 0 else {}
+    if L1 > 0:
+        _tail_failures(prob, failures)
     weight = np.sum(prob, axis=1) * dy
     del prob
     for k in np.flatnonzero(weight < 1e-12):
@@ -752,7 +803,7 @@ def _normalize(rows: np.ndarray, dy: float, L1: float,
     scale = np.sqrt(weight)
     scale[list(failures)] = 1.0
     rows /= scale[:, None]
-    return weight, failures
+    return weight
 
 
 def _local_maxima(intensity: np.ndarray, floor: float) -> np.ndarray:
@@ -853,12 +904,11 @@ def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
     """
     if not L2 >= 0:
         raise DomainError("propagation distances must be >= 0")
-    y, dy = grid.y, grid.dy
     source = source_pass(a, omega, grid, params, L1, [slit], d1=d1).fly(L2)
     env = source.widths(0)
     intensity = np.abs(source.amplitude[0]) ** 2
-    spacing, visibility = fringe_metrics(y, intensity)
-    return GhostPattern(y=y, intensity=intensity, dy=dy,
+    spacing, visibility = fringe_metrics(source.y, intensity)
+    return GhostPattern(y=source.y, intensity=intensity, dy=source.dy,
                         weight=float(source.weight[0]), fringe_spacing=spacing,
                         visibility=visibility,
                         envelope_fwhm=2.0 * env.rms * FWHM_FACTOR)

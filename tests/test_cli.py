@@ -321,13 +321,13 @@ class TestBlocklessSweep:
         path = sweep_scenario(tmp_path)
         argv = ["sweep", path, "--from", "0.02", "--to", "0.5", "--steps", "2",
                 "--oracle"]
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(
+        monkeypatch.setenv(go.MAX_GRID_ENV, str(
             pass_bytes(path, 2, widths=[0.02, 0.5]) - 1))
         code, _, err = run_cli(argv, capsys)
         assert code == cli.EXIT_CONFIG and "n = 8192 over 2 modes" in err
         # a wide sweep of a narrow-slit scenario needs only n = 2048
         path = sweep_scenario(tmp_path, slit={"kind": "gaussian", "width_mm": 0.01})
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(
+        monkeypatch.setenv(go.MAX_GRID_ENV, str(
             pass_bytes(path, 2, n=2048, widths=[0.6, 1.0])))
         code, _, err = run_cli(
             ["sweep", path, "--from", "0.6", "--to", "1.0", "--steps", "2",
@@ -553,6 +553,28 @@ class TestUnresolvedAperture:
                                                        rel=0.05)
         assert out.splitlines()[1].endswith(",")
 
+    def test_source_need_reported_before_the_slit(self, tmp_path, capsys):
+        # a = 0.01 mm needs n >= 16384 on +-40 mm, and a Gaussian slit of
+        # epsilon 0.02 mm (the sweep's 0.04 mm point) a finer step than the
+        # 2048-point grid's too: the run and each sweep point report the
+        # source's need
+        doc = {"a_mm": 0.01, "omega_mm": 4, "L1_mm": 500, "L2_mm": 500,
+               "slit": {"kind": "gaussian", "width_mm": 0.02},
+               "lambda_nm": 702, "oracle": {"n": 2048, "extent_mm": 40}}
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["run", str(path), "--oracle"], capsys)
+        assert code == cli.EXIT_RESOLUTION and out == ""
+        assert "too coarse" in err and "n >= 16384 " in err
+        report = tmp_path / "report.json"
+        code, _, err = run_cli(
+            ["sweep", str(path), "--from", "0.04", "--to", "1.0", "--steps", "2",
+             "--oracle", "--out", str(report)], capsys)
+        assert code == cli.EXIT_OK and "2 sweep point(s) flagged" in err
+        for point in json.loads(report.read_text())["results"]["points"]:
+            assert "too coarse" in point["error"]
+            assert "n >= 16384 " in point["error"]
+
 
 class TestWrappedSlitPlane:
     """Over L1 = 20 m the source wraps around the +-16 mm grid before the slit."""
@@ -592,7 +614,7 @@ class TestGridCap:
     ])
     def test_cap_refuses_large_grid(self, capsys, monkeypatch, small_scenario,
                                     command, modes, n, short):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(
+        monkeypatch.setenv(go.MAX_GRID_ENV, str(
             pass_bytes(small_scenario, modes, n) - short))
         code, _, err = run_cli([command[0], small_scenario, *command[1:]], capsys)
         assert code == cli.EXIT_CONFIG
@@ -601,7 +623,7 @@ class TestGridCap:
     def test_cap_counts_sweep_steps(self, capsys, monkeypatch, small_scenario):
         # a 300-step sweep is one pass over 300 slits: a cap that admits a
         # pass over 64 on its grid refuses it in one line
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(
+        monkeypatch.setenv(go.MAX_GRID_ENV, str(
             (pass_bytes(small_scenario, 64) + pass_bytes(small_scenario, 300))
             // 2))
         code, out, err = run_cli(["sweep", small_scenario, "--from", "0.2",
@@ -611,18 +633,18 @@ class TestGridCap:
         assert "n = 1024 over 300 modes" in err and "cap" in err
 
     def test_cap_ignored_without_oracle(self, capsys, monkeypatch, small_scenario):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(512 * 512 * 16))
+        monkeypatch.setenv(go.MAX_GRID_ENV, str(512 * 512 * 16))
         code, _, _ = run_cli(["run", small_scenario], capsys)
         assert code == cli.EXIT_OK
 
     def test_cap_allows_small_grid(self, capsys, monkeypatch, small_scenario):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(pass_bytes(small_scenario)))
+        monkeypatch.setenv(go.MAX_GRID_ENV, str(pass_bytes(small_scenario)))
         code, _, _ = run_cli(["run", small_scenario, "--oracle"], capsys)
         assert code == cli.EXIT_OK
 
     def test_cap_counts_auto_sized_grid(self, tmp_path, capsys, monkeypatch):
         path = blockless_fixture(tmp_path, "popper_freespace.json")
-        monkeypatch.setenv(cli.MAX_GRID_ENV, str(pass_bytes(path) - 1))
+        monkeypatch.setenv(go.MAX_GRID_ENV, str(pass_bytes(path) - 1))
         code, _, err = run_cli(["run", path, "--oracle"], capsys)
         assert code == cli.EXIT_CONFIG
         assert "n = 8192 over 1 mode " in err and "1897040" in err
@@ -637,7 +659,7 @@ class TestGridCap:
             self, tmp_path, capsys, monkeypatch, command):
         # unset, the cap is the machine's physical memory: a 2**60-point
         # grid, from the scenario or from --grid-n, exits 2 with one line
-        monkeypatch.delenv(cli.MAX_GRID_ENV, raising=False)
+        monkeypatch.delenv(go.MAX_GRID_ENV, raising=False)
         doc = fixture_doc("strekalov.json")
         doc["oracle"] = {"n": 2 ** 60, "extent_mm": 40.0}
         path = tmp_path / "huge.json"
@@ -650,11 +672,11 @@ class TestGridCap:
         assert "physical memory cap" in err
 
     def test_bad_cap_value(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.MAX_GRID_ENV, "lots")
+        monkeypatch.setenv(go.MAX_GRID_ENV, "lots")
         code, _, err = run_cli(
             ["run", fixture_path("popper_freespace.json"), "--oracle"], capsys)
         assert code == cli.EXIT_CONFIG
-        assert cli.MAX_GRID_ENV in err
+        assert go.MAX_GRID_ENV in err
 
 
 class TestEntryPoints:

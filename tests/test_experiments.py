@@ -70,6 +70,15 @@ class TestScenarioParsing:
             scenario = ex.Scenario.from_dict(doc)
             assert scenario.slit is not None
 
+    @pytest.mark.parametrize("field, value", [
+        ("a", math.nan), ("a", math.inf), ("omega", math.nan),
+        ("omega", math.inf), ("L1", math.nan), ("L2", math.nan)])
+    def test_non_finite_field_refused(self, field, value):
+        # a Scenario built in code is refused as one parsed from JSON is
+        scenario = ex.Scenario.from_dict(scenario_doc())
+        with pytest.raises(ConfigError):
+            dataclasses.replace(scenario, **{field: value})
+
 
 @pytest.fixture(scope="module")
 def kim_shih_scenario():

@@ -381,3 +381,38 @@ class TestConditionalAmplitude:
         density = np.abs(gc.conditional_amplitude(gamma, y)) ** 2
         rms = math.sqrt(float(np.trapezoid(y ** 2 * density, y)))
         assert 2.0 * rms == pytest.approx(gc.intensity_width(gamma), rel=1e-9)
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite size is refused, not carried into a confident NaN
+    or infinite width."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: gc.position_uncertainty(
+            gc.make_epr_state(math.nan, 1.0)), id="position_uncertainty-a-nan"),
+        *[pytest.param(lambda a=a, omega=omega: gc.make_epr_state(a, omega),
+                       id=f"make_epr_state-{a}-{omega}")
+          for a, omega in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                           (1.0, math.inf))],
+        pytest.param(lambda: gc.EprState(a=math.nan, omega=1.0, gamma_u=1.0,
+                                         gamma_v=4.0), id="EprState-a-nan"),
+        pytest.param(lambda: gc.EprState(a=1.0, omega=1.0, gamma_u=math.nan,
+                                         gamma_v=4.0), id="EprState-gamma_u-nan"),
+        *[pytest.param(lambda x=x: gc.PhysParams(wavelength_mm=x),
+                       id=f"wavelength-{x}") for x in (math.nan, math.inf)],
+        pytest.param(lambda: gc.SlitSpec(kind="gaussian", epsilon=math.nan),
+                     id="epsilon-nan"),
+        pytest.param(lambda: gc.SlitSpec(kind="rectangular",
+                                         full_width=math.nan),
+                     id="full_width-nan"),
+        pytest.param(lambda: gc.PropagationLeg(math.nan), id="leg-nan"),
+        pytest.param(lambda: gc.LensConfig(f=math.nan, b1=500.0), id="f-nan"),
+        pytest.param(lambda: gc.LensConfig(f=500.0, b1=math.nan), id="b1-nan"),
+        pytest.param(lambda: gc.GaussianParam(complex(math.nan, 1.0)),
+                     id="gamma-real-nan"),
+        pytest.param(lambda: gc.GaussianParam(complex(1.0, math.nan)),
+                     id="gamma-imag-nan"),
+    ])
+    def test_refused(self, call):
+        with pytest.raises(DomainError):
+            call()

@@ -13,7 +13,7 @@ import pytest
 import nxn_reference as ref
 import poppersim.gaussian_core as gc
 import poppersim.grid_oracle as go
-from poppersim.errors import DomainError, ResolutionError
+from poppersim.errors import ConfigError, DomainError, ResolutionError
 
 from conftest import NO_REFERENCE_CALLS, traced_peak
 
@@ -825,6 +825,27 @@ class TestConditionals:
             assert cond.weight[k] == one.weight[0]
             assert cond.widths(k) == one.widths(0)
 
+    def test_unresolved_row_isolated(self, params702):
+        # epsilon 0.05 mm needs dy <= 0.0393 mm, where the parity grid's step
+        # is 0.0625 mm: that slit's row alone fails, left 0.0, and the other
+        # rows are those of a pass without it, bit for bit
+        def stage(apertures):
+            return go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
+                                  params702, 300.0, apertures)
+
+        resolved = [ISOLATION_APERTURES[0], ISOLATION_APERTURES[2]]
+        cond = stage([resolved[0], go.Aperture(kind="gaussian", epsilon=0.05),
+                      resolved[1]])
+        alone = stage(resolved)
+        assert list(cond.failures) == [1]
+        with pytest.raises(ResolutionError,
+                           match=r"unresolved.*\(n >= 1024 on this extent\)"):
+            cond.widths(1)
+        assert not np.any(cond.amplitude[1]) and cond.weight[1] == 0.0
+        for k, j in ((0, 0), (2, 1)):
+            assert np.array_equal(cond.amplitude[k], alone.amplitude[j])
+            assert cond.weight[k] == alone.weight[j]
+
     def test_degenerate_row_left_unnormalized(self, params702):
         # a row with no overlap has weight 0: the normalization step leaves
         # it the degenerate error, does not divide it by its zero norm, and
@@ -834,8 +855,9 @@ class TestConditionals:
         cond.amplitude[1] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cond.weight, cond.failures = go._normalize(
-                cond.amplitude, PARITY_GRID.dy, 300.0, params702)
+            cond.failures = {}
+            cond.weight = go._normalize(cond.amplitude, PARITY_GRID.dy, 300.0,
+                                        params702, cond.failures)
             cond.fly(300.0)
         assert list(cond.failures) == [1]
         assert cond.weight[1] == 0.0
@@ -944,13 +966,14 @@ class TestNonFiniteInput:
             id="separation-nan"),
         *[pytest.param(lambda params, x=x: go.source_pass(
             x, PARITY_OMEGA, PARITY_GRID, params, 300.0), id=f"a-{x}")
-          for x in (math.nan, math.inf)],
+          for x in (math.nan, math.inf, 0.0)],
         *[pytest.param(lambda params, x=x: go.source_pass(
             PARITY_A, x, PARITY_GRID, params, 300.0), id=f"omega-{x}")
-          for x in (math.nan, math.inf)]])
+          for x in (math.nan, math.inf, 0.0)]])
     def test_refused(self, params702, call):
-        # a NaN or infinite size is refused, not carried into a traceback or
-        # a NaN result
+        # a NaN, infinite or zero size is refused, not carried into a
+        # traceback or a NaN result: the source is checked before the memory
+        # model, which divides by a and omega
         with pytest.raises(DomainError):
             call(params702)
 
@@ -1171,6 +1194,49 @@ def ghost_case(slit, points, id):
         go.ghost_double_slit(a, omega, GHOST_GRID, slit, 200.0, d1, 200.0,
                              params)
     return pytest.param(a, omega, GHOST_GRID, 1, points, call, id=id)
+
+
+class TestMemoryCap:
+    def test_in_process_pass_refused(self, params702, monkeypatch):
+        # the pass checks its own modelled peak, whoever calls it
+        need = go.peak_bytes(PARITY_A, PARITY_OMEGA, PARITY_GRID, 3)
+
+        def call():
+            return go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
+                                  params702, 300.0, ISOLATION_APERTURES)
+
+        monkeypatch.setenv(go.MAX_GRID_ENV, str(need - 1))
+        with pytest.raises(ConfigError, match=(
+                f"^oracle pass on n = 512 over 3 modes needs {need} bytes, "
+                f"over the {go.MAX_GRID_ENV} cap of {need - 1}$")):
+            call()
+        monkeypatch.setenv(go.MAX_GRID_ENV, str(need))
+        assert not call().failures
+        monkeypatch.setenv(go.MAX_GRID_ENV, "lots")
+        with pytest.raises(ConfigError, match=f"^{go.MAX_GRID_ENV} must be"):
+            call()
+
+    def test_ghost_counts_its_points(self, params702, monkeypatch):
+        # the 5 mm slit's pass holds its detector mode and |S| = 511 point
+        # modes: a cap above the model of the one mode but below the model
+        # with the points refuses it, naming them
+        a, omega, _, d1 = GHOST_LAYOUTS["entangled"]
+        slit = go.Aperture(kind="rect", full_width=5.0)
+        one = go.peak_bytes(a, omega, GHOST_GRID, 1)
+        need = go.peak_bytes(a, omega, GHOST_GRID, 1, 511)
+        cap = (one + need) // 2
+        assert one < cap < need
+        monkeypatch.setenv(go.MAX_GRID_ENV, str(cap))
+        with pytest.raises(ConfigError, match=(
+                f"^oracle pass on n = 2048 over 1 mode and 511 points needs "
+                f"{need} bytes, over the {go.MAX_GRID_ENV} cap of {cap}$")):
+            go.ghost_double_slit(a, omega, GHOST_GRID, slit, 200.0, d1, 200.0,
+                                 params702)
+        # a grid past the cap is refused before its mask is sampled
+        with pytest.raises(ConfigError,
+                           match=f"^oracle pass on n = {2 ** 40} over 1 mode "):
+            go.ghost_double_slit(a, omega, go.GridSpec(n=2 ** 40, extent=10.0),
+                                 slit, 200.0, d1, 200.0, params702)
 
 
 class TestPeakBytes:
