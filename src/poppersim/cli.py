@@ -59,14 +59,18 @@ SPIN_PRESETS = {
 }
 
 
-def _round_sig(value, digits=9):
-    """Recursively fix floats to `digits` significant digits for stable output."""
+def _round_sig(value, path: str):
+    """Recursively fix floats to nine significant digits for stable output,
+    refusing a NaN or infinite one, found at ``path``: an input so large
+    that the result overflowed."""
     if isinstance(value, float):
-        return float(f"{value:.{digits}g}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path} is {value}: an input is out of range")
+        return float(f"{value:.9g}")
     if isinstance(value, dict):
-        return {k: _round_sig(v, digits) for k, v in value.items()}
+        return {k: _round_sig(v, f"{path}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round_sig(v, digits) for v in value]
+        return [_round_sig(v, f"{path}[{i}]") for i, v in enumerate(value)]
     return value
 
 
@@ -94,29 +98,15 @@ def _report_dict(report: ex.WidthReport) -> dict:
     return doc
 
 
-def _refuse_non_finite(value, path: str):
-    """Refuse a report holding a NaN or infinite number: an input so large
-    that the result overflowed."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path} is {value}: an input is out of range")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _refuse_non_finite(item, f"{path}.{key}")
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            _refuse_non_finite(item, f"{path}[{i}]")
-
-
 def _document(scenario_echo, results) -> dict:
-    """The report of a command; every output is written from it or from the
-    numbers it holds, so a non-finite number is refused before any write."""
-    _refuse_non_finite(scenario_echo, "scenario")
-    _refuse_non_finite(results, "results")
+    """The report of a command, rounded; every output is written from it or
+    from the numbers it holds, so a non-finite number is refused before any
+    write."""
     return {
         "tool": {"name": "poppersim", "version": __version__},
         "convention": CONVENTION_BLOCK,
-        "scenario": scenario_echo,
-        "results": results,
+        "scenario": _round_sig(scenario_echo, "scenario"),
+        "results": _round_sig(results, "results"),
     }
 
 
@@ -133,7 +123,7 @@ def _write(path: str | None, text: str):
 
 
 def _emit(doc: dict, out_path: str | None):
-    _write(out_path, json.dumps(_round_sig(doc), indent=2) + "\n")
+    _write(out_path, json.dumps(doc, indent=2) + "\n")
 
 
 def _check_finite_options(args):

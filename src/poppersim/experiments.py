@@ -190,14 +190,16 @@ class SweepPoint:
 
 def default_grid(scenario: Scenario, n: int | None = None,
                  epsilons=None) -> GridSpec:
-    """Auto-sized grid: extent 8x the largest rms width in the scenario,
-    with the Gaussian slits of ``epsilons`` (by default the scenario's own
-    slit); unless given, n doubles from 2048 up to 8192 until the step meets
-    go.max_step and each slit's go.gaussian_max_step."""
+    """Auto-sized grid: extent 8x the largest rms width in the scenario, the
+    beam's at L1 + L2 or a far-field pattern's behind a Gaussian slit of
+    ``epsilons`` (by default the scenario's own slit); unless given, n
+    doubles from 2048 up to 8192 until the step meets go.max_step and each
+    slit's go.gaussian_max_step.  The beam's rms at any L1 + L2 is at least
+    its source-plane rms, so the extent also holds the source, which needs
+    six of that rms."""
     state = gc.make_epr_state(scenario.a, scenario.omega)
     total = scenario.L1 + scenario.L2
-    rms = [gc.position_uncertainty(state),
-           gc.beam_width(state, PropagationLeg(total), scenario.params) / 2.0]
+    rms = [gc.beam_width(state, PropagationLeg(total), scenario.params) / 2.0]
     step = go.max_step(scenario.a, scenario.omega)
     if epsilons is None:
         epsilons = [] if scenario.slit is None else [
@@ -207,7 +209,7 @@ def default_grid(scenario: Scenario, n: int | None = None,
                                       scenario.effective_distance,
                                       scenario.params) / 2.0)
         step = min(step, go.gaussian_max_step(eps))
-    extent = max(8.0 * max(rms), go.required_extent(scenario.a, scenario.omega))
+    extent = 8.0 * max(rms)
     if n is None:
         n = go.points_for_step(extent, step, 2048, 8192)
     return GridSpec(n=n, extent=extent)

@@ -92,8 +92,8 @@ class GaussianParam:
     gamma: complex
 
     def __post_init__(self):
-        if not self.gamma.real > 0 or math.isnan(self.gamma.imag):
-            raise DomainError(f"Re(gamma) must be positive, got {self.gamma}")
+        if not (0 < self.gamma.real < math.inf and abs(self.gamma.imag) < math.inf):
+            raise DomainError(f"gamma must be finite with Re(gamma) > 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,11 @@ class SlitSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "rectangular"):
             raise DomainError(f"unknown slit kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.epsilon > 0:
-            raise DomainError("gaussian slit requires epsilon > 0")
+        if self.kind == "gaussian" and not 0 < self.epsilon < math.inf:
+            raise DomainError("gaussian slit requires a finite epsilon > 0")
         if self.kind == "rectangular":
-            if not self.full_width > 0:
-                raise DomainError("rectangular slit requires full_width > 0")
+            if not 0 < self.full_width < math.inf:
+                raise DomainError("rectangular slit requires a finite full_width > 0")
             if self.convention not in ("half-width", "diffraction-matched"):
                 raise DomainError(f"unknown slit convention {self.convention!r}")
 
@@ -154,8 +154,8 @@ class PropagationLeg:
     L: float
 
     def __post_init__(self):
-        if not self.L >= 0:
-            raise DomainError(f"propagation distance must be >= 0, got {self.L}")
+        if not 0 <= self.L < math.inf:
+            raise DomainError(f"propagation distance must be finite and >= 0, got {self.L}")
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,10 @@ class LensConfig:
     b1: float
 
     def __post_init__(self):
-        if not self.f > 0:
-            raise DomainError(f"focal length must be positive, got {self.f}")
-        if not self.b1 >= 0:
-            raise DomainError(f"source-to-lens distance must be >= 0, got {self.b1}")
+        if not 0 < self.f < math.inf:
+            raise DomainError(f"focal length must be finite and > 0, got {self.f}")
+        if not 0 <= self.b1 < math.inf:
+            raise DomainError(f"source-to-lens distance must be finite and >= 0, got {self.b1}")
         if not self.image_distance > 0:
             raise ConfigError(
                 f"ghost-image distance 2f - b1 = {2 * self.f - self.b1} must be positive"

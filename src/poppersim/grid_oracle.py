@@ -279,9 +279,10 @@ class SourceTables:
         u_factor[n - 1 + d] = exp(-(d dy)^2 / a^2),          d = 1 - n .. n - 1,
         v_factor[n + s] = exp(-(s dy)^2 / (4 omega^2)),      s = -n .. n - 2,
 
-    each u_factor entry below DENSITY_FLOOR taken as 0.0 (module docstring):
-    ``reach`` R is the largest |d| kept.  ``u_factor`` is even in d bit for
-    bit, since (-d) dy = -(d dy) exactly.  Both tables are read-only.
+    u_factor filled on d = -R .. R alone, ``reach`` R = ``_cut_reach``, the
+    largest |d| whose entry is at least DENSITY_FLOOR, and 0.0 past it
+    (module docstring).  ``u_factor`` is even in d bit for bit, since
+    (-d) dy = -(d dy) exactly.  Both tables are read-only.
     """
 
     reach: int
@@ -301,15 +302,22 @@ def _gaussian_table(first: int, size: int, dy: float,
     return table
 
 
+def _cut_reach(scale: float, grid: GridSpec) -> int:
+    """The largest d <= n - 1 with exp(-(d dy)^2 / scale) >= DENSITY_FLOOR:
+    R for the source's u factor (scale a^2), D for E (``_diagonal_scale``)."""
+    reach = math.sqrt(-math.log(DENSITY_FLOOR) * scale)
+    return int(min(grid.n - 1, reach / grid.dy))
+
+
 def source_tables(a: float, omega: float, grid: GridSpec) -> SourceTables:
     """The two factor tables of the source on ``grid``, 4 n - 2 values."""
     n, dy = grid.n, grid.dy
-    u_factor = _gaussian_table(1 - n, 2 * n - 1, dy, a ** 2)
-    u_factor[u_factor < DENSITY_FLOOR] = 0.0
+    reach = _cut_reach(a ** 2, grid)
+    u_factor = np.zeros(2 * n - 1)
+    u_factor[n - 1 - reach:n + reach] = _gaussian_table(
+        -reach, 2 * reach + 1, dy, a ** 2)
     v_factor = _gaussian_table(-n, 2 * n - 1, dy, 4.0 * omega ** 2)
     u_factor.flags.writeable = v_factor.flags.writeable = False
-    # u_factor is even and falls from d = 0, so it keeps d = -R .. R
-    reach = int(np.count_nonzero(u_factor)) // 2
     return SourceTables(reach, u_factor, v_factor)
 
 
@@ -387,7 +395,11 @@ def _check_tails(prob: np.ndarray):
 
 
 def _flight_phase(n: int, dy: float, L: float, params: PhysParams) -> np.ndarray:
-    """Spectral free-flight factor exp(-i k^2 Lambda L / 4) on the FFT axis."""
+    """Spectral free-flight factor exp(-i k^2 Lambda L / 4) on the FFT axis.
+    Every flight builds its phase here, so this is where a distance that is
+    not finite and >= 0, NaN included, is refused."""
+    if not 0 <= L < math.inf:
+        raise DomainError("propagation distances must be finite and >= 0")
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dy)
     return np.exp(-0.25j * params.rescaled_wavelength_mm * L * k ** 2)
 
@@ -395,10 +407,13 @@ def _flight_phase(n: int, dy: float, L: float, params: PhysParams) -> np.ndarray
 def fly(amp: np.ndarray, dy: float, L: float, params: PhysParams) -> np.ndarray:
     """Spectral free flight over L along the last axis of the complex array
     ``amp``, in place, returning it; no tail guard: for the modes a pass
-    flies back, whose tails say nothing about a wrapped state."""
+    flies back, whose tails say nothing about a wrapped state.  Any L but 0
+    is flown, its phase built before ``amp`` is touched, so a distance that
+    ``_flight_phase`` refuses leaves ``amp`` as it was."""
     if L != 0:
+        phase = _flight_phase(amp.shape[-1], dy, L, params)
         np.fft.fft(amp, out=amp)
-        amp *= _flight_phase(amp.shape[-1], dy, L, params)
+        amp *= phase
         np.fft.ifft(amp, out=amp)
     return amp
 
@@ -406,9 +421,7 @@ def fly(amp: np.ndarray, dy: float, L: float, params: PhysParams) -> np.ndarray:
 def propagate_amplitude(amp: np.ndarray, dy: float, L: float,
                         params: PhysParams) -> np.ndarray:
     """Single-particle spectral free flight of a sampled 1-D amplitude,
-    into a new array."""
-    if L < 0:
-        raise DomainError("propagation distance must be >= 0")
+    into a new array, tail-checked; ``fly`` refuses a bad distance."""
     out = fly(np.array(amp, dtype=complex), dy, L, params)
     if L > 0:
         _check_tails(np.abs(out) ** 2)
@@ -445,7 +458,8 @@ class SourcePass:
     guard: np.ndarray | None
 
     def fly(self, L: float) -> SourcePass:
-        """Fly every row a further L >= 0 in place and tail-check it."""
+        """Fly every row a further L in place and tail-check it; a distance
+        that is not finite and >= 0 is refused with the rows untouched."""
         fly(self.amplitude, self.dy, L, self.params)
         if L > 0:
             _tail_failures(np.abs(self.amplitude) ** 2, self.failures)
@@ -468,8 +482,7 @@ def _diagonal_scale(a: float, omega: float) -> float:
 def _density_count(a: float, omega: float, grid: GridSpec) -> int:
     """D + 1, the number of diagonals d = 0..D of rho = psi^T psi that a
     pass keeps: those with E(d) >= DENSITY_FLOOR, at most n."""
-    reach = math.sqrt(-math.log(DENSITY_FLOOR) * _diagonal_scale(a, omega))
-    return int(min(grid.n - 1, reach / grid.dy)) + 1
+    return _cut_reach(_diagonal_scale(a, omega), grid) + 1
 
 
 def _diagonal_chunk(e: np.ndarray, diagonals, first: int,
@@ -583,12 +596,12 @@ def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int,
       spectra, and E over D + 1 values.
     - The guard's Gram over its |S| <= n points: |S|^2 complex values.
 
-    R and D + 1 come from their closed forms, so the model builds no table.
+    R and D + 1 come from ``_cut_reach``, as in the pass, so the model
+    builds no table.
     """
     n = grid.n
     rows = modes + points
-    # R: the source's u factor exp(-(d dy)^2 / a^2) >= DENSITY_FLOOR
-    reach = int(min(n - 1, a * math.sqrt(-math.log(DENSITY_FLOOR)) / grid.dy))
+    reach = _cut_reach(a ** 2, grid)
     width = min(n, SOURCE_BLOCK_ROWS + 2 * reach)
     count = _density_count(a, omega, grid)
     spectrum = n + 2  # the real values of an rfft's n // 2 + 1 outputs
@@ -642,8 +655,10 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     and is point-detected on axis: the pass conditions on the one mode
     m * fly(conj(point), d1) (module docstring) and guards the d1 leg
     (below), so a mask the grid cannot resolve is refused.  ``d1`` with any
-    other number of apertures is refused, as is a distance that is not
-    >= 0, NaN included.
+    other number of apertures is refused.  Every distance other than 0 is
+    flown, and its flight refuses it if it is not finite and >= 0, NaN
+    included (``_flight_phase``): d1 and L1 once the source and the cap are
+    checked, ``beam_L`` after the block walk.
 
     Before it allocates its modes, the pass refuses with ConfigError a
     modelled peak (``peak_bytes``) over its K modes above the MAX_GRID_ENV
@@ -686,8 +701,6 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     returned pass holds none of those arrays.  ``peak_bytes`` models the
     pass's peak memory from them.
     """
-    if not all(L >= 0 for L in (L1, beam_L, d1) if L is not None):
-        raise DomainError("propagation distances must be >= 0")
     if d1 is not None and len(apertures) != 1:
         raise DomainError(f"a d1 leg takes one aperture, got {len(apertures)}")
     _check_source(a, omega, grid)
@@ -741,8 +754,9 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     # the last block is done: the flights below need no source
     del tables
     flights = [L1] if beam_L is None else [L1, beam_L]
-    # each distinct nonzero distance is flown once
-    flown = [L for L in dict.fromkeys(flights) if L > 0]
+    # each distinct nonzero distance is flown once, and a bad one is refused
+    # by its flight, not read as none
+    flown = [L for L in dict.fromkeys(flights) if L != 0]
     marginals = dict(zip(flown, _density_flights(
         a, omega, grid, (source_plane, adjacent), flown,
         params))) if flown else {}
@@ -899,11 +913,10 @@ def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
     Both particles fly L1 from the source.  Particle 1 passes ``slit``,
     flies a further d1, and is point-detected on axis; particle 2 then flies
     L2 to its detector.  One :func:`source_pass` with its d1 leg conditions
-    the source on that chain and guards the leg; a distance that is not
-    >= 0 is refused.
+    the source on that chain and guards the leg.  Each leg's flight refuses
+    a distance that is not finite and >= 0 (``_flight_phase``); L2's is
+    flown last, after the pass.
     """
-    if not L2 >= 0:
-        raise DomainError("propagation distances must be >= 0")
     source = source_pass(a, omega, grid, params, L1, [slit], d1=d1).fly(L2)
     env = source.widths(0)
     intensity = np.abs(source.amplitude[0]) ** 2

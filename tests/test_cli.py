@@ -433,9 +433,16 @@ class TestFit:
                        f"got {float(value)}\n")
 
     def test_huge_width_exits_2_with_one_line(self, capsys):
-        # the square of a 1e200 mm width overflows
+        # the square of a 1e200 mm width overflows in Python
         assert_refused_in_one_line(*run_cli(
             ["fit", "--fwhm", "1e200", "--L2", "500"], capsys))
+        # the fourth power of a 1e150 mm width overflows to inf without
+        # raising, and the report walk refuses the far root it gives
+        code, out, err = run_cli(["fit", "--fwhm", "1e150", "--L2", "500"],
+                                 capsys)
+        assert_refused_in_one_line(code, out, err)
+        assert err == ("error: results.branch_info.s_far_mm is inf: an input "
+                       "is out of range\n")
 
     def test_short_distance_keeps_the_near_root(self, capsys):
         # the roots' product Lambda*L2 gives the near root where the

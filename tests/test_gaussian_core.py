@@ -405,13 +405,25 @@ class TestNonFiniteInput:
         pytest.param(lambda: gc.SlitSpec(kind="rectangular",
                                          full_width=math.nan),
                      id="full_width-nan"),
+        pytest.param(lambda: gc.SlitSpec(kind="gaussian", epsilon=math.inf),
+                     id="epsilon-inf"),
+        pytest.param(lambda: gc.SlitSpec(kind="rectangular",
+                                         full_width=math.inf),
+                     id="full_width-inf"),
         pytest.param(lambda: gc.PropagationLeg(math.nan), id="leg-nan"),
+        pytest.param(lambda: gc.PropagationLeg(math.inf), id="leg-inf"),
         pytest.param(lambda: gc.LensConfig(f=math.nan, b1=500.0), id="f-nan"),
+        pytest.param(lambda: gc.LensConfig(f=math.inf, b1=500.0), id="f-inf"),
         pytest.param(lambda: gc.LensConfig(f=500.0, b1=math.nan), id="b1-nan"),
+        pytest.param(lambda: gc.LensConfig(f=500.0, b1=math.inf), id="b1-inf"),
         pytest.param(lambda: gc.GaussianParam(complex(math.nan, 1.0)),
                      id="gamma-real-nan"),
+        pytest.param(lambda: gc.GaussianParam(complex(math.inf, 0.0)),
+                     id="gamma-real-inf"),
         pytest.param(lambda: gc.GaussianParam(complex(1.0, math.nan)),
                      id="gamma-imag-nan"),
+        pytest.param(lambda: gc.GaussianParam(complex(1.0, math.inf)),
+                     id="gamma-imag-inf"),
     ])
     def test_refused(self, call):
         with pytest.raises(DomainError):

@@ -310,6 +310,22 @@ TIGHT_GRID = go.GridSpec(n=512, extent=go.required_extent(0.3, 1.0))
 CLIPPED = (1.0, 0.3, go.GridSpec(n=256, extent=1.75))
 
 
+# distances every flight refuses, with their test ids
+BAD_DISTANCES = ((-300.0, ""), (math.nan, "-nan"), (math.inf, "-inf"))
+
+
+def refused_fly_keeps_rows(params, L):
+    """SourcePass.fly(L) on a pass's rows, which must be unchanged bit for
+    bit when the flight is refused."""
+    source = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params, 300.0,
+                            [go.Aperture(kind="gaussian", epsilon=0.5)])
+    before = source.amplitude.copy()
+    try:
+        source.fly(L)
+    finally:
+        assert source.amplitude.tobytes() == before.tobytes()
+
+
 class TestSourcePass:
     """The matrix-free pass against the n x n reference route."""
 
@@ -757,23 +773,37 @@ class TestSourcePass:
     @pytest.mark.parametrize("call", [
         *[pytest.param(lambda params, L=L: go.source_pass(
             PARITY_A, PARITY_OMEGA, PARITY_GRID, params, L), id=f"L1{id}")
-          for L, id in ((-300.0, ""), (math.nan, "-nan"))],
+          for L, id in BAD_DISTANCES],
         *[pytest.param(lambda params, L=L: go.source_pass(
             PARITY_A, PARITY_OMEGA, PARITY_GRID, params, 300.0, beam_L=L),
             id=f"beam_L{id}")
-          for L, id in ((-300.0, ""), (math.nan, "-nan"))],
+          for L, id in BAD_DISTANCES],
+        # with L1 = 0 the beam is the one distance flown: a NaN beam_L is
+        # still refused, not read as no flight
+        pytest.param(lambda params: go.source_pass(
+            PARITY_A, PARITY_OMEGA, PARITY_GRID, params, 0.0,
+            beam_L=math.nan), id="beam_L-nan-L1-0"),
         *[pytest.param(lambda params, L=L: go.source_pass(
             PARITY_A, PARITY_OMEGA, PARITY_GRID, params, 300.0, [DOUBLE_SLIT],
             d1=L), id=f"d1{id}")
-          for L, id in ((-50.0, ""), (math.nan, "-nan"))],
+          for L, id in ((-50.0, ""), (math.nan, "-nan"), (math.inf, "-inf"))],
         *[pytest.param(lambda params, L=L: go.ghost_double_slit(
             PARITY_A, PARITY_OMEGA, PARITY_GRID, DOUBLE_SLIT, 300.0, 50.0, L,
             params), id=f"ghost-L2{id}")
-          for L, id in ((-300.0, ""), (math.nan, "-nan"))]])
+          for L, id in BAD_DISTANCES],
+        *[pytest.param(lambda params, L=L: refused_fly_keeps_rows(params, L),
+                       id=f"fly{id}") for L, id in BAD_DISTANCES],
+        *[pytest.param(lambda params, L=L: go.propagate_amplitude(
+            go.Aperture(kind="gaussian", epsilon=0.5).sample(
+                PARITY_GRID.y, PARITY_GRID.dy), PARITY_GRID.dy, L, params),
+            id=f"propagate_amplitude{id}")
+          for L, id in ((-1.0, ""), (math.nan, "-nan"), (math.inf, "-inf"))]])
     def test_negative_distance_refused(self, params702, call):
-        # a negative or NaN distance is refused, not read as no flight
-        with pytest.raises(DomainError,
-                           match=r"^propagation distances must be >= 0$"):
+        # a negative, NaN or infinite distance is refused by the flight that
+        # would fly it, with one message, not read as no flight or flown
+        with pytest.raises(
+                DomainError,
+                match=r"^propagation distances must be finite and >= 0$"):
             call(params702)
 
     def test_build_guards_apply(self, params702):
