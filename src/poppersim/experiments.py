@@ -72,8 +72,8 @@ class Scenario:
     def __post_init__(self):
         if not (0 < self.a < math.inf and 0 < self.omega < math.inf):
             raise ConfigError("source parameters a and omega must be positive")
-        if not (self.L1 >= 0 and self.L2 >= 0):
-            raise ConfigError("flight legs must be >= 0")
+        if not (0 <= self.L1 < math.inf and 0 <= self.L2 < math.inf):
+            raise ConfigError("flight legs must be finite and >= 0")
 
     @property
     def effective_distance(self) -> float:

@@ -1,10 +1,11 @@
 """Brute-force two-particle grid simulator.
 
-Samples the joint amplitude psi(y1, y2) on n points per axis, propagates it
-spectrally (exactly unitary), applies arbitrary apertures by direct
-quadrature, and extracts widths from sampled intensities.  Everything here
-is deliberately independent of the closed forms in ``gaussian_core`` so the
-two can be checked against each other.
+Samples the source psi(y1, y2) on an n-point grid per axis, a band of rows
+at a time and never as an n x n array, flies one-particle amplitudes and
+particle 2's marginals spectrally (exactly unitary), applies arbitrary
+apertures by direct quadrature, and extracts widths from sampled
+intensities.  Everything here is deliberately independent of the closed
+forms in ``gaussian_core`` so the two can be checked against each other.
 
 Every oracle layout takes one route, ``source_pass``, which never holds psi
 as an n x n array.  Free flight is the separable unitary U1 x U2, and free
@@ -68,12 +69,30 @@ mod n, and the source samples its row and column as 0.0
 stays exchange- and mirror-symmetric bit for bit.  With the flight kernel
 K = ifft(flight phase) and G_d(x) = K(x) conj K(x - d), indices mod n,
 
-    I = Re ifft(sum_d w_d fft(G_d) fft(r_d)),   w_0 = 1, w_d = 2 (d > 0),
+    I = sum_d w_d Re(G_d) (*) r_d,   w_0 = 1, w_d = 2 (d > 0),
 
-exactly on the periodic grid, because rho is real and symmetric.  r_d is
-real, so the real part passes inside: I = sum_d w_d Re(G_d) (*) r_d, a sum of
-real circular convolutions.  Particle 2's flown marginals always take this
-route, at every band width.
+a sum of real circular convolutions, exactly on the periodic grid, because
+rho is real and symmetric.  r_d is 0.0 off 1 <= j <= n - d - 1, and on it
+r_d(j) = c_d r_p(j + h) with d = 2 h + p, p = d mod 2 and
+c_d = w_d E(d) / E(p).  So with m = j + h, the fold terms and their
+suffix sums
+
+    S_h^p(y) = c_d Re(K(y + h) conj K(y - h - p)),   P_m^p = sum_{h>=m} S_h^p,
+
+the diagonals of parity p sum to sum_h sum_m r_p(m) S_h^p(x - m) over
+h < m < n - h - p.  Over every m the sum is one circular convolution,
+P_0^p (*) r_p.  Two edge sums take out the m the window on j cuts off:
+m <= h (j <= 0) and m >= n - h - p (j + d >= n), which no term is both, as
+d < n.  With r_1 read as 0 at n - 1 and r_p(0) = 0.0,
+
+    I(x) = sum_p [ (P_0^p (*) r_p)(x) - sum_{m>=1} r_p(m) P_m^p(x - m)
+                   - sum_{q>=1-p} r_p(n - q - p) P_q^p(x + q + p) ].
+
+The fold is an identity on the same sum, so it moves a flown intensity by
+rounding alone, and the bounds below, on moves of the r_d, hold for it
+unchanged.  A flight costs O((D + 1) n) products and adds and, beside its
+kernel's transform, three real transforms, whatever D.  Particle 2's flown
+marginals always take this route, at every band width.
 
 It keeps the diagonals d = 0..D with E(d) >= DENSITY_FLOOR, so D + 1 is
 about 11.8 a / dy, clipped at n, where the sum over d is exact.  On the
@@ -119,7 +138,7 @@ TAIL_BAND_FRACTION = 0.05
 TAIL_PROB_LIMIT = 1e-6
 # rows of the source generated at a time
 SOURCE_BLOCK_ROWS = 64
-# values of rho's diagonals flown at a time (``_chunk_rows``)
+# values of the flights' fold terms built at a time (``_chunk_rows``)
 DIAGONAL_VALUES = 16384
 # where the source's u factor and E are cut (module docstring)
 DENSITY_FLOOR = 2.0 ** -100
@@ -485,43 +504,43 @@ def _density_count(a: float, omega: float, grid: GridSpec) -> int:
     return _cut_reach(_diagonal_scale(a, omega), grid) + 1
 
 
-def _diagonal_chunk(e: np.ndarray, diagonals, first: int,
-                    out: np.ndarray) -> np.ndarray:
-    """Write diagonals d = first .. first + len(out) - 1 of rho, each scaled
-    by e[d], into ``out`` from the walk's ``diagonals`` (r_0, r_1):
-    out[d - first, j] = e[d] r_{d mod 2}(j + d // 2) where column j and row
-    j + d lie on the grid and are not its self-mirrored edge (module
-    docstring), and 0.0 elsewhere."""
-    m, n = out.shape
-    for row, d in enumerate(range(first, first + m)):
-        half = d // 2
-        np.multiply(diagonals[d % 2][half:half + n - d], e[d],
-                    out=out[row, :n - d])
-        # rho(j, j + d) with j + d >= n is off the grid
-        out[row, n - d:] = 0.0
-    out[:, 0] = 0.0
-    return out
-
-
 def _chunk_rows(n: int, count: int) -> int:
-    """Diagonals of rho that ``_density_flights`` flies at a time on an
-    n-point grid keeping ``count`` of them: DIAGONAL_VALUES // n, but at
-    least 4, as a batched real transform of fewer rows runs slower a value,
-    and at most ``count``."""
-    return min(count, max(4, DIAGONAL_VALUES // n))
+    """Rows of one parity's fold terms S_h^p that ``_density_flights``
+    builds at a time on an n-point grid keeping ``count`` diagonals of rho:
+    DIAGONAL_VALUES // n, but at least 4, as a chunk of fewer rows runs
+    slower a value, and at most (count + 1) // 2, parity 0's rows."""
+    return min((count + 1) // 2, max(4, DIAGONAL_VALUES // n))
 
 
-def _kernel_windows(n: int, dy: float, L: float, params: PhysParams,
-                    count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parts, windows) of the flight kernel K = ifft(flight phase) over L:
-    parts is Re K and Im K, and windows[:, D - d] is K(x - d), x = 0..n-1,
-    for d = 0..D, D + 1 = ``count``: views on one array of n + D values a
-    row, K's last D values then K."""
-    kernel = np.fft.ifft(_flight_phase(n, dy, L, params))
-    parts = np.stack([kernel.real, kernel.imag])
-    tiled = np.concatenate([parts[:, n - count + 1:], parts], axis=1)
-    return tiled[:, count - 1:], np.lib.stride_tricks.sliding_window_view(
-        tiled, n, axis=1)
+def _rows_view(buffer: np.ndarray, start: int, shape: tuple,
+               strides: tuple) -> np.ndarray:
+    """A view on the C-contiguous float ``buffer`` from its flat value
+    ``start``, with byte ``strides``: a row stride one value off the
+    buffer's own shifts each row one value from the last, with none of
+    ``as_strided``'s per-call cost."""
+    return np.ndarray(shape, dtype=float, buffer=buffer, offset=8 * start,
+                      strides=strides)
+
+
+def _wrap(rows: np.ndarray, reach: int):
+    """Fill the first and last ``reach`` values of each of ``rows``' rows of
+    n + 2 reach values from its middle n, so that value x is the middle's
+    x - reach, indices mod n (reach <= n / 2)."""
+    n = rows.shape[-1] - 2 * reach
+    rows[..., :reach] = rows[..., n:n + reach]
+    rows[..., n + reach:] = rows[..., reach:2 * reach]
+
+
+def _kernel_parts(n: int, dy: float, L: float, params: PhysParams,
+                  out: np.ndarray):
+    """Re K and Im K of the flight kernel K = ifft(flight phase) over L,
+    written into ``out``'s two rows of n + 2 reach values (``_wrap``)."""
+    reach = (out.shape[1] - n) // 2
+    kernel = _flight_phase(n, dy, L, params)
+    np.fft.ifft(kernel, out=kernel)
+    out[0, reach:reach + n] = kernel.real
+    out[1, reach:reach + n] = kernel.imag
+    _wrap(out, reach)
 
 
 def _density_flights(a: float, omega: float, grid: GridSpec, diagonals,
@@ -529,18 +548,20 @@ def _density_flights(a: float, omega: float, grid: GridSpec, diagonals,
     """Particle 2's intensity diag(U rho U^H) flown over each L in
     ``flights``, from rho's diagonals r_d(j) = rho(j, j+d), d = 0..D, which
     the walk's two, ``diagonals`` = (r_0, r_1) of n and n - 1 values, fix:
-    r_d(j) = E(d) / E(d mod 2) r_{d mod 2}(j + d // 2) (module docstring).
+    r_d(j) = c_d r_p(j + h), d = 2 h + p, on 1 <= j <= n - d - 1, with
+    c_d = w_d E(d) / E(p) (module docstring).
 
-    With K = ifft(flight phase), the flight kernel, rho real and symmetric:
-    I = sum_d w_d Re(G_d) (*) r_d, a circular convolution with
-    G_d(x) = K(x) conj K(x - d), w_0 = 1 and w_d = 2 for d > 0.  Diagonals
-    are built from r_0, r_1 and a table of E over D + 1 values,
-    ``_chunk_rows`` at a time, and go through real transforms; each chunk's
-    spectrum serves every flight.  A chunk takes three buffers of its size,
-    one real and two of half-spectra, whatever D: its diagonals share the
-    real one with each flight's Re G_d, as their transform has read them
-    before Re G_d is written.  Each flight holds its kernel over n + D values
-    (``_kernel_windows``).
+    The sum I = sum_d w_d Re(G_d) (*) r_d is taken through the fold of the
+    module docstring, one parity p at a time.  Its terms S_h^p are built
+    ``_chunk_rows`` rows at a time from the highest h down, and the suffix
+    sum P_h^p is carried from chunk to chunk.  A chunk's rows hold P_h^p
+    over n + 2 B values, B = (D + 1) // 2, wrapped mod n (``_wrap``), so the
+    rows shifted by their own h that an edge sum reads are one view of the
+    chunk, and each edge sum of a chunk is one matrix-vector product.  P_0^p
+    is the last carry, and its circular convolution with r_p goes through
+    real transforms; r_0's and r_1's spectra serve every flight, so a flight
+    takes three real transforms beside its kernel's, whatever D.  Each
+    flight holds its kernel over n + 2 B values a part (``_kernel_parts``).
     """
     n, dy = grid.n, grid.dy
     count = _density_count(a, omega, grid)
@@ -549,26 +570,71 @@ def _density_flights(a: float, omega: float, grid: GridSpec, diagonals,
     # symmetric: diagonal d > 0 also stands for diagonal -d
     e[1::2] /= e[1]
     e[1:] *= 2.0
+    # B = (D + 1) // 2 values wrapped at each end of a row: every fold row
+    # has h + p <= B, so each shifted view below stays inside its buffer
+    reach = count // 2
+    width = n + 2 * reach
+    # each parity's rows h = 0 .. H_p with their weights c_d, d = 2 h + p,
+    # the edge sums' coefficients r_p(m) and r_p(n - m - p) over
+    # m = 0 .. H_p (the second is 0 at m = 0, where it stands for no term),
+    # and r_p's spectrum
+    parities = []
+    for p, diagonal in enumerate(diagonals):
+        rows = (count + 1 - p) // 2
+        high = np.zeros(rows)
+        high[1:] = diagonal[n - p - 1:n - p - rows:-1]
+        parities.append((p, rows, e[p::2].tolist(), diagonal[:rows], high,
+                         np.fft.rfft(diagonal, n)))
     chunk = _chunk_rows(n, count)
-    kernels = [_kernel_windows(n, dy, L, params, count) for L in flights]
-    spectra = [np.zeros(n // 2 + 1, dtype=complex) for _ in flights]
-    re_g = np.empty((chunk, n))
-    rho_hat = np.empty((chunk, n // 2 + 1), dtype=complex)
-    kernel_hat = np.empty_like(rho_hat)
-    for d0 in range(0, count, chunk):
-        d1 = min(d0 + chunk, count)
-        m = d1 - d0
-        np.fft.rfft(_diagonal_chunk(e, diagonals, d0, re_g[:m]),
-                     out=rho_hat[:m])
-        for (parts, windows), spectrum in zip(kernels, spectra):
-            # Re G_d = Re K * Re K(. - d) + Im K * Im K(. - d)
-            np.einsum("kx,kmx->mx", parts,
-                      windows[:, count - d1:count - d0][:, ::-1],
-                      out=re_g[:m])
-            np.fft.rfft(re_g[:m], out=kernel_hat[:m])
-            np.multiply(kernel_hat[:m], rho_hat[:m], out=kernel_hat[:m])
-            spectrum += kernel_hat[:m].sum(axis=0)
-    return [np.fft.irfft(spectrum, n) for spectrum in spectra]
+    folded = np.empty((chunk, width))
+    carry = np.empty(n)
+    # a flight's kernel, spectrum and edge sums, the same buffers each flight
+    parts = np.empty((2, width))
+    spectrum = np.empty(n // 2 + 1, dtype=complex)
+    edges = np.empty(n)
+    # byte strides of the shifted views: K's two parts with a row a value
+    # up (K(. + h)) or down (K(. - h - p)) from the last, and the chunk's
+    # rows a value down (P_h^p(. - h)) or up (P_h^p(. + h + p))
+    kernel_up, kernel_down = (8 * width, 8, 8), (8 * width, -8, 8)
+    rows_down, rows_up = (8 * (width - 1), 8), (8 * (width + 1), 8)
+    out = []
+    for L in flights:
+        _kernel_parts(n, dy, L, params, parts)
+        spectrum[:] = 0.0
+        edges[:] = 0.0
+        for p, rows, weights, low, high, rho_hat in parities:
+            carry[:] = 0.0
+            for h1 in range(rows, 0, -chunk):
+                h0 = max(0, h1 - chunk)
+                m = h1 - h0
+                terms = folded[:m, reach:reach + n]
+                # S_h^p / c_d = Re K(. + h) conj K(. - h - p), h = h0 .. h1 - 1
+                np.einsum("kix,kix->ix",
+                          _rows_view(parts, reach + h0, (2, m, n), kernel_up),
+                          _rows_view(parts, reach - h0 - p, (2, m, n),
+                                     kernel_down), out=terms)
+                # the suffix sums P_h^p = c_d S_h^p + P_{h+1}^p, row by row
+                # from the carried one
+                above = carry
+                for row, weight in zip(terms[::-1],
+                                       reversed(weights[h0:h1])):
+                    row *= weight
+                    row += above
+                    above = row
+                carry[:] = terms[0]
+                _wrap(folded[:m], reach)
+                # the edge sums: P_h^p(x - h) and P_h^p(x + h + p) on row h
+                edges += low[h0:h1] @ _rows_view(folded, reach - h0, (m, n),
+                                                 rows_down)
+                edges += high[h0:h1] @ _rows_view(folded, reach + h0 + p,
+                                                  (m, n), rows_up)
+            folded_hat = np.fft.rfft(carry)
+            folded_hat *= rho_hat
+            spectrum += folded_hat
+        intensity = np.fft.irfft(spectrum, n)
+        intensity -= edges
+        out.append(intensity)
+    return out
 
 
 def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int,
@@ -591,9 +657,12 @@ def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int,
       source's two factor tables of 2 n - 1 values each, and rho's diagonal
       1, n - 1 values, which it sums beside particle 2's source-plane
       intensity.
-    - The flights (``_density_flights``): one ``_chunk_rows`` chunk in its
-      three buffers, two flights' kernels over n + D values a row and their
-      spectra, and E over D + 1 values.
+    - The flights (``_density_flights``): one ``_chunk_rows`` chunk of
+      rows of n + 2 B values, B = (D + 1) // 2, a flight's kernel in two
+      such rows, r_0's, r_1's and a flight's spectra, the flight's edge
+      sums, the carried suffix sum and two flights' intensities, E and the
+      edge sums' coefficients, D + 1 values each, and 6 n values while a
+      flight's phase is built.
     - The guard's Gram over its |S| <= n points: |S|^2 complex values.
 
     R and D + 1 come from ``_cut_reach``, as in the pass, so the model
@@ -609,8 +678,9 @@ def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int,
     walk = (2 * SOURCE_BLOCK_ROWS * width
             + 2 * rows * (SOURCE_BLOCK_ROWS + width) + 2 * (2 * n - 1)
             + (n - 1))
-    flights = (_chunk_rows(n, count) * (n + 2 * spectrum)
-               + 2 * (2 * (n + count - 1) + spectrum) + count)
+    fold_row = n + 2 * (count // 2)
+    flights = ((_chunk_rows(n, count) + 2) * fold_row + 3 * spectrum
+               + 10 * n + 2 * count)
     gram = 2 * points * points
     return 8 * (held + walk + flights + gram)
 
@@ -674,15 +744,15 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     The sums of its adjacent columns' products are added to rho's diagonal
     1 (module docstring).  No block is transformed.  Besides the modes, the
     pass holds their 2 K x n real products, so at most two K x n complex
-    arrays' worth.  After the last block ``_density_flights`` builds the
-    D + 1 diagonals of rho = psi^T psi from diagonals 0 and 1, the
-    source-plane intensity and that sum, a chunk at a time, and flies them
-    to particle 2's intensity over L1 and, when given, over ``beam_L``: once
-    per distinct nonzero distance, whatever K, so with ``beam_L == L1`` the
-    two are one array.  An intensity over L = 0 is the source-plane
-    intensity, and every intensity is tail-checked.  The normalized
-    projections then take the modes' buffer, and ``_normalize`` flies the
-    detector modes' rows over L1 in it, in one ``fly``.
+    arrays' worth.  After the last block ``_density_flights`` flies the
+    D + 1 diagonals of rho = psi^T psi, which diagonals 0 and 1 (the
+    source-plane intensity and that sum) fix, through one folded kernel a
+    parity, to particle 2's intensity over L1 and, when given, over
+    ``beam_L``: once per distinct nonzero distance, whatever K, so with
+    ``beam_L == L1`` the two are one array.  An intensity over L = 0 is the
+    source-plane intensity, and every intensity is tail-checked.  The
+    normalized projections then take the modes' buffer, and ``_normalize``
+    flies the detector modes' rows over L1 in it, in one ``fly``.
 
     The d1 leg's guard is particle 1's real intensity behind the mask,
     flown d1 and summed over particle 2 (the back-flown modes spread over

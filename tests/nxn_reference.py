@@ -79,10 +79,11 @@ def evolve_spectral(state: GridState, L_particle1: float, L_particle2: float,
     """Free flight of the two particles over independent distances.
 
     Only the axes with a nonzero leg are transformed, in one output buffer;
-    ``state`` is left unchanged.
+    ``state`` is left unchanged.  A leg that is not finite and >= 0, NaN
+    included, is refused, as every flight of the pass refuses it.
     """
-    if L_particle1 < 0 or L_particle2 < 0:
-        raise DomainError("propagation distances must be >= 0")
+    if not (0 <= L_particle1 < math.inf and 0 <= L_particle2 < math.inf):
+        raise DomainError("propagation distances must be finite and >= 0")
     legs = [(axis, L) for axis, L in ((0, L_particle1), (1, L_particle2)) if L > 0]
     if legs:
         axes = [axis for axis, _ in legs]

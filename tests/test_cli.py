@@ -654,7 +654,7 @@ class TestGridCap:
         monkeypatch.setenv(go.MAX_GRID_ENV, str(pass_bytes(path) - 1))
         code, _, err = run_cli(["run", path, "--oracle"], capsys)
         assert code == cli.EXIT_CONFIG
-        assert "n = 8192 over 1 mode " in err and "1897040" in err
+        assert "n = 8192 over 1 mode " in err and "1963432" in err
 
     @pytest.mark.parametrize("command", [
         ["run", "scenario", "--oracle"],

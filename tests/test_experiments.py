@@ -72,11 +72,14 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize("field, value", [
         ("a", math.nan), ("a", math.inf), ("omega", math.nan),
-        ("omega", math.inf), ("L1", math.nan), ("L2", math.nan)])
+        ("omega", math.inf), ("L1", math.nan), ("L2", math.nan),
+        ("L1", math.inf), ("L2", math.inf)])
     def test_non_finite_field_refused(self, field, value):
-        # a Scenario built in code is refused as one parsed from JSON is
+        # a Scenario built in code is refused as one parsed from JSON is; a
+        # leg's message says it must be finite
         scenario = ex.Scenario.from_dict(scenario_doc())
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="finite" if field in ("L1", "L2") else None):
             dataclasses.replace(scenario, **{field: value})
 
 

@@ -118,6 +118,16 @@ class TestEvolveSpectral:
         with pytest.raises(DomainError):
             ref.evolve_spectral(state, -1.0, 0.0, params702)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rejects_non_finite_distance(self, params702, axis, L):
+        # a NaN leg is refused, not read as no flight, on either axis
+        state = ref.build_grid_state(0.3, 1.0, go.GridSpec(n=512, extent=8.0))
+        legs = [0.0, 0.0]
+        legs[axis] = L
+        with pytest.raises(DomainError, match="finite"):
+            ref.evolve_spectral(state, *legs, params702)
+
     @pytest.mark.parametrize("L1, L2", [(0.0, 250.0), (250.0, 0.0)])
     def test_one_leg_matches_two_axis_route(self, params702, L1, L2):
         # skipping the axis whose leg is 0 must agree with the full
@@ -463,20 +473,24 @@ class TestSourcePass:
         # 2048), a grid at the source's required extent, where column 0 lies
         # inside the band (its raw factor product reaches 1.2e-4 there;
         # rho's tables leave it out, as the sampled source does) and the
-        # band is 0.58 n wide, and a grid whose count is clipped at n.  All
-        # but the clipped grid end on a partial chunk of diagonals (8 rows a
-        # chunk at n = 2048, 32 at n = 512)
+        # band is 0.58 n wide, and a grid whose count is clipped at n.  The
+        # fold builds parity 0's (D + 2) // 2 rows a chunk at a time (8 rows
+        # at n = 2048, 32 at n = 512, 64 at n = 256, at most those rows):
+        # all but the parity and clipped grids end on a partial chunk, and
+        # all but the parity grid carry a suffix sum from chunk to chunk
         L2 = 300.0
         edge = product_rows(0.3, 1.0, TIGHT_GRID, 0, TIGHT_GRID.n)[:, 0]
         assert np.max(edge) > 1e-4
         for a, omega, grid, count, partial in [
-                (PARITY_A, PARITY_OMEGA, PARITY_GRID, 38, True),
+                (PARITY_A, PARITY_OMEGA, PARITY_GRID, 38, False),
                 (0.04, 1.0, go.GridSpec(n=2048, extent=20.0), 25, True),
                 (1.37, 1.0, go.GridSpec(n=2048, extent=20.0), 682, True),
                 (0.3, 1.0, TIGHT_GRID, 295, True),
                 (*CLIPPED, 256, False)]:
             assert go._density_count(a, omega, grid) == count
-            assert (count % go._chunk_rows(grid.n, count) > 0) is partial
+            rows, chunk = (count + 1) // 2, go._chunk_rows(grid.n, count)
+            assert (rows % chunk > 0) is partial
+            assert (rows > chunk) is (grid is not PARITY_GRID)
             state = ref.build_grid_state(a, omega, grid)
             beam = ref.marginal_intensity(
                 ref.evolve_spectral(state, 0.0, L1 + L2, params702), 2)
@@ -504,36 +518,116 @@ class TestSourcePass:
         CLIPPED], ids=["parity", "tight", "clipped"])
     def test_table_diagonals_match_direct_rho(self, params702, monkeypatch,
                                               a, omega, grid):
-        # the diagonals of rho a pass flies, built from the walk's diagonals
-        # 0 and 1 by rho(j, l) = E(j - l) H(j + l), equal psi^T psi of the
-        # reference's sampled source, up to its norm, on every diagonal a
-        # pass keeps, all n of them on the clipped grid.  Diagonal 0 is the
-        # walk's source-plane sum bit for bit.
-        n, count = grid.n, go._density_count(a, omega, grid)
+        # the diagonals 0 and 1 of rho that the walk sums, and every other
+        # diagonal a pass keeps (all n of them on the clipped grid) as the
+        # flights' fold reads it from those two by rho(j, l) =
+        # E(j - l) H(j + l), r_d(j) = E(d) / E(d mod 2) r_{d mod 2}(j + h)
+        # on 1 <= j <= n - d - 1, equal psi^T psi of the reference's
+        # sampled source, up to its norm.  Diagonal 0 is the walk's
+        # source-plane sum bit for bit.
+        n, dy = grid.n, grid.dy
+        count = go._density_count(a, omega, grid)
         assert (count == n) is (grid is CLIPPED[2])
-        chunks = []
-        diagonal_chunk = go._diagonal_chunk
-
-        def spy(*args):
-            chunk = diagonal_chunk(*args)
-            chunks.append(chunk.copy())
-            return chunk
-
-        monkeypatch.setattr(go, "_diagonal_chunk", spy)
-        go.source_pass(a, omega, grid, params702, 300.0)
-        diagonals = np.concatenate(chunks)
-        assert diagonals.shape == (count, n)
-        # the pass weighs each diagonal d > 0 by 2, for d and -d
-        diagonals[1:] /= 2.0
+        source_plane, adjacent = walk_diagonals(monkeypatch, params702, a,
+                                                omega, grid)
+        assert source_plane.shape == (n,) and adjacent.shape == (n - 1,)
         at_source = go.source_pass(a, omega, grid, params702, 0.0).slit_plane
-        assert np.array_equal(diagonals[0] * grid.dy, at_source)
+        assert np.array_equal(source_plane * dy, at_source)
+        factor = np.exp(-(np.arange(count) * dy) ** 2
+                        * (0.5 / a ** 2 + 0.125 / omega ** 2))
+        diagonals = np.zeros((count, n))
+        diagonals[0], diagonals[1, :n - 1] = source_plane, adjacent
+        for d in range(2, count):
+            p, h = d % 2, d // 2
+            diagonals[d, 1:n - d] = (factor[d] / factor[p]
+                                     * diagonals[p, 1 + h:n - d + h])
         psi = ref.build_grid_state(a, omega, grid).psi.real
         rho = psi.T @ psi
         want = np.zeros_like(diagonals)
         for d in range(count):
             want[d, :n - d] = np.diagonal(rho, d)
-        assert max_rel(diagonals / np.sum(diagonals[0]),
-                       want / np.trace(rho)) <= 1e-14
+        for rows in (diagonals[:2], diagonals):
+            assert max_rel(rows / np.sum(diagonals[0]),
+                           want[:len(rows)] / np.trace(rho)) <= 1e-14
+
+    @pytest.mark.parametrize("a, omega, grid", [
+        (0.3, 1.0, TIGHT_GRID),
+        CLIPPED,
+        (SQRT_A2, 10.0, go.GridSpec(n=8192, extent=40.0))],
+        ids=["tight", "clipped", "8192"])
+    def test_folded_flights_match_direct_sum(self, params702, monkeypatch,
+                                             a, omega, grid):
+        # the folded flights against the sum they fold, taken term by term
+        # with no transform and no fold at 16 points x, the grid's two edges
+        # among them, on grids keeping 295, all 256 and 250 of rho's
+        # diagonals: I(x) = sum_d w_d sum_j Re(K(x - j) conj K(x - j - d))
+        # r_d(j) over 1 <= j <= n - d - 1, with w_0 = 1, w_d = 2 and
+        # r_d(j) = E(d) / E(d mod 2) r_{d mod 2}(j + d // 2) (module
+        # docstring)
+        n, dy = grid.n, grid.dy
+        count = go._density_count(a, omega, grid)
+        assert count == {512: 295, 256: 256, 8192: 250}[n]
+        diagonals = walk_diagonals(monkeypatch, params702, a, omega, grid)
+        flights = [300.0, 600.0]
+        got = go._density_flights(a, omega, grid, diagonals, flights,
+                                  params702)
+        points = np.linspace(0, n - 1, 16).round().astype(int)
+        assert np.unique(points).size == 16
+        assert points[0] == 0 and points[-1] == n - 1
+
+        def factor(d):
+            # E(d)
+            return math.exp(-(d * dy) ** 2
+                            * (0.5 / a ** 2 + 0.125 / omega ** 2))
+
+        for L, intensity in zip(flights, got):
+            kernel = np.fft.ifft(go._flight_phase(n, dy, L, params702))
+            # u[x, j] = K(x - j), so u[x, j + d] = K(x - j - d)
+            u = kernel[(points[:, None] - np.arange(n)) % n]
+            want = np.zeros(points.size)
+            for d in range(count):
+                p, h = d % 2, d // 2
+                r_d = factor(d) / factor(p) * diagonals[p][1 + h:n - d + h]
+                terms = (u[:, 1:n - d] * np.conj(u[:, 1 + d:])).real
+                want += (1.0 if d == 0 else 2.0) * (terms @ r_d)
+            assert np.max(np.abs(intensity[points] - want)) \
+                <= 1e-13 * np.max(intensity)
+
+    def test_flight_transforms_do_not_grow_with_band(self, params702,
+                                                     monkeypatch):
+        # on a narrow band (D + 1 = 25) and a wide one (682), each flight
+        # takes the same transforms: its kernel's inverse transform, the two
+        # folded sums' real transforms and one inverse real transform; r_0's
+        # and r_1's two real transforms serve every flight.  None is taken
+        # a diagonal.
+        for a, count in ((0.04, 25), (1.37, 682)):
+            grid = go.GridSpec(n=2048, extent=20.0)
+            assert go._density_count(a, 1.0, grid) == count
+            diagonals = walk_diagonals(monkeypatch, params702, a, 1.0, grid)
+            calls = []
+
+            def spy(name):
+                transform = getattr(np.fft, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return transform(*args, **kwargs)
+                return counted
+
+            tallies = []
+            with monkeypatch.context() as patch:
+                for name in ("fft", "ifft", "rfft", "irfft"):
+                    patch.setattr(np.fft, name, spy(name))
+                for flights in ([300.0], [300.0, 600.0],
+                                [300.0, 600.0, 900.0]):
+                    calls.clear()
+                    go._density_flights(a, 1.0, grid, diagonals, flights,
+                                        params702)
+                    tallies.append(sorted(calls))
+            one, two, three = tallies
+            assert one == ["ifft", "irfft", "rfft", "rfft", "rfft", "rfft"]
+            assert two == sorted(one + ["ifft", "irfft", "rfft", "rfft"])
+            assert three == sorted(two + ["ifft", "irfft", "rfft", "rfft"])
 
     @pytest.mark.parametrize("a, omega, grid", [
         (0.04, 10.0, go.GridSpec(n=4096, extent=40.0)),  # strekalov.json
@@ -625,13 +719,13 @@ class TestSourcePass:
         L1 = 300.0
         alone = go.source_pass(a, omega, grid, params702, L1)
         phases = []
-        kernel_windows = go._kernel_windows
+        kernel_parts = go._kernel_parts
 
-        def spy(n, dy, L, params, count):
+        def spy(n, dy, L, params, out):
             phases.append(L)
-            return kernel_windows(n, dy, L, params, count)
+            return kernel_parts(n, dy, L, params, out)
 
-        monkeypatch.setattr(go, "_kernel_windows", spy)
+        monkeypatch.setattr(go, "_kernel_parts", spy)
         source = go.source_pass(a, omega, grid, params702, L1, beam_L=L1)
         assert phases == [L1]
         assert np.array_equal(source.beam, source.slit_plane)
@@ -708,17 +802,19 @@ class TestSourcePass:
                                           (8192, 250)])
     def test_flights_hold_one_small_chunk(self, params702, monkeypatch, n,
                                           count):
-        # a chunk is ``_chunk_rows`` diagonals, 16, 8 and then 4: the flights
-        # hold its three buffers (one real row and two half-spectra a
-        # diagonal), each of two flights' kernel as two rows of n + D
-        # values, the table of E (D + 1 values), and eight one-axis arrays
-        # (the spectra, the results and transients), 8 bytes a value,
-        # whatever D.  The walk's diagonals 0 and 1 are the caller's.
+        # a chunk is ``_chunk_rows`` fold rows, 16, 8 and then 4, each of
+        # n + 2 B values, B = (D + 1) // 2: the flights hold one chunk, the
+        # kernel of the flight under way as two such rows, r_0's and r_1's
+        # half-spectra, E and the edge sums' coefficients (D + 1 values
+        # each), a flight's phase as it is built (6 n values) and seven
+        # one-axis arrays (a flight's spectrum and edge sums, the carried
+        # suffix sum, the two results and transients), 8 bytes a value.
+        # The walk's diagonals 0 and 1 are the caller's.
         a, omega, grid = SQRT_A2, 10.0, go.GridSpec(n=n, extent=40.0)
         assert go._density_count(a, omega, grid) == count
-        rows, d_max = go._chunk_rows(n, count), count - 1
-        budget = 8 * (rows * (n + 2 * 2 * (n // 2 + 1))
-                      + 2 * 2 * (n + d_max) + (d_max + 1) + 8 * n)
+        rows, width = go._chunk_rows(n, count), n + 2 * (count // 2)
+        budget = 8 * ((rows + 2) * width + 2 * 2 * (n // 2 + 1) + 2 * count
+                      + 6 * n + 7 * n)
         diagonals = walk_diagonals(monkeypatch, params702, a, omega, grid)
         # a first call imports numpy.fft, which numpy loads lazily and
         # tracemalloc would count
