@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConfigError, DomainError
 
 FWHM_FACTOR = math.sqrt(2.0 * math.log(2.0))
@@ -53,11 +51,6 @@ class PhysParams:
     def rescaled_wavelength_mm(self) -> float:
         """Rescaled wavelength Lambda = wavelength / pi (mm)."""
         return self.wavelength_mm / math.pi
-
-    @property
-    def mean_momentum_rad_per_mm(self) -> float:
-        """Mean axial momentum 2*pi/wavelength in hbar=1 units."""
-        return 2.0 * math.pi / self.wavelength_mm
 
 
 @dataclass(frozen=True)
@@ -351,17 +344,6 @@ def lens_ghost_param(slit: SlitSpec, a: float, lens: LensConfig,
     lam = params.rescaled_wavelength_mm
     gamma = eps * eps + a * a + 1j * lam * (L.L - lens.image_distance)
     return GaussianParam(gamma=gamma)
-
-
-def conditional_amplitude(gamma: GaussianParam, y: np.ndarray) -> np.ndarray:
-    """Normalized sampled amplitude for a Gaussian parameter.
-
-    amp(y) = ((Gamma + Gamma*) / (pi * Gamma * Gamma*))^(1/4) * exp(-y^2/Gamma)
-    integrates to unit probability.
-    """
-    g = gamma.gamma
-    norm = ((g + g.conjugate()) / (math.pi * g * g.conjugate())) ** 0.25
-    return norm * np.exp(-np.asarray(y) ** 2 / g)
 
 
 def beam_width(state: EprState, leg: PropagationLeg, params: PhysParams) -> float:

@@ -477,11 +477,11 @@ class SourcePass:
     guard: np.ndarray | None
 
     def fly(self, L: float) -> SourcePass:
-        """Fly every row a further L in place and tail-check it; a distance
-        that is not finite and >= 0 is refused with the rows untouched."""
-        fly(self.amplitude, self.dy, L, self.params)
-        if L > 0:
-            _tail_failures(np.abs(self.amplitude) ** 2, self.failures)
+        """Fly every row a further L in place and tail-check it
+        (``_fly_rows``); a distance that is not finite and >= 0 is refused
+        with the rows untouched, and over L = 0 nothing is flown."""
+        if L != 0:
+            _fly_rows(self.amplitude, self.dy, L, self.params, self.failures)
         return self
 
     def widths(self, k: int) -> WidthResult:
@@ -715,61 +715,64 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                 d1: float | None = None) -> SourcePass:
     """Particle 2's amplitudes at the slit plane L1 conditioned on each of
     particle 1's ``apertures`` there, and its marginals, from one pass over
-    row blocks of the source with no n x n array.
+    row blocks of the source with no n x n array.  The pass is five stages,
+    each a function of this module with its own contract and bound:
 
-    Each aperture phi gives the slit-plane mode conj(phi), sampled one row
-    at a time after the source is checked.  An aperture the grid cannot
-    resolve (``Aperture.sample`` raises ResolutionError) leaves its row 0.0
-    with that error as the row's failure, and the other rows run.  Given
-    ``d1``, particle 1 passes its one aperture, a mask m, flies a further d1
-    and is point-detected on axis: the pass conditions on the one mode
-    m * fly(conj(point), d1) (module docstring) and guards the d1 leg
-    (below), so a mask the grid cannot resolve is refused.  ``d1`` with any
-    other number of apertures is refused.  Every distance other than 0 is
-    flown, and its flight refuses it if it is not finite and >= 0, NaN
-    included (``_flight_phase``): d1 and L1 once the source and the cap are
-    checked, ``beam_L`` after the block walk.
+    - ``_arm``: particle 1's slit-plane modes, one a row, each row's
+      failure and a d1 leg's guard support; it refuses bad input and a pass
+      over the memory cap before it allocates its modes.
+    - ``_walk``: flies the modes back over L1 and walks the source's row
+      blocks once, leaving the normalized projections in the modes' buffer,
+      and returns rho's diagonals 0 and 1 and the source norm.
+    - ``_marginals``: particle 2's intensity over L1 and ``beam_L``.
+    - ``_d1_guard``, given ``d1``: the d1 leg's guard, from the pass's
+      projections on the points of its support, and the detector row,
+      copied out of the guard's buffer so the returned pass holds none of
+      the guard's arrays.
+    - ``_normalize``: flies the detector rows over L1 (``_fly_rows``), then
+      weighs and normalizes them.
 
-    Before it allocates its modes, the pass refuses with ConfigError a
-    modelled peak (``peak_bytes``) over its K modes above the MAX_GRID_ENV
-    cap, or above the machine's physical memory when that is unset; a d1
-    leg is checked again with its |S| points once its mask is sampled.  The
-    source is checked first, as the model divides by a and omega.
+    Every distance other than 0 is flown, and its flight refuses it if it
+    is not finite and >= 0, NaN included (``_flight_phase``): d1 in the arm,
+    L1 in the walk and ``beam_L`` in the marginals.  ``peak_bytes`` models
+    the pass's peak memory from what the stages allocate.
+    """
+    modes, failures, support = _arm(a, omega, grid, params, apertures, d1)
+    diagonals, norm = _walk(a, omega, grid, params, modes, L1)
+    slit_plane, beam = _marginals(a, omega, grid, params, diagonals, L1, beam_L)
+    guard, amplitude = (None, modes) if d1 is None else _d1_guard(
+        modes, *support, grid.dy, d1, params)
+    weight = _normalize(amplitude, grid.dy, L1, params, failures)
+    return SourcePass(y=grid.y, dy=grid.dy, params=params, norm=norm,
+                      slit_plane=slit_plane, beam=beam, amplitude=amplitude,
+                      weight=weight, failures=failures, guard=guard)
 
-    The pass flies the modes back over L1 in place, with no tail check.
-    Each block of SOURCE_BLOCK_ROWS rows is generated on its diagonal band
-    only, multiplied into the block's columns of every flown mode, real and
-    imaginary parts stacked, and its band's column sums of squares are added
-    to particle 2's source-plane intensity, whose total is the source norm.
-    The sums of its adjacent columns' products are added to rho's diagonal
-    1 (module docstring).  No block is transformed.  Besides the modes, the
-    pass holds their 2 K x n real products, so at most two K x n complex
-    arrays' worth.  After the last block ``_density_flights`` flies the
-    D + 1 diagonals of rho = psi^T psi, which diagonals 0 and 1 (the
-    source-plane intensity and that sum) fix, through one folded kernel a
-    parity, to particle 2's intensity over L1 and, when given, over
-    ``beam_L``: once per distinct nonzero distance, whatever K, so with
-    ``beam_L == L1`` the two are one array.  An intensity over L = 0 is the
-    source-plane intensity, and every intensity is tail-checked.  The
-    normalized projections then take the modes' buffer, and ``_normalize``
-    flies the detector modes' rows over L1 in it, in one ``fly``.
 
-    The d1 leg's guard is particle 1's real intensity behind the mask,
-    flown d1 and summed over particle 2 (the back-flown modes spread over
-    the grid by design), from the same pass: on S, the samples with
-    |m_j| >= DENSITY_FLOOR max|m|, particle 1's slit-plane amplitude for
-    each row of particle 2 is the projection P on the points delta_j,
-    slit-plane modes that follow the detector mode in the pass.  With
-    A = m_S P, C = A A^H and K_j = fly(delta_j, d1), the guard is
-    Re sum_{s,t} K_s C_st conj K_t, as particle 2's flight is unitary.  The
-    samples left out move its total by at most 2^-99/sqrt(q) + 2^-200/q of
-    itself, q the mask's transmitted share over max|m|^2.  It holds C and at
-    most two arrays of |S| + 1 rows of n complex values: A is taken in place
-    in the projections' buffer, and the kernels K then take A's rows, flown
-    and conjugated in place.  The guard is kept as ``guard`` and, for
-    d1 > 0, tail-checked, and the detector mode's row is copied out, so the
-    returned pass holds none of those arrays.  ``peak_bytes`` models the
-    pass's peak memory from them.
+def _arm(a: float, omega: float, grid: GridSpec, params: PhysParams,
+         apertures, d1: float | None):
+    """Particle 1's slit-plane modes for a pass on ``grid``, one row each, as
+    (modes, failures, support).
+
+    ``d1`` with other than one aperture is refused, then the source
+    (``_check_source``: the cap's model divides by a and omega), then with
+    ConfigError, before any mode is allocated, a modelled peak
+    (``peak_bytes``) over the K modes above the MAX_GRID_ENV cap, or above
+    the machine's physical memory when that is unset (``_check_grid_cap``).
+
+    Without ``d1`` each aperture phi gives the mode conj(phi), sampled one
+    row at a time.  An aperture the grid cannot resolve (``Aperture.sample``
+    raises ResolutionError) leaves its row 0.0, with that error as the row's
+    entry in ``failures``, and the other rows run; ``support`` is None.
+
+    Given ``d1``, particle 1 passes its one aperture, a mask m, flies a
+    further d1 and is point-detected on axis: row 0 is the one detector mode
+    m * fly(conj(point), d1) (module docstring), so a mask the grid cannot
+    resolve is refused.  The guard's support S is the samples with
+    |m_j| >= DENSITY_FLOOR max|m| (``_d1_guard``), and the cap is checked
+    again with its |S| points once the mask is sampled.  Rows 1 .. |S| are
+    the points delta_j, j in S, in order, so the walk projects the source on
+    them too; the points are built again for the guard's flight, not held
+    through the pass.  ``support`` is (S, m_S) and ``failures`` is empty.
     """
     if d1 is not None and len(apertures) != 1:
         raise DomainError(f"a d1 leg takes one aperture, got {len(apertures)}")
@@ -787,33 +790,45 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
                 # the row is 0.0 and fails alone
                 modes[k] = 0.0
                 failures[k] = exc
-    else:
-        # aperture scale drops out after the renormalized conditioning
-        mask = apertures[0].sample(y, dy)
-        support = np.flatnonzero(
-            np.abs(mask) >= DENSITY_FLOOR * np.abs(mask).max())
-        _check_grid_cap(a, omega, grid, 1, support.size)
-        point = Aperture(kind="point").sample(y, dy)
-        # the detector mode's chain up to the slit plane, then a point on
-        # each sample of S; the points are built again for the d1 leg, not
-        # held through the pass
-        points = np.arange(support.size)
-        modes = np.zeros((1 + support.size, n), dtype=complex)
-        modes[0] = mask * fly(np.conj(point), dy, d1, params)
-        modes[1 + points, support] = 1.0
-    tables = source_tables(a, omega, grid)
-    # particle 1's flight from the slit plane back to the source
+        return modes, failures, None
+    # aperture scale drops out after the renormalized conditioning
+    mask = apertures[0].sample(y, dy)
+    support = np.flatnonzero(np.abs(mask) >= DENSITY_FLOOR * np.abs(mask).max())
+    _check_grid_cap(a, omega, grid, 1, support.size)
+    point = Aperture(kind="point").sample(y, dy)
+    modes = np.zeros((1 + support.size, n), dtype=complex)
+    modes[0] = mask * fly(np.conj(point), dy, d1, params)
+    modes[1 + np.arange(support.size), support] = 1.0
+    return modes, failures, (support, mask[support])
+
+
+def _walk(a: float, omega: float, grid: GridSpec, params: PhysParams,
+          modes: np.ndarray, L1: float):
+    """Fly the K slit-plane ``modes`` back over L1 in place, with no tail
+    check, and project the source on them in one walk over its row blocks
+    (``_source_blocks``), as ((r_0, r_1), norm).  Each mode's row of
+    ``modes`` then holds its projection, times dy / sqrt(norm): the walk's
+    product of the source's rows with the flown mode, scaled to the
+    normalized source.
+
+    Each block of SOURCE_BLOCK_ROWS rows is generated on its diagonal band
+    alone and multiplied into the block's columns of every flown mode, real
+    and imaginary parts stacked: one real product a block, and no block is
+    transformed.  Its band's column sums of squares are added to r_0,
+    particle 2's source-plane intensity, unscaled, whose total times dy^2 is
+    ``norm``, the squared norm of the source as sampled, and the sums of its
+    adjacent columns' products to r_1, rho's diagonal 1, n - 1 values
+    (module docstring).  Beside the modes the walk holds their 2 K x n real
+    products, so at most two K x n complex arrays' worth, and the source's
+    two factor tables (``source_tables``), which it frees when it returns.
+    """
+    n, dy = grid.n, grid.dy
     fly(modes, dy, L1, params)
     # real and imaginary rows of the projections, summed apart
     products = np.zeros((2 * len(modes), n))
-    # particle 2's intensity at the source plane, unscaled: each block adds
-    # its band's column sums of squares.  Its total is the source norm, and
-    # a flight over L = 0 reads it.
-    source_plane = np.zeros(n)
-    # rho's diagonal 1: each block adds its band's sums over rows of
-    # adjacent columns' products
-    adjacent = np.zeros(n - 1)
-    for rows, cols, band in _source_blocks(tables):
+    # r_0 and r_1, each block adding to them
+    source_plane, adjacent = np.zeros(n), np.zeros(n - 1)
+    for rows, cols, band in _source_blocks(source_tables(a, omega, grid)):
         source_plane[cols] += np.einsum("ij,ij->j", band, band)
         adjacent[cols.start:cols.stop - 1] += np.einsum(
             "ij,ij->j", band[:, :-1], band[:, 1:])
@@ -821,66 +836,106 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
         # stacked: one real product per block
         block = modes[:, rows]
         products[:, cols] += np.concatenate([block.real, block.imag]) @ band
-    # the last block is done: the flights below need no source
-    del tables
-    flights = [L1] if beam_L is None else [L1, beam_L]
-    # each distinct nonzero distance is flown once, and a bad one is refused
-    # by its flight, not read as none
-    flown = [L for L in dict.fromkeys(flights) if L != 0]
-    marginals = dict(zip(flown, _density_flights(
-        a, omega, grid, (source_plane, adjacent), flown,
-        params))) if flown else {}
-    intensities = {L: marginals.get(L, source_plane) for L in flights}
-    # the norm before the source-plane intensity is scaled in place below
     norm = float(np.sum(source_plane)) * dy * dy
-    # Particle 1's slit-plane intensity equals particle 2's: the sampled
-    # source is exchange-symmetric bit for bit (see source_rows) and both
-    # particles fly L1, so the one check below guards both axes.
-    for total in intensities.values():
-        total *= dy
-        _check_tails(total)
     products *= dy / math.sqrt(norm)
     # the projections take the flown modes' buffer
     modes.real, modes.imag = products[:len(modes)], products[len(modes):]
-    del products
-    guard = None
-    if d1 is not None:
-        amp = modes[1:]
-        amp *= mask[support, None]
-        gram = amp @ amp.conj().T
-        # the point kernels K_j take the points' rows, flown in place and
-        # conjugated in place
-        amp[:] = 0.0
-        amp[points, support] = 1.0
-        fly(amp, dy, d1, params)
-        guard = np.einsum("sx,sx->x", gram.T @ amp,
-                          np.conj(amp, out=amp)).real
-        if d1 > 0:
-            _check_tails(guard)
-    # a d1 leg's detector row is copied out of its guard's buffer, so the
-    # returned pass does not hold that buffer
-    amplitude = modes if d1 is None else modes[:1].copy()
-    weight = _normalize(amplitude, dy, L1, params, failures)
-    return SourcePass(y=y, dy=dy, params=params, norm=norm,
-                      slit_plane=intensities[L1],
-                      beam=None if beam_L is None else intensities[beam_L],
-                      amplitude=amplitude, weight=weight, failures=failures,
-                      guard=guard)
+    return (source_plane, adjacent), norm
+
+
+def _marginals(a: float, omega: float, grid: GridSpec, params: PhysParams,
+               diagonals, L1: float, beam_L: float | None):
+    """Particle 2's intensity flown over L1 and over ``beam_L``, as
+    (slit_plane, beam), beam None without ``beam_L``; each integrates to its
+    flown norm.
+
+    ``_density_flights`` flies the D + 1 diagonals of rho that
+    ``diagonals`` = (r_0, r_1) of the walk fix, through one folded kernel a
+    parity, in one call over the distinct nonzero distances: each is flown
+    once, whatever K, so with ``beam_L == L1`` the two are one array.  An
+    intensity over L = 0 is r_0 itself.  The source's cut and the diagonals
+    past D move a flown intensity by under 1e-23 tr(rho) for every
+    n <= 65536 (module docstring).  Each intensity is scaled by dy in place
+    and tail-checked.  Particle 1's slit-plane intensity equals
+    particle 2's, as the sampled source is exchange-symmetric bit for bit
+    (``source_rows``) and both particles fly L1, so the one check guards
+    both axes.
+    """
+    # one intensity a distinct distance, r_0 until its flight replaces it
+    intensities = {L: diagonals[0] for L in (L1, beam_L) if L is not None}
+    # each distinct nonzero distance is flown once, and a bad one is refused
+    # by its flight, not read as none
+    flown = [L for L in intensities if L != 0]
+    if flown:
+        intensities.update(zip(flown, _density_flights(
+            a, omega, grid, diagonals, flown, params)))
+    for total in intensities.values():
+        total *= grid.dy
+        _check_tails(total)
+    return intensities[L1], intensities.get(beam_L)
+
+
+def _d1_guard(projections: np.ndarray, support: np.ndarray,
+              mask: np.ndarray, dy: float, d1: float, params: PhysParams):
+    """The d1 leg's guard and its detector row, as (guard, row): the pass's
+    normalized ``projections`` on the detector mode, row 0, and on the
+    points delta_j of the support S = ``support``, where the mask takes the
+    values m_S = ``mask`` (``_arm``).  The guard is particle 1's real
+    intensity behind the mask, flown d1 and summed over particle 2,
+    unnormalized; it is put here and not on the back-flown modes, which
+    spread over the grid by design.
+
+    On S, the samples with |m_j| >= DENSITY_FLOOR max|m|, particle 1's
+    slit-plane amplitude for each row of particle 2 is the projection P on
+    the points.  With A = m_S P, C = A A^H and K_j = fly(delta_j, d1), the
+    guard is Re sum_{s,t} K_s C_st conj K_t, as particle 2's flight is
+    unitary.  The samples left out move its total by at most
+    2^-99/sqrt(q) + 2^-200/q of itself, q the mask's transmitted share over
+    max|m|^2.  It holds C and at most two arrays of |S| + 1 rows of n
+    complex values: A is taken in place in ``projections``, and the kernels
+    K then take A's rows, flown and conjugated in place.  For d1 > 0 the
+    guard is tail-checked.  The detector row is copied out, so the caller
+    need not hold ``projections``.
+    """
+    points = projections[1:]
+    points *= mask[:, None]
+    gram = points @ points.conj().T
+    # the point kernels K_j take the points' rows, flown in place and
+    # conjugated in place
+    points[:] = 0.0
+    points[np.arange(support.size), support] = 1.0
+    fly(points, dy, d1, params)
+    guard = np.einsum("sx,sx->x", gram.T @ points,
+                      np.conj(points, out=points)).real
+    if d1 > 0:
+        _check_tails(guard)
+    return guard, projections[:1].copy()
+
+
+def _fly_rows(rows: np.ndarray, dy: float, L: float, params: PhysParams,
+              failures: dict[int, Exception]) -> np.ndarray:
+    """Fly ``rows`` a further L in place (``fly``, which refuses a distance
+    that is not finite and >= 0 with the rows untouched) and, for L > 0, add
+    to ``failures`` each row whose flight wraps (``_tail_failures``); a row
+    that failed before keeps its first failure.  Returns the rows' intensity
+    |rows|^2, which the tail check reads.  This is the one flight of
+    conditional rows: the pass's detector rows over L1 (``_normalize``) and
+    every further leg (``SourcePass.fly``)."""
+    fly(rows, dy, L, params)
+    prob = np.abs(rows) ** 2
+    if L > 0:
+        _tail_failures(prob, failures)
+    return prob
 
 
 def _normalize(rows: np.ndarray, dy: float, L1: float, params: PhysParams,
                failures: dict[int, Exception]) -> np.ndarray:
-    """The weights of the projections ``rows``, flown over L1 in place in
-    one ``fly``, then tail-checked, weighed and normalized in place.
+    """The weights of the projections ``rows``, flown over L1 in place and
+    tail-checked (``_fly_rows``), then weighed and normalized in place.
     ``failures`` maps a row to the first error it hit: one that failed
     before (an unresolved aperture's 0.0 row), whose flight wraps, or whose
     weight is below 1e-12 keeps that first failure there, unnormalized."""
-    fly(rows, dy, L1, params)
-    prob = np.abs(rows) ** 2
-    if L1 > 0:
-        _tail_failures(prob, failures)
-    weight = np.sum(prob, axis=1) * dy
-    del prob
+    weight = np.sum(_fly_rows(rows, dy, L1, params, failures), axis=1) * dy
     for k in np.flatnonzero(weight < 1e-12):
         failures.setdefault(int(k), DomainError(
             f"degenerate conditioning: coincidence weight {weight[k]:.3g}"))

@@ -208,19 +208,21 @@ def test_criterion_9_ghost_fringes(capsys):
 
 
 def test_criterion_10_oracle_fidelity(capsys):
-    # (a) Gaussian conditional width vs closed form, finite omega + flight
-    def conditional_width(n):
+    # (a) Gaussian conditional width vs closed form, finite omega + flight:
+    # gaussian_equiv_W, 2 rms, and the FWHM the reports print
+    def conditional_widths(n):
         grid = go.GridSpec(n=n, extent=12.0)
         source = conditional_on_pass(math.sqrt(0.043), 2.0, grid, 500.0,
                                      0.065)
-        return source.widths(0).gaussian_equiv_W
+        return source.widths(0)
 
     gamma = gc.condition_on_gaussian_slit(
         gc.make_epr_state(math.sqrt(0.043), 2.0),
         SlitSpec(kind="gaussian", epsilon=0.065), PropagationLeg(500.0), PARAMS)
     closed = gc.intensity_width(gamma)
-    w_2048 = conditional_width(2048)
-    width_err = abs(w_2048 / closed - 1.0)
+    w_2048 = conditional_widths(2048)
+    width_err = abs(w_2048.gaussian_equiv_W / closed - 1.0)
+    fwhm_err = abs(w_2048.fwhm / gc.fwhm_from_width(closed) - 1.0)
 
     # (b) norm drift through the longest bundled flight: the source norm
     # against its norm flown over L1, both from one pass
@@ -229,9 +231,17 @@ def test_criterion_10_oracle_fidelity(capsys):
     drift = abs(float(np.sum(source.slit_plane)) * source.dy / source.norm - 1.0)
 
     # (c) grid doubling stability
-    doubling = abs(conditional_width(1024) / w_2048 - 1.0)
+    w_1024 = conditional_widths(1024)
+    doubling = abs(w_1024.gaussian_equiv_W / w_2048.gaussian_equiv_W - 1.0)
+    fwhm_doubling = abs(w_1024.fwhm / w_2048.fwhm - 1.0)
 
-    ok = width_err < 1e-3 and drift < 1e-8 and doubling < 5e-4
+    # 2 rms meets the closed form bit for bit on these grids, so only the
+    # FWHM's half-maximum reading can move (a) and (c).  It reads 3.9e-6
+    # from the closed form on n = 2048 (102 samples per FWHM) and moves
+    # 7.0e-5 from n = 1024; each bound leaves about 2.5x of room over that
+    ok = (width_err < 1e-3 and fwhm_err < 1e-5 and drift < 1e-8
+          and doubling < 5e-4 and fwhm_doubling < 2e-4)
     announce(capsys, 10,
-             f"oracle fidelity (width vs closed form {width_err:.1e}, norm "
-             f"drift {drift:.1e}, grid doubling {doubling:.1e})", ok)
+             f"oracle fidelity (width vs closed form {width_err:.1e}, FWHM "
+             f"{fwhm_err:.1e}, norm drift {drift:.1e}, grid doubling "
+             f"{doubling:.1e}, FWHM {fwhm_doubling:.1e})", ok)

@@ -7,7 +7,6 @@ published reference widths of the lens layout (0.657 / 2.0 / 0.217 mm).
 
 import math
 
-import numpy as np
 import pytest
 
 import poppersim.gaussian_core as gc
@@ -25,10 +24,6 @@ class TestPhysParams:
         # the constant every reference width hangs off
         assert params702.rescaled_wavelength_mm == pytest.approx(
             2.2345354e-4, rel=1e-7)
-
-    def test_mean_momentum(self, params702):
-        assert params702.mean_momentum_rad_per_mm == pytest.approx(
-            2.0 * math.pi / 702e-6, rel=1e-15)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -365,22 +360,6 @@ class TestBeamWidth:
                                gc.PropagationLeg(100.0), params702)
         with pytest.raises(DomainError):
             gc.beam_width(state, gc.PropagationLeg(100.0), params702)
-
-
-class TestConditionalAmplitude:
-    def test_unit_probability(self):
-        gamma = gc.GaussianParam(0.047225 + 0.111726j)
-        y = np.linspace(-8.0, 8.0, 20001)
-        amp = gc.conditional_amplitude(gamma, y)
-        prob = np.trapezoid(np.abs(amp) ** 2, y)
-        assert prob == pytest.approx(1.0, abs=1e-9)
-
-    def test_width_matches_closed_form(self):
-        gamma = gc.GaussianParam(0.3 + 0.2j)
-        y = np.linspace(-10.0, 10.0, 40001)
-        density = np.abs(gc.conditional_amplitude(gamma, y)) ** 2
-        rms = math.sqrt(float(np.trapezoid(y ** 2 * density, y)))
-        assert 2.0 * rms == pytest.approx(gc.intensity_width(gamma), rel=1e-9)
 
 
 class TestNonFiniteInput:

@@ -1410,3 +1410,53 @@ class TestDeterminism:
 
         a, b = run(), run()
         assert np.array_equal(a, b)
+
+
+# the pass's stages, each a module function it reaches by name
+PASS_STAGES = ("_arm", "_walk", "_marginals", "_d1_guard", "_normalize",
+               "_fly_rows")
+SLIT = go.Aperture(kind="gaussian", epsilon=0.2)
+# (a, omega, grid, L1, apertures, beam_L, d1) of a slit pass with its beam
+# past the slit plane, a 130-slit sweep pass, a pass conditioned at the
+# source plane and a ghost pass with its d1 leg
+STAGED_PASSES = {
+    "beam": (PARITY_A, PARITY_OMEGA, PARITY_GRID, 300.0, [SLIT], 600.0, None),
+    "sweep-130": (PARITY_A, PARITY_OMEGA, PARITY_GRID, 300.0,
+                  [go.Aperture(kind="gaussian", epsilon=e)
+                   for e in np.linspace(0.1, 1.0, 130)], None, None),
+    "source-plane": (PARITY_A, PARITY_OMEGA, PARITY_GRID, 0.0, [SLIT], None,
+                     None),
+    "d1": (*GHOST_LAYOUTS["entangled"][:2], GHOST_GRID, 200.0, [DOUBLE_SLIT],
+           None, 50.0),
+}
+
+
+class TestStagedPass:
+    @pytest.mark.parametrize("name", list(STAGED_PASSES))
+    def test_each_stage_once(self, params702, monkeypatch, name):
+        # every stage runs once per pass, the guard only on a d1 leg, and
+        # wrapping the stages changes no bit of the pass
+        a, omega, grid, L1, apertures, beam_L, d1 = STAGED_PASSES[name]
+
+        def run():
+            return go.source_pass(a, omega, grid, params702, L1, apertures,
+                                  beam_L, d1)
+
+        want = run()
+        calls = dict.fromkeys(PASS_STAGES, 0)
+        for stage in PASS_STAGES:
+            original = getattr(go, stage)
+
+            def spy(*args, _stage=stage, _original=original):
+                calls[_stage] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(go, stage, spy)
+        got = run()
+        assert calls == {**dict.fromkeys(PASS_STAGES, 1),
+                         "_d1_guard": int(d1 is not None)}
+        for field in ("slit_plane", "beam", "amplitude", "weight", "guard"):
+            assert np.array_equal(getattr(got, field),
+                                  getattr(want, field)), field
+        assert got.norm == want.norm
+        assert got.failures.keys() == want.failures.keys()

@@ -112,18 +112,6 @@ class TestVirtualSlit:
         assert back.real == pytest.approx(eps * eps + a * a, rel=1e-5)
 
 
-class TestNormalization:
-    @given(re=st.floats(min_value=0.01, max_value=5.0),
-           im=st.floats(min_value=-5.0, max_value=5.0))
-    @settings(max_examples=25, deadline=None)
-    def test_conditional_amplitude_unit_probability(self, re, im):
-        gamma = GaussianParam(complex(re, im))
-        W = gc.intensity_width(gamma)
-        y = np.linspace(-8.0 * W, 8.0 * W, 8001)
-        prob = np.trapezoid(np.abs(gc.conditional_amplitude(gamma, y)) ** 2, y)
-        assert prob == pytest.approx(1.0, abs=1e-6)
-
-
 class TestFitForwardConsistency:
     @given(eps=st.floats(min_value=0.02, max_value=0.5),
            a=st.floats(min_value=0.01, max_value=0.5),
