@@ -806,10 +806,10 @@ def _walk(a: float, omega: float, grid: GridSpec, params: PhysParams,
           modes: np.ndarray, L1: float):
     """Fly the K slit-plane ``modes`` back over L1 in place, with no tail
     check, and project the source on them in one walk over its row blocks
-    (``_source_blocks``), as ((r_0, r_1), norm).  Each mode's row of
-    ``modes`` then holds its projection, times dy / sqrt(norm): the walk's
-    product of the source's rows with the flown mode, scaled to the
-    normalized source.
+    (``_source_blocks``), as ((r_0, r_1), norm).  Each row of ``modes``
+    then holds its mode's projection of the normalized source: the sum over
+    the source's rows of each row times the flown mode, times
+    dy / sqrt(norm).
 
     Each block of SOURCE_BLOCK_ROWS rows is generated on its diagonal band
     alone and multiplied into the block's columns of every flown mode, real
@@ -820,7 +820,7 @@ def _walk(a: float, omega: float, grid: GridSpec, params: PhysParams,
     adjacent columns' products to r_1, rho's diagonal 1, n - 1 values
     (module docstring).  Beside the modes the walk holds their 2 K x n real
     products, so at most two K x n complex arrays' worth, and the source's
-    two factor tables (``source_tables``), which it frees when it returns.
+    two factor tables (``source_tables``) while it walks.
     """
     n, dy = grid.n, grid.dy
     fly(modes, dy, L1, params)
