@@ -5,6 +5,11 @@ All reports are JSON with a convention block and unit-suffixed field names;
 sweeps can additionally be written as CSV.  Numeric output is fixed to nine
 significant digits so identical inputs give byte-identical reports.
 
+Only the commands that run the grid oracle (``run --oracle`` and
+``oracle-check``), plus ``sweep`` and ``spin``, import numpy; the analytic
+``run``, ``fit``, ``--help`` and every refusal of the command line leave it
+unloaded, so they start in about half the time.
+
 Exit codes: 0 success, 2 configuration / input error (including an input so
 large that a computation overflows or a result is not finite), 3 numerical
 resolution error.
@@ -13,27 +18,23 @@ resolution error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import experiments as ex
 from . import gaussian_core as gc
-from . import grid_oracle as go
-from . import spin_model as sm
 from .errors import ConfigError, DomainError, ResolutionError
+# MAX_GRID_ENV is the oracle's memory-cap variable, read by grid_oracle;
+# perfbench keeps it out of its children's environment by this name
+from .grid import MAX_GRID_ENV, GridSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOLUTION = 3
-
-# the oracle's memory-cap variable, read by grid_oracle; perfbench keeps it
-# out of its children's environment by this name
-MAX_GRID_ENV = go.MAX_GRID_ENV
 
 CONVENTION_BLOCK = {
     "units": "lengths in mm, transverse momenta in rad/mm, hbar = 1",
@@ -57,6 +58,16 @@ SPIN_PRESETS = {
     # alpha, beta with 2 alpha^2 + beta^2 = 1
     "popper": (math.sqrt(0.05), math.sqrt(0.9)),
 }
+
+
+def _overflow_raises(numpy_runs: bool = True):
+    """The context a command computes in: a numpy overflow raises, instead of
+    warning and going on with inf.  A command that runs no numpy passes
+    ``numpy_runs`` false and gets a null context, so numpy stays unloaded."""
+    if not numpy_runs:
+        return contextlib.nullcontext()
+    import numpy as np
+    return np.errstate(over="raise")
 
 
 def _round_sig(value, path: str):
@@ -140,7 +151,7 @@ def _load_scenario(args, slit_full_widths=None) -> ex.Scenario:
     does not give.  The oracle's pass checks its own memory cap."""
     scenario = ex.Scenario.from_json(args.scenario)
     if args.grid_n is not None:
-        scenario = dataclasses.replace(scenario, oracle=go.GridSpec(
+        scenario = dataclasses.replace(scenario, oracle=GridSpec(
             n=args.grid_n,
             extent=ex.oracle_grid(scenario, slit_full_widths).extent))
     return scenario
@@ -175,59 +186,63 @@ def _scenario_echo(scenario: ex.Scenario) -> dict:
 def cmd_run(args) -> int:
     scenario = _load_scenario(args)
     runner = ex.run_kim_shih if scenario.lens is not None else ex.run_popper_freespace
-    report = runner(scenario, use_oracle=args.oracle)
-    doc = _document(_scenario_echo(scenario), _report_dict(report))
-    if args.csv:
-        rows = ["metric,analytic,oracle,delta_rel"]
-        fmt = lambda v: "" if v is None else f"{v:.9g}"
-        for key in WIDTH_FIELDS:
-            measured = getattr(report, key)
-            if measured is not None:
-                rows.append(f"{key},{fmt(measured.analytic)},{fmt(measured.oracle)},"
-                            f"{fmt(measured.delta_rel)}")
-        _write(args.csv, "\n".join(rows) + "\n")
-    _emit(doc, args.out)
+    # only the oracle arm computes with numpy
+    with _overflow_raises(args.oracle):
+        report = runner(scenario, use_oracle=args.oracle)
+        doc = _document(_scenario_echo(scenario), _report_dict(report))
+        if args.csv:
+            rows = ["metric,analytic,oracle,delta_rel"]
+            fmt = lambda v: "" if v is None else f"{v:.9g}"
+            for key in WIDTH_FIELDS:
+                measured = getattr(report, key)
+                if measured is not None:
+                    rows.append(f"{key},{fmt(measured.analytic)},"
+                                f"{fmt(measured.oracle)},{fmt(measured.delta_rel)}")
+            _write(args.csv, "\n".join(rows) + "\n")
+        _emit(doc, args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
     if not args.start < args.stop:
         raise ConfigError(f"sweep bounds must satisfy from < to, "
                           f"got {args.start} >= {args.stop}")
     if args.steps < 2:
         raise ConfigError(f"sweep needs at least 2 steps, got {args.steps}")
-    try:
-        widths = np.linspace(args.start, args.stop, args.steps)
-    except MemoryError:
-        raise ConfigError(f"sweep of {args.steps} steps does not fit in memory")
-    scenario = _load_scenario(args, widths)
-    points = ex.run_strekalov_sweep(scenario, widths, use_oracle=args.oracle)
-    rows = []
-    header = "slit_full_width_mm,fwhm_analytic_mm"
-    if args.oracle:
-        header += ",fwhm_oracle_mm"
-    rows.append(header)
-    for p in points:
-        row = f"{p.slit_full_width_mm:.9g},{p.fwhm_analytic_mm:.9g}"
+    with _overflow_raises():
+        try:
+            widths = np.linspace(args.start, args.stop, args.steps)
+        except MemoryError:
+            raise ConfigError(f"sweep of {args.steps} steps does not fit in memory")
+        scenario = _load_scenario(args, widths)
+        points = ex.run_strekalov_sweep(scenario, widths, use_oracle=args.oracle)
+        rows = []
+        header = "slit_full_width_mm,fwhm_analytic_mm"
         if args.oracle:
-            row += f",{'' if p.fwhm_oracle_mm is None else format(p.fwhm_oracle_mm, '.9g')}"
-        rows.append(row)
-    results = {
-        "points": [{
-            "slit_full_width_mm": p.slit_full_width_mm,
-            "fwhm_analytic_mm": p.fwhm_analytic_mm,
-            **({"fwhm_oracle_mm": p.fwhm_oracle_mm} if p.fwhm_oracle_mm is not None else {}),
-            **({"error": p.error} if p.error else {}),
-        } for p in points],
-    }
-    doc = _document(_scenario_echo(scenario), results)
-    if args.out:
-        _emit(doc, args.out)
-    _write(args.csv, "\n".join(rows) + "\n")
-    flagged = [p for p in points if p.error]
-    if flagged:
-        sys.stderr.write(f"{len(flagged)} sweep point(s) flagged; see report\n")
-    return EXIT_OK
+            header += ",fwhm_oracle_mm"
+        rows.append(header)
+        for p in points:
+            row = f"{p.slit_full_width_mm:.9g},{p.fwhm_analytic_mm:.9g}"
+            if args.oracle:
+                row += f",{'' if p.fwhm_oracle_mm is None else format(p.fwhm_oracle_mm, '.9g')}"
+            rows.append(row)
+        results = {
+            "points": [{
+                "slit_full_width_mm": p.slit_full_width_mm,
+                "fwhm_analytic_mm": p.fwhm_analytic_mm,
+                **({"fwhm_oracle_mm": p.fwhm_oracle_mm} if p.fwhm_oracle_mm is not None else {}),
+                **({"error": p.error} if p.error else {}),
+            } for p in points],
+        }
+        doc = _document(_scenario_echo(scenario), results)
+        if args.out:
+            _emit(doc, args.out)
+        _write(args.csv, "\n".join(rows) + "\n")
+        flagged = [p for p in points if p.error]
+        if flagged:
+            sys.stderr.write(f"{len(flagged)} sweep point(s) flagged; see report\n")
+        return EXIT_OK
 
 
 def cmd_fit(args) -> int:
@@ -243,66 +258,72 @@ def cmd_fit(args) -> int:
 
 
 def cmd_spin(args) -> int:
+    from . import spin_model as sm
     if args.preset:
         alpha, beta = SPIN_PRESETS[args.preset]
     else:
         if args.alpha is None or args.beta is None:
             raise ConfigError("spin needs --alpha and --beta, or --preset")
         alpha, beta = args.alpha, args.beta
-    state = sm.make_popper_spin_state(alpha, beta)
-    conditionals = {}
-    for value in sm.EIGENVALUES:
-        label = f"{value:+d}" if value else "0"
-        try:
-            out = sm.condition_on(state, "A", "x", value)
-        except DomainError:
-            conditionals[label] = {"probability": 0.0, "partner_z_distribution": None}
-            continue
-        conditionals[label] = {
-            "probability": out.probability,
-            "partner_z_distribution": list(
-                sm.marginal_probabilities(out.post_state, "B", "z")),
+    with _overflow_raises():
+        state = sm.make_popper_spin_state(alpha, beta)
+        conditionals = {}
+        for value in sm.EIGENVALUES:
+            label = f"{value:+d}" if value else "0"
+            try:
+                out = sm.condition_on(state, "A", "x", value)
+            except DomainError:
+                conditionals[label] = {"probability": 0.0, "partner_z_distribution": None}
+                continue
+            conditionals[label] = {
+                "probability": out.probability,
+                "partner_z_distribution": list(
+                    sm.marginal_probabilities(out.post_state, "B", "z")),
+            }
+        results = {
+            "basis_order": "+1, 0, -1",
+            "marginal_B_z": list(sm.marginal_probabilities(state, "B", "z")),
+            "marginal_A_x": list(sm.marginal_probabilities(state, "A", "x")),
+            "conditional_on_A_x": conditionals,
         }
-    results = {
-        "basis_order": "+1, 0, -1",
-        "marginal_B_z": list(sm.marginal_probabilities(state, "B", "z")),
-        "marginal_A_x": list(sm.marginal_probabilities(state, "A", "x")),
-        "conditional_on_A_x": conditionals,
-    }
-    doc = _document({"alpha": alpha, "beta": beta}, results)
-    _emit(doc, args.out)
-    return EXIT_OK
+        doc = _document({"alpha": alpha, "beta": beta}, results)
+        _emit(doc, args.out)
+        return EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
-    scenario = _load_scenario(args)
-    if scenario.slit is None:
-        raise ConfigError("oracle-check needs a scenario with a slit")
-    grid = ex.oracle_grid(scenario)
-    params = scenario.params
-    eps = scenario.slit.gaussian_epsilon(params)
-    source = ex.oracle_pass(scenario, scenario.L1,
-                            [go.Aperture(kind="gaussian", epsilon=eps)])
-    # the source norm against its norm flown over L1, both from the one pass
-    drift = abs(float(np.sum(source.slit_plane)) * source.dy / source.norm - 1.0)
-    w_cond = source.widths(0)
-    gamma = gc.condition_on_gaussian_slit(
-        gc.make_epr_state(scenario.a, scenario.omega),
-        gc.SlitSpec(kind="gaussian", epsilon=eps),
-        gc.PropagationLeg(scenario.L1), params)
-    w_an = gc.intensity_width(gamma)
-    results = {
-        "norm_drift": drift,
-        "conditional_width_mm": {"analytic_mm": w_an,
-                                 "oracle_mm": w_cond.gaussian_equiv_W,
-                                 "delta_rel": w_cond.gaussian_equiv_W / w_an - 1.0},
-        "grid": {"n": grid.n, "extent_mm": grid.extent, "dy_mm": grid.dy},
-    }
-    _emit(_document(_scenario_echo(scenario), results), args.out)
-    ok = drift < 1e-8 and abs(results["conditional_width_mm"]["delta_rel"]) < 1e-3
-    if not ok:
-        raise ResolutionError("oracle self-check failed; see report deltas")
-    return EXIT_OK
+    import numpy as np
+
+    from . import grid_oracle as go
+    with _overflow_raises():
+        scenario = _load_scenario(args)
+        if scenario.slit is None:
+            raise ConfigError("oracle-check needs a scenario with a slit")
+        grid = ex.oracle_grid(scenario)
+        params = scenario.params
+        eps = scenario.slit.gaussian_epsilon(params)
+        source = ex.oracle_pass(scenario, scenario.L1,
+                                [go.Aperture(kind="gaussian", epsilon=eps)])
+        # the source norm against its norm flown over L1, both from the one pass
+        drift = abs(float(np.sum(source.slit_plane)) * source.dy / source.norm - 1.0)
+        w_cond = source.widths(0)
+        gamma = gc.condition_on_gaussian_slit(
+            gc.make_epr_state(scenario.a, scenario.omega),
+            gc.SlitSpec(kind="gaussian", epsilon=eps),
+            gc.PropagationLeg(scenario.L1), params)
+        w_an = gc.intensity_width(gamma)
+        results = {
+            "norm_drift": drift,
+            "conditional_width_mm": {"analytic_mm": w_an,
+                                     "oracle_mm": w_cond.gaussian_equiv_W,
+                                     "delta_rel": w_cond.gaussian_equiv_W / w_an - 1.0},
+            "grid": {"n": grid.n, "extent_mm": grid.extent, "dy_mm": grid.dy},
+        }
+        _emit(_document(_scenario_echo(scenario), results), args.out)
+        ok = drift < 1e-8 and abs(results["conditional_width_mm"]["delta_rel"]) < 1e-3
+        if not ok:
+            raise ResolutionError("oracle self-check failed; see report deltas")
+        return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,9 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_finite_options(args)
-        # a numpy overflow raises too, instead of warning and going on with inf
-        with np.errstate(over="raise"):
-            return args.func(args)
+        return args.func(args)
     except (ConfigError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

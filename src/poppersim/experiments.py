@@ -4,7 +4,9 @@ A scenario bundles the source parameters, slit, optional lens, and flight
 legs of one coincidence-counting layout.  Each runner produces a
 :class:`WidthReport` with an analytic arm (closed forms from
 ``gaussian_core``) and, on request, an independent oracle arm (grid
-simulation from ``grid_oracle``) plus their relative deltas.
+simulation from ``grid_oracle``) plus their relative deltas.  Only the
+oracle arms and the oracle grid's sizing import ``grid_oracle`` and numpy,
+so loading a scenario and every analytic run leave both unloaded.
 """
 
 from __future__ import annotations
@@ -12,11 +14,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import gaussian_core as gc
-from . import grid_oracle as go
 from .errors import ConfigError, DomainError, ResolutionError
 from .gaussian_core import (
     FWHM_FACTOR,
@@ -26,7 +26,10 @@ from .gaussian_core import (
     PropagationLeg,
     SlitSpec,
 )
-from .grid_oracle import Aperture, GridSpec
+from .grid import GridSpec
+
+if TYPE_CHECKING:
+    from . import grid_oracle as go
 
 
 def _block(value, where: str) -> dict:
@@ -197,6 +200,7 @@ def default_grid(scenario: Scenario, n: int | None = None,
     slit's go.gaussian_max_step.  The beam's rms at any L1 + L2 is at least
     its source-plane rms, so the extent also holds the source, which needs
     six of that rms."""
+    from . import grid_oracle as go
     state = gc.make_epr_state(scenario.a, scenario.omega)
     total = scenario.L1 + scenario.L2
     rms = [gc.beam_width(state, PropagationLeg(total), scenario.params) / 2.0]
@@ -230,12 +234,14 @@ def oracle_pass(scenario: Scenario, L1: float, apertures=(),
                 beam_L: float | None = None) -> go.SourcePass:
     """One :func:`grid_oracle.source_pass` over ``scenario``'s source on its
     oracle grid, conditioned on ``apertures`` at the slit plane L1."""
+    from . import grid_oracle as go
     return go.source_pass(scenario.a, scenario.omega, oracle_grid(scenario),
                           scenario.params, L1, apertures, beam_L)
 
 
 def _beam_fwhm(source: go.SourcePass) -> float:
     """All-counts FWHM of particle 2 from a pass's beam intensity."""
+    from . import grid_oracle as go
     w = go.intensity_widths(source.y, source.beam, source.dy)
     return FWHM_FACTOR * w.gaussian_equiv_W
 
@@ -280,7 +286,10 @@ def run_kim_shih(scenario: Scenario, use_oracle: bool = False) -> WidthReport:
         ghost_image_width_mm=Measured(analytic=gc.intensity_width(image)),
     )
     if use_oracle:
-        slit = Aperture(kind="gaussian", epsilon=eps)
+        import numpy as np
+
+        from . import grid_oracle as go
+        slit = go.Aperture(kind="gaussian", epsilon=eps)
         source = oracle_pass(scenario, 0.0, [slit], beam_L=total)
         # the ghost image lies at the slit plane, the detector L2 past it
         report.ghost_image_width_mm.oracle = source.widths(0).gaussian_equiv_W
@@ -326,8 +335,9 @@ def run_popper_freespace(scenario: Scenario, use_oracle: bool = False) -> WidthR
         virtual_distance_mm=gamma_det.gamma.imag / params.rescaled_wavelength_mm,
     )
     if use_oracle:
+        from . import grid_oracle as go
         source = oracle_pass(scenario, scenario.L1,
-                              [Aperture(kind="gaussian", epsilon=eps)], beam_L=total)
+                             [go.Aperture(kind="gaussian", epsilon=eps)], beam_L=total)
         source.fly(scenario.L2)
         report.coincidence_fwhm_mm.oracle = source.widths(0).fwhm
         report.coincidence_weight = float(source.weight[0])
@@ -367,10 +377,11 @@ def run_strekalov_sweep(scenario: Scenario, slit_full_widths,
         points.append(SweepPoint(slit_full_width_mm=w_full, fwhm_analytic_mm=fwhm_an))
     if not use_oracle:
         return points
+    from . import grid_oracle as go
     # the oracle conditions on the sweep's slits, never on the scenario's
     # own: its grid is sized for them
     grid = oracle_grid(scenario, widths)
-    slits = [Aperture(kind="gaussian", epsilon=w_full / 2.0) for w_full in widths]
+    slits = [go.Aperture(kind="gaussian", epsilon=w_full / 2.0) for w_full in widths]
     try:
         source = oracle_pass(replace(scenario, oracle=grid), scenario.L1, slits)
     except (DomainError, ResolutionError) as exc:

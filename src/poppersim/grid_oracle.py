@@ -133,6 +133,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ResolutionError
 from .gaussian_core import FWHM_FACTOR, PhysParams
+# defined beside the grid oracle, without numpy, for the CLI and scenario
+# parsing; both are this module's names too
+from .grid import MAX_GRID_ENV, GridSpec
 
 TAIL_BAND_FRACTION = 0.05
 TAIL_PROB_LIMIT = 1e-6
@@ -142,31 +145,6 @@ SOURCE_BLOCK_ROWS = 64
 DIAGONAL_VALUES = 16384
 # where the source's u factor and E are cut (module docstring)
 DENSITY_FLOOR = 2.0 ** -100
-# the environment variable capping a pass's modelled peak memory, in bytes
-MAX_GRID_ENV = "POPPER_SIM_MAX_GRID"
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Symmetric square grid: n points per axis on [-extent, extent)."""
-
-    n: int
-    extent: float
-
-    def __post_init__(self):
-        if self.n < 256 or self.n & (self.n - 1) != 0:
-            raise DomainError(f"n must be a power of two >= 256, got {self.n!r:.40}")
-        if not 0 < self.extent < math.inf:
-            raise DomainError(
-                f"extent must be positive and finite, got {self.extent}")
-
-    @property
-    def dy(self) -> float:
-        return 2.0 * self.extent / self.n
-
-    @property
-    def y(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.dy
 
 
 @dataclass(frozen=True)
@@ -419,8 +397,14 @@ def _flight_phase(n: int, dy: float, L: float, params: PhysParams) -> np.ndarray
     not finite and >= 0, NaN included, is refused."""
     if not 0 <= L < math.inf:
         raise DomainError("propagation distances must be finite and >= 0")
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dy)
-    return np.exp(-0.25j * params.rescaled_wavelength_mm * L * k ** 2)
+    # built in place, the same operations in the same order: n wavenumbers
+    # beside the 2 n-value phase
+    k = np.fft.fftfreq(n, d=dy)
+    k *= 2.0 * np.pi
+    np.square(k, out=k)
+    phase = np.empty(n, dtype=complex)
+    np.multiply(-0.25j * params.rescaled_wavelength_mm * L, k, out=phase)
+    return np.exp(phase, out=phase)
 
 
 def fly(amp: np.ndarray, dy: float, L: float, params: PhysParams) -> np.ndarray:
@@ -662,7 +646,7 @@ def peak_bytes(a: float, omega: float, grid: GridSpec, modes: int,
       such rows, r_0's, r_1's and a flight's spectra, the flight's edge
       sums, the carried suffix sum and two flights' intensities, E and the
       edge sums' coefficients, D + 1 values each, and 6 n values while a
-      flight's phase is built.
+      flight's phase is built (its in-place build traces 5 n).
     - The guard's Gram over its |S| <= n points: |S|^2 complex values.
 
     R and D + 1 come from ``_cut_reach``, as in the pass, so the model

@@ -9,6 +9,7 @@ import sys
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from poppersim import cli
@@ -246,7 +247,8 @@ class TestSweep:
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB")
 
-        monkeypatch.setattr(cli.np, "linspace", refuse)
+        # sweep imports numpy when it runs and looks linspace up on it
+        monkeypatch.setattr(np, "linspace", refuse)
         code, out, err = run_cli(
             ["sweep", fixture_path("strekalov.json"), "--from", "0.2",
              "--to", "1.0", "--steps", "1000000000000"], capsys)
@@ -684,6 +686,59 @@ class TestGridCap:
             ["run", fixture_path("popper_freespace.json"), "--oracle"], capsys)
         assert code == cli.EXIT_CONFIG
         assert go.MAX_GRID_ENV in err
+
+
+FIXTURES = ("kim_shih.json", "popper_freespace.json", "strekalov.json")
+
+# loads the scenarios of the JSON list in argv[1], then runs the cli.main
+# argv in argv[2] unless it is null; its last line is the exit code and
+# whether numpy was loaded
+FRESH_PROBE = """\
+import json, sys
+from poppersim import cli, experiments as ex
+for path in json.loads(sys.argv[1]):
+    ex.Scenario.from_json(path)
+argv, code = json.loads(sys.argv[2]), None
+if argv is not None:
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def fresh_probe(scenarios=(), argv=None):
+    """(exit code, numpy loaded) of ``FRESH_PROBE`` in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_PROBE, json.dumps(list(scenarios)),
+         json.dumps(argv)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, loaded
+
+
+class TestNumpyUnloaded:
+    """Importing the CLI, loading a scenario and every command that runs no
+    numpy leave numpy unloaded; each case runs in a fresh interpreter."""
+
+    @pytest.mark.parametrize("scenarios, argv, code", [
+        ((), None, None),
+        ([fixture_path(name) for name in FIXTURES], None, None),
+        *[((), ["run", fixture_path(name)], cli.EXIT_OK) for name in FIXTURES],
+        ((), ["fit", "--fwhm", "0.657", "--epsilon", "0.065", "--L2", "500"],
+         cli.EXIT_OK),
+        ((), ["--help"], 0),
+        ((), ["run", "no-such-scenario.json"], cli.EXIT_CONFIG),
+    ], ids=["import", "from-json", *[f"run-{name}" for name in FIXTURES],
+            "fit", "help", "refusal"])
+    def test_numpy_not_loaded(self, scenarios, argv, code):
+        assert fresh_probe(scenarios, argv) == (code, False)
+
+    def test_oracle_run_loads_numpy(self):
+        # the probe sees numpy when a command does load it
+        argv = ["run", fixture_path("kim_shih.json"), "--oracle"]
+        assert fresh_probe(argv=argv) == (cli.EXIT_OK, True)
 
 
 class TestEntryPoints:
