@@ -5,8 +5,8 @@ legs of one coincidence-counting layout.  Each runner produces a
 :class:`WidthReport` with an analytic arm (closed forms from
 ``gaussian_core``) and, on request, an independent oracle arm (grid
 simulation from ``grid_oracle``) plus their relative deltas.  Only the
-oracle arms and the oracle grid's sizing import ``grid_oracle`` and numpy,
-so loading a scenario and every analytic run leave both unloaded.
+oracle arms import ``grid_oracle`` and numpy, so loading a scenario, sizing
+its grid and every analytic run leave both unloaded.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .gaussian_core import (
     PropagationLeg,
     SlitSpec,
 )
-from .grid import GridSpec
+from .grid import GridSpec, gaussian_max_step, max_step, points_for_step
 
 if TYPE_CHECKING:
     from . import grid_oracle as go
@@ -196,15 +196,14 @@ def default_grid(scenario: Scenario, n: int | None = None,
     """Auto-sized grid: extent 8x the largest rms width in the scenario, the
     beam's at L1 + L2 or a far-field pattern's behind a Gaussian slit of
     ``epsilons`` (by default the scenario's own slit); unless given, n
-    doubles from 2048 up to 8192 until the step meets go.max_step and each
-    slit's go.gaussian_max_step.  The beam's rms at any L1 + L2 is at least
+    doubles from 2048 up to 8192 until the step meets ``max_step`` and each
+    slit's ``gaussian_max_step``.  The beam's rms at any L1 + L2 is at least
     its source-plane rms, so the extent also holds the source, which needs
     six of that rms."""
-    from . import grid_oracle as go
     state = gc.make_epr_state(scenario.a, scenario.omega)
     total = scenario.L1 + scenario.L2
     rms = [gc.beam_width(state, PropagationLeg(total), scenario.params) / 2.0]
-    step = go.max_step(scenario.a, scenario.omega)
+    step = max_step(scenario.a, scenario.omega)
     if epsilons is None:
         epsilons = [] if scenario.slit is None else [
             scenario.slit.gaussian_epsilon(scenario.params)]
@@ -212,10 +211,10 @@ def default_grid(scenario: Scenario, n: int | None = None,
         rms.append(gc.far_field_width(eps * eps + scenario.a ** 2,
                                       scenario.effective_distance,
                                       scenario.params) / 2.0)
-        step = min(step, go.gaussian_max_step(eps))
+        step = min(step, gaussian_max_step(eps))
     extent = 8.0 * max(rms)
     if n is None:
-        n = go.points_for_step(extent, step, 2048, 8192)
+        n = points_for_step(extent, step, 2048, 8192)
     return GridSpec(n=n, extent=extent)
 
 
@@ -239,11 +238,16 @@ def oracle_pass(scenario: Scenario, L1: float, apertures=(),
                           scenario.params, L1, apertures, beam_L)
 
 
-def _beam_fwhm(source: go.SourcePass) -> float:
-    """All-counts FWHM of particle 2 from a pass's beam intensity."""
+def _detector_widths(report: WidthReport, source: go.SourcePass, L2: float):
+    """Fly a one-slit pass's row a further L2, to the detector, and fill
+    ``report``'s oracle coincidence FWHM and weight from it, and its
+    all-counts FWHM of particle 2 from the pass's beam intensity."""
     from . import grid_oracle as go
-    w = go.intensity_widths(source.y, source.beam, source.dy)
-    return FWHM_FACTOR * w.gaussian_equiv_W
+    source.fly(L2)
+    report.coincidence_fwhm_mm.oracle = source.widths(0).fwhm
+    report.coincidence_weight = float(source.weight[0])
+    report.beam_fwhm_mm.oracle = go.intensity_widths(
+        source.y, source.beam, source.dy).gaussian_equiv_fwhm
 
 
 def run_kim_shih(scenario: Scenario, use_oracle: bool = False) -> WidthReport:
@@ -286,22 +290,18 @@ def run_kim_shih(scenario: Scenario, use_oracle: bool = False) -> WidthReport:
         ghost_image_width_mm=Measured(analytic=gc.intensity_width(image)),
     )
     if use_oracle:
-        import numpy as np
-
         from . import grid_oracle as go
         slit = go.Aperture(kind="gaussian", epsilon=eps)
         source = oracle_pass(scenario, 0.0, [slit], beam_L=total)
         # the ghost image lies at the slit plane, the detector L2 past it
         report.ghost_image_width_mm.oracle = source.widths(0).gaussian_equiv_W
-        source.fly(scenario.L2)
-        report.coincidence_fwhm_mm.oracle = source.widths(0).fwhm
-        report.coincidence_weight = float(source.weight[0])
-        # real slit: plain single-particle diffraction on the same grid
-        phi = slit.sample(source.y, source.dy)
-        amp_r = go.propagate_amplitude(phi, source.dy, scenario.L2, params)
+        _detector_widths(report, source, scenario.L2)
+        # real slit: plain single-particle diffraction on the same grid, its
+        # width read from the intensity of its one tail-checked flight
+        real_slit = go._fly_rows(slit.sample(source.y, source.dy), source.dy,
+                                 scenario.L2, params)
         report.real_slit_fwhm_mm.oracle = go.intensity_widths(
-            source.y, np.abs(amp_r) ** 2, source.dy).fwhm
-        report.beam_fwhm_mm.oracle = _beam_fwhm(source)
+            source.y, real_slit, source.dy).fwhm
     return report
 
 
@@ -338,10 +338,7 @@ def run_popper_freespace(scenario: Scenario, use_oracle: bool = False) -> WidthR
         from . import grid_oracle as go
         source = oracle_pass(scenario, scenario.L1,
                              [go.Aperture(kind="gaussian", epsilon=eps)], beam_L=total)
-        source.fly(scenario.L2)
-        report.coincidence_fwhm_mm.oracle = source.widths(0).fwhm
-        report.coincidence_weight = float(source.weight[0])
-        report.beam_fwhm_mm.oracle = _beam_fwhm(source)
+        _detector_widths(report, source, scenario.L2)
     return report
 
 

@@ -133,9 +133,16 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ResolutionError
 from .gaussian_core import FWHM_FACTOR, PhysParams
-# defined beside the grid oracle, without numpy, for the CLI and scenario
-# parsing; both are this module's names too
-from .grid import MAX_GRID_ENV, GridSpec
+# defined beside the grid oracle, without numpy, for the CLI, scenario
+# parsing and grid sizing; all are this module's names too
+from .grid import (
+    MAX_GRID_ENV,
+    GridSpec,
+    gaussian_max_step,
+    max_step,
+    points_for_step,
+    required_extent,
+)
 
 TAIL_BAND_FRACTION = 0.05
 TAIL_PROB_LIMIT = 1e-6
@@ -218,32 +225,11 @@ class WidthResult:
     fwhm: float
     gaussian_equiv_W: float
 
-
-def required_extent(a: float, omega: float) -> float:
-    """Smallest admissible half-extent for the source state: 6 x position rms."""
-    return 6.0 * 0.5 * math.sqrt(omega ** 2 + a ** 2 / 4.0)
-
-
-def max_step(a: float, omega: float) -> float:
-    """Coarsest grid step whose Nyquist wavenumber pi/dy spans 4 standard
-    deviations of the source's per-axis momentum spectrum."""
-    return math.pi / (4.0 * math.sqrt(2.0 / a ** 2 + 0.5 / omega ** 2))
-
-
-def gaussian_max_step(epsilon: float) -> float:
-    """Coarsest grid step whose Nyquist wavenumber pi/dy spans 4 standard
-    deviations, 1/epsilon each, of a Gaussian aperture's momentum spectrum."""
-    return math.pi * epsilon / 4.0
-
-
-def points_for_step(extent: float, step: float, n: int = 256,
-                    most: float = math.inf) -> int:
-    """The first of n, 2 n, 4 n, ... whose grid over [-extent, extent) has
-    a step 2 extent / N of at most ``step``, as ``GridSpec.dy`` computes it,
-    or ``most`` if that comes first."""
-    while n < most and 2.0 * extent / n > step:
-        n *= 2
-    return n
+    @property
+    def gaussian_equiv_fwhm(self) -> float:
+        """The FWHM of the Gaussian intensity of this rms:
+        FWHM_FACTOR * gaussian_equiv_W."""
+        return FWHM_FACTOR * self.gaussian_equiv_W
 
 
 def _check_source(a: float, omega: float, grid: GridSpec):
@@ -368,27 +354,24 @@ def _source_blocks(tables: SourceTables):
 
 
 def _tail_failures(prob: np.ndarray,
-                   failures: dict[int, Exception]) -> dict[int, Exception]:
+                   failures: dict | None = None) -> dict | None:
     """Add to ``failures``, {row: first error}, and return it, an error for
     each probability profile along the last axis of ``prob`` (a 1-D one is
     row 0) whose outer bands hold more than TAIL_PROB_LIMIT of its total:
     spectral flight has wrapped it.  A row that failed before keeps its
-    first error."""
+    first error.  Without ``failures`` the first such error is raised."""
     rows = prob.reshape(-1, prob.shape[-1])
     band = max(1, int(round(TAIL_BAND_FRACTION * rows.shape[1])))
     tail = np.sum(rows[:, :band], axis=1) + np.sum(rows[:, -band:], axis=1)
     total = np.sum(rows, axis=1)
     for k in np.flatnonzero(tail > TAIL_PROB_LIMIT * total):
-        failures.setdefault(int(k), ResolutionError(
+        error = ResolutionError(
             f"propagated state reaches the domain boundary (tail probability "
-            f"{tail[k] / total[k]:.3g} > {TAIL_PROB_LIMIT}); enlarge the extent"))
+            f"{tail[k] / total[k]:.3g} > {TAIL_PROB_LIMIT}); enlarge the extent")
+        if failures is None:
+            raise error
+        failures.setdefault(int(k), error)
     return failures
-
-
-def _check_tails(prob: np.ndarray):
-    """Refuse a 1-D profile that ``_tail_failures`` flags."""
-    for error in _tail_failures(prob, {}).values():
-        raise error
 
 
 def _flight_phase(n: int, dy: float, L: float, params: PhysParams) -> np.ndarray:
@@ -424,10 +407,10 @@ def fly(amp: np.ndarray, dy: float, L: float, params: PhysParams) -> np.ndarray:
 def propagate_amplitude(amp: np.ndarray, dy: float, L: float,
                         params: PhysParams) -> np.ndarray:
     """Single-particle spectral free flight of a sampled 1-D amplitude,
-    into a new array, tail-checked; ``fly`` refuses a bad distance."""
-    out = fly(np.array(amp, dtype=complex), dy, L, params)
-    if L > 0:
-        _check_tails(np.abs(out) ** 2)
+    into a new array, flown by ``_fly_rows``, which raises a wrapped
+    flight's error and refuses a bad distance."""
+    out = np.array(amp, dtype=complex)
+    _fly_rows(out, dy, L, params)
     return out
 
 
@@ -445,8 +428,12 @@ class SourcePass:
     conditioned on particle 1's detector mode k, and ``weight[k]`` its
     coincidence weight; ``failures`` maps a failed row to the first error it
     hit: its aperture unresolved, its flight wrapped or its weight
-    degenerate.  ``guard`` is the profile of a d1 leg's guard, unnormalized,
-    and None without one.
+    degenerate.  ``intensity`` is the K x n block |amplitude|^2, bit for bit,
+    that every width is read from: the pass keeps the buffer its tail check
+    of the L1 flight squares into (``_normalize``), and each :meth:`fly`
+    writes its rows' new intensity into that buffer (``_fly_rows``).
+    ``guard`` is the profile of a d1 leg's guard, unnormalized, and None
+    without one.
     """
 
     y: np.ndarray
@@ -456,24 +443,26 @@ class SourcePass:
     slit_plane: np.ndarray
     beam: np.ndarray | None
     amplitude: np.ndarray
+    intensity: np.ndarray
     weight: np.ndarray
     failures: dict[int, Exception]
     guard: np.ndarray | None
 
     def fly(self, L: float) -> SourcePass:
-        """Fly every row a further L in place and tail-check it
-        (``_fly_rows``); a distance that is not finite and >= 0 is refused
-        with the rows untouched, and over L = 0 nothing is flown."""
-        if L != 0:
-            _fly_rows(self.amplitude, self.dy, L, self.params, self.failures)
+        """Fly every row a further L in place, tail-check it and write its
+        intensity into ``intensity`` (``_fly_rows``); a distance that is not
+        finite and >= 0 is refused with the rows untouched, and over L = 0
+        nothing is flown or tail-checked."""
+        _fly_rows(self.amplitude, self.dy, L, self.params, self.failures,
+                  self.intensity)
         return self
 
     def widths(self, k: int) -> WidthResult:
-        """Width measures of |row k|^2, or row k's first failure raised."""
+        """Width measures of row k's intensity, or row k's first failure
+        raised."""
         if k in self.failures:
             raise self.failures[k]
-        return intensity_widths(self.y, np.abs(self.amplitude[k]) ** 2,
-                                self.dy)
+        return intensity_widths(self.y, self.intensity[k], self.dy)
 
 
 def _diagonal_scale(a: float, omega: float) -> float:
@@ -714,7 +703,7 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
       copied out of the guard's buffer so the returned pass holds none of
       the guard's arrays.
     - ``_normalize``: flies the detector rows over L1 (``_fly_rows``), then
-      weighs and normalizes them.
+      weighs and normalizes them, and keeps their intensity.
 
     Every distance other than 0 is flown, and its flight refuses it if it
     is not finite and >= 0, NaN included (``_flight_phase``): d1 in the arm,
@@ -726,10 +715,11 @@ def source_pass(a: float, omega: float, grid: GridSpec, params: PhysParams,
     slit_plane, beam = _marginals(a, omega, grid, params, diagonals, L1, beam_L)
     guard, amplitude = (None, modes) if d1 is None else _d1_guard(
         modes, *support, grid.dy, d1, params)
-    weight = _normalize(amplitude, grid.dy, L1, params, failures)
+    weight, intensity = _normalize(amplitude, grid.dy, L1, params, failures)
     return SourcePass(y=grid.y, dy=grid.dy, params=params, norm=norm,
                       slit_plane=slit_plane, beam=beam, amplitude=amplitude,
-                      weight=weight, failures=failures, guard=guard)
+                      intensity=intensity, weight=weight, failures=failures,
+                      guard=guard)
 
 
 def _arm(a: float, omega: float, grid: GridSpec, params: PhysParams,
@@ -855,7 +845,7 @@ def _marginals(a: float, omega: float, grid: GridSpec, params: PhysParams,
             a, omega, grid, diagonals, flown, params)))
     for total in intensities.values():
         total *= grid.dy
-        _check_tails(total)
+        _tail_failures(total)
     return intensities[L1], intensities.get(beam_L)
 
 
@@ -892,58 +882,76 @@ def _d1_guard(projections: np.ndarray, support: np.ndarray,
     guard = np.einsum("sx,sx->x", gram.T @ points,
                       np.conj(points, out=points)).real
     if d1 > 0:
-        _check_tails(guard)
+        _tail_failures(guard)
     return guard, projections[:1].copy()
 
 
 def _fly_rows(rows: np.ndarray, dy: float, L: float, params: PhysParams,
-              failures: dict[int, Exception]) -> np.ndarray:
+              failures: dict[int, Exception] | None = None,
+              intensity: np.ndarray | None = None) -> np.ndarray:
     """Fly ``rows`` a further L in place (``fly``, which refuses a distance
-    that is not finite and >= 0 with the rows untouched) and, for L > 0, add
-    to ``failures`` each row whose flight wraps (``_tail_failures``); a row
-    that failed before keeps its first failure.  Returns the rows' intensity
-    |rows|^2, which the tail check reads.  This is the one flight of
-    conditional rows: the pass's detector rows over L1 (``_normalize``) and
-    every further leg (``SourcePass.fly``)."""
+    that is not finite and >= 0 with the rows untouched), write their
+    intensity |rows|^2 into ``intensity``, or into a new array if None, and,
+    for L > 0, add to ``failures`` each row whose flight wraps
+    (``_tail_failures``), or raise the first such error without
+    ``failures``; a row that failed before keeps its first failure.
+    Returns the intensity, which the tail check reads and the widths of the
+    flown rows are read from, so no reader squares them again.  This is the
+    one flight and tail check of flown amplitudes: the pass's detector rows
+    over L1 (``_normalize``), every further leg (``SourcePass.fly``, into
+    the pass's own buffer), a lone amplitude (``propagate_amplitude``) and
+    Kim & Shih's real slit."""
     fly(rows, dy, L, params)
-    prob = np.abs(rows) ** 2
+    intensity = _square(rows, intensity)
     if L > 0:
-        _tail_failures(prob, failures)
-    return prob
+        _tail_failures(intensity, failures)
+    return intensity
+
+
+def _square(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|rows|^2, written into ``out``, or into a new array if None: the one
+    place the oracle squares conditional rows."""
+    out = np.abs(rows, out=out)
+    return np.square(out, out=out)
 
 
 def _normalize(rows: np.ndarray, dy: float, L1: float, params: PhysParams,
-               failures: dict[int, Exception]) -> np.ndarray:
-    """The weights of the projections ``rows``, flown over L1 in place and
-    tail-checked (``_fly_rows``), then weighed and normalized in place.
-    ``failures`` maps a row to the first error it hit: one that failed
-    before (an unresolved aperture's 0.0 row), whose flight wraps, or whose
-    weight is below 1e-12 keeps that first failure there, unnormalized."""
-    weight = np.sum(_fly_rows(rows, dy, L1, params, failures), axis=1) * dy
+               failures: dict[int, Exception]):
+    """The weights and the intensity of the projections ``rows``, as
+    (weight, intensity): the rows are flown over L1 in place and
+    tail-checked (``_fly_rows``), weighed by the intensity of that flight
+    and normalized in place, and the normalized rows' intensity then takes
+    its buffer.  A width read at the slit plane is so that of the
+    normalized row bit for bit: reading the flight's intensity instead
+    moves some widths by an ulp.  ``failures`` maps a row to the first error
+    it hit: one that failed before (an unresolved aperture's 0.0 row), whose
+    flight wraps, or whose weight is below 1e-12 keeps that first failure
+    there, unnormalized."""
+    intensity = _fly_rows(rows, dy, L1, params, failures)
+    weight = np.sum(intensity, axis=1) * dy
     for k in np.flatnonzero(weight < 1e-12):
         failures.setdefault(int(k), DomainError(
             f"degenerate conditioning: coincidence weight {weight[k]:.3g}"))
     scale = np.sqrt(weight)
     scale[list(failures)] = 1.0
     rows /= scale[:, None]
-    return weight
+    return weight, _square(rows, intensity)
 
 
-def _local_maxima(intensity: np.ndarray, floor: float) -> np.ndarray:
-    left = intensity[1:-1] > intensity[:-2]
-    right = intensity[1:-1] >= intensity[2:]
-    idx = np.flatnonzero(left & right) + 1
-    return idx[intensity[idx] > floor]
-
-
-def _half_crossing(y, intensity, i_peak, half, step):
-    """Linearly interpolated position where intensity falls to half, walking
-    from i_peak in direction step."""
-    i = i_peak
-    while 0 < i < intensity.size - 1 and intensity[i + step] >= half:
-        i += step
+def _half_crossing(y, intensity, i, half, step):
+    """Linearly interpolated position where intensity falls to half, from
+    the peak at i in direction step: between the first sample on that side
+    not at or above half and the one before it.  With no such sample before
+    the grid's edge it is the edge sample, and from a peak on either edge
+    sample the crossing is taken between the peak and its neighbour in
+    direction step, or is the peak itself if it has none."""
+    if 0 < i < intensity.size - 1:
+        # the samples ahead of the peak still at or above half, counted up
+        # to the first that is not (the appended False stops at the edge)
+        ahead = intensity[i + step::step] >= half
+        i += step * int(np.argmin(np.append(ahead, False)))
     j = i + step
-    if j < 0 or j >= intensity.size:
+    if not 0 <= j < intensity.size:
         return y[i]
     frac = (intensity[i] - half) / (intensity[i] - intensity[j])
     return y[i] + frac * (y[j] - y[i])
@@ -992,25 +1000,22 @@ def fringe_metrics(y: np.ndarray, intensity: np.ndarray):
     neighbouring maxima; visibility contrasts the central maximum against
     the first interior minimum.
     """
-    floor = 0.05 * float(intensity.max())
-    maxima = _local_maxima(intensity, floor)
+    # the interior local maxima above 5 % of the peak, in grid order
+    inner = intensity[1:-1]
+    maxima = np.flatnonzero((inner > intensity[:-2])
+                            & (inner >= intensity[2:])) + 1
+    maxima = maxima[intensity[maxima] > 0.05 * float(intensity.max())]
     if maxima.size < 2:
         return float("nan"), 0.0
-    central = maxima[np.argmin(np.abs(y[maxima]))]
-    left = [i for i in maxima if i < central]
-    right = [i for i in maxima if i > central]
-    gaps = []
-    lows = []
-    for side in (left, right):
-        if not side:
-            continue
-        neighbour = min(side, key=lambda i: abs(y[i] - y[central]))
-        gaps.append(abs(y[neighbour] - y[central]))
-        lo, hi = sorted((neighbour, central))
-        lows.append(float(intensity[lo:hi + 1].min()))
-    spacing = float(np.mean(gaps))
+    c = int(np.argmin(np.abs(y[maxima])))
+    central = maxima[c]
+    # y increases along the grid, so the central maximum's nearest on each
+    # side, where it has one, are its neighbours in the sorted maxima
+    lo, hi = maxima[max(c - 1, 0)], maxima[min(c + 1, maxima.size - 1)]
+    spacing = float(np.mean([abs(y[i] - y[central]) for i in (lo, hi)
+                             if i != central]))
     i_max = float(intensity[central])
-    i_min = min(lows)
+    i_min = float(intensity[lo:hi + 1].min())
     return spacing, (i_max - i_min) / (i_max + i_min)
 
 
@@ -1027,10 +1032,9 @@ def ghost_double_slit(a: float, omega: float, grid: GridSpec, slit: Aperture,
     flown last, after the pass.
     """
     source = source_pass(a, omega, grid, params, L1, [slit], d1=d1).fly(L2)
-    env = source.widths(0)
-    intensity = np.abs(source.amplitude[0]) ** 2
-    spacing, visibility = fringe_metrics(source.y, intensity)
-    return GhostPattern(y=source.y, intensity=intensity, dy=source.dy,
-                        weight=float(source.weight[0]), fringe_spacing=spacing,
-                        visibility=visibility,
-                        envelope_fwhm=2.0 * env.rms * FWHM_FACTOR)
+    envelope = source.widths(0)
+    spacing, visibility = fringe_metrics(source.y, source.intensity[0])
+    return GhostPattern(y=source.y, intensity=source.intensity[0],
+                        dy=source.dy, weight=float(source.weight[0]),
+                        fringe_spacing=spacing, visibility=visibility,
+                        envelope_fwhm=envelope.gaussian_equiv_fwhm)

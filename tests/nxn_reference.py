@@ -22,9 +22,9 @@ from poppersim.grid_oracle import (
     GhostPattern,
     GridSpec,
     _check_source,
-    _check_tails,
     _flight_phase,
     _source_blocks,
+    _tail_failures,
     fringe_metrics,
     intensity_widths,
     propagate_amplitude,
@@ -96,8 +96,8 @@ def evolve_spectral(state: GridState, L_particle1: float, L_particle2: float,
         psi = state.psi.copy()
     prob = np.abs(psi)
     prob **= 2
-    _check_tails(prob.sum(axis=1))
-    _check_tails(prob.sum(axis=0))
+    _tail_failures(prob.sum(axis=1))
+    _tail_failures(prob.sum(axis=0))
     return GridState(psi=psi, y=state.y, dy=state.dy)
 
 

@@ -735,6 +735,13 @@ class TestNumpyUnloaded:
     def test_numpy_not_loaded(self, scenarios, argv, code):
         assert fresh_probe(scenarios, argv) == (code, False)
 
+    def test_analytic_grid_n_run(self, tmp_path):
+        # --grid-n sizes a block-less scenario's grid without running the
+        # oracle: the sizing rules are numpy-free
+        argv = ["run", blockless_fixture(tmp_path, "strekalov.json"),
+                "--grid-n", "4096"]
+        assert fresh_probe(argv=argv) == (cli.EXIT_OK, False)
+
     def test_oracle_run_loads_numpy(self):
         # the probe sees numpy when a command does load it
         argv = ["run", fixture_path("kim_shih.json"), "--oracle"]

@@ -6,11 +6,13 @@ reference route (``nxn_reference``)."""
 import math
 import tracemalloc
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
 import nxn_reference as ref
+import poppersim.experiments as ex
 import poppersim.gaussian_core as gc
 import poppersim.grid_oracle as go
 from poppersim.errors import ConfigError, DomainError, ResolutionError
@@ -902,6 +904,32 @@ class TestSourcePass:
                 match=r"^propagation distances must be finite and >= 0$"):
             call(params702)
 
+    @pytest.mark.parametrize("name", ["sweep-130", "d1"])
+    def test_pass_keeps_its_rows_intensity(self, params702, name):
+        # the pass and each further flight, over 0 too, leave |amplitude|^2
+        # in one K x n buffer, bit for bit, and each width is read from it;
+        # over 8 m the narrow slits' rows and the ghost's row wrap, and a
+        # failed row's width is its failure, raised before its entry is read
+        a, omega, grid, L1, apertures, beam_L, d1 = STAGED_PASSES[name]
+        source = go.source_pass(a, omega, grid, params702, L1, apertures,
+                                beam_L, d1)
+        block = source.intensity
+        assert block.shape == source.amplitude.shape and block.dtype == float
+        for L in (None, 300.0, 0.0, 8000.0):
+            if L is not None:
+                assert source.fly(L).intensity is block
+            assert block.tobytes() == (np.abs(source.amplitude) ** 2).tobytes()
+        assert source.failures
+        for k in range(len(block)):
+            if k in source.failures:
+                block[k] = np.nan
+                with pytest.raises(ResolutionError) as got:
+                    source.widths(k)
+                assert got.value is source.failures[k]
+            else:
+                assert source.widths(k) == go.intensity_widths(
+                    source.y, np.abs(source.amplitude[k]) ** 2, source.dy)
+
     def test_build_guards_apply(self, params702):
         with pytest.raises(ResolutionError, match="step"):
             go.source_pass(0.01, 1.0, go.GridSpec(n=256, extent=8.0), params702, 0.0)
@@ -982,8 +1010,9 @@ class TestConditionals:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cond.failures = {}
-            cond.weight = go._normalize(cond.amplitude, PARITY_GRID.dy, 300.0,
-                                        params702, cond.failures)
+            cond.weight, cond.intensity = go._normalize(
+                cond.amplitude, PARITY_GRID.dy, 300.0, params702,
+                cond.failures)
             cond.fly(300.0)
         assert list(cond.failures) == [1]
         assert cond.weight[1] == 0.0
@@ -1000,7 +1029,88 @@ class TestConditionals:
 REGRESSION_RECT_W = 0.21630349979112098
 
 
+def walk_half_crossing(y, intensity, i_peak, half, step):
+    """The half-maximum crossing by a walk of one sample a step from i_peak,
+    the reference ``go._half_crossing``'s index search is held to."""
+    i = i_peak
+    while 0 < i < intensity.size - 1 and intensity[i + step] >= half:
+        i += step
+    j = i + step
+    if j < 0 or j >= intensity.size:
+        return y[i]
+    frac = (intensity[i] - half) / (intensity[i] - intensity[j])
+    return y[i] + frac * (y[j] - y[i])
+
+
+# profiles whose half-maximum crossings hit the search's edge cases
+HALF_CROSSING_EDGES = {
+    "peak-first": [1.0, 0.8, 0.6, 0.3, 0.1, 0.05, 0.02, 0.01],
+    "peak-last": [0.01, 0.02, 0.05, 0.1, 0.3, 0.6, 0.8, 1.0],
+    # the right side stays above half up to the grid's edge
+    "no-crossing": [0.1, 0.3, 0.9, 1.0, 0.9, 0.7, 0.6, 0.55],
+    # samples exactly at half maximum on both sides
+    "at-half": [0.0, 0.25, 0.5, 1.0, 0.5, 0.25, 0.1, 0.0],
+}
+
+
+def assert_crossings_match_walk(intensity, starts=None, halves=None):
+    """``_half_crossing`` equals the walk bit for bit on both sides of the
+    peak, and of every index in ``starts`` at every level in ``halves``."""
+    intensity = np.asarray(intensity, dtype=float)
+    y = (np.arange(intensity.size) - intensity.size // 2) * 0.1
+    peak = int(np.argmax(intensity))
+    cases = [(peak, intensity[peak] / 2.0)]
+    cases += [(i, half) for i in (starts or ()) for half in (halves or ())]
+    for i, half in cases:
+        for step in (-1, 1):
+            got = go._half_crossing(y, intensity, i, half, step)
+            want = walk_half_crossing(y, intensity, i, half, step)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+                (i, half, step)
+
+
+def fixture_rows(params):
+    """Conditional intensities of the bundled fixtures' oracle passes at
+    their detectors, a 130-slit sweep pass's rows and the ghost fringes."""
+    rows = []
+    for name in ("kim_shih.json", "popper_freespace.json", "strekalov.json"):
+        scenario = ex.Scenario.from_json(
+            str(files("poppersim.scenarios").joinpath(name)))
+        eps = scenario.slit.gaussian_epsilon(scenario.params)
+        L1 = 0.0 if scenario.lens is not None else scenario.L1
+        source = ex.oracle_pass(scenario, L1,
+                                [go.Aperture(kind="gaussian", epsilon=eps)])
+        rows.append(source.fly(scenario.L2).intensity[0].copy())
+    sweep = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params, 300.0,
+                           [go.Aperture(kind="gaussian", epsilon=e)
+                            for e in np.linspace(0.1, 1.0, 130)])
+    rows.extend(sweep.fly(300.0).intensity)
+    for a, omega, slit, d1 in GHOST_LAYOUTS.values():
+        rows.append(go.ghost_double_slit(a, omega, GHOST_GRID, slit, 200.0, d1,
+                                         200.0, params).intensity)
+    return rows
+
+
 class TestWidths:
+    @pytest.mark.parametrize("name", list(HALF_CROSSING_EDGES))
+    def test_crossing_search_matches_walk_on_edges(self, name):
+        profile = HALF_CROSSING_EDGES[name]
+        assert_crossings_match_walk(profile, starts=range(len(profile)),
+                                    halves=(0.05, 0.5, 0.6, 0.95))
+
+    def test_crossing_search_matches_walk_on_random_profiles(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            profile = rng.random(64)
+            assert_crossings_match_walk(profile, starts=range(64),
+                                        halves=(0.1, 0.25, 0.5, 0.75))
+
+    def test_crossing_search_matches_walk_on_fixture_rows(self, params702):
+        # each row's crossings from its peak, and so its FWHM, are the
+        # walk's bit for bit
+        for intensity in fixture_rows(params702):
+            assert_crossings_match_walk(intensity)
+
     def test_pure_gaussian(self):
         grid = go.GridSpec(n=1024, extent=6.0)
         intensity = np.exp(-2.0 * grid.y ** 2)
