@@ -147,10 +147,11 @@ def _check_finite_options(args):
 
 def _load_scenario(args, slit_full_widths=None) -> ex.Scenario:
     """The command's scenario file with ``--grid-n`` applied over the extent
-    of its oracle grid; a sweep passes its slits, which size a grid the file
-    does not give.  The oracle's pass checks its own memory cap."""
+    of its oracle grid when the command runs the oracle (an analytic one
+    ignores it); a sweep passes its slits, which size a grid the file does
+    not give.  The oracle's pass checks its own memory cap."""
     scenario = ex.Scenario.from_json(args.scenario)
-    if args.grid_n is not None:
+    if args.grid_n is not None and args.oracle:
         scenario = dataclasses.replace(scenario, oracle=GridSpec(
             n=args.grid_n,
             extent=ex.oracle_grid(scenario, slit_full_widths).extent))

@@ -942,14 +942,14 @@ def _half_crossing(y, intensity, i, half, step):
     """Linearly interpolated position where intensity falls to half, from
     the peak at i in direction step: between the first sample on that side
     not at or above half and the one before it.  With no such sample before
-    the grid's edge it is the edge sample, and from a peak on either edge
-    sample the crossing is taken between the peak and its neighbour in
-    direction step, or is the peak itself if it has none."""
-    if 0 < i < intensity.size - 1:
-        # the samples ahead of the peak still at or above half, counted up
-        # to the first that is not (the appended False stops at the edge)
-        ahead = intensity[i + step::step] >= half
-        i += step * int(np.argmin(np.append(ahead, False)))
+    the grid's edge it is the edge sample, which is the peak itself for a
+    peak on that edge."""
+    # the samples ahead of the peak, nearest first; sliced from both ends,
+    # since intensity[i - 1::-1] at i = 0 would be the whole array reversed
+    ahead = intensity[i + 1:] if step > 0 else intensity[:i][::-1]
+    # those still at or above half, counted up to the first that is not
+    # (the appended False stops at the edge)
+    i += step * int(np.argmin(np.append(ahead >= half, False)))
     j = i + step
     if not 0 <= j < intensity.size:
         return y[i]

@@ -142,11 +142,16 @@ class TestRun:
         del doc["oracle"]
         path = tmp_path / "no_block.json"
         path.write_text(json.dumps(doc))
-        code, out, _ = run_cli(["run", str(path), "--grid-n", "512"], capsys)
+        code, out, _ = run_cli(["run", str(path), "--oracle", "--grid-n", "512"],
+                               capsys)
         assert code == cli.EXIT_OK
         default = ex.default_grid(ex.Scenario.from_dict(doc))
         assert json.loads(out)["scenario"]["oracle"] == pytest.approx(
             {"n": 512, "extent_mm": default.extent}, rel=1e-8)
+        # an analytic run ignores --grid-n and echoes no grid it never ran
+        code, out, _ = run_cli(["run", str(path), "--grid-n", "512"], capsys)
+        assert code == cli.EXIT_OK
+        assert "oracle" not in json.loads(out)["scenario"]
 
     def test_step_beyond_largest_grid(self, tmp_path, capsys):
         # a = 0.01 mm needs dy <= 0.0056 mm; the 8192-point auto grid gives 0.028 mm
@@ -342,15 +347,19 @@ class TestBlocklessSweep:
         path = sweep_scenario(tmp_path, a_mm=0.04, omega_mm=1,
                               slit={"kind": "gaussian", "width_mm": 0.5})
         report = tmp_path / "report.json"
-        code, _, _ = run_cli(
-            ["sweep", path, "--from", "0.02", "--to", "1.0", "--steps", "2",
-             "--grid-n", "4096", "--out", str(report)], capsys)
+        argv = ["sweep", path, "--from", "0.02", "--to", "1.0", "--steps", "2",
+                "--grid-n", "4096", "--out", str(report)]
+        code, _, _ = run_cli([*argv, "--oracle"], capsys)
         assert code == cli.EXIT_OK
         scenario = ex.Scenario.from_json(path)
         extent = ex.oracle_grid(scenario, [0.02, 1.0]).extent
         assert extent > 1.4 * ex.oracle_grid(scenario).extent
         assert json.loads(report.read_text())["scenario"]["oracle"] == \
             pytest.approx({"n": 4096, "extent_mm": extent}, rel=1e-8)
+        # an analytic sweep ignores --grid-n
+        code, _, _ = run_cli(argv, capsys)
+        assert code == cli.EXIT_OK
+        assert "oracle" not in json.loads(report.read_text())["scenario"]
 
 
 class TestScenarioValidation:
@@ -525,6 +534,35 @@ class TestOracleCheck:
         code, out, _ = run_cli(["oracle-check", fixture_path(name)], capsys)
         assert code == cli.EXIT_OK
         assert json.loads(out)["results"]["norm_drift"] < 1e-12
+
+    @pytest.mark.parametrize("field, factor, drift, delta", [
+        # the slit-plane intensity scaled by 1 + 1e-7: a norm drift ten
+        # times its 1e-8 gate
+        ("slit_plane", 1.0 + 1e-7, 1e-7, 0.0),
+        # every position stretched by 1 %: the conditional width 1e-2 over
+        # the closed form, ten times its 1e-3 gate
+        ("y", 1.01, 0.0, 1e-2),
+    ], ids=["norm-drift", "width"])
+    def test_gate_exceeded_exits_3_with_one_line(
+            self, capsys, monkeypatch, small_scenario, field, factor, drift,
+            delta):
+        # the pass the gates read is edited; the report shows the one gate
+        # exceeded, and the check fails in one line after writing it
+        real_pass = ex.oracle_pass
+
+        def edited_pass(*args, **kwargs):
+            source = real_pass(*args, **kwargs)
+            setattr(source, field, getattr(source, field) * factor)
+            return source
+
+        monkeypatch.setattr(ex, "oracle_pass", edited_pass)
+        code, out, err = run_cli(["oracle-check", small_scenario], capsys)
+        assert code == cli.EXIT_RESOLUTION
+        assert err == "error: oracle self-check failed; see report deltas\n"
+        results = json.loads(out)["results"]
+        assert results["norm_drift"] == pytest.approx(drift, rel=1e-3, abs=1e-12)
+        assert results["conditional_width_mm"]["delta_rel"] == pytest.approx(
+            delta, abs=1e-4)
 
 
 class TestUnresolvedAperture:
@@ -736,8 +774,7 @@ class TestNumpyUnloaded:
         assert fresh_probe(scenarios, argv) == (code, False)
 
     def test_analytic_grid_n_run(self, tmp_path):
-        # --grid-n sizes a block-less scenario's grid without running the
-        # oracle: the sizing rules are numpy-free
+        # an analytic run ignores --grid-n, so it stays numpy-free
         argv = ["run", blockless_fixture(tmp_path, "strekalov.json"),
                 "--grid-n", "4096"]
         assert fresh_probe(argv=argv) == (cli.EXIT_OK, False)

@@ -160,6 +160,24 @@ class TestEvolveSpectral:
         with pytest.raises(ResolutionError, match="boundary"):
             go.propagate_amplitude(phi, grid.dy, 5000.0, params702)
 
+    @pytest.mark.parametrize("side", [1, -1], ids=["right", "left"])
+    def test_one_sided_tail_refused(self, params702, side):
+        # a 0.2 mm Gaussian 3.22 mm off-axis on a +-4 mm grid, flown 10 mm:
+        # its outer 5 % on its own side holds ~1e-4 of its intensity, while
+        # its outer 0.5 % and the other side's outer 5 % (what wrapped round)
+        # hold under 1e-12.  The guard must refuse it from either band alone
+        grid = go.GridSpec(n=512, extent=4.0)
+        amp = np.exp(-((grid.y - side * 3.22) / 0.2) ** 2)
+        prob = np.abs(go.fly(amp.astype(complex), grid.dy, 10.0,
+                             params702)) ** 2
+        # the profile seen from its own side's edge: 26 and 3 samples are
+        # the outer 5 % and 0.5 % of 512
+        prob = prob[::-side] / np.sum(prob)
+        assert 5e-5 < np.sum(prob[:26]) < 5e-4
+        assert np.sum(prob[:3]) + np.sum(prob[-26:]) < 1e-12
+        with pytest.raises(ResolutionError, match="boundary"):
+            go.propagate_amplitude(amp, grid.dy, 10.0, params702)
+
 
 class TestCondition:
     def test_gaussian_aperture_matches_closed_form(self, params702):
@@ -1001,27 +1019,32 @@ class TestConditionals:
             assert cond.weight[k] == alone.weight[j]
 
     def test_degenerate_row_left_unnormalized(self, params702):
-        # a row with no overlap has weight 0: the normalization step leaves
-        # it the degenerate error, does not divide it by its zero norm, and
-        # warns of nothing
-        cond = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID, params702,
-                              300.0, ISOLATION_APERTURES)
-        cond.amplitude[1] = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cond.failures = {}
-            cond.weight, cond.intensity = go._normalize(
-                cond.amplitude, PARITY_GRID.dy, 300.0, params702,
-                cond.failures)
-            cond.fly(300.0)
-        assert list(cond.failures) == [1]
-        assert cond.weight[1] == 0.0
-        assert not np.any(cond.amplitude[1])
-        with pytest.raises(DomainError, match="degenerate"):
-            cond.widths(1)
-        for k in (0, 2):
-            assert np.sum(np.abs(cond.amplitude[k]) ** 2) * PARITY_GRID.dy \
-                == pytest.approx(1.0, abs=1e-12)
+        # a row with no overlap has weight 0, and a normalized row scaled by
+        # 1e-8 a weight of 1e-16, far above the smallest float: the
+        # normalization step leaves each the degenerate error, does not
+        # divide it by its norm, and warns of nothing
+        for scale in (0.0, 1e-8):
+            cond = go.source_pass(PARITY_A, PARITY_OMEGA, PARITY_GRID,
+                                  params702, 300.0, ISOLATION_APERTURES)
+            cond.amplitude[1] *= scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cond.failures = {}
+                cond.weight, cond.intensity = go._normalize(
+                    cond.amplitude, PARITY_GRID.dy, 300.0, params702,
+                    cond.failures)
+                cond.fly(300.0)
+            assert list(cond.failures) == [1], scale
+            assert cond.weight[1] == pytest.approx(scale ** 2, rel=1e-9,
+                                                   abs=0.0)
+            # unnormalized: the row keeps the norm it was weighed by
+            assert np.sum(np.abs(cond.amplitude[1]) ** 2) * PARITY_GRID.dy \
+                == pytest.approx(cond.weight[1], rel=1e-9, abs=0.0)
+            with pytest.raises(DomainError, match="degenerate"):
+                cond.widths(1)
+            for k in (0, 2):
+                assert np.sum(np.abs(cond.amplitude[k]) ** 2) \
+                    * PARITY_GRID.dy == pytest.approx(1.0, abs=1e-12)
 
 
 # frozen from the first run of test_rect_aperture_regression (n=2048,
@@ -1033,7 +1056,7 @@ def walk_half_crossing(y, intensity, i_peak, half, step):
     """The half-maximum crossing by a walk of one sample a step from i_peak,
     the reference ``go._half_crossing``'s index search is held to."""
     i = i_peak
-    while 0 < i < intensity.size - 1 and intensity[i + step] >= half:
+    while 0 <= i + step < intensity.size and intensity[i + step] >= half:
         i += step
     j = i + step
     if j < 0 or j >= intensity.size:
@@ -1045,6 +1068,8 @@ def walk_half_crossing(y, intensity, i_peak, half, step):
 # profiles whose half-maximum crossings hit the search's edge cases
 HALF_CROSSING_EDGES = {
     "peak-first": [1.0, 0.8, 0.6, 0.3, 0.1, 0.05, 0.02, 0.01],
+    # the peak's value on the first two samples
+    "flat-first": [1.0, 1.0, 0.8, 0.4, 0.1, 0.05, 0.02, 0.01],
     "peak-last": [0.01, 0.02, 0.05, 0.1, 0.3, 0.6, 0.8, 1.0],
     # the right side stays above half up to the grid's edge
     "no-crossing": [0.1, 0.3, 0.9, 1.0, 0.9, 0.7, 0.6, 0.55],
@@ -1110,6 +1135,21 @@ class TestWidths:
         # walk's bit for bit
         for intensity in fixture_rows(params702):
             assert_crossings_match_walk(intensity)
+
+    @pytest.mark.parametrize("name, samples", [
+        # 2 1/3 samples from the first, between 0.6 and 0.3, not the 2.5
+        # between the peak and its neighbour
+        ("peak-first", 7.0 / 3.0),
+        # 2.75 samples on, between 0.8 and 0.4, not a division by zero
+        ("flat-first", 2.75),
+    ], ids=["peak-first", "flat-first"])
+    def test_edge_peak_crossing_searched(self, name, samples):
+        # from a peak on the first sample the far crossing is searched for
+        # as from any other, and the near one is the peak itself
+        intensity = np.asarray(HALF_CROSSING_EDGES[name])
+        y = np.arange(intensity.size) * 0.1
+        w = go.intensity_widths(y, intensity, 0.1)
+        assert w.fwhm == pytest.approx(samples * 0.1, rel=1e-12)
 
     def test_pure_gaussian(self):
         grid = go.GridSpec(n=1024, extent=6.0)
