@@ -207,13 +207,20 @@ test "$code" -eq 2
 # Kim & Shih's published widths on both arms, and strekalov_sweep the
 # 5-point oracle sweep against the far-field law, the widths' strict
 # decrease and a 0.2/1.0 mm ratio above 3.  Each run's last line must
-# report correct outputs and no failed operation
+# report correct outputs and no failed operation.  A run's stderr, its
+# op timings among it, is printed only if the run or its check fails
 for workload in layout_scan fixture_runs strekalov_sweep; do
   check "perfbench $workload correctness run"
+  code=0
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 \
-    | tail -n 1 > "$tmp/$workload.json"
-  cat "$tmp/$workload.json"
-  python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
-    "$tmp/$workload.json"
+      2> "$tmp/$workload.err" | tail -n 1 > "$tmp/$workload.json" \
+    && cat "$tmp/$workload.json" \
+    && python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+      "$tmp/$workload.json" \
+    || code=$?
+  if [ "$code" -ne 0 ]; then
+    cat "$tmp/$workload.err" >&2
+    exit "$code"
+  fi
 done
 echo "ci_checks: all checks passed"

@@ -11,7 +11,6 @@ from .gaussian_core import (
     SlitSpec,
     beam_width,
     condition_on_gaussian_slit,
-    evolve_free,
     fwhm_from_width,
     instant_localization_width,
     intensity_width,
@@ -37,7 +36,6 @@ __all__ = [
     "SlitSpec",
     "beam_width",
     "condition_on_gaussian_slit",
-    "evolve_free",
     "fwhm_from_width",
     "instant_localization_width",
     "intensity_width",

@@ -12,12 +12,12 @@ Gamma = s^2 + i*Lambda*D this gives W^2 = s^2 + Lambda^2 D^2 / s^2.
 
 The two-particle source amplitude is
 
-    psi(y1, y2) ~ exp(-(y1 - y2)^2 / gamma_u) * exp(-(y1 + y2)^2 / gamma_v)
+    psi(y1, y2) ~ exp(-(y1 - y2)^2 / a^2) * exp(-(y1 + y2)^2 / (4 omega^2))
 
-with gamma_u = a^2 and gamma_v = 4 * omega^2 at the source plane, where
-a = hbar / sigma is the inverse momentum-correlation scale and omega the
-transverse source extent.  Free flight adds 2i * Lambda * L to both
-gamma_u and gamma_v.
+where a = hbar / sigma is the inverse momentum-correlation scale and omega
+the transverse source extent.  :class:`EprState` holds this source alone,
+(a, omega); every closed form below takes it at the source plane and
+applies its own flights.
 """
 
 from __future__ import annotations
@@ -55,27 +55,15 @@ class PhysParams:
 
 @dataclass(frozen=True)
 class EprState:
-    """Two-particle correlated Gaussian state.
-
-    gamma_u parametrises exp(-(y1-y2)^2/gamma_u), gamma_v parametrises
-    exp(-(y1+y2)^2/gamma_v).  Both are real at the source plane.
-    """
+    """The two-particle source exp(-(y1-y2)^2/a^2) exp(-(y1+y2)^2/(4 omega^2))."""
 
     a: float
     omega: float
-    gamma_u: complex
-    gamma_v: complex
 
     def __post_init__(self):
         if not (0 < self.a < math.inf and 0 < self.omega < math.inf):
-            raise DomainError("a and omega must be positive")
-        if not (self.gamma_u.real > 0 and self.gamma_v.real > 0):
-            raise DomainError("Re(gamma_u) and Re(gamma_v) must stay positive")
-
-    @property
-    def at_source(self) -> bool:
-        """True when the state has not been propagated (real gammas)."""
-        return self.gamma_u.imag == 0.0 and self.gamma_v.imag == 0.0
+            raise DomainError(
+                f"a and omega must be positive, got a={self.a}, omega={self.omega}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +109,7 @@ class SlitSpec:
             if self.convention not in ("half-width", "diffraction-matched"):
                 raise DomainError(f"unknown slit convention {self.convention!r}")
 
-    def gaussian_epsilon(self, params: PhysParams | None = None) -> float:
+    def gaussian_epsilon(self, params: PhysParams) -> float:
         """Gaussian width equivalent of this slit, per its convention."""
         if self.kind == "gaussian":
             return self.epsilon
@@ -133,8 +121,6 @@ class SlitSpec:
             raise ConfigError(
                 "diffraction-matched slit needs reference_fwhm_mm and reference_L_mm"
             )
-        if params is None:
-            raise ConfigError("diffraction-matched slit mapping needs PhysParams")
         # near-field root: the physical slit is narrower than sqrt(Lambda*L)
         return far_field_inverse(self.reference_fwhm_mm / FWHM_FACTOR,
                                  self.reference_L_mm, params).near
@@ -175,28 +161,21 @@ class LensConfig:
 
 
 def make_epr_state(a: float, omega: float) -> EprState:
-    """Source-plane state with gamma_u = a^2 and gamma_v = 4*omega^2."""
-    if not (0 < a < math.inf and 0 < omega < math.inf):
-        raise DomainError(f"a and omega must be positive, got a={a}, omega={omega}")
-    return EprState(a=a, omega=omega, gamma_u=complex(a * a), gamma_v=complex(4.0 * omega * omega))
+    """The source of correlation scale a and extent omega (mm)."""
+    return EprState(a=a, omega=omega)
 
 
 def position_uncertainty(state: EprState) -> float:
     """Single-particle position spread at the source plane.
 
-    Delta y1 = Delta y2 = (1/2) * sqrt(omega^2 + a^2/4).  Only defined for
-    an unpropagated state; use :func:`beam_width` after free flight.
+    Delta y1 = Delta y2 = (1/2) * sqrt(omega^2 + a^2/4); :func:`beam_width`
+    gives the spread after free flight.
     """
-    if not state.at_source:
-        raise DomainError("position_uncertainty is defined at the source plane only; "
-                          "use beam_width for a propagated state")
     return 0.5 * math.sqrt(state.omega ** 2 + state.a ** 2 / 4.0)
 
 
 def momentum_uncertainty(state: EprState) -> float:
     """Single-particle momentum spread sqrt(1/a^2 + 1/(4*omega^2)), rad/mm."""
-    if not state.at_source:
-        raise DomainError("momentum_uncertainty is defined at the source plane only")
     return math.sqrt(1.0 / state.a ** 2 + 1.0 / (4.0 * state.omega ** 2))
 
 
@@ -212,20 +191,11 @@ def instant_localization_width(epsilon1: float, state: EprState) -> float:
     """
     if epsilon1 <= 0:
         raise DomainError(f"epsilon1 must be positive, got {epsilon1}")
-    if not state.at_source:
-        raise DomainError("instant localization is defined at the source plane only")
     a2 = state.a ** 2
     om2 = state.omega ** 2
     num = epsilon1 ** 2 * (1.0 + a2 / (4.0 * om2)) + a2 / 4.0
     den = 1.0 + 4.0 * epsilon1 ** 2 / om2 + a2 / (4.0 * om2)
     return math.sqrt(num / den)
-
-
-def evolve_free(state: EprState, leg: PropagationLeg, params: PhysParams) -> EprState:
-    """Free flight of both particles over leg.L; adds 2i*Lambda*L to each gamma."""
-    shift = 2j * params.rescaled_wavelength_mm * leg.L
-    return EprState(a=state.a, omega=state.omega,
-                    gamma_u=state.gamma_u + shift, gamma_v=state.gamma_v + shift)
 
 
 def condition_on_gaussian_slit(state: EprState, slit: SlitSpec,
@@ -244,8 +214,6 @@ def condition_on_gaussian_slit(state: EprState, slit: SlitSpec,
     if slit.kind != "gaussian":
         raise DomainError("closed-form conditioning handles Gaussian slits only; "
                           "map a rectangular slit through SlitSpec.gaussian_epsilon first")
-    if not state.at_source:
-        raise DomainError("pass the source-plane state; L1 is applied internally")
     eps = slit.epsilon
     a2 = state.a ** 2
     om2 = state.omega ** 2
@@ -356,8 +324,6 @@ def beam_width(state: EprState, leg: PropagationLeg, params: PhysParams) -> floa
     the source-plane spreads of :func:`position_uncertainty` and
     :func:`momentum_uncertainty`.
     """
-    if not state.at_source:
-        raise DomainError("beam_width expects the source-plane state")
     lam_l = params.rescaled_wavelength_mm * leg.L
     om2 = state.omega ** 2
     a2 = state.a ** 2

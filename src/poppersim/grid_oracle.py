@@ -232,9 +232,11 @@ class WidthResult:
         return FWHM_FACTOR * self.gaussian_equiv_W
 
 
-def _check_source(a: float, omega: float, grid: GridSpec):
+def _check_source(a: float, omega: float, grid: GridSpec, apertures=()):
     """Refuse an a or omega that is not positive and finite, and a grid
-    whose extent or step cannot hold the source."""
+    whose extent or step cannot hold the source.  A step refusal names the
+    n that also resolves every Gaussian one of ``apertures``, the pass's
+    (``Aperture.check_resolved``), so that n is not refused in turn."""
     if not (0 < a < math.inf and 0 < omega < math.inf):
         raise DomainError("a and omega must be positive and finite")
     need = required_extent(a, omega)
@@ -245,11 +247,15 @@ def _check_source(a: float, omega: float, grid: GridSpec):
         )
     step = max_step(a, omega)
     if grid.dy > step:
-        need = points_for_step(grid.extent, step, grid.n)
+        finest = min([step] + [gaussian_max_step(ap.epsilon) for ap in apertures
+                               if ap.kind == "gaussian"])
+        also = (f" and dy <= {finest:.3g} mm to resolve the Gaussian apertures"
+                if finest < step else "")
+        need = points_for_step(grid.extent, finest, grid.n)
         raise ResolutionError(
             f"step {grid.dy:.3g} mm too coarse: need dy <= "
-            f"{step:.3g} mm to hold the momentum spectrum (n >= {need} on "
-            f"this extent)"
+            f"{step:.3g} mm to hold the momentum spectrum{also} (n >= {need} "
+            f"on this extent)"
         )
 
 
@@ -750,7 +756,7 @@ def _arm(a: float, omega: float, grid: GridSpec, params: PhysParams,
     """
     if d1 is not None and len(apertures) != 1:
         raise DomainError(f"a d1 leg takes one aperture, got {len(apertures)}")
-    _check_source(a, omega, grid)
+    _check_source(a, omega, grid, apertures)
     # the modes first: a d1 leg's points are counted once its mask is sampled
     _check_grid_cap(a, omega, grid, len(apertures), 0)
     n, dy, y = grid.n, grid.dy, grid.y

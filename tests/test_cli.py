@@ -172,6 +172,23 @@ class TestRun:
         assert code == cli.EXIT_RESOLUTION and out == ""
         assert "too coarse" in err and "(n >= 16384 on this extent)" in err
 
+    def test_coarse_step_names_n_the_slit_also_needs(self, tmp_path, capsys):
+        # a = 0.01 mm alone needs n >= 16384 on +-40 mm, where the epsilon
+        # 0.005 mm slit (dy <= 0.00393 mm) is refused in turn: the source's
+        # refusal names the n that holds both, and a run there exits 0
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps({
+            "a_mm": 0.01, "omega_mm": 5, "L1_mm": 300, "L2_mm": 300,
+            "slit": {"kind": "gaussian", "width_mm": 0.005}, "lambda_nm": 702,
+            "oracle": {"n": 2048, "extent_mm": 40}}))
+        code, out, err = run_cli(["run", str(path), "--oracle"], capsys)
+        assert code == cli.EXIT_RESOLUTION and out == ""
+        assert "too coarse" in err and "(n >= 32768 on this extent)" in err
+        code, out, err = run_cli(
+            ["run", str(path), "--oracle", "--grid-n", "32768"], capsys)
+        assert code == cli.EXIT_OK and err == ""
+        assert json.loads(out)["scenario"]["oracle"]["n"] == 32768
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(["run", fixture_path("kim_shih.json")], capsys)
         _, second, _ = run_cli(["run", fixture_path("kim_shih.json")], capsys)
