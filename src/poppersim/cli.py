@@ -3,7 +3,13 @@ the discrete two-spin analogue, and oracle self-checks.
 
 All reports are JSON with a convention block and unit-suffixed field names;
 sweeps can additionally be written as CSV.  Numeric output is fixed to nine
-significant digits so identical inputs give byte-identical reports.
+significant digits so identical inputs give byte-identical reports.  One
+writer, ``_render``, prints every report from its result objects: a result
+dataclass's fields in declaration order (``WidthReport``, ``SweepPoint``),
+and a ``Measured`` width's ``analytic_mm``, ``oracle_mm`` and ``delta_rel``,
+each left out when None; a plain dict's keys are kept as they are, a None
+among them printed as ``null``.  A CSV row comes from the same objects,
+through ``_csv``.
 
 Only the commands that run the grid oracle (``run --oracle`` and
 ``oracle-check``), plus ``sweep`` and ``spin``, import numpy; the analytic
@@ -45,10 +51,6 @@ CONVENTION_BLOCK = {
                  "(coefficient validated against the grid oracle)",
 }
 
-# the width fields of a report, in output order
-WIDTH_FIELDS = ("beam_fwhm_mm", "coincidence_fwhm_mm", "real_slit_fwhm_mm",
-                "ghost_image_width_mm")
-
 # float options by argparse destination, under the name given on the command line
 FLOAT_OPTIONS = {"start": "--from", "stop": "--to", "fwhm": "--fwhm",
                  "epsilon": "--epsilon", "L2": "--L2", "lambda_nm": "--lambda-nm",
@@ -70,55 +72,54 @@ def _overflow_raises(numpy_runs: bool = True):
     return np.errstate(over="raise")
 
 
-def _round_sig(value, path: str):
-    """Recursively fix floats to nine significant digits for stable output,
-    refusing a NaN or infinite one, found at ``path``: an input so large
-    that the result overflowed."""
+def _fields(result) -> dict:
+    """A result object's printed fields in order, a None one included: a
+    ``Measured`` width's ``analytic_mm``, ``oracle_mm`` and ``delta_rel``, and
+    any other result dataclass's fields in declaration order."""
+    if isinstance(result, ex.Measured):
+        return {"analytic_mm": result.analytic, "oracle_mm": result.oracle,
+                "delta_rel": result.delta_rel}
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+
+
+def _render(value, path: str):
+    """Recursively render ``value``, found at ``path``, for a report: a result
+    object becomes the dict of its fields that are not None, and a float is
+    fixed to nine significant digits for stable output, refusing a NaN or
+    infinite one: an input so large that the result overflowed.  A plain
+    dict keeps its None values."""
+    if dataclasses.is_dataclass(value):
+        value = {k: v for k, v in _fields(value).items() if v is not None}
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ConfigError(f"{path} is {value}: an input is out of range")
         return float(f"{value:.9g}")
     if isinstance(value, dict):
-        return {k: _round_sig(v, f"{path}.{k}") for k, v in value.items()}
+        return {k: _render(v, f"{path}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round_sig(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [_render(v, f"{path}[{i}]") for i, v in enumerate(value)]
     return value
 
 
-def _measured_dict(m: ex.Measured) -> dict:
-    doc = {}
-    if m.analytic is not None:
-        doc["analytic_mm"] = m.analytic
-    if m.oracle is not None:
-        doc["oracle_mm"] = m.oracle
-    if m.delta_rel is not None:
-        doc["delta_rel"] = m.delta_rel
-    return doc
-
-
-def _report_dict(report: ex.WidthReport) -> dict:
-    doc = {"provenance": report.provenance}
-    for key in WIDTH_FIELDS:
-        measured = getattr(report, key)
-        if measured is not None:
-            doc[key] = _measured_dict(measured)
-    if report.virtual_distance_mm is not None:
-        doc["virtual_distance_mm"] = report.virtual_distance_mm
-    if report.coincidence_weight is not None:
-        doc["coincidence_weight"] = report.coincidence_weight
-    return doc
-
-
 def _document(scenario_echo, results) -> dict:
-    """The report of a command, rounded; every output is written from it or
-    from the numbers it holds, so a non-finite number is refused before any
-    write."""
+    """The report of a command, rendered from its result objects; every
+    output is written from it or from the objects it renders, so a
+    non-finite number is refused before any write."""
     return {
         "tool": {"name": "poppersim", "version": __version__},
         "convention": CONVENTION_BLOCK,
-        "scenario": _round_sig(scenario_echo, "scenario"),
-        "results": _round_sig(results, "results"),
+        "scenario": _render(scenario_echo, "scenario"),
+        "results": _render(results, "results"),
     }
+
+
+def _csv(columns, rows) -> str:
+    """CSV text: the header ``columns``, then a line a row of values, a
+    number fixed to nine significant digits as in a report, a string as it
+    is and a None left empty."""
+    def cell(v):
+        return "" if v is None else v if isinstance(v, str) else f"{v:.9g}"
+    return "".join(",".join(map(cell, line)) + "\n" for line in [columns, *rows])
 
 
 def _write(path: str | None, text: str):
@@ -190,16 +191,12 @@ def cmd_run(args) -> int:
     # only the oracle arm computes with numpy
     with _overflow_raises(args.oracle):
         report = runner(scenario, use_oracle=args.oracle)
-        doc = _document(_scenario_echo(scenario), _report_dict(report))
+        doc = _document(_scenario_echo(scenario), report)
         if args.csv:
-            rows = ["metric,analytic,oracle,delta_rel"]
-            fmt = lambda v: "" if v is None else f"{v:.9g}"
-            for key in WIDTH_FIELDS:
-                measured = getattr(report, key)
-                if measured is not None:
-                    rows.append(f"{key},{fmt(measured.analytic)},"
-                                f"{fmt(measured.oracle)},{fmt(measured.delta_rel)}")
-            _write(args.csv, "\n".join(rows) + "\n")
+            widths = [[name, *_fields(m).values()] for name, m in
+                      _fields(report).items() if isinstance(m, ex.Measured)]
+            _write(args.csv, _csv(["metric", "analytic", "oracle", "delta_rel"],
+                                  widths))
         _emit(doc, args.out)
     return EXIT_OK
 
@@ -218,28 +215,14 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"sweep of {args.steps} steps does not fit in memory")
         scenario = _load_scenario(args, widths)
         points = ex.run_strekalov_sweep(scenario, widths, use_oracle=args.oracle)
-        rows = []
-        header = "slit_full_width_mm,fwhm_analytic_mm"
-        if args.oracle:
-            header += ",fwhm_oracle_mm"
-        rows.append(header)
-        for p in points:
-            row = f"{p.slit_full_width_mm:.9g},{p.fwhm_analytic_mm:.9g}"
-            if args.oracle:
-                row += f",{'' if p.fwhm_oracle_mm is None else format(p.fwhm_oracle_mm, '.9g')}"
-            rows.append(row)
-        results = {
-            "points": [{
-                "slit_full_width_mm": p.slit_full_width_mm,
-                "fwhm_analytic_mm": p.fwhm_analytic_mm,
-                **({"fwhm_oracle_mm": p.fwhm_oracle_mm} if p.fwhm_oracle_mm is not None else {}),
-                **({"error": p.error} if p.error else {}),
-            } for p in points],
-        }
-        doc = _document(_scenario_echo(scenario), results)
+        doc = _document(_scenario_echo(scenario), {"points": points})
         if args.out:
             _emit(doc, args.out)
-        _write(args.csv, "\n".join(rows) + "\n")
+        columns = ["slit_full_width_mm", "fwhm_analytic_mm"]
+        if args.oracle:
+            columns.append("fwhm_oracle_mm")
+        _write(args.csv, _csv(columns, [[getattr(p, c) for c in columns]
+                                        for p in points]))
         flagged = [p for p in points if p.error]
         if flagged:
             sys.stderr.write(f"{len(flagged)} sweep point(s) flagged; see report\n")
@@ -312,16 +295,15 @@ def cmd_oracle_check(args) -> int:
             gc.make_epr_state(scenario.a, scenario.omega),
             gc.SlitSpec(kind="gaussian", epsilon=eps),
             gc.PropagationLeg(scenario.L1), params)
-        w_an = gc.intensity_width(gamma)
+        width = ex.Measured(analytic=gc.intensity_width(gamma),
+                            oracle=w_cond.gaussian_equiv_W)
         results = {
             "norm_drift": drift,
-            "conditional_width_mm": {"analytic_mm": w_an,
-                                     "oracle_mm": w_cond.gaussian_equiv_W,
-                                     "delta_rel": w_cond.gaussian_equiv_W / w_an - 1.0},
+            "conditional_width_mm": width,
             "grid": {"n": grid.n, "extent_mm": grid.extent, "dy_mm": grid.dy},
         }
         _emit(_document(_scenario_echo(scenario), results), args.out)
-        ok = drift < 1e-8 and abs(results["conditional_width_mm"]["delta_rel"]) < 1e-3
+        ok = drift < 1e-8 and abs(width.delta_rel) < 1e-3
         if not ok:
             raise ResolutionError("oracle self-check failed; see report deltas")
         return EXIT_OK
@@ -385,8 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="named (alpha, beta) pair")
     p_spin.set_defaults(func=cmd_spin)
 
-    p_check = sub.add_parser("oracle-check", parents=[common, grid_opts],
-                             help="grid-oracle self-check against closed forms")
+    p_check = sub.add_parser(
+        "oracle-check", parents=[common, grid_opts],
+        help="grid-oracle self-check against closed forms (free space only)",
+        description="Grid-oracle self-check against the closed forms: the "
+        "source's norm drift over L1 and particle 2's conditional width at L1. "
+        "It conditions the source on the Gaussian equivalent of the slit at L1 "
+        "in free space and ignores a lens block, so on kim_shih.json it checks "
+        "a 500 mm free-space conditional, not the lens layout, which run "
+        "conditions at the source plane.")
     p_check.add_argument("scenario", help="scenario JSON file")
     p_check.set_defaults(func=cmd_oracle_check, oracle=True)
 

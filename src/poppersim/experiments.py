@@ -151,7 +151,10 @@ class Scenario:
 
 @dataclass
 class Measured:
-    """One physical width from up to two independent routes."""
+    """One physical width from up to two independent routes.
+
+    A report prints it as ``analytic_mm``, ``oracle_mm`` and ``delta_rel``,
+    in that order, leaving out each that is None."""
 
     analytic: float | None = None
     oracle: float | None = None
@@ -165,6 +168,10 @@ class Measured:
 
 @dataclass
 class WidthReport:
+    """The widths of one scenario run.  A report prints the fields that are
+    not None in the order declared here, so a new printed number is a new
+    field, in its place."""
+
     provenance: str  # 'analytic', 'oracle', or 'both'
     beam_fwhm_mm: Measured
     coincidence_fwhm_mm: Measured
@@ -185,6 +192,10 @@ class FitResult:
 
 @dataclass
 class SweepPoint:
+    """One slit width of a sweep.  A report prints the fields that are not
+    None in the order declared here, so a new printed number is a new field,
+    in its place."""
+
     slit_full_width_mm: float
     fwhm_analytic_mm: float
     fwhm_oracle_mm: float | None = None

@@ -3,8 +3,9 @@
     python tests/mutants.py
 
 run from anywhere, with numpy, pytest and hypothesis importable.  Each
-mutant below is one edit that loosens a guard, biases a number or names the
-wrong grid, and the tier-1 suite must fail under every one of them.  For
+mutant below is one edit that loosens a guard, biases a number, names the
+wrong grid or changes a report's layout, and the tier-1 suite must fail
+under every one of them.  For
 each mutant the working tree is copied to a temporary directory, the
 mutant's old text, which must occur exactly once in its file, is replaced
 by its new text, and tier-1 runs on the copy with -x.  A mutant is killed
@@ -62,9 +63,8 @@ MUTANTS = [
            "TAIL_BAND_FRACTION = 0.005",
            "tests/test_grid_oracle.py::TestEvolveSpectral::"
            "test_one_sided_tail_refused[right]"),
-    Mutant("check-width-gate-1.0", CLI,
-           'abs(results["conditional_width_mm"]["delta_rel"]) < 1e-3',
-           'abs(results["conditional_width_mm"]["delta_rel"]) < 1.0',
+    Mutant("check-width-gate-1.0", CLI, "abs(width.delta_rel) < 1e-3",
+           "abs(width.delta_rel) < 1.0",
            "tests/test_cli.py::TestOracleCheck::"
            "test_gate_exceeded_exits_3_with_one_line[width]"),
     Mutant("check-drift-gate-1.0", CLI, "ok = drift < 1e-8",
@@ -105,6 +105,19 @@ MUTANTS = [
            "need = points_for_step(grid.extent, step, grid.n)",
            "tests/test_cli.py::TestRun::"
            "test_coarse_step_names_n_the_slit_also_needs"),
+    Mutant("writer-admits-non-finite", CLI,
+           "        if not math.isfinite(value):\n"
+           "            raise ConfigError(f\"{path} is {value}: an input is "
+           "out of range\")\n", "",
+           "tests/test_cli.py::TestFit::test_huge_width_exits_2_with_one_line"),
+    Mutant("writer-sorts-keys", CLI, "json.dumps(doc, indent=2)",
+           "json.dumps(doc, indent=2, sort_keys=True)",
+           "tests/test_cli.py::TestRun::test_freespace_with_oracle"),
+    Mutant("writer-drops-none-from-dicts", CLI,
+           'return {k: _render(v, f"{path}.{k}") for k, v in value.items()}',
+           'return {k: _render(v, f"{path}.{k}") for k, v in value.items() '
+           'if v is not None}',
+           "tests/test_cli.py::TestSpin::test_product_state"),
 ]
 
 

@@ -15,10 +15,15 @@ import pytest
 from poppersim import cli
 from poppersim import experiments as ex
 from poppersim import grid_oracle as go
+from poppersim.errors import ConfigError
 
 
 def fixture_path(name):
     return str(files("poppersim.scenarios").joinpath(name))
+
+
+EXPECTED = Path(__file__).parent / "expected"
+WIDTH_KEYS = ["analytic_mm", "oracle_mm", "delta_rel"]
 
 
 def fixture_doc(name):
@@ -84,6 +89,14 @@ class TestRun:
         block = doc["results"]["coincidence_fwhm_mm"]
         assert "oracle_mm" in block and "delta_rel" in block
         assert abs(block["delta_rel"]) < 0.01
+        # the report's keys are WidthReport's fields and Measured's members,
+        # in declaration order, a None one left out
+        assert list(doc) == ["tool", "convention", "scenario", "results"]
+        assert list(doc["results"]) == [
+            "provenance", "beam_fwhm_mm", "coincidence_fwhm_mm",
+            "virtual_distance_mm", "coincidence_weight"]
+        for key in ("beam_fwhm_mm", "coincidence_fwhm_mm"):
+            assert list(doc["results"][key]) == WIDTH_KEYS
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_missing_scenario(self, tmp_path, capsys, kind):
@@ -306,10 +319,14 @@ class TestSweep:
         narrow, *rest = json.loads(report.read_text())["results"]["points"]
         assert narrow["slit_full_width_mm"] == pytest.approx(0.05)
         assert "boundary" in narrow["error"]
-        assert "fwhm_oracle_mm" not in narrow
+        # a point's keys are SweepPoint's fields in declaration order, a None
+        # one left out
+        assert list(narrow) == ["slit_full_width_mm", "fwhm_analytic_mm",
+                                "error"]
         assert out.splitlines()[1].endswith(",")
         for point in rest:
-            assert "error" not in point
+            assert list(point) == ["slit_full_width_mm", "fwhm_analytic_mm",
+                                   "fwhm_oracle_mm"]
             assert point["fwhm_oracle_mm"] == pytest.approx(
                 point["fwhm_analytic_mm"], rel=0.01)
 
@@ -511,6 +528,10 @@ class TestSpin:
         doc = json.loads(out)
         assert doc["results"]["marginal_B_z"] == pytest.approx([0.0, 1.0, 0.0],
                                                                abs=1e-12)
+        # a plain dict keeps its None: the zero-probability outcome prints null
+        assert '"partner_z_distribution": null' in out
+        assert doc["results"]["conditional_on_A_x"]["0"] == {
+            "probability": 0.0, "partner_z_distribution": None}
 
     def test_symmetric_state(self, capsys):
         alpha = str(math.sqrt(0.5))
@@ -544,6 +565,10 @@ class TestOracleCheck:
         doc = json.loads(out)
         assert doc["results"]["norm_drift"] < 1e-8
         assert abs(doc["results"]["conditional_width_mm"]["delta_rel"]) < 1e-3
+        assert list(doc["results"]) == ["norm_drift", "conditional_width_mm",
+                                        "grid"]
+        assert list(doc["results"]["conditional_width_mm"]) == WIDTH_KEYS
+        assert list(doc["results"]["grid"]) == ["n", "extent_mm", "dy_mm"]
 
     @pytest.mark.parametrize("name", ["kim_shih.json", "popper_freespace.json",
                                       "strekalov.json"])
@@ -580,6 +605,42 @@ class TestOracleCheck:
         assert results["norm_drift"] == pytest.approx(drift, rel=1e-3, abs=1e-12)
         assert results["conditional_width_mm"]["delta_rel"] == pytest.approx(
             delta, abs=1e-4)
+
+
+class TestReportBytes:
+    """The analytic reports, byte for byte: their numbers are Python floats,
+    fixed to nine digits, so unlike an oracle report's they do not depend on
+    the FFT build.  The expected files are under tests/expected."""
+
+    @pytest.mark.parametrize("name", ["kim_shih", "popper_freespace",
+                                      "strekalov"])
+    def test_run(self, tmp_path, capsys, name):
+        csv_path = tmp_path / "metrics.csv"
+        code, out, err = run_cli(["run", fixture_path(f"{name}.json"),
+                                  "--csv", str(csv_path)], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out == (EXPECTED / f"run_{name}.json").read_text()
+        assert csv_path.read_text() == (EXPECTED / f"run_{name}.csv").read_text()
+
+    def test_fit(self, capsys):
+        code, out, err = run_cli(["fit", "--fwhm", "1.0", "--L2", "500"], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out == (EXPECTED / "fit_fwhm_1_L2_500.json").read_text()
+
+    def test_sweep(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", fixture_path("strekalov.json"), "--from", "0.2",
+             "--to", "1.0", "--steps", "5"], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out == (EXPECTED / "sweep_strekalov_5.csv").read_text()
+
+    def test_non_finite_field_named_by_its_path(self):
+        # a result object's field is named as its rendered key
+        points = [ex.SweepPoint(0.2, 4.4), ex.SweepPoint(1e200, math.inf)]
+        with pytest.raises(ConfigError,
+                           match=r"^results\.points\[1\]\.fwhm_analytic_mm "
+                                 r"is inf: an input is out of range$"):
+            cli._document({}, {"points": points})
 
 
 class TestUnresolvedAperture:
