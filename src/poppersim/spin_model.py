@@ -15,6 +15,9 @@ import numpy as np
 from .errors import DomainError
 
 NORM_TOL = 1e-9
+# an outcome probability at or below this is zero: the eigensolver's
+# residue, an outcome condition_on refuses and a marginal prints as 0.0
+PROBABILITY_FLOOR = 1e-15
 
 # index <-> eigenvalue mapping, fixed package-wide
 EIGENVALUES = (+1, 0, -1)
@@ -99,9 +102,11 @@ def _partner(state: SpinState, particle: str, row: np.ndarray) -> np.ndarray:
 
 
 def marginal_probabilities(state: SpinState, particle: str, axis: str):
-    """Born-rule marginal (p_plus, p_zero, p_minus) for one particle."""
-    return tuple(float(np.sum(np.abs(_partner(state, particle, row)) ** 2))
-                 for row in _measurement_vectors(axis))
+    """Born-rule marginal (p_plus, p_zero, p_minus) for one particle, each
+    0.0 at or below ``PROBABILITY_FLOOR``."""
+    probs = (float(np.sum(np.abs(_partner(state, particle, row)) ** 2))
+             for row in _measurement_vectors(axis))
+    return tuple(p if p > PROBABILITY_FLOOR else 0.0 for p in probs)
 
 
 def condition_on(state: SpinState, particle: str, axis: str, value: int) -> MeasurementOutcome:
@@ -112,7 +117,7 @@ def condition_on(state: SpinState, particle: str, axis: str, value: int) -> Meas
     partner = _partner(state, particle, row)
     post = np.outer(row, partner) if particle == "A" else np.outer(partner, row)
     prob = float(np.sum(np.abs(partner) ** 2))
-    if prob <= 1e-15:
+    if prob <= PROBABILITY_FLOOR:
         raise DomainError(
             f"impossible outcome: P({particle}, {axis}, {value:+d}) = 0"
         )

@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ORACLE = "src/poppersim/grid_oracle.py"
 GRID = "src/poppersim/grid.py"
 CLI = "src/poppersim/cli.py"
+SPIN = "src/poppersim/spin_model.py"
 TAIL_SUM = ("tail = np.sum(rows[:, :band], axis=1) + "
             "np.sum(rows[:, -band:], axis=1)")
 
@@ -117,6 +118,9 @@ MUTANTS = [
            'return {k: _render(v, f"{path}.{k}") for k, v in value.items()}',
            'return {k: _render(v, f"{path}.{k}") for k, v in value.items() '
            'if v is not None}',
+           "tests/test_cli.py::TestSpin::test_product_state"),
+    Mutant("spin-marginal-without-floor", SPIN,
+           "p if p > PROBABILITY_FLOOR else 0.0", "p",
            "tests/test_cli.py::TestSpin::test_product_state"),
 ]
 

@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -228,6 +229,23 @@ class TestSweep:
         widths = [float(r[0]) for r in rows]
         assert widths == sorted(widths)
         assert all(b < a for a, b in zip(fwhms, fwhms[1:]))
+
+    # 130 slits fill more than two 64-slit slices of the sweep's one pass;
+    # at 1024 reading each row's width from the pass's intensity block
+    # dominates the sweep after its flights
+    @pytest.mark.parametrize("steps", [5, 130, 1024])
+    def test_oracle_sweep_warns_nothing_and_widths_every_row(self, capsys,
+                                                             steps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["sweep", fixture_path("strekalov.json"), "--from", "0.2",
+                 "--to", "1.0", "--steps", str(steps), "--oracle"], capsys)
+        assert code == cli.EXIT_OK
+        assert err == ""
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == steps
+        assert all(row[2] != "" for row in rows)
 
     def test_invalid_bounds(self, capsys):
         code, _, err = run_cli(
@@ -528,6 +546,8 @@ class TestSpin:
         doc = json.loads(out)
         assert doc["results"]["marginal_B_z"] == pytest.approx([0.0, 1.0, 0.0],
                                                                abs=1e-12)
+        # the outcome conditioning refuses has marginal 0.0, not residue
+        assert doc["results"]["marginal_A_x"] == [0.5, 0.0, 0.5]
         # a plain dict keeps its None: the zero-probability outcome prints null
         assert '"partner_z_distribution": null' in out
         assert doc["results"]["conditional_on_A_x"]["0"] == {

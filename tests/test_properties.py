@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poppersim.experiments as ex
 import poppersim.gaussian_core as gc
 import poppersim.spin_model as sm
+from poppersim.errors import DomainError
 from poppersim.gaussian_core import (
     GaussianParam,
     PhysParams,
@@ -138,6 +139,22 @@ class TestSpinProperties:
             for axis in ("x", "z"):
                 assert sum(sm.marginal_probabilities(state, particle, axis)) == \
                     pytest.approx(1.0, abs=1e-12)
+
+    @given(alpha=alphas)
+    @example(alpha=0.0)
+    def test_zero_marginal_exactly_where_conditioning_refuses(self, alpha):
+        beta = math.sqrt(1.0 - 2.0 * alpha ** 2)
+        state = sm.make_popper_spin_state(alpha, beta)
+        for particle in ("A", "B"):
+            for axis in ("x", "z"):
+                marginal = sm.marginal_probabilities(state, particle, axis)
+                for value, p in zip(sm.EIGENVALUES, marginal):
+                    try:
+                        sm.condition_on(state, particle, axis, value)
+                    except DomainError:
+                        assert p == 0.0
+                    else:
+                        assert p != 0.0
 
     @given(alpha=st.floats(min_value=1e-3, max_value=math.sqrt(0.5) - 1e-6))
     def test_x_correlation(self, alpha):
